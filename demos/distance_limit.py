@@ -23,10 +23,9 @@ two-point Richardson step removes.
 from __future__ import annotations
 
 import argparse
-import math
 
-from tubekernels import QuadratureConfig, hormander_series, model_domain, rational_domain
-from tubekernels.experiments import _levi_determinant_fd
+from tubekernels import QuadratureConfig, model_domain, rational_domain
+from tubekernels.experiments import _hormander_limit
 
 
 def main() -> None:
@@ -38,8 +37,9 @@ def main() -> None:
     args = ap.parse_args()
 
     f = rational_domain(args.m) if args.rational else model_domain(args.m)
-    rows = hormander_series(f, args.x0, QuadratureConfig(rel_tol=args.rel_tol))
-    predicted = _levi_determinant_fd(f, args.x0) / (2.0 * math.pi**2)
+    rows, measured, predicted = _hormander_limit(
+        f, args.x0, QuadratureConfig(rel_tol=args.rel_tol)
+    )
 
     print(f"domain: {f.label}   base point x0 = {args.x0}")
     print(f"{'eps':>12} {'distance':>12} {'K':>14} {'K d^3':>14} {'/predicted':>11}")
@@ -50,7 +50,6 @@ def main() -> None:
             f"{r['scaled'] / predicted:>11.6f}"
         )
 
-    measured = 2.0 * rows[-1]["scaled"] - rows[-2]["scaled"]
     print(f"\nRichardson limit : {measured:.8e}")
     print(f"Levi prediction  : {predicted:.8e}")
     print(f"ratio            : {measured / predicted:.8f}")

@@ -32,7 +32,6 @@ from .blowup import (
     BlowupChart,
     PolarPoint,
     admissible_region_test,
-    build_chi,
     from_polar,
     to_polar,
 )
@@ -44,7 +43,6 @@ from .domain_model import (
     blended_linear_domain,
     damp_tails,
     dual_cone,
-    eval_f,
     make_defining_function,
     model_domain,
     mollify,
@@ -69,12 +67,10 @@ from .quadrature import (
     KernelValue,
     QuadratureConfig,
     QuadratureError,
-    bergman_direct,
     bergman_normalized,
     compute_D,
     direct_pair,
     integrate_semi_infinite,
-    szego_direct,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +82,6 @@ __all__ = [
     "DualCone",
     "BoundaryRelativePoint",
     "DefiningFunction",
-    "eval_f",
     "make_defining_function",
     "dual_cone",
     "model_domain",
@@ -98,7 +93,6 @@ __all__ = [
     # blow-up geometry
     "PolarPoint",
     "BlowupChart",
-    "build_chi",
     "to_polar",
     "from_polar",
     "admissible_region_test",
@@ -109,8 +103,6 @@ __all__ = [
     "integrate_semi_infinite",
     "compute_D",
     "direct_pair",
-    "bergman_direct",
-    "szego_direct",
     "bergman_normalized",
     # asymptotic model
     "alpha_critical",

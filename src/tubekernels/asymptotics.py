@@ -21,6 +21,7 @@ from scipy.interpolate import CubicSpline
 
 from .blowup import BlowupChart
 from .domain_model import DefiningFunction, DomainError
+from .experiments import blowup_exponent
 from .quadrature import ProfileGrid, QuadratureConfig, QuadratureError, log_adaptive_multi
 
 __all__ = [
@@ -72,7 +73,6 @@ def phase_p(m: int) -> "LaplaceProblem":
     return LaplaceProblem(
         phase=lambda t: t**m2 - t,
         amplitude=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        large_parameter_name="v_tilde",
         critical_point=alpha_critical(m),
         domain=(0.0, math.inf),
     )
@@ -85,7 +85,6 @@ def phase_q(m: int) -> "LaplaceProblem":
     return LaplaceProblem(
         phase=lambda t: -(a * t**m2 - t ** (m2 - 1)),
         amplitude=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        large_parameter_name="u_2m",
         critical_point=beta_critical(m),
         domain=(0.0, math.inf),
     )
@@ -138,7 +137,6 @@ class LaplaceProblem:
 
     phase: Callable
     amplitude: Callable
-    large_parameter_name: str
     critical_point: float | None
     domain: tuple[float, float]
 
@@ -458,8 +456,7 @@ def predict(
     for non-model domains it is the local prediction the experiments
     measure against, not an asserted equality.
     """
-    if kind not in ("bergman", "szego"):
-        raise DomainError(f"kind must be 'bergman' or 'szego', got {kind!r}")
+    exponent = blowup_exponent(f.m, kind)  # validates kind
     m = f.m
     chart = chart or _default_chart(m)
     if chart.m != m:
@@ -467,7 +464,6 @@ def predict(
     g0 = float(f.g(0.0))
     pair = model_profile_pair(m, g0, tau, chart)
     c0 = math.exp(pair[0] if kind == "bergman" else pair[1])
-    exponent = Fraction(2 * m + 1, m) if kind == "bergman" else Fraction(m + 1, m)
     return ExpansionPrediction(
         kind=kind,
         exponent=exponent,

@@ -19,12 +19,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError
+from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError, _smooth_step
 
 __all__ = [
     "PolarPoint",
     "BlowupChart",
-    "build_chi",
     "to_polar",
     "from_polar",
     "admissible_region_test",
@@ -46,14 +45,6 @@ class PolarPoint:
             raise DomainError(f"rho must be positive, got {self.rho!r}")
         if self.branch not in (+1, -1):
             raise DomainError(f"branch must be +1 or -1, got {self.branch!r}")
-
-
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(t > 0.0, np.exp(-1.0 / np.clip(t, 1e-300, None)), 0.0)
-        b = np.where(t < 1.0, np.exp(-1.0 / np.clip(1.0 - t, 1e-300, None)), 0.0)
-    return a / (a + b)
 
 
 def _step_profile(name: str) -> Callable:
@@ -78,6 +69,9 @@ class BlowupChart:
 
     The single free width w is fixed by chi(q) = 2/3 (continuity of the
     closed-form outer piece).  chi' >= 1/2 everywhere by construction.
+    ``layer_profile`` selects the ramp shape inside the glue layers; every
+    choice yields a valid chart, since the invariants do not pin chi down on
+    the blend region.
     """
 
     def __init__(self, m: int, layer_profile: str = "default"):
@@ -228,17 +222,6 @@ class BlowupChart:
         if tau >= 2.0 / 3.0:
             return (1.0 - tau) ** self._n
         return 1.0 - float(self.chi_inverse(tau))
-
-
-def build_chi(m: int, layer_profile: str = "default") -> BlowupChart:
-    """Construct a conformant chart for type 2m.
-
-    ``layer_profile`` selects the ramp shape inside the glue layers; any
-    choice yields a valid chart (the invariants don't pin chi down on the
-    blend region), which is exactly what the chart-independence tests
-    exercise.
-    """
-    return BlowupChart(m, layer_profile)
 
 
 def to_polar(

@@ -19,7 +19,7 @@ import configparser
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +39,11 @@ from .domain_model import (
 )
 from .experiments import (
     ApproachPath,
-    _levi_determinant_fd,
+    _hormander_limit,
     blowup_exponent,
+    evaluate_path,
     fit_exponent,
-    hormander_series,
     localization_experiment,
-    path_points,
 )
 from .quadrature import QuadratureConfig, QuadratureError, direct_pair
 
@@ -54,13 +53,7 @@ CSV_HEADER = "kind,m,tau,rho,x,y,log_value,value,err_estimate,evaluations,status
 
 _SETTINGS = {
     "domain": {"spec": str},
-    "quadrature": {
-        "rel_tol": float,
-        "abs_tol": float,
-        "max_depth": int,
-        "truncation_drop": float,
-        "scaling": str,
-    },
+    "quadrature": {"rel_tol": float, "max_depth": int, "truncation_drop": float},
     "chart": {"layer_profile": str},
     "experiment": {
         "kind": str,
@@ -74,7 +67,6 @@ _SETTINGS = {
         "rho_ratio": float,
         "n_points": int,
         "window": int,
-        "workers": int,
         "fit_tol": float,
         "ratio_tol": float,
         "bounded_floor": float,
@@ -85,10 +77,8 @@ _SETTINGS = {
 _DEFAULTS = {
     "spec": "model:m=2,g0=1",
     "rel_tol": 1e-8,
-    "abs_tol": 1e-300,
     "max_depth": 60,
     "truncation_drop": 1e-16,
-    "scaling": "log_scaled",
     "layer_profile": "default",
     "kind": "bergman",
     "tau": 1.0,
@@ -101,7 +91,6 @@ _DEFAULTS = {
     "rho_ratio": 0.5,
     "n_points": 15,
     "window": 6,
-    "workers": 1,
     "fit_tol": 0.01,
     "ratio_tol": 0.05,
     "bounded_floor": -0.1,
@@ -129,10 +118,8 @@ class RunConfig:
             rel = default_rel_tol
         return QuadratureConfig(
             rel_tol=rel,
-            abs_tol=self.values["abs_tol"],
             max_depth=self.values["max_depth"],
             truncation_drop=self.values["truncation_drop"],
-            scaling=self.values["scaling"],
         )
 
     def rho_grid(self) -> np.ndarray:
@@ -271,18 +258,11 @@ def _fmt(v) -> str:
 
 
 def _emit_csv(rows: list[list], path: str | None) -> None:
-    if path is None:
-        out = sys.stdout
-        writer = csv.writer(out, lineterminator="\n")
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER.split(","))
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
@@ -320,37 +300,15 @@ print("wrote", out)
 def _emit_plot_script(cfg: RunConfig) -> None:
     if cfg.plot_script is None:
         return
-    if cfg.csv is None:
-        raise DomainError("--plot-script needs --csv (the script reads the CSV)")
     with open(cfg.plot_script, "w") as fh:
         fh.write(_PLOT_TEMPLATE.format(csv_path=cfg.csv))
 
 
-def _eval_points(
-    f: DefiningFunction,
-    pts: list[BoundaryRelativePoint],
-    qcfg: QuadratureConfig,
-    workers: int,
-) -> list[dict]:
-    def one(i: int):
-        try:
-            K, S = direct_pair(f, pts[i], qcfg)
-            return {"bergman": K, "szego": S, "status": "ok"}
-        except (DomainError, QuadratureError) as exc:
-            return {"bergman": None, "szego": None,
-                    "status": f"{type(exc).__name__}: {exc}"}
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(len(pts))))
-    return [one(i) for i in range(len(pts))]
-
-
-def _kernel_row(kind, f, tau, rho, p, kv, status) -> list:
+def _kernel_row(kind, f, tau, rho, x, y, kv, status) -> list:
     if kv is None:
-        return [kind, f.m, tau, rho, p.x, p.y, None, None, None, None, status]
+        return [kind, f.m, tau, rho, x, y, None, None, None, None, status]
     return [
-        kind, f.m, tau, rho, p.x, p.y,
+        kind, f.m, tau, rho, x, y,
         kv.log_value, kv.value, kv.err_estimate, kv.evaluations, status,
     ]
 
@@ -358,7 +316,7 @@ def _kernel_row(kind, f, tau, rho, p, kv, status) -> list:
 def _plan(cfg: RunConfig, command: str, f: DefiningFunction, extra: str = "") -> None:
     print(
         f"plan: command={command} domain={f.label} m={f.m} kind={cfg.kind} "
-        f"rel_tol={cfg.values['rel_tol']!r} scaling={cfg.scaling} "
+        f"rel_tol={cfg.values['rel_tol']!r} "
         f"csv={cfg.csv or '-'} plot_script={cfg.plot_script or '-'}"
         + (f" {extra}" if extra else "")
     )
@@ -385,20 +343,19 @@ def cmd_eval(cfg: RunConfig, dry_run: bool) -> int:
         f"err_estimate={kv.err_estimate!r} evaluations={kv.evaluations}"
     )
     if cfg.csv is not None:
-        _emit_csv([_kernel_row(cfg.kind, f, q.tau, q.rho, p, kv, "ok")], cfg.csv)
+        _emit_csv([_kernel_row(cfg.kind, f, q.tau, q.rho, p.x, p.y, kv, "ok")], cfg.csv)
         _emit_plot_script(cfg)
     return 0
 
 
-def _sweep_rows(cfg: RunConfig, f, chart, qcfg) -> tuple[list, list, list]:
+def _sweep_rows(cfg: RunConfig, f, chart, qcfg) -> tuple[list, list]:
     path = ApproachPath("fixed_tau", {"tau": cfg.tau}, cfg.rho_grid())
-    pts = path_points(f, path, chart)
-    results = _eval_points(f, pts, qcfg, cfg.workers)
-    rows = []
-    for p, rho, res in zip(pts, path.rho_grid, results):
-        kv = res[cfg.kind] if res["status"] == "ok" else None
-        rows.append(_kernel_row(cfg.kind, f, cfg.tau, float(rho), p, kv, res["status"]))
-    return rows, pts, results
+    results = evaluate_path(f, path, qcfg, chart)
+    rows = [
+        _kernel_row(cfg.kind, f, cfg.tau, r["rho"], r["x"], r["y"], r[cfg.kind], r["status"])
+        for r in results
+    ]
+    return rows, results
 
 
 def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
@@ -406,9 +363,9 @@ def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
     chart = BlowupChart(f.m, layer_profile=cfg.layer_profile)
     if dry_run:
         _plan(cfg, "sweep", f,
-              extra=f"tau={cfg.tau!r} points={cfg.values['n_points']} workers={cfg.workers}")
+              extra=f"tau={cfg.tau!r} points={cfg.values['n_points']}")
         return 0
-    rows, _, results = _sweep_rows(cfg, f, chart, cfg.quadrature())
+    rows, results = _sweep_rows(cfg, f, chart, cfg.quadrature())
     _emit_csv(rows, cfg.csv)
     _emit_plot_script(cfg)
     n_ok = sum(1 for r in results if r["status"] == "ok")
@@ -426,12 +383,11 @@ def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
         _plan(cfg, "fit", f,
               extra=f"tau={cfg.tau!r} points={cfg.values['n_points']} window={cfg.window}")
         return 0
-    rows, pts, results = _sweep_rows(cfg, f, chart, cfg.quadrature())
+    rows, results = _sweep_rows(cfg, f, chart, cfg.quadrature())
     if cfg.csv is not None:
         _emit_csv(rows, cfg.csv)
         _emit_plot_script(cfg)
-    good = [(float(rho), res[cfg.kind]) for rho, res in zip(cfg.rho_grid(), results)
-            if res["status"] == "ok"]
+    good = [(r["rho"], r[cfg.kind]) for r in results if r["status"] == "ok"]
     if len(good) < max(cfg.window, 6):
         raise QuadratureError(
             f"only {len(good)} of {len(results)} points converged; cannot fit"
@@ -466,6 +422,8 @@ def cmd_predict(cfg: RunConfig, dry_run: bool) -> int:
 
 
 def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
+    if cfg.kind != "bergman":
+        raise DomainError("localize compares Bergman kernels; --kind szego is not supported")
     f1 = parse_domain(cfg.spec)
     f2 = damp_tails(f1, cfg.delta)
     chart = BlowupChart(f1.m, layer_profile=cfg.layer_profile)
@@ -491,11 +449,11 @@ def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
         for p in report["points"]:
             if p["status"] == "ok":
                 rows.append([
-                    cfg.kind, f1.m, cfg.tau, p["rho"], p["x"], p["y"],
+                    "bergman", f1.m, cfg.tau, p["rho"], p["x"], p["y"],
                     p["log_abs_diff"], p["diff"], p["err_estimate"], None, "ok",
                 ])
             else:
-                rows.append([cfg.kind, f1.m, cfg.tau, p["rho"], p["x"], p["y"],
+                rows.append(["bergman", f1.m, cfg.tau, p["rho"], p["x"], p["y"],
                              None, None, None, None, p["status"]])
         _emit_csv(rows, cfg.csv)
         _emit_plot_script(cfg)
@@ -519,16 +477,13 @@ def cmd_hormander(cfg: RunConfig, dry_run: bool) -> int:
     if dry_run:
         _plan(cfg, "hormander", f, extra=f"x0={cfg.x0!r}")
         return 0
-    series = hormander_series(f, cfg.x0, cfg.quadrature())
-    measured = 2.0 * series[-1]["scaled"] - series[-2]["scaled"]
-    predicted = _levi_determinant_fd(f, cfg.x0) / (2.0 * math.pi**2)
+    series, measured, predicted = _hormander_limit(f, cfg.x0, cfg.quadrature())
     ratio = measured / predicted
     if cfg.csv is not None:
         rows = []
         for rec in series:
-            p = BoundaryRelativePoint(rec["x"], rec["y"])
-            q = to_polar(f, chart, p)
-            rows.append(_kernel_row("bergman", f, q.tau, rec["eps"], p,
+            q = to_polar(f, chart, BoundaryRelativePoint(rec["x"], rec["y"]))
+            rows.append(_kernel_row("bergman", f, q.tau, rec["eps"], rec["x"], rec["y"],
                                     rec["bergman"], "ok"))
         _emit_csv(rows, cfg.csv)
         _emit_plot_script(cfg)
@@ -552,10 +507,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--layer-profile", dest="layer_profile",
                      choices=["default", "composed"])
     sub.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sub.add_argument("--abs-tol", dest="abs_tol", type=float)
     sub.add_argument("--max-depth", dest="max_depth", type=int)
     sub.add_argument("--truncation-drop", dest="truncation_drop", type=float)
-    sub.add_argument("--scaling", choices=["direct", "log_scaled"])
     sub.add_argument("--csv", help="write CSV here (eval/sweep/fit/localize/hormander)")
     sub.add_argument("--plot-script",
                      dest="plot_script", help="emit a plotting script for the CSV")
@@ -568,7 +521,6 @@ def _add_grid(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rho-ratio", dest="rho_ratio", type=float)
     sub.add_argument("--n-points", dest="n_points", type=int)
     sub.add_argument("--window", type=int)
-    sub.add_argument("--workers", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

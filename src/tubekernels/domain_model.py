@@ -21,7 +21,6 @@ __all__ = [
     "DualCone",
     "BoundaryRelativePoint",
     "DefiningFunction",
-    "eval_f",
     "make_defining_function",
     "dual_cone",
     "mollify",
@@ -197,15 +196,20 @@ class DefiningFunction:
                 )
 
 
-def eval_f(f: DefiningFunction, x, order: int = 0):
-    """Evaluate f (order 0), f' (order 1) or f'' (order 2) at x."""
-    if order == 0:
-        return f.f(x)
-    if order == 1:
-        return f.fprime(x)
-    if order == 2:
-        return f.fsecond(x)
-    raise DomainError(f"derivative order must be 0, 1 or 2, got {order!r}")
+def _f_from_g(m: int, g: Callable, gp: Callable, gpp: Callable):
+    """(f, f', f'') of f = x^(2m) g from g and its first two derivatives."""
+    n = 2 * int(m)
+
+    def fv(x):
+        return x**n * g(x)
+
+    def fpv(x):
+        return x ** (n - 1) * (n * g(x) + x * gp(x))
+
+    def fppv(x):
+        return x ** (n - 2) * (n * (n - 1) * g(x) + 2.0 * n * x * gp(x) + x * x * gpp(x))
+
+    return fv, fpv, fppv
 
 
 def make_defining_function(
@@ -242,24 +246,9 @@ def make_defining_function(
             h = 2e-5 * (1.0 + np.abs(x))
             return (_g(x + h) - 2.0 * _g(x) + _g(x - h)) / (h * h)
 
-    n = 2 * int(m)
-
-    def fv(x):
-        return x**n * gv(x)
-
-    def fpv(x):
-        return x ** (n - 1) * (n * gv(x) + x * gpv(x))
-
-    def fppv(x):
-        return x ** (n - 2) * (
-            n * (n - 1) * gv(x) + 2.0 * n * x * gpv(x) + x * x * gppv(x)
-        )
-
     return DefiningFunction(
         m,
-        fv,
-        fpv,
-        fppv,
+        *_f_from_g(m, gv, gpv, gppv),
         gv,
         gpv,
         label=label,
@@ -274,7 +263,7 @@ def make_defining_function(
 # ---------------------------------------------------------------------------
 
 
-def _tail_slope(f: DefiningFunction, sign: float) -> tuple[float, bool]:
+def _tail_slope(f: DefiningFunction, sign: float) -> float:
     """Chord-slope estimate of lim f(x)/|x| on one branch.
 
     Convexity makes the chord slopes over [2^k, 2^(k+1)] increase to the
@@ -287,11 +276,11 @@ def _tail_slope(f: DefiningFunction, sign: float) -> tuple[float, bool]:
         fb = f.f(sign * b)
         s = (fb - fa) / (b - a)
         if not math.isfinite(s) or s > 1e9:
-            return math.inf, True
+            return math.inf
         if prev is not None and abs(s - prev) <= 1e-9 * max(abs(s), 1e-30):
-            return s, True
+            return s
         prev = s
-    return prev, True
+    return prev
 
 
 def dual_cone(f: DefiningFunction) -> DualCone:
@@ -303,8 +292,8 @@ def dual_cone(f: DefiningFunction) -> DualCone:
     if f.tail_slopes is not None:
         neg, pos = f.tail_slopes
         return DualCone(r_plus=float(neg), r_minus=float(pos), estimated=False)
-    rp, _ = _tail_slope(f, -1.0)
-    rm, _ = _tail_slope(f, +1.0)
+    rp = _tail_slope(f, -1.0)
+    rm = _tail_slope(f, +1.0)
     if not (rp > 0 and rm > 0):
         raise DomainError(f"degenerate tail slopes ({rp!r}, {rm!r})")
     return DualCone(r_plus=rp, r_minus=rm, estimated=True)
@@ -339,7 +328,6 @@ def rational_domain(m: int) -> DefiningFunction:
     """
     if int(m) < 2:
         raise DomainError(f"rational_domain needs m >= 2, got {m!r}")
-    n = 2 * int(m)
 
     def g(x):
         return 1.0 / (1.0 + x * x)
@@ -350,20 +338,9 @@ def rational_domain(m: int) -> DefiningFunction:
     def gpp(x):
         return (6.0 * x * x - 2.0) / (1.0 + x * x) ** 3
 
-    def fv(x):
-        return x**n * g(x)
-
-    def fpv(x):
-        return x ** (n - 1) * (n * g(x) + x * gp(x))
-
-    def fppv(x):
-        return x ** (n - 2) * (n * (n - 1) * g(x) + 2.0 * n * x * gp(x) + x * x * gpp(x))
-
     return DefiningFunction(
         m,
-        fv,
-        fpv,
-        fppv,
+        *_f_from_g(m, g, gp, gpp),
         g,
         gp,
         label=f"rational(m={int(m)})",
@@ -396,7 +373,6 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
         return (1.0 - t * t) * n * (n - 1) * x ** (n - 2)
 
     F = CubicHermiteSpline(grid, fp_half(grid), fpp_half(grid)).antiderivative()
-    f_sat = float(F(x_sat))
 
     # series region: the spline antiderivative carries roundoff-scale
     # negatives near 0, so tiny |x| goes through the expansion of g instead
@@ -438,7 +414,7 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
         out[~small] = (xs * fp_half(xs) - n * fv(xs)) / xs ** (n + 1)
         return out * np.sign(x)
 
-    dom = DefiningFunction(
+    return DefiningFunction(
         m,
         fv,
         fpv,
@@ -448,8 +424,6 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
         label=f"blended-linear(m={int(m)},slope={s:g})",
         tail_slopes=(s, s),
     )
-    dom._f_sat = f_sat  # kept for introspection in tests
-    return dom
 
 
 def table_domain(
@@ -499,22 +473,9 @@ def table_domain(
         out[(x < lo) | (x > hi)] = 0.0
         return out
 
-    n = 2 * int(m)
-
-    def fv(x):
-        return x**n * gv(x)
-
-    def fpv(x):
-        return x ** (n - 1) * (n * gv(x) + x * gpv(x))
-
-    def fppv(x):
-        return x ** (n - 2) * (n * (n - 1) * gv(x) + 2.0 * n * x * gpv(x) + x * x * gppv(x))
-
     return DefiningFunction(
         m,
-        fv,
-        fpv,
-        fppv,
+        *_f_from_g(m, gv, gpv, gppv),
         gv,
         gpv,
         label=label,
@@ -551,7 +512,9 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
     with zero slope at |x| = 1, and stays constant beyond.  The curvature
     budget |x^2 g~''| < g(0)/5 caps how much drop a given delta can carry;
     deltas beyond roughly 0.19 cannot reach the required 0.1 g(0) drop with
-    any admissible profile and are rejected.
+    any admissible profile and are rejected.  Both sides are blended from
+    g(delta) and g'(delta), so a parent whose g is not even at |x| = delta
+    is rejected too.
     """
     d = float(delta)
     if not (0.0 < d < 1.0):
@@ -562,6 +525,13 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
 
     g_d = f.g(d)
     gp_d = f.gprime(d)
+    g_m, gp_m = f.g(-d), f.gprime(-d)
+    if abs(g_m - g_d) > 1e-9 * g0 or abs(gp_m + gp_d) > 1e-9 * g0:
+        raise DomainError(
+            f"mollify needs g even at |x| = {d:g}: g(-delta) = {g_m:.10g} vs "
+            f"g(delta) = {g_d:.10g}, g'(-delta) = {gp_m:.10g} vs "
+            f"g'(delta) = {gp_d:.10g} (asymmetric g)"
+        )
     if g_d < target:
         raise DomainError(
             f"g({d}) = {g_d} already below the flat level {target}; "
@@ -654,24 +624,9 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
             out[inner] = (f.g(x[inner] + h) - 2 * f.g(x[inner]) + f.g(x[inner] - h)) / (h * h)
         return out
 
-    n = 2 * f.m
-
-    def fv(x):
-        return x**n * gv(x)
-
-    def fpv(x):
-        return x ** (n - 1) * (n * gv(x) + x * gpv(x))
-
-    def fppv(x):
-        return x ** (n - 2) * (
-            n * (n - 1) * gv(x) + 2.0 * n * x * gpv(x) + x * x * gppv_signed(x)
-        )
-
     out = DefiningFunction(
         f.m,
-        fv,
-        fpv,
-        fppv,
+        *_f_from_g(f.m, gv, gpv, gppv_signed),
         gv,
         gpv,
         label=f"mollified({f.label},delta={d:g})",
@@ -696,12 +651,22 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
     1.1 * radius (so the two domains agree there exactly by double
     integration from 0) and falls smoothly to zero by 2.4 * radius, after
     which the function continues as an exact straight line.  Convexity is
-    inherited; the dual cone is known in closed form.
+    inherited; the dual cone is known in closed form.  Both branches are
+    mirrored from x > 0, so f must be even on |x| <= 1.1 * radius.
     """
     r = float(radius)
     if not (r > 0 and math.isfinite(r)):
         raise DomainError(f"radius must be positive, got {radius!r}")
     r1, r2 = 1.1 * r, 2.4 * r
+    core = np.linspace(0.0, r1, 257)
+    f_pos, f_neg = f.f(core), f.f(-core)
+    gap = np.abs(f_neg - f_pos) - 1e-9 * np.abs(f_pos)
+    if np.any(gap > 0):
+        i = int(np.argmax(gap))
+        raise DomainError(
+            f"damp_tails needs f even on |x| <= {r1:g}: f(-{core[i]:g}) = "
+            f"{f_neg[i]:.10g} vs f({core[i]:g}) = {f_pos[i]:.10g} (asymmetric g)"
+        )
 
     def theta(s):
         return _smooth_step((r2 - s) / (r2 - r1))

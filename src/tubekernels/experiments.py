@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -100,7 +100,7 @@ def path_points(
 
 
 def _config_hash(cfg: QuadratureConfig) -> str:
-    text = f"{cfg.rel_tol}|{cfg.abs_tol}|{cfg.max_depth}|{cfg.truncation_drop}|{cfg.scaling}"
+    text = repr(astuple(cfg))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -337,6 +337,16 @@ def hormander_series(
     return rows
 
 
+def _hormander_limit(
+    f: DefiningFunction, x0: float, cfg: QuadratureConfig | None = None
+) -> tuple[list[dict], float, float]:
+    """(series, measured_limit, predicted_limit) for :func:`hormander_check`."""
+    rows = hormander_series(f, x0, cfg)
+    measured = 2.0 * rows[-1]["scaled"] - rows[-2]["scaled"]
+    predicted = _levi_determinant_fd(f, float(x0)) / (2.0 * math.pi**2)
+    return rows, float(measured), float(predicted)
+
+
 def hormander_check(
     f: DefiningFunction, x0: float, cfg: QuadratureConfig | None = None
 ) -> tuple[float, float, float]:
@@ -347,10 +357,8 @@ def hormander_check(
     finite-difference oracle that never touches the quadrature.  Returns
     (measured_limit, predicted_limit, ratio).
     """
-    rows = hormander_series(f, x0, cfg)
-    measured = 2.0 * rows[-1]["scaled"] - rows[-2]["scaled"]
-    predicted = _levi_determinant_fd(f, float(x0)) / (2.0 * math.pi**2)
-    return float(measured), float(predicted), float(measured / predicted)
+    _, measured, predicted = _hormander_limit(f, x0, cfg)
+    return measured, predicted, measured / predicted
 
 
 # ---------------------------------------------------------------------------

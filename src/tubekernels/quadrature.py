@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError, dual_cone
 
@@ -29,8 +28,6 @@ __all__ = [
     "integrate_semi_infinite",
     "compute_D",
     "direct_pair",
-    "bergman_direct",
-    "szego_direct",
     "bergman_normalized",
     "ProfileGrid",
     "log_adaptive_multi",
@@ -43,31 +40,24 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and scaling for all evaluators.
+    """Tolerances for all evaluators.
 
     ``truncation_drop`` sets where integrand tails are abandoned relative to
     the running peak; ``max_depth`` bounds the subdivision work (the engine
-    translates it into a panel budget).  ``scaling`` selects shifted-exponent
-    accumulation ("log_scaled", required by the kernel evaluators) or plain
-    linear-space quadrature ("direct", available in
-    :func:`integrate_semi_infinite` for well-scaled integrands).
+    translates it into a panel budget).
     """
 
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-300
     max_depth: int = 60
     truncation_drop: float = 1e-16
-    scaling: str = "log_scaled"
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be positive")
+        if not (self.rel_tol > 0):
+            raise DomainError("rel_tol must be positive")
         if self.max_depth < 1:
             raise DomainError("max_depth must be >= 1")
         if not (0 < self.truncation_drop < 1):
             raise DomainError("truncation_drop must lie in (0, 1)")
-        if self.scaling not in ("direct", "log_scaled"):
-            raise DomainError(f"unknown scaling {self.scaling!r}")
 
     @property
     def log_drop(self) -> float:
@@ -407,18 +397,6 @@ def integrate_semi_infinite(
         sub = np.unique(np.linspace(0, window.size - 1, 80).astype(int))
         window = window[sub]
 
-    if cfg.scaling == "direct":
-        val, abserr = _scipy_quad(
-            lambda t: float(np.exp(logf(np.asarray([t]))[0])),
-            window[0],
-            window[-1],
-            epsrel=cfg.rel_tol,
-            limit=200,
-        )
-        if val <= 0:
-            raise QuadratureError("direct-mode integral came out non-positive")
-        return math.log(val), abserr / val
-
     lv, re, _ = log_adaptive_multi(
         lambda x: np.atleast_2d(logf(x)),
         window[0],
@@ -426,7 +404,6 @@ def integrate_semi_infinite(
         rel_tol=cfg.rel_tol,
         max_panels=cfg.max_panels,
         init_edges=window,
-        log_abs_floor=math.log(cfg.abs_tol),
     )
     if re[0] > 10.0 * cfg.rel_tol:
         raise QuadratureError(
@@ -497,8 +474,6 @@ def direct_pair(
     profile grid), so the pair costs barely more than either alone.
     """
     cfg = cfg or QuadratureConfig()
-    if cfg.scaling != "log_scaled":
-        raise DomainError("kernel evaluators require scaling='log_scaled'")
     f.require_interior(p)
     x, y = float(p.x), float(p.y)
     ps = np.array([2.0, 1.0])
@@ -592,20 +567,6 @@ def direct_pair(
         _pack_value(lv[0], err[0], nev[0], "bergman"),
         _pack_value(lv[1], err[1], nev[0], "szego"),
     )
-
-
-def bergman_direct(
-    f: DefiningFunction, p: BoundaryRelativePoint, cfg: QuadratureConfig | None = None
-) -> KernelValue:
-    """Diagonal Bergman kernel at an interior point of the tube."""
-    return direct_pair(f, p, cfg)[0]
-
-
-def szego_direct(
-    f: DefiningFunction, p: BoundaryRelativePoint, cfg: QuadratureConfig | None = None
-) -> KernelValue:
-    """Diagonal Szego kernel at an interior point of the tube."""
-    return direct_pair(f, p, cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +673,7 @@ def bergman_normalized(
     with P's frequency profile phi built from the rescaled, mollified
     ghat(x) = g~(g(0)^(-1/(2m)) x)/g(0) in [0.9, 1].  The default lower
     limit 1 drops a smooth-at-the-boundary piece, so Kbar differs from
-    bergman_direct by a bounded function as y -> 0 (passing u_floor -> 0
+    the direct Bergman kernel by a bounded function as y -> 0 (passing u_floor -> 0
     recovers the direct kernel, which is how the chain is validated).
     """
     cfg = cfg or QuadratureConfig()

@@ -64,7 +64,7 @@ def test_growth_constant_is_minus_phase_minimum():
 
 
 def test_laplace_gaussian_is_exact():
-    prob = LaplaceProblem(lambda t: t * t, lambda t: 1.0, "lam", 0.0, (-3.0, 3.0))
+    prob = LaplaceProblem(lambda t: t * t, lambda t: 1.0, 0.0, (-3.0, 3.0))
     lv, corr = laplace_leading(prob, 2.5)
     assert math.isclose(lv, 0.5 * math.log(2.0 * math.pi / 5.0), abs_tol=1e-12)
     assert corr <= 1e-10
@@ -92,14 +92,14 @@ def test_laplace_matches_quadrature_with_correction_margin():
 
 def test_laplace_searches_minimum_when_not_given():
     given = phase_p(3)
-    searched = LaplaceProblem(given.phase, given.amplitude, "lam", None, given.domain)
+    searched = LaplaceProblem(given.phase, given.amplitude, None, given.domain)
     lv_a, _ = laplace_leading(given, 25.0)
     lv_b, _ = laplace_leading(searched, 25.0)
     assert math.isclose(lv_a, lv_b, rel_tol=0, abs_tol=1e-10)
 
 
 def test_laplace_rejects_boundary_minimum():
-    prob = LaplaceProblem(lambda t: t, lambda t: 1.0, "lam", None, (0.1, 2.0))
+    prob = LaplaceProblem(lambda t: t, lambda t: 1.0, None, (0.1, 2.0))
     with pytest.raises(DomainError):
         laplace_leading(prob, 50.0)
 

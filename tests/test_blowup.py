@@ -15,7 +15,6 @@ from tubekernels import (
     DomainError,
     PolarPoint,
     admissible_region_test,
-    build_chi,
     from_polar,
     model_domain,
     rational_domain,
@@ -127,7 +126,6 @@ def test_chart_validation_and_ids():
     with pytest.raises(DomainError):
         BlowupChart(2, layer_profile="spiral")
     assert BlowupChart(2).chart_id != BlowupChart(2, "composed").chart_id
-    assert BlowupChart(2).chart_id == build_chi(2).chart_id
 
 
 def test_to_polar_rejects_mismatched_chart_and_exterior():

@@ -15,7 +15,6 @@ from tubekernels import (
     blended_linear_domain,
     damp_tails,
     dual_cone,
-    eval_f,
     make_defining_function,
     model_domain,
     mollify,
@@ -27,17 +26,11 @@ from tubekernels import (
 def test_model_domain_is_the_monomial():
     f = model_domain(2, g0=3.0)
     xs = np.array([-1.5, -0.2, 0.0, 0.7, 2.0])
-    np.testing.assert_allclose(eval_f(f, xs), 3.0 * xs**4, rtol=1e-14)
-    np.testing.assert_allclose(eval_f(f, xs, 1), 12.0 * xs**3, rtol=1e-14)
-    np.testing.assert_allclose(eval_f(f, xs, 2), 36.0 * xs**2, rtol=1e-14)
+    np.testing.assert_allclose(f.f(xs), 3.0 * xs**4, rtol=1e-14)
+    np.testing.assert_allclose(f.fprime(xs), 12.0 * xs**3, rtol=1e-14)
+    np.testing.assert_allclose(f.fsecond(xs), 36.0 * xs**2, rtol=1e-14)
     assert f.m == 2
     assert f.g0 == 3.0
-
-
-def test_eval_f_rejects_higher_orders():
-    f = model_domain(1)
-    with pytest.raises(DomainError):
-        eval_f(f, 0.5, order=3)
 
 
 def test_model_domain_validation():
@@ -152,6 +145,19 @@ def test_damp_tails_exact_core_and_linear_tail():
     grid = np.linspace(-3.0, 3.0, 301)
     assert np.all(fd.fsecond(grid) >= -1e-10)
     assert fd.m == f.m
+
+
+def test_mollify_and_damp_tails_reject_asymmetric_g():
+    # g = 1/(1 + x^2 (1 + tanh(x)/2)) is not even, while both constructions
+    # mirror the x > 0 side onto x < 0
+    xs = np.linspace(-3.0, 3.0, 601)
+    q = 1.0 + xs**2 * (1.0 + 0.5 * np.tanh(xs))
+    dq = 2.0 * xs * (1.0 + 0.5 * np.tanh(xs)) + 0.5 * xs**2 / np.cosh(xs) ** 2
+    f = table_domain(xs, 1.0 / q, -dq / q**2, 2)
+    with pytest.raises(DomainError, match="asymmetric"):
+        mollify(f, 0.1)
+    with pytest.raises(DomainError, match="asymmetric"):
+        damp_tails(f, 0.5)
 
 
 def test_contains_and_require_interior():

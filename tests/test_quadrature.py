@@ -33,8 +33,6 @@ D4_ORACLE = 1.7959267415781637  # D(0.3, 1.1), f = x^4
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        QuadratureConfig(scaling="fastest")
-    with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
     cfg = QuadratureConfig()
     assert cfg.log_drop > 30.0
@@ -52,14 +50,11 @@ def test_integrate_gaussian_all_domains():
     assert abs(lv) <= 1e-10
 
 
-def test_integrate_log_mode_and_direct_scaling():
+def test_integrate_log_mode():
     lv, _ = integrate_semi_infinite(
         lambda x: -(x**2), (-np.inf, np.inf), log_integrand=True
     )
     assert math.isclose(lv, 0.5 * math.log(math.pi), rel_tol=0, abs_tol=1e-10)
-    cfg = QuadratureConfig(scaling="direct")
-    lv, _ = integrate_semi_infinite(lambda x: np.exp(-(x**2)), (-np.inf, np.inf), cfg)
-    assert math.isclose(math.exp(lv), math.sqrt(math.pi), rel_tol=1e-9)
 
 
 def test_integrate_finds_remote_narrow_peak():
@@ -144,8 +139,6 @@ def test_direct_pair_guards():
     f = model_domain(1)
     with pytest.raises(DomainError):
         direct_pair(f, BoundaryRelativePoint(0.0, -1.0))
-    with pytest.raises(DomainError):
-        direct_pair(f, BoundaryRelativePoint(0.0, 1.0), QuadratureConfig(scaling="direct"))
 
 
 def test_error_estimate_tracks_tolerance():
