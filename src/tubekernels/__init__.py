@@ -70,7 +70,6 @@ from .quadrature import (
     bergman_normalized,
     compute_D,
     direct_pair,
-    integrate_semi_infinite,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureConfig",
     "KernelValue",
-    "integrate_semi_infinite",
     "compute_D",
     "direct_pair",
     "bergman_normalized",

@@ -22,7 +22,13 @@ from scipy.interpolate import CubicSpline
 from .blowup import BlowupChart
 from .domain_model import DefiningFunction, DomainError
 from .experiments import blowup_exponent
-from .quadrature import ProfileGrid, QuadratureConfig, QuadratureError, log_adaptive_multi
+from .quadrature import (
+    ProfileGrid,
+    QuadratureConfig,
+    QuadratureError,
+    _bracket_root,
+    log_adaptive_multi,
+)
 
 __all__ = [
     "LaplaceProblem",
@@ -155,15 +161,7 @@ def _locate_minimum(p: Callable, lo: float, hi: float) -> float:
     da, db = dp(a), dp(b)
     if not (da < 0 < db):
         return float(grid[i])
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a < 1e-13 * (1.0 + abs(mid)):
-            break
-        if dp(mid) > 0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    return _bracket_root(dp, a, b)
 
 
 def laplace_leading(prob: LaplaceProblem, lam: float) -> tuple[float, float]:
@@ -296,21 +294,7 @@ class PhiSpline:
 def log_L(u: float, phis: PhiSpline) -> float:
     """log int exp(u v)/phi(v) dv using a spline cache of log phi."""
     u = abs(float(u))
-    dc = lambda v: float(phis.deriv(v)) - u
-    lo, hi = 0.0, 1.0
-    while dc(hi) < 0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e12:
-            raise QuadratureError("no stationary point found for L(u)")
-    for _ in range(80):
-        if hi - lo < 1e-14 * (1.0 + hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if dc(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    v_s = 0.5 * (lo + hi)
+    v_s = _bracket_root(lambda v: float(phis.deriv(v)) - u, 0.0, 1.0)
     Aoff = float(phis(v_s)) - u * v_s
     return -Aoff + _log_exp_integral(lambda v: (phis(v) - u * v) - Aoff, v_s)
 
@@ -409,7 +393,7 @@ def model_profile_pair(
         init=max(16, int(4 * s_hi)),
     )
     worst = float(np.max(re))
-    if worst > 20.0 * cfg.rel_tol:
+    if not (worst <= 20.0 * cfg.rel_tol):
         raise QuadratureError(
             f"model profile did not converge at tau={tau:g}: achieved {worst:.3e}"
         )

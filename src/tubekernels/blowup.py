@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError, _smooth_step
+from .quadrature import _bracket_root
 
 __all__ = [
     "PolarPoint",
@@ -47,15 +47,6 @@ class PolarPoint:
             raise DomainError(f"branch must be +1 or -1, got {self.branch!r}")
 
 
-def _step_profile(name: str) -> Callable:
-    """Two interchangeable C-infinity ramp shapes; both flat at the ends."""
-    if name == "default":
-        return _smooth_step
-    if name == "composed":
-        return lambda t: _smooth_step(_smooth_step(t))
-    raise DomainError(f"unknown layer profile {name!r}")
-
-
 class BlowupChart:
     """One concrete chi together with its inverse and derivative.
 
@@ -69,19 +60,15 @@ class BlowupChart:
 
     The single free width w is fixed by chi(q) = 2/3 (continuity of the
     closed-form outer piece).  chi' >= 1/2 everywhere by construction.
-    ``layer_profile`` selects the ramp shape inside the glue layers; every
-    choice yields a valid chart, since the invariants do not pin chi down on
-    the blend region.
+    The glue layers ramp with the C-infinity step ``_smooth_step``.
     """
 
-    def __init__(self, m: int, layer_profile: str = "default"):
+    def __init__(self, m: int):
         if not (isinstance(m, (int, np.integer)) and int(m) >= 1):
             raise DomainError(f"m must be an integer >= 1, got {m!r}")
         self.m = int(m)
         n = 2 * self.m
         self._n = n
-        step = _step_profile(layer_profile)
-        self._step = step
         self.p = 1.0 / 3.0
         self.q = 1.0 - 3.0**-n
         budget = 0.5 * 3.0**-n
@@ -96,47 +83,38 @@ class BlowupChart:
 
         def excess(w: float) -> float:
             down = quad(
-                lambda u: 0.5 * (1.0 - float(step(np.asarray([(u - self.p) / w]))[0])),
+                lambda u: 0.5 * (1.0 - float(_smooth_step(np.asarray([(u - self.p) / w]))[0])),
                 self.p,
                 self.p + w,
                 limit=200,
             )[0]
             up = quad(
                 lambda u: (outer_slope(u) - 0.5)
-                * float(step(np.asarray([(u - (self.q - w)) / w]))[0]),
+                * float(_smooth_step(np.asarray([(u - (self.q - w)) / w]))[0]),
                 self.q - w,
                 self.q,
                 limit=200,
             )[0]
             return down + up - budget
 
-        lo, hi = 1e-12 * w_cap, w_cap
-        if excess(hi) <= 0.0:
+        if excess(w_cap) <= 0.0:
             raise RuntimeError("chi corridor construction failed (internal error)")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        self.w = 0.5 * (lo + hi)
+        self.w = _bracket_root(excess, 1e-12 * w_cap, w_cap)
 
         w = self.w
         u1 = np.linspace(self.p, self.p + w, 2001)
-        self._d1 = CubicSpline(u1, 1.0 - 0.5 * step((u1 - self.p) / w))
+        self._d1 = CubicSpline(u1, 1.0 - 0.5 * _smooth_step((u1 - self.p) / w))
         self._c1 = self._d1.antiderivative()
         u2 = np.linspace(self.q - w, self.q, 2001)
         self._d2 = CubicSpline(
-            u2, 0.5 + (outer_slope(u2) - 0.5) * step((u2 - (self.q - w)) / w)
+            u2, 0.5 + (outer_slope(u2) - 0.5) * _smooth_step((u2 - (self.q - w)) / w)
         )
         self._c2 = self._d2.antiderivative()
         # piece anchors
         self.v_lo = self.p + float(self._c1(self.p + w))  # chi(p + w)
         self.v_hi = self.v_lo + 0.5 * ((self.q - w) - (self.p + w))  # chi(q - w)
         self._chi_q = self.v_hi + float(self._c2(self.q))
-        self.chart_id = (
-            f"chi[m={self.m},profile={layer_profile},w={self.w:.12e}]"
-        )
+        self.chart_id = f"chi[m={self.m},w={self.w:.12e}]"
 
     # -- forward map ---------------------------------------------------------
 
@@ -244,30 +222,15 @@ def from_polar(
 ) -> BoundaryRelativePoint:
     """Inverse chart: solve f(x) = rho * (1 - chi^(-1)(tau)) on the branch.
 
-    f is nondecreasing in |x| (convex with minimum 0 at the origin), so
-    monotone bracketing converges unconditionally; the bisection is run to
-    machine interval width, far past the 1e-12 relative contract.
+    f is nondecreasing in |x| (convex with minimum 0 at the origin), so a
+    monotone bracket search on x >= 0 finds the solution.
     """
     if chart.m != f.m:
         raise DomainError(f"chart is for m={chart.m}, domain has m={f.m}")
     target = q.rho * chart.core_fraction_from_tau(q.tau)
     if target == 0.0:
         return BoundaryRelativePoint(x=0.0, y=q.rho)
-    hi = 1.0
-    for _ in range(200):
-        if f.f(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise DomainError(f"no |x| with f(x) = {target!r} (unbounded search)")
-    lo = 0.0
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        if f.f(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    x = 0.5 * (lo + hi)
+    x = _bracket_root(lambda t: float(f.f(t)) - target, 0.0, 1.0)
     return BoundaryRelativePoint(x=q.branch * x, y=q.rho)
 
 

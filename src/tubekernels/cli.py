@@ -2,7 +2,7 @@
 
 Settings resolve as defaults <- config file <- command-line flags, and every
 run is deterministic given the resolved settings (reruns are byte-identical).
-The config file is INI-style with sections [domain], [quadrature], [chart],
+The config file is INI-style with sections [domain], [quadrature],
 [experiment], [output]; unknown sections or keys are errors.
 
 CSV output follows the fixed schema
@@ -54,7 +54,6 @@ CSV_HEADER = "kind,m,tau,rho,x,y,log_value,value,err_estimate,evaluations,status
 _SETTINGS = {
     "domain": {"spec": str},
     "quadrature": {"rel_tol": float, "max_depth": int, "truncation_drop": float},
-    "chart": {"layer_profile": str},
     "experiment": {
         "kind": str,
         "tau": float,
@@ -79,7 +78,6 @@ _DEFAULTS = {
     "rel_tol": 1e-8,
     "max_depth": 60,
     "truncation_drop": 1e-16,
-    "layer_profile": "default",
     "kind": "bergman",
     "tau": 1.0,
     "x": 0.0,
@@ -329,7 +327,7 @@ def _plan(cfg: RunConfig, command: str, f: DefiningFunction, extra: str = "") ->
 
 def cmd_eval(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m, layer_profile=cfg.layer_profile)
+    chart = BlowupChart(f.m)
     p = BoundaryRelativePoint(cfg.x, cfg.y)
     if dry_run:
         _plan(cfg, "eval", f, extra=f"x={cfg.x!r} y={cfg.y!r}")
@@ -360,7 +358,7 @@ def _sweep_rows(cfg: RunConfig, f, chart, qcfg) -> tuple[list, list]:
 
 def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m, layer_profile=cfg.layer_profile)
+    chart = BlowupChart(f.m)
     if dry_run:
         _plan(cfg, "sweep", f,
               extra=f"tau={cfg.tau!r} points={cfg.values['n_points']}")
@@ -378,7 +376,7 @@ def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
 
 def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m, layer_profile=cfg.layer_profile)
+    chart = BlowupChart(f.m)
     if dry_run:
         _plan(cfg, "fit", f,
               extra=f"tau={cfg.tau!r} points={cfg.values['n_points']} window={cfg.window}")
@@ -408,7 +406,7 @@ def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
 
 def cmd_predict(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m, layer_profile=cfg.layer_profile)
+    chart = BlowupChart(f.m)
     if dry_run:
         _plan(cfg, "predict", f, extra=f"tau={cfg.tau!r}")
         return 0
@@ -426,7 +424,7 @@ def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
         raise DomainError("localize compares Bergman kernels; --kind szego is not supported")
     f1 = parse_domain(cfg.spec)
     f2 = damp_tails(f1, cfg.delta)
-    chart = BlowupChart(f1.m, layer_profile=cfg.layer_profile)
+    chart = BlowupChart(f1.m)
     if dry_run:
         _plan(cfg, "localize", f1,
               extra=f"delta={cfg.delta!r} tau={cfg.tau!r} points={cfg.values['n_points']}")
@@ -473,7 +471,7 @@ def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
 
 def cmd_hormander(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m, layer_profile=cfg.layer_profile)
+    chart = BlowupChart(f.m)
     if dry_run:
         _plan(cfg, "hormander", f, extra=f"x0={cfg.x0!r}")
         return 0
@@ -504,8 +502,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file; flags override it")
     sub.add_argument("--domain", dest="spec", help="domain spec, e.g. model:m=2,g0=1")
     sub.add_argument("--kind", choices=["bergman", "szego"])
-    sub.add_argument("--layer-profile", dest="layer_profile",
-                     choices=["default", "composed"])
     sub.add_argument("--rel-tol", dest="rel_tol", type=float)
     sub.add_argument("--max-depth", dest="max_depth", type=int)
     sub.add_argument("--truncation-drop", dest="truncation_drop", type=float)

@@ -22,6 +22,7 @@ from .quadrature import (
     KernelValue,
     QuadratureConfig,
     QuadratureError,
+    _bracket_root,
     direct_pair,
 )
 
@@ -253,31 +254,7 @@ def _nearest_boundary_distance(f: DefiningFunction, px: float, py: float) -> flo
     """Euclidean distance from an interior point to the curve y = f(x)."""
     psi = lambda t: (t - px) + (float(f.f(t)) - py) * float(f.fprime(t))
     w = max(1e-3, 0.1 * (1.0 + abs(px)))
-    a, b = px - w, px + w
-    fa, fb = psi(a), psi(b)
-    k = 0
-    while fa > 0 and k < 60:
-        w *= 2.0
-        a -= w
-        fa = psi(a)
-        k += 1
-    k = 0
-    while fb < 0 and k < 60:
-        w *= 2.0
-        b += w
-        fb = psi(b)
-        k += 1
-    if not (fa <= 0 <= fb):
-        raise DomainError("nearest-point projection failed to bracket")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a < 1e-15 * (1.0 + abs(mid)):
-            break
-        if psi(mid) > 0:
-            b = mid
-        else:
-            a = mid
-    t = 0.5 * (a + b)
+    t = _bracket_root(psi, px - w, px + w)
     return math.hypot(t - px, float(f.f(t)) - py)
 
 
@@ -454,24 +431,18 @@ def localization_experiment(
     )
     tail_diffs = [abs(p["diff"]) for p in ok[i0:i1]]
     if max(tail_diffs) <= noise:
-        report.update(
-            diff_below_noise=True, fit_diff=None, bounded=True,
-            slopes_ok=(
-                abs(fit1.slope + expo) <= slope_rel_tol * expo
-                and abs(fit2.slope + expo) <= slope_rel_tol * expo
-            ),
-        )
+        report.update(diff_below_noise=True, fit_diff=None, bounded=True)
     else:
         fitd = fit_exponent([abs(p["diff"]) for p in ok], rho, window_policy)
         report.update(
             diff_below_noise=False,
             fit_diff=fitd.as_dict(),
             bounded=fitd.slope >= bounded_slope_floor,
-            slopes_ok=(
-                abs(fit1.slope + expo) <= slope_rel_tol * expo
-                and abs(fit2.slope + expo) <= slope_rel_tol * expo
-            ),
         )
+    report["slopes_ok"] = (
+        abs(fit1.slope + expo) <= slope_rel_tol * expo
+        and abs(fit2.slope + expo) <= slope_rel_tol * expo
+    )
     report["passed"] = bool(report["bounded"] and report["slopes_ok"])
     return report
 

@@ -25,7 +25,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureConfig",
     "KernelValue",
-    "integrate_semi_infinite",
     "compute_D",
     "direct_pair",
     "bergman_normalized",
@@ -120,12 +119,22 @@ WG7 = np.array([
 G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 
-def _lse_w(logv: np.ndarray, w: np.ndarray) -> float:
-    """log(sum w * exp(logv)) for positive weights w."""
-    m = np.max(logv)
-    if not np.isfinite(m):
-        return -np.inf
-    return m + np.log(np.dot(w, np.exp(logv - m)))
+# log weights of both rules on the 15 Kronrod nodes; -inf where the Gauss
+# rule has no node, so one log-sum-exp evaluates both
+LOG_W2 = np.full((2, 15), -np.inf)
+LOG_W2[0] = np.log(WGK)
+LOG_W2[1, G7_IDX] = np.log(WG7)
+
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis.
+
+    A row whose maximum is -inf gives -inf; a row holding NaN or +inf
+    gives NaN, never a finite value.
+    """
+    m = np.max(x, axis=-1)
+    m = np.where(m == -np.inf, 0.0, m)
+    return m + np.log(np.sum(np.exp(x - m[..., None]), axis=-1))
 
 
 class _Panel:
@@ -149,9 +158,8 @@ def _eval_panel(logf: Callable, a: float, b: float) -> _Panel:
     h = 0.5 * (b - a)
     x = 0.5 * (a + b) + h * XGK
     lf = np.atleast_2d(logf(x))  # (k, 15)
-    l15 = np.array([_lse_w(row, h * WGK) for row in lf])
-    l7 = np.array([_lse_w(row[G7_IDX], h * WG7) for row in lf])
-    return _Panel(a, b, l15, l7)
+    rules = _logsumexp(lf[:, None, :] + LOG_W2) + math.log(h)  # (k, 2)
+    return _Panel(a, b, rules[:, 0], rules[:, 1])
 
 
 def log_adaptive_multi(
@@ -169,7 +177,8 @@ def log_adaptive_multi(
 
     ``logf(x: array(n)) -> array(k, n)`` gives log-integrand values for k
     integrand rows sharing the same panels; adaptation is driven by row 0.
-    Returns ``(log_values(k), rel_err(k), n_rule_points)``.
+    Returns ``(log_values(k), rel_err(k), n_rule_points)``; a NaN or +inf
+    integrand value gives a NaN log value and a non-finite error.
 
     ``init_edges``, when given, overrides the uniform initial subdivision.
     Initial panels must straddle any feature narrower than a panel, or the
@@ -185,19 +194,21 @@ def log_adaptive_multi(
     k = panels[0].l15.size
     nev = init * 15
 
-    off = max(p.l15.max() for p in panels)
+    # running offset: the largest rule or error term so far, raised (and the
+    # sums rescaled) whenever a child panel exceeds it, so nothing overflows
+    off = np.max([(p.l15, p.lerr) for p in panels])
     tot = np.zeros(k)
     err = np.zeros(k)
     heap = []
     store = list(panels)
     for i, p in enumerate(panels):
-        tot += np.exp(np.minimum(p.l15 - off, 500.0))
-        err += np.exp(np.minimum(p.lerr - off, 500.0))
+        tot += np.exp(p.l15 - off)
+        err += np.exp(p.lerr - off)
         heapq.heappush(heap, (-p.lerr[0], i))
 
     while nev < max_panels * 15:
-        if not np.isfinite(off) or off + math.log(max(tot[0], 1e-300)) < log_abs_floor:
-            break  # total is indistinguishable from zero at the abs floor
+        if not (off + math.log(max(tot[0], 1e-300)) >= log_abs_floor):
+            break  # total is zero at the abs floor, or NaN
         if np.all(err <= rel_tol * np.abs(tot)):
             break
         neg, i = heapq.heappop(heap)
@@ -210,16 +221,14 @@ def log_adaptive_multi(
         left = _eval_panel(logf, p.a, mid)
         right = _eval_panel(logf, mid, p.b)
         nev += 30
-        tot += (
-            np.exp(np.minimum(left.l15 - off, 500.0))
-            + np.exp(np.minimum(right.l15 - off, 500.0))
-            - np.exp(np.minimum(p.l15 - off, 500.0))
-        )
-        err += (
-            np.exp(np.minimum(left.lerr - off, 500.0))
-            + np.exp(np.minimum(right.lerr - off, 500.0))
-            - np.exp(np.minimum(p.lerr - off, 500.0))
-        )
+        top = np.max((left.l15, left.lerr, right.l15, right.lerr))
+        if top > off:
+            scale = math.exp(off - top)
+            tot *= scale
+            err *= scale
+            off = top
+        tot += np.exp(left.l15 - off) + np.exp(right.l15 - off) - np.exp(p.l15 - off)
+        err += np.exp(left.lerr - off) + np.exp(right.lerr - off) - np.exp(p.lerr - off)
         store[i] = None
         store.append(left)
         heapq.heappush(heap, (-left.lerr[0], len(store) - 1))
@@ -263,6 +272,11 @@ class ProfileGrid:
             nev += 1
             if cv < c_min:
                 while cv < c_min:
+                    if u > 1e60:
+                        raise QuadratureError(
+                            f"profile phase stays below {c_min:.3e} out to "
+                            f"|xi - xi_star| = {u:.3e} (last value {cv:.3e})"
+                        )
                     u *= 4.0
                     cv = c_fn(np.array([xi_star + side * u]))[0]
                     nev += 1
@@ -308,109 +322,51 @@ class ProfileGrid:
         self.n_evals = nev
 
     def log_G(self, eta) -> np.ndarray:
-        ex = self.logw[None, :] - np.asarray(eta, dtype=float)[:, None] * self.c[None, :]
-        m = np.max(ex, axis=1)
-        return m + np.log(np.sum(np.exp(ex - m[:, None]), axis=1))
-
-
-def _minimize_convex(dfn: Callable[[float], float]) -> float:
-    """Argmin of a convex function from its (strictly increasing) derivative."""
-    a, b = -1.0, 1.0
-    fa, fb = dfn(a), dfn(b)
-    step = 2.0
-    while fa > 0:
-        b, fb = a, fa
-        a -= step
-        fa = dfn(a)
-        step *= 2.5
-    step = 2.0
-    while fb < 0:
-        a, fa = b, fb
-        b += step
-        fb = dfn(b)
-        step *= 2.5
-    for _ in range(90):
-        if b - a < 1e-15 * (1.0 + abs(a) + abs(b)):
-            break
-        m = 0.5 * (a + b)
-        if dfn(m) > 0:
-            b = m
-        else:
-            a = m
-    return 0.5 * (a + b)
-
-
-# ---------------------------------------------------------------------------
-# semi-infinite utility integrator
-# ---------------------------------------------------------------------------
-
-
-def integrate_semi_infinite(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    domain: tuple[float, float],
-    cfg: QuadratureConfig | None = None,
-    *,
-    log_integrand: bool = False,
-) -> tuple[float, float]:
-    """log of int integrand over a half-line or the whole line.
-
-    The integrand must be positive and eventually decay below the truncation
-    threshold (Laplace type); pass ``log_integrand=True`` when the callable
-    already returns logarithms.  Returns (log_value, relative error).
-    """
-    cfg = cfg or QuadratureConfig()
-    a, b = float(domain[0]), float(domain[1])
-    if math.isfinite(a) and math.isinf(b) and b > 0:
-        fn = integrand
-    elif math.isinf(a) and a < 0 and math.isfinite(b):
-        fn = lambda x: integrand(-x)  # reflect (-inf, b] onto [-b, inf)
-        a, b = -b, math.inf
-    elif math.isinf(a) and a < 0 and math.isinf(b) and b > 0:
-        fn = integrand
-    else:
-        raise DomainError(f"domain must be a half-line or the line, got {domain!r}")
-
-    def logf(x: np.ndarray) -> np.ndarray:
-        v = np.asarray(fn(x), dtype=float)
-        if log_integrand:
-            return v
-        if np.any(v < 0):
-            raise QuadratureError("integrand must be positive (log scaling)")
-        with np.errstate(divide="ignore"):
-            return np.log(v)
-
-    # scan for the peak and a window deep enough below it
-    offs = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 321)])
-    if math.isinf(a):
-        xs = np.unique(np.concatenate([-offs, offs]))
-    else:
-        xs = a + offs
-    lf = logf(xs)
-    peak = np.max(lf)
-    if not np.isfinite(peak):
-        raise QuadratureError("integrand vanished on the entire scan grid")
-    keep = np.nonzero(lf > peak - cfg.log_drop)[0]
-    ilo = max(keep[0] - 1, 0)
-    ihi = min(keep[-1] + 1, xs.size - 1)
-    window = xs[ilo : ihi + 1]
-    if window.size > 80:
-        sub = np.unique(np.linspace(0, window.size - 1, 80).astype(int))
-        window = window[sub]
-
-    lv, re, _ = log_adaptive_multi(
-        lambda x: np.atleast_2d(logf(x)),
-        window[0],
-        window[-1],
-        rel_tol=cfg.rel_tol,
-        max_panels=cfg.max_panels,
-        init_edges=window,
-    )
-    if re[0] > 10.0 * cfg.rel_tol:
-        raise QuadratureError(
-            f"integral did not converge: achieved rel err {re[0]:.3e} "
-            f"(requested {cfg.rel_tol:.1e})"
+        return _logsumexp(
+            self.logw[None, :] - np.asarray(eta, dtype=float)[:, None] * self.c[None, :]
         )
-    return float(lv[0]), float(re[0])
+
+
+def _bracket_root(fn: Callable[[float], float], a: float, b: float) -> float:
+    """Root of a nondecreasing ``fn``, searched outward from [a, b].
+
+    While an end has the wrong sign the bracket widens past it by a doubling
+    step, the other end moving to the last point that kept its sign; then
+    bisection runs until b - a <= 1e-14 (1 + |a| + |b|).  Both phases are
+    capped; at a cap, or without a sign change, QuadratureError names the
+    bracket and the values of ``fn`` there.
+    """
+    fa, fb = fn(a), fn(b)
+    step = b - a
+    for _ in range(100):
+        if fa > 0:
+            b, fb = a, fa
+            a -= step
+            fa = fn(a)
+        elif fb < 0:
+            a, fa = b, fb
+            b += step
+            fb = fn(b)
+        else:
+            break
+        step *= 2.0
+    if not (fa <= 0 <= fb):
+        raise QuadratureError(
+            f"root search found no sign change on [{a!r}, {b!r}]: "
+            f"values {fa!r}, {fb!r}"
+        )
+    for _ in range(200):
+        if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
+            return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        fm = fn(mid)
+        if fm > 0:
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    raise QuadratureError(
+        f"root search did not converge on [{a!r}, {b!r}]: values {fa!r}, {fb!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +398,7 @@ def compute_D(
         raise DomainError(
             f"zeta1/zeta2 = {zeta!r} outside the dual cone ({lo!r}, {hi!r})"
         )
-    xi_s = _minimize_convex(lambda xi: f.fprime(xi) + zeta)
+    xi_s = _bracket_root(lambda xi: f.fprime(xi) + zeta, -1.0, 1.0)
     A = f.f(xi_s) + zeta * xi_s
 
     def c_fn(xi):
@@ -487,7 +443,7 @@ def direct_pair(
     nev = [0]
 
     def middle(zeta: float) -> np.ndarray:
-        xi_s = _minimize_convex(lambda xi: f.fprime(xi) + zeta)
+        xi_s = _bracket_root(lambda xi: f.fprime(xi) + zeta, -1.0, 1.0)
         A = f.f(xi_s) + zeta * xi_s
         r = y + x * zeta - A  # >= y - f(x) > 0
         pg = ProfileGrid(
@@ -524,6 +480,8 @@ def direct_pair(
         z = 0.5
         best = v0
         while z < lim:
+            if z > 1e30:
+                raise QuadratureError(f"zeta scan found no decay by |zeta| = {z:.1e}")
             zz = s * z
             v = middle(zz)[0]
             scan.append((zz, v))
@@ -556,7 +514,7 @@ def direct_pair(
         init_edges=edges,
     )
     achieved = float(np.max(re))
-    if achieved > 20.0 * cfg.rel_tol:
+    if not (achieved <= 20.0 * cfg.rel_tol):
         raise QuadratureError(
             f"kernel quadrature did not converge at (x={x}, y={y}): achieved "
             f"rel err {achieved:.3e} (requested {cfg.rel_tol:.1e})"
@@ -589,6 +547,8 @@ class _WGrid:
         wstar = (v_max / (m2 * glo)) ** (1.0 / (m2 - 1))
         w = wstar
         while glo * w**m2 - v_max * w < drop:
+            if w > 1e30:
+                raise QuadratureError(f"W-grid extent unbounded for v_max = {v_max!r}")
             w *= 1.12
         w_pos = w
         # tilts of either sign occur, so both sides carry the full extent
@@ -606,9 +566,8 @@ class _WGrid:
         self.n = nodes.size
 
     def log_phi(self, v) -> np.ndarray:
-        ex = (self.logw - self.Q)[None, :] + np.asarray(v, dtype=float)[:, None] * self.w[None, :]
-        mx = np.max(ex, axis=1)
-        return mx + np.log(np.sum(np.exp(ex - mx[:, None]), axis=1))
+        v = np.asarray(v, dtype=float)
+        return _logsumexp((self.logw - self.Q)[None, :] + v[:, None] * self.w[None, :])
 
 
 def _growth_rate_floor(m: int) -> float:
@@ -644,10 +603,12 @@ def _log_P(ghat, u: float, tilt: float, m: int, log_drop: float) -> tuple[float,
     if tilt == 0.0:
         v_star, c_off = 0.0, 0.0
     else:
-        v_star = _minimize_convex(
+        v_star = _bracket_root(
             lambda v: float(
                 (c_raw(np.array([v + 1e-5])) - c_raw(np.array([v - 1e-5])))[0] / 2e-5
-            )
+            ),
+            -1.0,
+            1.0,
         )
         c_off = float(c_raw(np.array([v_star]))[0])
 
@@ -711,7 +672,7 @@ def bergman_normalized(
         rows, t_lo, t_hi, rel_tol=cfg.rel_tol, max_panels=cfg.max_panels, init=n_init
     )
     nev[0] += ne
-    if re[0] > 20.0 * cfg.rel_tol:
+    if not (re[0] <= 20.0 * cfg.rel_tol):
         raise QuadratureError(
             f"normalized representation did not converge: achieved {re[0]:.3e}"
         )

@@ -35,7 +35,6 @@ def test_chi_endpoints_and_anchor():
     chart = _CHARTS[2]
     assert chart.chi(0.0) == 0.0
     assert math.isclose(chart.chi(1.0), 1.0, rel_tol=0, abs_tol=1e-12)
-    # the composed layer lands the outer knot exactly on 2/3
     assert math.isclose(chart.chi(1.0 - 3.0**-4), 2.0 / 3.0, abs_tol=1e-12)
 
 
@@ -112,20 +111,17 @@ def test_from_polar_axis():
 
 def test_polar_roundtrip_other_domain_and_profile():
     f = rational_domain(2)
-    for profile in ("default", "composed"):
-        chart = BlowupChart(2, layer_profile=profile)
-        p = from_polar(f, chart, PolarPoint(0.6, 0.01, -1))
-        q = to_polar(f, chart, p)
-        assert math.isclose(q.tau, 0.6, abs_tol=1e-10)
-        assert math.isclose(q.rho, 0.01, rel_tol=1e-10)
+    chart = _CHARTS[2]
+    p = from_polar(f, chart, PolarPoint(0.6, 0.01, -1))
+    q = to_polar(f, chart, p)
+    assert math.isclose(q.tau, 0.6, abs_tol=1e-10)
+    assert math.isclose(q.rho, 0.01, rel_tol=1e-10)
 
 
 def test_chart_validation_and_ids():
     with pytest.raises(DomainError):
         BlowupChart(0)
-    with pytest.raises(DomainError):
-        BlowupChart(2, layer_profile="spiral")
-    assert BlowupChart(2).chart_id != BlowupChart(2, "composed").chart_id
+    assert _CHARTS[2].chart_id == f"chi[m=2,w={_CHARTS[2].w:.12e}]"
 
 
 def test_to_polar_rejects_mismatched_chart_and_exterior():

@@ -133,6 +133,11 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     rc, _, err = run(capsys, "eval", "--config", str(removed_key), "--dry-run")
     assert rc == 2 and "unknown key" in err
 
+    removed_section = tmp_path / "c.ini"
+    removed_section.write_text("[chart]\nlayer_profile = composed\n")
+    rc, _, err = run(capsys, "eval", "--config", str(removed_section), "--dry-run")
+    assert rc == 2 and "chart" in err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -140,6 +145,7 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
         ["sweep", "--workers", "2"],
         ["eval", "--scaling", "direct"],
         ["eval", "--abs-tol", "1e-30"],
+        ["eval", "--layer-profile", "composed"],
     ],
 )
 def test_removed_flags_exit_2(argv):
