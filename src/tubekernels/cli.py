@@ -51,49 +51,31 @@ __all__ = ["main", "RunConfig", "parse_domain"]
 
 CSV_HEADER = "kind,m,tau,rho,x,y,log_value,value,err_estimate,evaluations,status"
 
+# config section -> key -> (type, default); a flag of the same name overrides
 _SETTINGS = {
-    "domain": {"spec": str},
-    "quadrature": {"rel_tol": float, "max_depth": int, "truncation_drop": float},
-    "experiment": {
-        "kind": str,
-        "tau": float,
-        "x": float,
-        "y": float,
-        "x0": float,
-        "delta": float,
-        "alpha": float,
-        "rho_start": float,
-        "rho_ratio": float,
-        "n_points": int,
-        "window": int,
-        "fit_tol": float,
-        "ratio_tol": float,
-        "bounded_floor": float,
+    "domain": {"spec": (str, "model:m=2,g0=1")},
+    "quadrature": {
+        "rel_tol": (float, 1e-8),
+        "max_depth": (int, 60),
+        "truncation_drop": (float, 1e-16),
     },
-    "output": {"csv": str, "plot_script": str},
-}
-
-_DEFAULTS = {
-    "spec": "model:m=2,g0=1",
-    "rel_tol": 1e-8,
-    "max_depth": 60,
-    "truncation_drop": 1e-16,
-    "kind": "bergman",
-    "tau": 1.0,
-    "x": 0.0,
-    "y": 1.0,
-    "x0": 1.0,
-    "delta": 0.5,
-    "alpha": 2.0,
-    "rho_start": 1.0,
-    "rho_ratio": 0.5,
-    "n_points": 15,
-    "window": 6,
-    "fit_tol": 0.01,
-    "ratio_tol": 0.05,
-    "bounded_floor": -0.1,
-    "csv": None,
-    "plot_script": None,
+    "experiment": {
+        "kind": (str, "bergman"),
+        "tau": (float, 1.0),
+        "x": (float, 0.0),
+        "y": (float, 1.0),
+        "x0": (float, 1.0),
+        "delta": (float, 0.5),
+        "alpha": (float, 2.0),
+        "rho_start": (float, 1.0),
+        "rho_ratio": (float, 0.5),
+        "n_points": (int, 15),
+        "window": (int, 6),
+        "fit_tol": (float, 0.01),
+        "ratio_tol": (float, 0.05),
+        "bounded_floor": (float, -0.1),
+    },
+    "output": {"csv": (str, None), "plot_script": (str, None)},
 }
 
 
@@ -143,7 +125,7 @@ def _load_config_file(path: str) -> dict:
         for key, raw in parser.items(section):
             if key not in allowed:
                 raise DomainError(f"unknown key {key!r} in section [{section}]")
-            caster = allowed[key]
+            caster = allowed[key][0]
             try:
                 out[key] = caster(raw)
             except ValueError as exc:
@@ -152,13 +134,13 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
+    values = {key: d for keys in _SETTINGS.values() for key, (_, d) in keys.items()}
     explicit = set()
     if getattr(args, "config", None):
         file_vals = _load_config_file(args.config)
         values.update(file_vals)
         explicit.update(file_vals)
-    for key in _DEFAULTS:
+    for key in values:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag

@@ -43,12 +43,11 @@ class DualCone:
 
     ``r_plus`` is the tail slope of f on the x -> -infinity branch and
     ``r_minus`` the slope on the x -> +infinity branch (math.inf for
-    superlinear tails).  ``estimated`` marks numerically extrapolated values.
+    superlinear tails).
     """
 
     r_plus: float
     r_minus: float
-    estimated: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,6 @@ class DefiningFunction:
         full_theorem_class: bool = True,
         tail_slopes: tuple[float, float] | None = None,
         is_mollified: bool = False,
-        validate: bool = True,
     ):
         if not (isinstance(m, (int, np.integer)) and int(m) >= 1):
             raise DomainError(f"m must be an integer >= 1, got {m!r}")
@@ -115,8 +113,7 @@ class DefiningFunction:
         if not (math.isfinite(g0) and g0 > 0):
             raise DomainError(f"g(0) must be positive and finite, got {g0!r}")
         self.g0 = g0
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- public accessors ---------------------------------------------------
 
@@ -219,9 +216,7 @@ def make_defining_function(
     gsecond: Callable | None = None,
     *,
     label: str = "custom",
-    full_theorem_class: bool = True,
     tail_slopes: tuple[float, float] | None = None,
-    is_mollified: bool = False,
 ) -> DefiningFunction:
     """Build a DefiningFunction from g (and optional analytic derivatives).
 
@@ -252,9 +247,7 @@ def make_defining_function(
         gv,
         gpv,
         label=label,
-        full_theorem_class=full_theorem_class,
         tail_slopes=tail_slopes,
-        is_mollified=is_mollified,
     )
 
 
@@ -287,16 +280,16 @@ def dual_cone(f: DefiningFunction) -> DualCone:
     """Dual cone opening (-r_minus, r_plus) for the direction zeta1/zeta2.
 
     Exact when the definition carries analytic tail slopes; otherwise
-    estimated from chord slopes on a doubling grid and flagged.
+    estimated from chord slopes on a doubling grid.
     """
     if f.tail_slopes is not None:
         neg, pos = f.tail_slopes
-        return DualCone(r_plus=float(neg), r_minus=float(pos), estimated=False)
+        return DualCone(r_plus=float(neg), r_minus=float(pos))
     rp = _tail_slope(f, -1.0)
     rm = _tail_slope(f, +1.0)
     if not (rp > 0 and rm > 0):
         raise DomainError(f"degenerate tail slopes ({rp!r}, {rm!r})")
-    return DualCone(r_plus=rp, r_minus=rm, estimated=True)
+    return DualCone(r_plus=rp, r_minus=rm)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +426,6 @@ def table_domain(
     m: int,
     *,
     label: str = "table",
-    full_theorem_class: bool = True,
 ) -> DefiningFunction:
     """Domain from sampled (x, g, g') rows; g is frozen outside the table range.
 
@@ -479,7 +471,6 @@ def table_domain(
         gv,
         gpv,
         label=label,
-        full_theorem_class=full_theorem_class,
         tail_slopes=(math.inf, math.inf),
     )
 

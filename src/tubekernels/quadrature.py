@@ -3,16 +3,16 @@
 Everything here works on logarithms of positive Laplace-type integrands;
 dynamic ranges of several hundred e-folds are routine (1/phi factors reach
 exp(-40000) at moderate arguments for m = 2).  The engine is a 15-point
-Kronrod rule with embedded 7-point Gauss estimate, a panel heap in log-error
-order, and shifted-exponent accumulation.  Inner Laplace transforms are not
-re-integrated per frequency: a profile grid samples the convex phase once
-and serves every frequency in a declared range as a log-sum-exp product,
-which is what makes the double and triple integrals tractable.
+Kronrod rule with embedded 7-point Gauss estimate, panels held in arrays and
+split worst error first, and sums taken relative to the largest term.  Inner
+Laplace transforms are not re-integrated per frequency: a profile grid
+samples the convex phase once and serves every frequency in a declared range
+as a log-sum-exp product, which is what makes the double and triple
+integrals tractable.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -126,6 +126,10 @@ LOG_W2[0] = np.log(WGK)
 LOG_W2[1, G7_IDX] = np.log(WG7)
 
 
+# log-integrals whose total falls below this many e-folds count as zero
+LOG_ABS_FLOOR = -690.0
+
+
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) over the last axis.
 
@@ -137,29 +141,25 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(x - m[..., None]), axis=-1))
 
 
-class _Panel:
-    __slots__ = ("a", "b", "l15", "l7", "lerr")
-
-    def __init__(self, a, b, l15, l7):
-        self.a, self.b = a, b
-        self.l15, self.l7 = l15, l7
-        hi = np.maximum(l15, l7)
-        lo = np.minimum(l15, l7)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.where(
-                np.isfinite(hi),
-                hi + np.log1p(-np.exp(np.minimum(lo - hi, 0.0)) + 1e-300),
-                -np.inf,
-            )
-        self.lerr = d
-
-
-def _eval_panel(logf: Callable, a: float, b: float) -> _Panel:
+def _kronrod_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths (n,) and the 15 Kronrod nodes (n, 15) of the panels [a, b]."""
     h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * XGK
-    lf = np.atleast_2d(logf(x))  # (k, 15)
-    rules = _logsumexp(lf[:, None, :] + LOG_W2) + math.log(h)  # (k, 2)
-    return _Panel(a, b, rules[:, 0], rules[:, 1])
+    return h, 0.5 * (a + b)[:, None] + h[:, None] * XGK
+
+
+def _panel_rules(lf: np.ndarray, h: np.ndarray):
+    """(l15, lerr), each of shape (k rows, n panels), from the log-integrand
+    ``lf`` (k, 15 n) on the Kronrod nodes of panels with half-widths ``h``:
+    the log Kronrod value and the log of its distance to the Gauss value."""
+    lf = lf.reshape(lf.shape[0], h.size, 1, 15)
+    rules = _logsumexp(lf + LOG_W2) + np.log(h)[:, None]  # (k, n, 2)
+    l15, l7 = rules[..., 0], rules[..., 1]
+    hi = np.maximum(l15, l7)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lerr = np.where(
+            np.isfinite(hi), hi + np.log1p(1e-300 - np.exp(-np.abs(l15 - l7))), -np.inf
+        )
+    return l15, lerr
 
 
 def log_adaptive_multi(
@@ -171,14 +171,15 @@ def log_adaptive_multi(
     max_panels: int = 2400,
     init: int = 8,
     init_edges=None,
-    log_abs_floor: float = -690.0,
 ):
     """Integrate the rows of exp(logf) over [a, b].
 
     ``logf(x: array(n)) -> array(k, n)`` gives log-integrand values for k
-    integrand rows sharing the same panels; adaptation is driven by row 0.
-    Returns ``(log_values(k), rel_err(k), n_rule_points)``; a NaN or +inf
-    integrand value gives a NaN log value and a non-finite error.
+    integrand rows sharing the same panels.  Each round splits, in the row
+    with the largest relative error, the panel with the largest error.
+    Returns ``(log_values(k), rel_err(k), n_rule_points)``; a zero integrand
+    gives -inf, and a NaN or +inf integrand value a NaN log value, both
+    with an infinite error.
 
     ``init_edges``, when given, overrides the uniform initial subdivision.
     Initial panels must straddle any feature narrower than a panel, or the
@@ -187,53 +188,43 @@ def log_adaptive_multi(
     """
     if init_edges is not None:
         edges = np.asarray(init_edges, dtype=float)
-        init = edges.size - 1
     else:
         edges = np.linspace(a, b, init + 1)
-    panels = [_eval_panel(logf, edges[i], edges[i + 1]) for i in range(init)]
-    k = panels[0].l15.size
-    nev = init * 15
+    lo, hi = edges[:-1], edges[1:]
+    h, x = _kronrod_nodes(lo, hi)
+    # one logf call per initial panel: one call over all of them was slower,
+    # the profile-grid integrands' log-sum-exp matrices then outgrowing cache
+    lf = np.concatenate([np.atleast_2d(logf(xi)) for xi in x], axis=1)
+    l15, lerr = _panel_rules(lf, h)
+    nev = 15 * lo.size
 
-    # running offset: the largest rule or error term so far, raised (and the
-    # sums rescaled) whenever a child panel exceeds it, so nothing overflows
-    off = np.max([(p.l15, p.lerr) for p in panels])
-    tot = np.zeros(k)
-    err = np.zeros(k)
-    heap = []
-    store = list(panels)
-    for i, p in enumerate(panels):
-        tot += np.exp(p.l15 - off)
-        err += np.exp(p.lerr - off)
-        heapq.heappush(heap, (-p.lerr[0], i))
-
-    while nev < max_panels * 15:
-        if not (off + math.log(max(tot[0], 1e-300)) >= log_abs_floor):
-            break  # total is zero at the abs floor, or NaN
+    while True:
+        # sums scaled by the largest rule or error term, so nothing overflows
+        off = np.max((l15, lerr))
+        if off == -np.inf:
+            off = 0.0
+        tot = np.sum(np.exp(l15 - off), axis=1)
+        err = np.sum(np.exp(lerr - off), axis=1)
+        if nev >= max_panels * 15:
+            break
+        if not (off + math.log(max(tot[0], 1e-300)) >= LOG_ABS_FLOOR):
+            break  # total is zero at the floor, or NaN
         if np.all(err <= rel_tol * np.abs(tot)):
             break
-        neg, i = heapq.heappop(heap)
-        p = store[i]
-        if p is None or -neg != p.lerr[0]:
-            continue
-        mid = 0.5 * (p.a + p.b)
-        if mid - p.a < 1e-14 * (abs(p.a) + abs(mid)) + 1e-300:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.nanargmax(err / np.abs(tot))
+        j = np.argmax(lerr[r])
+        pa, pb = lo[j], hi[j]
+        mid = 0.5 * (pa + pb)
+        if mid - pa < 1e-14 * (abs(pa) + abs(mid)) + 1e-300:
             break
-        left = _eval_panel(logf, p.a, mid)
-        right = _eval_panel(logf, mid, p.b)
+        h, x = _kronrod_nodes(np.array([pa, mid]), np.array([mid, pb]))
+        c15, cerr = _panel_rules(np.atleast_2d(logf(x.ravel())), h)
         nev += 30
-        top = np.max((left.l15, left.lerr, right.l15, right.lerr))
-        if top > off:
-            scale = math.exp(off - top)
-            tot *= scale
-            err *= scale
-            off = top
-        tot += np.exp(left.l15 - off) + np.exp(right.l15 - off) - np.exp(p.l15 - off)
-        err += np.exp(left.lerr - off) + np.exp(right.lerr - off) - np.exp(p.lerr - off)
-        store[i] = None
-        store.append(left)
-        heapq.heappush(heap, (-left.lerr[0], len(store) - 1))
-        store.append(right)
-        heapq.heappush(heap, (-right.lerr[0], len(store) - 1))
+        lo = np.append(np.delete(lo, j), (pa, mid))
+        hi = np.append(np.delete(hi, j), (mid, pb))
+        l15 = np.concatenate((np.delete(l15, j, axis=1), c15), axis=1)
+        lerr = np.concatenate((np.delete(lerr, j, axis=1), cerr), axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         lv = off + np.log(np.maximum(tot, 0.0))
@@ -306,14 +297,13 @@ class ProfileGrid:
                     break
                 n_guess *= 2
                 if n_guess > 4000:
-                    break
+                    raise QuadratureError(
+                        f"profile phase stays below c_max = {c_max:.3e} out to "
+                        f"|xi - xi_star| = {us[-1]:.3e} (last value {cs[-1]:.3e})"
+                    )
             edges = np.concatenate(([0.0], us))
-            a = edges[:-1]
-            b = edges[1:]
-            h = 0.5 * (b - a)
-            mids = 0.5 * (a + b)
-            nodes = xi_star + side * (mids[:, None] + h[:, None] * XGK[None, :])
-            cv = c_fn(nodes.ravel())
+            h, x = _kronrod_nodes(edges[:-1], edges[1:])
+            cv = c_fn((xi_star + side * x).ravel())
             nev += cv.size
             all_c.append(cv)
             all_logw.append(np.log(h[:, None] * WGK[None, :]).ravel())
@@ -557,11 +547,9 @@ class _WGrid:
         dw = min(0.8 * width, 0.25)
         n_pan = int(np.ceil((w_pos + w_neg) / dw))
         edges = np.linspace(-w_neg, w_pos, n_pan + 1)
-        a, b = edges[:-1], edges[1:]
-        h = 0.5 * (b - a)
-        nodes = (0.5 * (a + b)[:, None] + h[:, None] * XGK[None, :]).ravel()
+        h, nodes = _kronrod_nodes(edges[:-1], edges[1:])
+        self.w = nodes = nodes.ravel()
         self.logw = np.log(h[:, None] * WGK[None, :]).ravel()
-        self.w = nodes
         self.Q = ghat(X * nodes) * nodes**m2
         self.n = nodes.size
 

@@ -7,6 +7,8 @@ import importlib
 import pathlib
 import sys
 
+import numpy as np
+
 import tubekernels
 
 
@@ -24,6 +26,10 @@ def _module_bindings() -> dict:
     }
 
 
+def _two_gaussians(x):
+    return np.vstack([-(x**2), -3.0 * x**2])
+
+
 def test_bench_tracer_installs(monkeypatch):
     # bench/tracing.py patches names and signatures of this package from
     # outside; a rename here must fail a test, not only the benchmark
@@ -36,6 +42,14 @@ def test_bench_tracer_installs(monkeypatch):
     try:
         tracing.install(tr, tubekernels, [tubekernels.model_domain(2)])
         assert tubekernels.quadrature.direct_pair is not original
+        # the tracer reads refinements as (rule points - 15 initial panels) / 30
+        for kw, panels in (({"init": 3}, 3), ({"init_edges": [-6.0, -1.0, 0.5, 6.0]}, 3)):
+            before_ref = tr.counts["quadrature.adaptive.refinements"]
+            _, _, n = tubekernels.quadrature.log_adaptive_multi(
+                _two_gaussians, -6.0, 6.0, rel_tol=1e-12, **kw
+            )
+            ref = tr.counts["quadrature.adaptive.refinements"] - before_ref
+            assert ref >= 0 and ref == int(ref) and ref == (n - 15 * panels) / 30
     finally:
         tr.uninstall()
     assert tubekernels.quadrature.direct_pair is original

@@ -62,6 +62,21 @@ def test_nan_or_infinite_integrand_is_not_converged():
             lambda x: np.atleast_2d(np.where(x > 0.5, bad, 0.0)), 0.0, 1.0
         )
         assert not (re[0] <= 1e-6)
+    lv, re, _ = log_adaptive_multi(
+        lambda x: np.atleast_2d(np.full_like(x, -np.inf)), 0.0, 1.0
+    )
+    assert lv[0] == -np.inf and re[0] == np.inf
+
+
+def test_adaptive_refines_the_worst_row():
+    # row 0 converges on the first pass; only row 1's narrow peak needs work
+    c = 0.5303
+    lv, _, n = log_adaptive_multi(
+        lambda x: np.vstack([np.zeros_like(x), 50.0 - 5e4 * (x - c) ** 2]),
+        0.0, 1.0, init=8, rel_tol=1e-9,
+    )
+    assert n <= 600
+    assert math.isclose(lv[1], 50.0 + math.log(math.sqrt(math.pi / 5e4)), rel_tol=1e-9)
 
 
 def test_search_loops_are_capped():
@@ -70,6 +85,9 @@ def test_search_loops_are_capped():
         _bracket_root(lambda x: 1.0, -1.0, 1.0)
     with pytest.raises(QuadratureError):
         ProfileGrid(lambda xi: 1.0 - np.exp(-(xi**2)), 0.0, 0.01, 0.01)
+    # the phase saturates between c_min and c_max
+    with pytest.raises(QuadratureError, match="c_max"), np.errstate(over="ignore"):
+        ProfileGrid(lambda xi: 1.0 - np.exp(-(xi**2)), 0.0, 1.0, 1.0)
     assert time.perf_counter() - t0 < 1.0
     root = _bracket_root(lambda x: x**3 - 2.0, -1.0, 1.0)
     assert math.isclose(root, 2.0 ** (1 / 3), rel_tol=1e-14)
