@@ -66,7 +66,6 @@ _SETTINGS = {
         "y": (float, 1.0),
         "x0": (float, 1.0),
         "delta": (float, 0.5),
-        "alpha": (float, 2.0),
         "rho_start": (float, 1.0),
         "rho_ratio": (float, 0.5),
         "n_points": (int, 15),

@@ -7,8 +7,8 @@ Kronrod rule with embedded 7-point Gauss estimate, panels held in arrays and
 split worst error first, and sums taken relative to the largest term.  Inner
 Laplace transforms are not re-integrated per frequency: a profile grid
 samples the convex phase once and serves every frequency in a declared range
-as a log-sum-exp product, which is what makes the double and triple
-integrals tractable.
+as an exponential sum over its nodes, each term scaled by the phase minimum,
+which is what makes the double and triple integrals tractable.
 """
 
 from __future__ import annotations
@@ -237,6 +237,78 @@ def log_adaptive_multi(
 # ---------------------------------------------------------------------------
 
 
+# the x4 ladder of the inner-edge search: exponents of its first rung past
+# |xi - xi_star| = 1e60 and of its first rung at or below 1e-280
+_K_UP = math.ceil(math.log(1e60, 4.0))
+_K_DOWN = math.floor(math.log(1e-280, 4.0))
+# the inner edge is a rung of the 4^(1/16384) ladder: where 14 geometric
+# halvings of a x4 bracket stop, so grids keep their nodes to round-off
+_EDGE_STEPS = 16384
+_FINE_STEPS = np.arange(0, _EDGE_STEPS + 1, _EDGE_STEPS // 16)
+_FINE_RUNGS = 4.0 ** (_FINE_STEPS / _EDGE_STEPS)
+
+
+def _inner_edge(c_side: Callable, c_min: float) -> tuple[float, int]:
+    """First rung u of the 4^(1/16384) ladder with c_side(u) >= c_min, for
+    c_side nondecreasing in u > 0, and the number of points evaluated.
+
+    A x4 ladder, 8 rungs a call from the block ending at u = 1, finds the
+    crossing's x4 bracket (lo, 4 lo]; a 4^(1/16) ladder narrows it to 1024
+    steps; a window of 7 steps around the inverse quadratic interpolant of
+    log c through three of its rungs then finds the step, with even
+    ladders across what remains when the window misses.
+    """
+    nev = 0
+    k = np.arange(-7, 1)
+    while True:
+        us = 4.0 ** k
+        cs = c_side(us)
+        nev += us.size
+        hit = cs >= c_min
+        if hit[0] and k[-1] <= 0 and k[0] > _K_DOWN:
+            # lower; the next block keeps this block's bottom rung
+            k = np.arange(max(k[0] - 8, _K_DOWN), k[0] + 1)
+        elif hit.any():
+            break
+        elif k[-1] >= _K_UP:
+            raise QuadratureError(
+                f"profile phase stays below {c_min:.3e} out to "
+                f"|xi - xi_star| = {us[-1]:.3e} (last value {cs[-1]:.3e})"
+            )
+        else:
+            k = np.arange(k[-1] + 1, min(k[-1] + 9, _K_UP + 1))
+    lo = 0.25 * float(us[hit.argmax()])
+    cs = c_side(lo * _FINE_RUNGS)
+    nev += cs.size
+    j = 1 + int((cs[1:] >= c_min).argmax())
+    ja, jb = int(_FINE_STEPS[j - 1]), int(_FINE_STEPS[j])
+    i = [j - 1, j, j + 1] if j < 16 else [j - 2, j - 1, j]
+    (x0, x1, x2), (c0, c1, c2) = _FINE_STEPS[i].tolist(), cs[i].tolist()
+    guess = math.nan
+    if 0 < c0 < c1 < c2:
+        y0, y1, y2, yt = math.log(c0), math.log(c1), math.log(c2), math.log(c_min)
+        guess = (
+            x0 * (yt - y1) * (yt - y2) / ((y0 - y1) * (y0 - y2))
+            + x1 * (yt - y0) * (yt - y2) / ((y1 - y0) * (y1 - y2))
+            + x2 * (yt - y0) * (yt - y1) / ((y2 - y0) * (y2 - y1))
+        )
+    while jb - ja > 1:
+        if math.isfinite(guess):
+            g = round(min(max(guess, ja), jb))
+            probe = np.arange(max(g - 3, ja + 1), min(g + 4, jb))
+        else:
+            probe = np.arange(ja + 1, jb, max(1, (jb - ja) // 32))
+        guess = math.nan
+        hit = c_side(lo * 4.0 ** (probe / _EDGE_STEPS)) >= c_min
+        nev += probe.size
+        if hit.any():
+            jb = int(probe[hit.argmax()])
+        below = probe[~hit & (probe < jb)]
+        if below.size:
+            ja = int(below[-1])
+    return lo * 4.0 ** (jb / _EDGE_STEPS), nev
+
+
 class ProfileGrid:
     """Quadrature grid for G(eta) = int exp(-eta c(xi)) dxi, c convex with
     minimum 0 at xi_star, valid for every eta in [eta_lo, eta_hi].
@@ -244,8 +316,10 @@ class ProfileGrid:
     Panels are laid out geometrically in c-height on both sides: the
     innermost edge sits where c ~ c_small/eta_hi (flat at the stiffest
     frequency) and the outermost where c ~ log_drop/eta_lo (truncated at the
-    softest).  One Kronrod rule per panel; log G(eta) is then a log-sum-exp
-    over the stored nodes.
+    softest).  Both edges are found by vectorized ladders, so a build makes
+    a handful of ``c_fn`` calls.  One Kronrod rule per panel; G(eta) is
+    then a sum over the stored nodes in linear space, each term scaled by
+    exp(eta min c) so that none overflows.
     """
 
     RATIO = 1.45
@@ -254,70 +328,66 @@ class ProfileGrid:
     def __init__(self, c_fn, xi_star, eta_lo, eta_hi, *, log_drop=42.0):
         c_min = self.C_SMALL / eta_hi
         c_max = log_drop / eta_lo
-        all_c = []
-        all_logw = []
+        c_parts = []
+        w_parts = []
         nev = 0
         for side in (-1.0, +1.0):
-            u = 1.0
-            cv = c_fn(np.array([xi_star + side * u]))[0]
-            nev += 1
-            if cv < c_min:
-                while cv < c_min:
-                    if u > 1e60:
-                        raise QuadratureError(
-                            f"profile phase stays below {c_min:.3e} out to "
-                            f"|xi - xi_star| = {u:.3e} (last value {cv:.3e})"
-                        )
-                    u *= 4.0
-                    cv = c_fn(np.array([xi_star + side * u]))[0]
-                    nev += 1
-                lo, hi = u / 4.0, u
-            else:
-                while cv > c_min and u > 1e-280:
-                    u *= 0.25
-                    cv = c_fn(np.array([xi_star + side * u]))[0]
-                    nev += 1
-                lo, hi = u, u * 4.0
-            for _ in range(14):
-                mid = math.sqrt(lo * hi)
-                if c_fn(np.array([xi_star + side * mid]))[0] < c_min:
-                    lo = mid
-                else:
-                    hi = mid
-                nev += 1
-            u0 = hi
+
+            def c_side(u):
+                return c_fn(xi_star + side * u)
+
+            u0, n = _inner_edge(c_side, c_min)
+            nev += n
+            # RATIO ladder out to c_max, stopping at its first rung past 1e60
+            n_cap = math.ceil((math.log(1e60) - math.log(u0)) / math.log(self.RATIO))
+            n_cap = max(n_cap, 1)
             n_guess = 80
             while True:
-                us = u0 * self.RATIO ** np.arange(n_guess + 1)
-                cs = c_fn(xi_star + side * us)
+                us = u0 * self.RATIO ** np.arange(min(n_guess, n_cap) + 1)
+                cs = c_side(us)
                 nev += us.size
                 idx = np.nonzero(cs >= c_max)[0]
                 if idx.size:
                     us = us[: idx[0] + 1]
                     break
-                n_guess *= 2
-                if n_guess > 4000:
+                if n_guess >= n_cap:
                     raise QuadratureError(
                         f"profile phase stays below c_max = {c_max:.3e} out to "
                         f"|xi - xi_star| = {us[-1]:.3e} (last value {cs[-1]:.3e})"
                     )
+                n_guess *= 2
             edges = np.concatenate(([0.0], us))
             h, x = _kronrod_nodes(edges[:-1], edges[1:])
-            cv = c_fn((xi_star + side * x).ravel())
+            cv = c_side(x.ravel())
             nev += cv.size
-            all_c.append(cv)
-            all_logw.append(np.log(h[:, None] * WGK[None, :]).ravel())
-        self.c = np.concatenate(all_c)
-        self.logw = np.concatenate(all_logw)
+            c_parts.append(cv)
+            w_parts.append((h[:, None] * WGK[None, :]).ravel())
+        self.c = np.concatenate(c_parts)
+        self.c_low = self.c.min()
+        self.dc = self.c - self.c_low
+        self.w = np.concatenate(w_parts)
         self.n_evals = nev
 
     def log_G(self, eta) -> np.ndarray:
-        return _logsumexp(
-            self.logw[None, :] - np.asarray(eta, dtype=float)[:, None] * self.c[None, :]
-        )
+        eta = np.asarray(eta, dtype=float)
+        # exponents -eta (c - min c) <= 0, so nothing overflows, and the
+        # minimum node keeps every sum positive; numpy's sum, not BLAS, so
+        # reruns are bit-identical whatever the BLAS threads.  Exponents are
+        # floored at -700: exp takes a slow path where its result underflows,
+        # and a term e^-700 w is below 1e-300 of its weight, under the
+        # round-off of any sum whose weights span less than 1e280
+        terms = np.multiply.outer(-eta, self.dc)
+        np.maximum(terms, -700.0, out=terms)
+        np.exp(terms, out=terms)
+        terms *= self.w
+        return np.log(terms.sum(axis=1)) - eta * self.c_low
 
 
-def _bracket_root(fn: Callable[[float], float], a: float, b: float) -> float:
+def _pick(cond, x, y):
+    return x if cond else y
+
+
+def _bracket_root(fn: Callable, a, b):
     """Root of a nondecreasing ``fn``, searched outward from [a, b].
 
     While an end has the wrong sign the bracket widens past it by a doubling
@@ -325,38 +395,53 @@ def _bracket_root(fn: Callable[[float], float], a: float, b: float) -> float:
     bisection runs until b - a <= 1e-14 (1 + |a| + |b|).  Both phases are
     capped; at a cap, or without a sign change, QuadratureError names the
     bracket and the values of ``fn`` there.
+
+    Floats ``a`` and ``b`` give a float, and ``fn`` is called with floats.
+    Arrays ``a`` and ``b`` solve elementwise, ``fn`` mapping an array of
+    their shape to one of values: each element takes exactly the steps it
+    would take alone, and the error names the first failing element.
     """
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        a, b = float(a), float(b)
+        pick, some, every = _pick, bool, bool
+    else:
+        a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+        pick, some, every = np.where, np.any, np.all
     fa, fb = fn(a), fn(b)
     step = b - a
     for _ in range(100):
-        if fa > 0:
-            b, fb = a, fa
-            a -= step
-            fa = fn(a)
-        elif fb < 0:
-            a, fa = b, fb
-            b += step
-            fb = fn(b)
-        else:
+        left, right = fa > 0, fb < 0  # left wins where both hold
+        if not some(left | right):
             break
-        step *= 2.0
-    if not (fa <= 0 <= fb):
+        x = pick(left, a - step, pick(right, b + step, a))
+        fx = fn(x)
+        a, fa, b, fb = pick(
+            left, (x, fx, a, fa), pick(right, (b, fb, x, fx), (a, fa, b, fb))
+        )
+        step = pick(left | right, 2.0 * step, step)
+    ok = (fa <= 0) & (fb >= 0)
+    if not every(ok):
+        a, b, fa, fb = _first_failure(ok, a, b, fa, fb)
         raise QuadratureError(
             f"root search found no sign change on [{a!r}, {b!r}]: "
             f"values {fa!r}, {fb!r}"
         )
     for _ in range(200):
-        if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
+        done = b - a <= 1e-14 * (1.0 + abs(a) + abs(b))
+        if every(done):
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm > 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
+        a, b = pick(done, (a, b), pick(fn(mid) > 0, (a, mid), (mid, b)))
+    a, b, fa, fb = _first_failure(done, a, b, fn(a), fn(b))
     raise QuadratureError(
         f"root search did not converge on [{a!r}, {b!r}]: values {fa!r}, {fb!r}"
     )
+
+
+def _first_failure(ok, *values) -> list[float]:
+    """The values, as floats, at the first element where ``ok`` is false."""
+    i = np.flatnonzero(np.logical_not(ok))[0]
+    return [float(np.ravel(v)[i]) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +503,11 @@ def direct_pair(
     p = 2 for Bergman and 1 for Szego, over zeta in the dual cone interval.
     Both weights ride the same panels (the eta-integral rows share every
     profile grid), so the pair costs barely more than either alone.
+
+    The outer integrand is batched per panel: one elementwise root search
+    gives the phase minimum xi_s of E(zeta, .) for all of the panel's zetas
+    and one call of ``f.f`` its value; each zeta then builds its profile
+    grid and runs its inner eta integral.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -432,10 +522,7 @@ def direct_pair(
     n_init_mid = int(np.ceil((t_hi - t_lo) / 0.8))
     nev = [0]
 
-    def middle(zeta: float) -> np.ndarray:
-        xi_s = _bracket_root(lambda xi: f.fprime(xi) + zeta, -1.0, 1.0)
-        A = f.f(xi_s) + zeta * xi_s
-        r = y + x * zeta - A  # >= y - f(x) > 0
+    def inner(zeta: float, xi_s: float, A: float, r: float) -> np.ndarray:
         pg = ProfileGrid(
             lambda xi: f.f(xi) + zeta * xi - A,
             xi_s,
@@ -462,8 +549,18 @@ def direct_pair(
         nev[0] += ne
         return lv - math.log(r)
 
+    def middles(zetas: np.ndarray) -> np.ndarray:
+        ones = np.ones_like(zetas)
+        xi_s = _bracket_root(lambda xi: f.fprime(xi) + zetas, -ones, ones)
+        A = f.f(xi_s) + zetas * xi_s
+        r = y + x * zetas - A  # >= y - f(x) > 0
+        out = np.empty((2, zetas.size))
+        for j in range(zetas.size):
+            out[:, j] = inner(float(zetas[j]), float(xi_s[j]), float(A[j]), float(r[j]))
+        return out
+
     lo, hi = _cone_interval(f)
-    v0 = middle(0.0)[0]
+    v0 = middles(np.zeros(1))[0, 0]
     scan = [(0.0, v0)]
     for s in (+1.0, -1.0):
         lim = hi if s > 0 else -lo
@@ -473,7 +570,7 @@ def direct_pair(
             if z > 1e30:
                 raise QuadratureError(f"zeta scan found no decay by |zeta| = {z:.1e}")
             zz = s * z
-            v = middle(zz)[0]
+            v = middles(np.array([zz]))[0, 0]
             scan.append((zz, v))
             best = max(best, v)
             if v < best - log_drop:
@@ -481,7 +578,7 @@ def direct_pair(
             z *= 2.0
         else:
             zz = s * lim * (1.0 - 1e-9)
-            v = middle(zz)[0]
+            v = middles(np.array([zz]))[0, 0]
             scan.append((zz, v))
     scan.sort()
     zs = np.array([q[0] for q in scan])
@@ -492,11 +589,8 @@ def direct_pair(
     ihi = min(keep[-1] + 1, len(zs) - 1)
     edges = zs[ilo : ihi + 1]
 
-    def outer(zv):
-        return np.array([middle(float(z)) for z in zv]).T
-
     lv, re, ne = log_adaptive_multi(
-        outer,
+        middles,
         edges[0],
         edges[-1],
         rel_tol=cfg.rel_tol,

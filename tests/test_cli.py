@@ -133,6 +133,11 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     rc, _, err = run(capsys, "eval", "--config", str(removed_key), "--dry-run")
     assert rc == 2 and "unknown key" in err
 
+    removed_alpha = tmp_path / "a.ini"
+    removed_alpha.write_text("[experiment]\nalpha = 2.0\n")
+    rc, _, err = run(capsys, "sweep", "--config", str(removed_alpha), "--dry-run")
+    assert rc == 2 and "unknown key" in err and "alpha" in err
+
     removed_section = tmp_path / "c.ini"
     removed_section.write_text("[chart]\nlayer_profile = composed\n")
     rc, _, err = run(capsys, "eval", "--config", str(removed_section), "--dry-run")

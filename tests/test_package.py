@@ -50,6 +50,12 @@ def test_bench_tracer_installs(monkeypatch):
             )
             ref = tr.counts["quadrature.adaptive.refinements"] - before_ref
             assert ref >= 0 and ref == int(ref) and ref == (n - 15 * panels) / 30
+        # the tracer reads a grid's node count from ProfileGrid.c and the
+        # frequencies from the size of what log_G returns
+        grid = tubekernels.quadrature.ProfileGrid(lambda xi: xi**2, 0.0, 0.5, 8.0)
+        grid.log_G(np.linspace(0.5, 8.0, 15))
+        assert tr.counts["quadrature.profile_grid.nodes"] == grid.c.size
+        assert tr.counts["quadrature.log_G.freqs"] == 15
     finally:
         tr.uninstall()
     assert tubekernels.quadrature.direct_pair is original

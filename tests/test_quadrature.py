@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from tubekernels import (
     direct_pair,
     model_domain,
     mollify,
+    rational_domain,
 )
 from tubekernels.quadrature import ProfileGrid, _bracket_root, _logsumexp, log_adaptive_multi
 
@@ -85,12 +87,84 @@ def test_search_loops_are_capped():
         _bracket_root(lambda x: 1.0, -1.0, 1.0)
     with pytest.raises(QuadratureError):
         ProfileGrid(lambda xi: 1.0 - np.exp(-(xi**2)), 0.0, 0.01, 0.01)
-    # the phase saturates between c_min and c_max
-    with pytest.raises(QuadratureError, match="c_max"), np.errstate(over="ignore"):
-        ProfileGrid(lambda xi: 1.0 - np.exp(-(xi**2)), 0.0, 1.0, 1.0)
+    # the phase saturates between c_min and c_max; the search stops at a
+    # finite distance, before anything overflows
+    with pytest.raises(QuadratureError, match="c_max") as info:
+        with np.errstate(over="raise", invalid="raise"):
+            ProfileGrid(lambda xi: 1.0 - np.exp(-(xi**2)), 0.0, 1.0, 1.0)
+    dist = re.search(r"\|xi - xi_star\| = (\S+)", str(info.value)).group(1)
+    assert math.isfinite(float(dist))
     assert time.perf_counter() - t0 < 1.0
     root = _bracket_root(lambda x: x**3 - 2.0, -1.0, 1.0)
     assert math.isclose(root, 2.0 ** (1 / 3), rel_tol=1e-14)
+
+
+def test_bracket_root_is_elementwise():
+    # 200 monotone cubics whose roots lie left or right of their brackets:
+    # one array call must take, element by element, a scalar call's steps
+    rng = np.random.default_rng(20)
+    n = 200
+    roots = np.concatenate(
+        [rng.uniform(-60.0, -2.0, n // 2), rng.uniform(2.0, 60.0, n // 2)]
+    )
+    slopes = rng.uniform(0.1, 10.0, n)
+    a = rng.uniform(-1.0, 0.0, n)
+    b = a + rng.uniform(0.01, 1.0, n)
+
+    def cubic(x, r, k):
+        d = x - r
+        return k * d + d * d * d
+
+    got = _bracket_root(lambda x: cubic(x, roots, slopes), a, b)
+    seen = set()
+
+    def scalar_fn(x, r, k):
+        seen.add(type(x))
+        return cubic(x, r, k)
+
+    for i in range(n):
+        r, k = float(roots[i]), float(slopes[i])
+        one = _bracket_root(lambda x: scalar_fn(x, r, k), float(a[i]), float(b[i]))
+        assert type(one) is float
+        assert one == got[i]
+    assert seen == {float}
+    assert np.max(np.abs(got - roots)) < 1e-12
+
+    # one element without a sign change fails the whole call, by name
+    const = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(QuadratureError, match=r"no sign change on \[.*\]: values 1.0, 1.0"):
+        _bracket_root(lambda x: np.where(const > 0, 1.0, x - 0.5), -np.ones(3), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: model_domain(1), lambda: model_domain(2), lambda: rational_domain(2)],
+    ids=["model-m1", "model-m2", "rational-m2"],
+)
+def test_profile_grid_matches_a_dense_grid_in_few_calls(make):
+    class Dense(ProfileGrid):
+        RATIO = 1.1
+
+    f = make()
+    etas = np.geomspace(1e-4, 50.0, 40)
+    for zeta in (0.0, 0.7, -2.0):
+        xi_s = _bracket_root(lambda xi: f.fprime(xi) + zeta, -1.0, 1.0)
+        A = f.f(xi_s) + zeta * xi_s
+        calls = [0]
+
+        def c_fn(xi):
+            calls[0] += 1
+            return f.f(xi) + zeta * xi - A
+
+        grid = ProfileGrid(c_fn, xi_s, etas[0], etas[-1])
+        assert calls[0] <= 10, zeta
+        # the linear-space sum against the log-sum-exp over the same nodes
+        lse = _logsumexp(np.log(grid.w) - np.multiply.outer(etas, grid.c))
+        assert np.max(np.abs(grid.log_G(etas) - lse)) <= 1e-13, zeta
+        dense = Dense(c_fn, xi_s, etas[0], etas[-1])
+        assert np.max(np.abs(grid.log_G(etas) - dense.log_G(etas))) <= 1e-14, zeta
+        # the stiffest frequency of a wide range stays finite
+        wide = ProfileGrid(c_fn, xi_s, 1e-4, 1e8)
+        assert np.isfinite(wide.log_G(np.array([1e8]))).all(), zeta
 
 
 def test_compute_d_quadratic_closed_form():
