@@ -269,15 +269,15 @@ def log_phi(v: float, m: int) -> float:
 class PhiSpline:
     """Cubic-spline cache of log phi on [0, v_max] with even extension.
 
-    Nodes are quadratically clustered near 0 where log phi curves hardest;
+    1600 nodes, quadratically clustered near 0 where log phi curves hardest;
     beyond v_max the spline extrapolates its end cubic, so callers size
     v_max to cover the v-range they will explore.
     """
 
-    def __init__(self, m: int, v_max: float, n: int = 1600):
+    def __init__(self, m: int, v_max: float):
         self.m = m
         self.v_max = float(v_max)
-        u = np.linspace(0.0, 1.0, n)
+        u = np.linspace(0.0, 1.0, 1600)
         vg = self.v_max * u**2
         lp = np.array([log_phi(v, m) for v in vg])
         self._sp = CubicSpline(vg, lp)

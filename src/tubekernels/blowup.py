@@ -162,26 +162,16 @@ class BlowupChart:
         dd = (v_arr >= self.v_hi) & (v_arr < 2.0 / 3.0)
         e = v_arr >= 2.0 / 3.0
         out[a] = v_arr[a]
-        out[b] = self._bisect_layer(
-            lambda u: self.p + self._c1(u), self.p, self.p + self.w, v_arr[b]
+        vb, vd = v_arr[b], v_arr[dd]
+        out[b] = _bracket_root(
+            lambda u: self.p + self._c1(u) - vb, np.full_like(vb, self.p), self.p + self.w
         )
         out[c] = (self.p + self.w) + 2.0 * (v_arr[c] - self.v_lo)
-        out[dd] = self._bisect_layer(
-            lambda u: self.v_hi + self._c2(u), self.q - self.w, self.q, v_arr[dd]
+        out[dd] = _bracket_root(
+            lambda u: self.v_hi + self._c2(u) - vd, np.full_like(vd, self.q - self.w), self.q
         )
         out[e] = 1.0 - (1.0 - v_arr[e]) ** n
         return out if np.ndim(v) else float(out[0])
-
-    @staticmethod
-    def _bisect_layer(fn, lo, hi, targets):
-        lo_v = np.full_like(targets, lo)
-        hi_v = np.full_like(targets, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo_v + hi_v)
-            above = fn(mid) > targets
-            hi_v = np.where(above, mid, hi_v)
-            lo_v = np.where(above, lo_v, mid)
-        return 0.5 * (lo_v + hi_v)
 
     # -- numerically stable bridges used by the coordinate maps ---------------
 

@@ -241,22 +241,18 @@ def log_adaptive_multi(
 # |xi - xi_star| = 1e60 and of its first rung at or below 1e-280
 _K_UP = math.ceil(math.log(1e60, 4.0))
 _K_DOWN = math.floor(math.log(1e-280, 4.0))
-# the inner edge is a rung of the 4^(1/16384) ladder: where 14 geometric
-# halvings of a x4 bracket stop, so grids keep their nodes to round-off
-_EDGE_STEPS = 16384
-_FINE_STEPS = np.arange(0, _EDGE_STEPS + 1, _EDGE_STEPS // 16)
-_FINE_RUNGS = 4.0 ** (_FINE_STEPS / _EDGE_STEPS)
+# the 17 rungs 4^(j/16), j = 0..16, across one x4 step
+_FINE_RUNGS = 4.0 ** (np.arange(17) / 16)
 
 
 def _inner_edge(c_side: Callable, c_min: float) -> tuple[float, int]:
-    """First rung u of the 4^(1/16384) ladder with c_side(u) >= c_min, for
-    c_side nondecreasing in u > 0, and the number of points evaluated.
+    """First rung u of the 4^(1/16) ladder through u = 1 with
+    c_side(u) >= c_min, for c_side nondecreasing in u > 0, and the number of
+    points evaluated.
 
     A x4 ladder, 8 rungs a call from the block ending at u = 1, finds the
-    crossing's x4 bracket (lo, 4 lo]; a 4^(1/16) ladder narrows it to 1024
-    steps; a window of 7 steps around the inverse quadratic interpolant of
-    log c through three of its rungs then finds the step, with even
-    ladders across what remains when the window misses.
+    crossing's x4 bracket (lo, 4 lo]; one more call on the 17 rungs
+    lo 4^(j/16) picks the first that reaches c_min.
     """
     nev = 0
     k = np.arange(-7, 1)
@@ -277,48 +273,21 @@ def _inner_edge(c_side: Callable, c_min: float) -> tuple[float, int]:
             )
         else:
             k = np.arange(k[-1] + 1, min(k[-1] + 9, _K_UP + 1))
-    lo = 0.25 * float(us[hit.argmax()])
-    cs = c_side(lo * _FINE_RUNGS)
-    nev += cs.size
-    j = 1 + int((cs[1:] >= c_min).argmax())
-    ja, jb = int(_FINE_STEPS[j - 1]), int(_FINE_STEPS[j])
-    i = [j - 1, j, j + 1] if j < 16 else [j - 2, j - 1, j]
-    (x0, x1, x2), (c0, c1, c2) = _FINE_STEPS[i].tolist(), cs[i].tolist()
-    guess = math.nan
-    if 0 < c0 < c1 < c2:
-        y0, y1, y2, yt = math.log(c0), math.log(c1), math.log(c2), math.log(c_min)
-        guess = (
-            x0 * (yt - y1) * (yt - y2) / ((y0 - y1) * (y0 - y2))
-            + x1 * (yt - y0) * (yt - y2) / ((y1 - y0) * (y1 - y2))
-            + x2 * (yt - y0) * (yt - y1) / ((y2 - y0) * (y2 - y1))
-        )
-    while jb - ja > 1:
-        if math.isfinite(guess):
-            g = round(min(max(guess, ja), jb))
-            probe = np.arange(max(g - 3, ja + 1), min(g + 4, jb))
-        else:
-            probe = np.arange(ja + 1, jb, max(1, (jb - ja) // 32))
-        guess = math.nan
-        hit = c_side(lo * 4.0 ** (probe / _EDGE_STEPS)) >= c_min
-        nev += probe.size
-        if hit.any():
-            jb = int(probe[hit.argmax()])
-        below = probe[~hit & (probe < jb)]
-        if below.size:
-            ja = int(below[-1])
-    return lo * 4.0 ** (jb / _EDGE_STEPS), nev
+    us = 0.25 * float(us[hit.argmax()]) * _FINE_RUNGS
+    hit = c_side(us) >= c_min
+    return float(us[hit.argmax()]), nev + us.size
 
 
 class ProfileGrid:
     """Quadrature grid for G(eta) = int exp(-eta c(xi)) dxi, c convex with
     minimum 0 at xi_star, valid for every eta in [eta_lo, eta_hi].
 
-    Panels are laid out geometrically in c-height on both sides: the
-    innermost edge sits where c ~ c_small/eta_hi (flat at the stiffest
-    frequency) and the outermost where c ~ log_drop/eta_lo (truncated at the
-    softest).  Both edges are found by vectorized ladders, so a build makes
-    a handful of ``c_fn`` calls.  One Kronrod rule per panel; G(eta) is
-    then a sum over the stored nodes in linear space, each term scaled by
+    On each side one panel runs from xi_star to the inner edge, the first
+    4^(1/16) rung with c >= c_small/eta_hi (flat at the stiffest frequency);
+    panels then grow by RATIO out to the first rung with c >= log_drop/eta_lo
+    (truncated at the softest).  Vectorized ladders find both edges, so a
+    build usually makes eight ``c_fn`` calls.  One Kronrod rule per panel;
+    G(eta) is a sum over the stored nodes in linear space, each term scaled by
     exp(eta min c) so that none overflows.
     """
 

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma
 
@@ -24,7 +26,13 @@ from tubekernels import (
     mollify,
     rational_domain,
 )
-from tubekernels.quadrature import ProfileGrid, _bracket_root, _logsumexp, log_adaptive_multi
+from tubekernels.quadrature import (
+    ProfileGrid,
+    _bracket_root,
+    _inner_edge,
+    _logsumexp,
+    log_adaptive_multi,
+)
 
 # frozen at rel_tol = 1e-12; the suite reruns at looser settings and must land
 # inside these to ~1e-7
@@ -56,18 +64,20 @@ def test_adaptive_rescales_past_a_missed_peak():
 
 
 def test_nan_or_infinite_integrand_is_not_converged():
-    rows = _logsumexp(np.array([[-np.inf, -np.inf], [np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]]))
-    assert rows[0] == -np.inf and np.isnan(rows[1]) and np.isnan(rows[2])
-    assert math.isclose(rows[3], math.log(2.0), rel_tol=1e-15)
-    for bad in (np.nan, np.inf):
-        _, re, _ = log_adaptive_multi(
-            lambda x: np.atleast_2d(np.where(x > 0.5, bad, 0.0)), 0.0, 1.0
+    # the inputs are NaN, infinite or zero on purpose, so numpy's warnings are too
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows = _logsumexp(np.array([[-np.inf, -np.inf], [np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]]))
+        assert rows[0] == -np.inf and np.isnan(rows[1]) and np.isnan(rows[2])
+        assert math.isclose(rows[3], math.log(2.0), rel_tol=1e-15)
+        for bad in (np.nan, np.inf):
+            _, re, _ = log_adaptive_multi(
+                lambda x: np.atleast_2d(np.where(x > 0.5, bad, 0.0)), 0.0, 1.0
+            )
+            assert not (re[0] <= 1e-6)
+        lv, re, _ = log_adaptive_multi(
+            lambda x: np.atleast_2d(np.full_like(x, -np.inf)), 0.0, 1.0
         )
-        assert not (re[0] <= 1e-6)
-    lv, re, _ = log_adaptive_multi(
-        lambda x: np.atleast_2d(np.full_like(x, -np.inf)), 0.0, 1.0
-    )
-    assert lv[0] == -np.inf and re[0] == np.inf
+        assert lv[0] == -np.inf and re[0] == np.inf
 
 
 def test_adaptive_refines_the_worst_row():
@@ -136,17 +146,44 @@ def test_bracket_root_is_elementwise():
         _bracket_root(lambda x: np.where(const > 0, 1.0, x - 0.5), -np.ones(3), np.ones(3))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1.0, 8.0), st.floats(1e-10, 1e2))
+def test_inner_edge_is_the_first_fine_rung_reaching_c_min(a, p, c_min):
+    seen_u, seen_c = [], []
+
+    def c_side(u):
+        seen_u.append(u)
+        seen_c.append(a * u**p)
+        return seen_c[-1]
+
+    u, n = _inner_edge(c_side, c_min)
+    us, cs = np.concatenate(seen_u), np.concatenate(seen_c)
+    assert n == us.size
+    # c(u) >= c_min > c(u / 4^(1/16)), both read off the evaluated rungs
+    below = us < u
+    prev = us[below].max()
+    assert math.isclose(prev, u / 4.0 ** (1 / 16), rel_tol=1e-14)
+    assert cs[us == u].min() >= c_min > cs[below].max()
+
+
 @pytest.mark.parametrize(
-    "make", [lambda: model_domain(1), lambda: model_domain(2), lambda: rational_domain(2)],
-    ids=["model-m1", "model-m2", "rational-m2"],
+    "make, zetas, etas, tol",
+    [
+        (lambda: model_domain(1), (0.0, 0.7, -2.0), (1e-4, 50.0), 1e-14),
+        (lambda: model_domain(2), (0.0, 0.7, -2.0), (1e-4, 50.0), 1e-14),
+        (lambda: rational_domain(2), (0.0, 0.7, -2.0), (1e-4, 50.0), 1e-14),
+        # RATIO 1.45 resolves the mollified profile to about 1e-9 only
+        (lambda: mollify(model_domain(2), 0.1), (0.0, 0.3, -1.0, 0.7, -2.0), (1e-2, 3e3), 3e-9),
+    ],
+    ids=["model-m1", "model-m2", "rational-m2", "mollified-m2"],
 )
-def test_profile_grid_matches_a_dense_grid_in_few_calls(make):
+def test_profile_grid_matches_a_dense_grid_in_few_calls(make, zetas, etas, tol):
     class Dense(ProfileGrid):
         RATIO = 1.1
 
     f = make()
-    etas = np.geomspace(1e-4, 50.0, 40)
-    for zeta in (0.0, 0.7, -2.0):
+    etas = np.geomspace(*etas, 40)
+    for zeta in zetas:
         xi_s = _bracket_root(lambda xi: f.fprime(xi) + zeta, -1.0, 1.0)
         A = f.f(xi_s) + zeta * xi_s
         calls = [0]
@@ -156,12 +193,12 @@ def test_profile_grid_matches_a_dense_grid_in_few_calls(make):
             return f.f(xi) + zeta * xi - A
 
         grid = ProfileGrid(c_fn, xi_s, etas[0], etas[-1])
-        assert calls[0] <= 10, zeta
+        assert calls[0] <= 8, zeta
         # the linear-space sum against the log-sum-exp over the same nodes
         lse = _logsumexp(np.log(grid.w) - np.multiply.outer(etas, grid.c))
         assert np.max(np.abs(grid.log_G(etas) - lse)) <= 1e-13, zeta
         dense = Dense(c_fn, xi_s, etas[0], etas[-1])
-        assert np.max(np.abs(grid.log_G(etas) - dense.log_G(etas))) <= 1e-14, zeta
+        assert np.max(np.abs(grid.log_G(etas) - dense.log_G(etas))) <= tol, zeta
         # the stiffest frequency of a wide range stays finite
         wide = ProfileGrid(c_fn, xi_s, 1e-4, 1e8)
         assert np.isfinite(wide.log_G(np.array([1e8]))).all(), zeta
