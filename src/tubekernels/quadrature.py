@@ -138,7 +138,10 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     """
     m = np.max(x, axis=-1)
     m = np.where(m == -np.inf, 0.0, m)
-    return m + np.log(np.sum(np.exp(x - m[..., None]), axis=-1))
+    s = np.sum(np.exp(x - m[..., None]), axis=-1)
+    # log only where the sum is nonzero, so a zero sum gives -inf without a
+    # divide warning while a NaN sum still gives NaN
+    return m + np.log(s, out=np.full_like(s, -np.inf), where=s != 0)
 
 
 def _kronrod_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +244,9 @@ def log_adaptive_multi(
 # |xi - xi_star| = 1e60 and of its first rung at or below 1e-280
 _K_UP = math.ceil(math.log(1e60, 4.0))
 _K_DOWN = math.floor(math.log(1e-280, 4.0))
+# exponents of the first x4 block; the kernel evaluators' grids cross c_min
+# above its bottom rung, from 4^-6 at small y up to 4^2 at large |zeta|
+_K_FIRST = np.arange(-7, 3)
 # the 17 rungs 4^(j/16), j = 0..16, across one x4 step
 _FINE_RUNGS = 4.0 ** (np.arange(17) / 16)
 
@@ -250,18 +256,21 @@ def _inner_edge(c_side: Callable, c_min: float) -> tuple[float, int]:
     c_side(u) >= c_min, for c_side nondecreasing in u > 0, and the number of
     points evaluated.
 
-    A x4 ladder, 8 rungs a call from the block ending at u = 1, finds the
-    crossing's x4 bracket (lo, 4 lo]; one more call on the 17 rungs
-    lo 4^(j/16) picks the first that reaches c_min.
+    A x4 ladder finds the crossing's x4 bracket (lo, 4 lo]: one call on the
+    block 4^-7..4^2 across u = 1, then, while needed, 8 rungs a call
+    downward or upward.  One more call on the rungs lo 4^(j/16), 0 < j < 16,
+    picks the first that reaches c_min, or else 4 lo.  The ladder has seen
+    lo miss, unless it stopped at its floor; then lo is evaluated too.
     """
     nev = 0
-    k = np.arange(-7, 1)
+    k = _K_FIRST
+    up = False
     while True:
         us = 4.0 ** k
         cs = c_side(us)
         nev += us.size
         hit = cs >= c_min
-        if hit[0] and k[-1] <= 0 and k[0] > _K_DOWN:
+        if hit[0] and not up and k[0] > _K_DOWN:
             # lower; the next block keeps this block's bottom rung
             k = np.arange(max(k[0] - 8, _K_DOWN), k[0] + 1)
         elif hit.any():
@@ -272,10 +281,14 @@ def _inner_edge(c_side: Callable, c_min: float) -> tuple[float, int]:
                 f"|xi - xi_star| = {us[-1]:.3e} (last value {cs[-1]:.3e})"
             )
         else:
+            up = True
             k = np.arange(k[-1] + 1, min(k[-1] + 9, _K_UP + 1))
-    us = 0.25 * float(us[hit.argmax()]) * _FINE_RUNGS
-    hit = c_side(us) >= c_min
-    return float(us[hit.argmax()]), nev + us.size
+    i = hit.argmax()
+    floor = i == 0 and not up
+    fine = 0.25 * float(us[i]) * _FINE_RUNGS[0 if floor else 1 : 16]
+    hit = c_side(fine) >= c_min
+    u = fine[hit.argmax()] if hit.any() else us[i]
+    return float(u), nev + fine.size
 
 
 class ProfileGrid:
@@ -621,6 +634,46 @@ class _WGrid:
         return _logsumexp((self.logw - self.Q)[None, :] + v[:, None] * self.w[None, :])
 
 
+def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarray, float]:
+    """Chebyshev coefficients of ``fn`` on [a, b], sized by ``tol``.
+
+    ``fn`` maps an array of points to an array of values.  It is sampled at
+    the Chebyshev-Lobatto points cos(pi k / n) mapped onto [a, b], starting
+    at n = 16 and doubling n; the grids are nested, so each doubling calls
+    ``fn`` once, on the new odd-index points only.  The coefficients come
+    from the FFT of the even extension of the samples.  The table stops when
+    the largest |c_k| over the top quarter of the coefficients is at or below
+    ``tol``; past 513 points it raises QuadratureError.
+
+    Returns ``(coefficients, tail)``, read by
+    ``chebval((2 t - a - b) / (b - a), coefficients)``.  ``tail``, the error
+    estimate of that interpolant, is the stopping figure floored at
+    8 eps sum |c_k|: the samples' round-off, amplified by the Lebesgue
+    constant (below 5 at 513 points), plus the round-off of the evaluation.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    n = 16
+    vals = fn(mid + half * np.cos(np.pi * np.arange(n + 1) / n))
+    while True:
+        ext = np.concatenate((vals, vals[-2:0:-1]))
+        c = np.fft.rfft(ext).real[: n + 1] / n
+        c[0] *= 0.5
+        c[n] *= 0.5
+        tail = float(np.max(np.abs(c[(3 * n) // 4 :])))
+        if tail <= tol:
+            return c, max(tail, 8.0 * np.finfo(float).eps * float(np.sum(np.abs(c))))
+        if n >= 512:
+            raise QuadratureError(
+                f"Chebyshev table on [{a!r}, {b!r}] did not resolve at "
+                f"{n + 1} points: tail {tail:.3e} (requested {tol:.1e})"
+            )
+        new = np.empty(2 * n + 1)
+        new[0::2] = vals
+        new[1::2] = fn(mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        vals = new
+        n *= 2
+
+
 def _growth_rate_floor(m: int) -> float:
     """Conservative lower bound for the v-growth rate of log phi."""
     m2 = 2 * m
@@ -687,6 +740,18 @@ def bergman_normalized(
     limit 1 drops a smooth-at-the-boundary piece, so Kbar differs from
     the direct Bergman kernel by a bounded function as y -> 0 (passing u_floor -> 0
     recovers the direct kernel, which is how the chain is validated).
+
+    The integral runs in t = log u over [log u_floor, log u_hi] (from t = -12
+    when u_floor is 0), u_hi where e^{-y u^(2m)} falls below the truncation
+    depth.  P does not depend on y, and log P is smooth in t, so each call
+    tabulates it once: a Chebyshev table in t (``_cheb_table``) sized until
+    its coefficient tail is at most rel_tol / 10, usually 65 or 129
+    ``_log_P`` evaluations.  The adaptive u-integral then reads the table.
+    ``err_estimate`` is the integral's relative error, plus 0.5 rel_tol for
+    the truncation, plus the table's tail (an absolute error of log P is a
+    relative error of Kbar); ``evaluations`` counts the W-grid and profile
+    grid points of the tabulated ``_log_P`` calls and the integral's rule
+    points.
     """
     cfg = cfg or QuadratureConfig()
     if not f.is_mollified:
@@ -708,15 +773,19 @@ def bergman_normalized(
     t_hi = math.log(u_hi)
     nev = [0]
 
-    def rows(t):
-        u = np.exp(t)
-        out = np.empty((1, u.size))
-        for i, uu in enumerate(u):
-            tilt = g0 ** (1.0 / m2) * x * uu
-            lp, ne = _log_P(ghat, uu, tilt, m, cfg.log_drop)
+    def log_P(ts):
+        out = np.empty(ts.size)
+        for i, t in enumerate(ts):
+            u = math.exp(t)
+            out[i], ne = _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m, cfg.log_drop)
             nev[0] += ne
-            out[0, i] = -y * uu**m2 + lp + (2 * m2 + 1) * math.log(uu) + t[i]
         return out
+
+    coef, tail = _cheb_table(log_P, t_lo, t_hi, 0.1 * cfg.rel_tol)
+
+    def rows(t):
+        lp = np.polynomial.chebyshev.chebval((2.0 * t - t_lo - t_hi) / (t_hi - t_lo), coef)
+        return (-y * np.exp(m2 * t) + lp + (2 * m2 + 2) * t)[None, :]
 
     n_init = max(14, int((t_hi - t_lo) / 0.1))
     lv, re, ne = log_adaptive_multi(
@@ -729,5 +798,5 @@ def bergman_normalized(
         )
     pref = math.log(m2) + math.log(g0) / m - 2.0 * math.log(4.0 * math.pi)
     return _pack_value(
-        lv[0] + pref, re[0] + 0.5 * cfg.rel_tol, nev[0], "bergman"
+        lv[0] + pref, re[0] + 0.5 * cfg.rel_tol + tail, nev[0], "bergman"
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,10 +27,13 @@ from tubekernels import (
     mollify,
     rational_domain,
 )
+from tubekernels import quadrature
 from tubekernels.quadrature import (
     ProfileGrid,
     _bracket_root,
+    _cheb_table,
     _inner_edge,
+    _log_P,
     _logsumexp,
     log_adaptive_multi,
 )
@@ -78,6 +82,16 @@ def test_nan_or_infinite_integrand_is_not_converged():
             lambda x: np.atleast_2d(np.full_like(x, -np.inf)), 0.0, 1.0
         )
         assert lv[0] == -np.inf and re[0] == np.inf
+
+
+def test_zero_integrand_is_minus_inf_without_a_warning():
+    # no errstate: a zero integrand is a documented input, not an accident
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lv, re, _ = log_adaptive_multi(
+            lambda x: np.atleast_2d(np.full_like(x, -np.inf)), 0.0, 1.0
+        )
+    assert lv[0] == -np.inf and re[0] == np.inf
 
 
 def test_adaptive_refines_the_worst_row():
@@ -164,6 +178,27 @@ def test_inner_edge_is_the_first_fine_rung_reaching_c_min(a, p, c_min):
     prev = us[below].max()
     assert math.isclose(prev, u / 4.0 ** (1 / 16), rel_tol=1e-14)
     assert cs[us == u].min() >= c_min > cs[below].max()
+
+
+def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
+    # every grid of this point crosses c_min within the first x4 block,
+    # below u = 1 at small |zeta| and above it at large |zeta|
+    calls = []
+
+    class Counted(ProfileGrid):
+        def __init__(self, c_fn, *args, **kwargs):
+            calls.append(0)
+
+            def counted(xi):
+                calls[-1] += 1
+                return c_fn(xi)
+
+            super().__init__(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "ProfileGrid", Counted)
+    cfg = QuadratureConfig(rel_tol=1e-7)
+    direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 0.25), cfg)
+    assert len(calls) > 300 and max(calls) <= 8
 
 
 @pytest.mark.parametrize(
@@ -299,6 +334,7 @@ def test_bergman_normalized_recovers_direct_kernel():
     full = bergman_normalized(f, p, cfg, u_floor=0.0)
     K, _ = direct_pair(f, p, cfg)
     assert math.isclose(full.value, K.value, rel_tol=1e-7)
+    assert abs(full.value / K.value - 1.0) <= full.err_estimate + K.err_estimate
     trimmed = bergman_normalized(f, p, cfg)  # default floor at 1
     assert 0.0 < trimmed.value < full.value
 
@@ -306,3 +342,63 @@ def test_bergman_normalized_recovers_direct_kernel():
 def test_bergman_normalized_requires_mollified_domain():
     with pytest.raises(DomainError):
         bergman_normalized(model_domain(2), BoundaryRelativePoint(0.0, 1.0))
+
+
+def test_cheb_table_tail_bounds_its_error_and_no_point_repeats():
+    seen = []
+
+    def fn(t):
+        seen.append(t)
+        return np.log(2.0 + np.sin(3.0 * t))
+
+    coef, tail = _cheb_table(fn, -1.0, 2.0, 1e-12)
+    pts = np.concatenate(seen)
+    assert pts.size == coef.size == np.unique(pts).size and tail <= 1e-12
+    t = np.random.default_rng(7).uniform(-1.0, 2.0, 200)
+    err = np.abs(np.polynomial.chebyshev.chebval((2.0 * t - 1.0) / 3.0, coef) - fn(t))
+    assert err.max() <= tail
+
+
+def test_cheb_table_rejects_a_kink_at_its_cap():
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError, match=r"\[-1.0, 2.0\].* 513 points: tail"):
+        _cheb_table(lambda t: np.abs(t - 0.3), -1.0, 2.0, 1e-12)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "x, y, t_lo, tol", [(0.0, 2.0**-10, 0.0, 1e-11), (0.03, 0.9, -12.0, 1e-10)]
+)
+def test_log_P_table_matches_direct_log_P(x, y, t_lo, tol):
+    # the table bergman_normalized builds, at its own u-range
+    f = mollify(model_domain(2), 0.1)
+    m, m2, log_drop = 2, 4, QuadratureConfig().log_drop
+    g0 = float(f.g(0.0))
+
+    def ghat(xhat):
+        return f.g(g0 ** (-1.0 / m2) * np.asarray(xhat, dtype=float)) / g0
+
+    def log_P(t):
+        u = math.exp(t)
+        return _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m, log_drop)[0]
+
+    t_hi = math.log(((log_drop + 13.0) / y) ** (1.0 / m2))
+    coef, tail = _cheb_table(lambda ts: np.array([log_P(t) for t in ts]), t_lo, t_hi, tol)
+    assert tail <= tol
+    for t in np.random.default_rng(11).uniform(t_lo, t_hi, 12):
+        got = np.polynomial.chebyshev.chebval((2.0 * t - t_lo - t_hi) / (t_hi - t_lo), coef)
+        assert abs(got - log_P(t)) <= 1e-11, t
+
+
+def test_bergman_normalized_tabulates_log_P(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _log_P(*args)
+
+    monkeypatch.setattr(quadrature, "_log_P", counted)
+    f = mollify(model_domain(2), 0.1)
+    cfg = QuadratureConfig(rel_tol=1e-10)
+    kv = bergman_normalized(f, BoundaryRelativePoint(0.0, 2.0**-10), cfg)
+    assert 0 < calls[0] <= 129 and math.isfinite(kv.log_value)
