@@ -8,13 +8,17 @@ split worst error first, and sums taken relative to the largest term.  Inner
 Laplace transforms are not re-integrated per frequency: a profile grid
 samples the convex phase once and serves every frequency in a declared range
 as an exponential sum over its nodes, each term scaled by the phase minimum,
-which is what makes the double and triple integrals tractable.
+which is what makes the double and triple integrals tractable.  Smooth 1-D
+profiles are tabulated once per use, as Chebyshev tables sized by the
+tolerance: log G in log frequency once per zeta in ``direct_pair``, and
+log P in log u once per ``bergman_normalized`` call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -195,9 +199,7 @@ def log_adaptive_multi(
         edges = np.linspace(a, b, init + 1)
     lo, hi = edges[:-1], edges[1:]
     h, x = _kronrod_nodes(lo, hi)
-    # one logf call per initial panel: one call over all of them was slower,
-    # the profile-grid integrands' log-sum-exp matrices then outgrowing cache
-    lf = np.concatenate([np.atleast_2d(logf(xi)) for xi in x], axis=1)
+    lf = np.atleast_2d(logf(x.ravel()))
     l15, lerr = _panel_rules(lf, h)
     nev = 15 * lo.size
 
@@ -383,12 +385,13 @@ def _bracket_root(fn: Callable, a, b):
     their shape to one of values: each element takes exactly the steps it
     would take alone, and the error names the first failing element.
     """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        a, b = float(a), float(b)
-        pick, some, every = _pick, bool, bool
-    else:
+    # isinstance, not np.ndim, which costs more than a scalar halving
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
         pick, some, every = np.where, np.any, np.all
+    else:
+        a, b = float(a), float(b)
+        pick, some, every = _pick, bool, bool
     fa, fb = fn(a), fn(b)
     step = b - a
     for _ in range(100):
@@ -413,7 +416,10 @@ def _bracket_root(fn: Callable, a, b):
         if every(done):
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
-        a, b = pick(done, (a, b), pick(fn(mid) > 0, (a, mid), (mid, b)))
+        up = fn(mid) > 0
+        # a moves unless up or done, b only if up and not done (up > done);
+        # a scalar is never done here, so both picks read up alone
+        a, b = pick(up | done, a, mid), pick(up > done, mid, b)
     a, b, fa, fb = _first_failure(done, a, b, fn(a), fn(b))
     raise QuadratureError(
         f"root search did not converge on [{a!r}, {b!r}]: values {fa!r}, {fb!r}"
@@ -486,10 +492,18 @@ def direct_pair(
     Both weights ride the same panels (the eta-integral rows share every
     profile grid), so the pair costs barely more than either alone.
 
-    The outer integrand is batched per panel: one elementwise root search
-    gives the phase minimum xi_s of E(zeta, .) for all of the panel's zetas
-    and one call of ``f.f`` its value; each zeta then builds its profile
-    grid and runs its inner eta integral.
+    The outer integrand is batched: one elementwise root search gives the
+    phase minimum xi_s of E(zeta, .) for all of a call's zetas (every
+    initial panel in the first call, one split panel in each later call) and
+    one call of ``f.f`` its value.  Each zeta then builds its profile grid
+    and tabulates log G(e^t / r) once, a Chebyshev table in t = log h
+    (``_cheb_table``) sized until its tail is at most rel_tol / 10, usually
+    17 or 65 samples; its inner eta integral reads that table.
+    ``err_estimate`` is the outer integral's relative error, plus
+    0.35 rel_tol for the inner integrals and the truncation, plus the largest
+    table tail (an absolute error of log G is a relative error of the
+    integrand); ``evaluations`` counts the profile grids' phase points, the
+    table samples and the rule points of both integrals.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -503,6 +517,7 @@ def direct_pair(
     t_lo, t_hi = math.log(h_lo), math.log(h_hi)
     n_init_mid = int(np.ceil((t_hi - t_lo) / 0.8))
     nev = [0]
+    tail_G = [0.0]
 
     def inner(zeta: float, xi_s: float, A: float, r: float) -> np.ndarray:
         pg = ProfileGrid(
@@ -512,13 +527,17 @@ def direct_pair(
             h_hi / r,
             log_drop=log_drop,
         )
-        nev[0] += pg.n_evals
+        # log G(e^t / r) is smooth in t: tabulate it once for this zeta
+        samples, tail = _cheb_table(
+            lambda t: pg.log_G(np.exp(t) / r), t_lo, t_hi, 0.1 * cfg.rel_tol
+        )
+        nev[0] += pg.n_evals + samples.size
+        tail_G[0] = max(tail_G[0], tail)
+        log_r = math.log(r)
 
         def logI(t):
-            h = np.exp(t)
-            eta = h / r
-            lg = pg.log_G(eta)
-            return -h + np.log(eta)[None, :] * ps[:, None] - lg[None, :] + t[None, :]
+            lg = _cheb_read(samples, t_lo, t_hi, t)
+            return (t - log_r)[None, :] * ps[:, None] + (t - np.exp(t) - lg)[None, :]
 
         lv, re, ne = log_adaptive_multi(
             logI,
@@ -529,7 +548,7 @@ def direct_pair(
             init=n_init_mid,
         )
         nev[0] += ne
-        return lv - math.log(r)
+        return lv - log_r
 
     def middles(zetas: np.ndarray) -> np.ndarray:
         ones = np.ones_like(zetas)
@@ -586,7 +605,8 @@ def direct_pair(
             f"rel err {achieved:.3e} (requested {cfg.rel_tol:.1e})"
         )
     lv = lv - 2.0 * math.log(4.0 * math.pi)
-    err = re + 0.35 * cfg.rel_tol  # inner + truncation budget
+    # inner + truncation budget, and the worst log G table's error
+    err = re + 0.35 * cfg.rel_tol + tail_G[0]
     return (
         _pack_value(lv[0], err[0], nev[0], "bergman"),
         _pack_value(lv[1], err[1], nev[0], "szego"),
@@ -635,33 +655,40 @@ class _WGrid:
 
 
 def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarray, float]:
-    """Chebyshev coefficients of ``fn`` on [a, b], sized by ``tol``.
+    """Chebyshev interpolant of ``fn`` on [a, b], sized by ``tol``.
 
     ``fn`` maps an array of points to an array of values.  It is sampled at
     the Chebyshev-Lobatto points cos(pi k / n) mapped onto [a, b], starting
     at n = 16 and doubling n; the grids are nested, so each doubling calls
-    ``fn`` once, on the new odd-index points only.  The coefficients come
+    ``fn`` once, on the new odd-index points only.  The coefficients c_k come
     from the FFT of the even extension of the samples.  The table stops when
-    the largest |c_k| over the top quarter of the coefficients is at or below
-    ``tol``; past 513 points it raises QuadratureError.
+    the largest |c_k| over the top quarter is at or below ``tol``, or when
+    the coefficients end in a round-off plateau (``_plateau``) at this size
+    and the one before; past 513 points it raises QuadratureError.
 
-    Returns ``(coefficients, tail)``, read by
-    ``chebval((2 t - a - b) / (b - a), coefficients)``.  ``tail``, the error
-    estimate of that interpolant, is the stopping figure floored at
-    8 eps sum |c_k|: the samples' round-off, amplified by the Lebesgue
-    constant (below 5 at 513 points), plus the round-off of the evaluation.
+    Returns ``(samples, tail)``, the samples at cos(pi k / n), k = 0..n, read
+    by ``_cheb_read``.  ``tail`` estimates the interpolant's error: the
+    stopping figure, or at a plateau the sum of |c_k| over it, floored at
+    8 eps sum |c_k| (the samples' round-off, amplified by the Lebesgue
+    constant, below 5 at 513 points, plus the round-off of the reader).
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     n = 16
     vals = fn(mid + half * np.cos(np.pi * np.arange(n + 1) / n))
+    flat_before = False
     while True:
         ext = np.concatenate((vals, vals[-2:0:-1]))
         c = np.fft.rfft(ext).real[: n + 1] / n
         c[0] *= 0.5
         c[n] *= 0.5
+        floor = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(c)))
         tail = float(np.max(np.abs(c[(3 * n) // 4 :])))
         if tail <= tol:
-            return c, max(tail, 8.0 * np.finfo(float).eps * float(np.sum(np.abs(c))))
+            return vals, max(tail, floor)
+        j = _plateau(c)
+        if j is not None and flat_before:
+            return vals, max(float(np.sum(np.abs(c[j:]))), floor)
+        flat_before = j is not None
         if n >= 512:
             raise QuadratureError(
                 f"Chebyshev table on [{a!r}, {b!r}] did not resolve at "
@@ -672,6 +699,57 @@ def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarra
         new[1::2] = fn(mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
         vals = new
         n *= 2
+
+
+def _plateau(c: np.ndarray) -> int | None:
+    """Start of a round-off plateau of the Chebyshev coefficients ``c``.
+
+    Aurentz & Trefethen's plateau test ("Chopping a Chebyshev series", 2017)
+    at tolerance eps: with e_j = max_{k >= j} |c_k| / max |c_k|, the plateau
+    starts at the first j with e_j2 >= 3 (1 - log e_j / log eps) e_j, where
+    j2 = round(1.25 j + 5) is still a coefficient.  The factor is below 1
+    only where e_j < eps^(2/3), so coefficients still decaying, or flat above
+    that level, give None.
+    """
+    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1]
+    e = env / env[0]
+    j = np.arange(1, c.size)
+    j2 = np.rint(1.25 * j + 5.0).astype(int)
+    j, j2 = j[j2 < c.size], j2[j2 < c.size]
+    eps = np.finfo(float).eps
+    r = 3.0 * (1.0 - np.log(np.maximum(e[j], np.finfo(float).tiny)) / math.log(eps))
+    flat = np.flatnonzero(e[j2] >= r * e[j])
+    return int(j[flat[0]]) if flat.size else None
+
+
+@lru_cache(maxsize=8)
+def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points cos(pi k / n), k = 0..n, and their barycentric weights."""
+    w = np.ones(n + 1)
+    w[1::2] = -1.0
+    w[[0, n]] *= 0.5
+    return np.cos(np.pi * np.arange(n + 1) / n), w
+
+
+def _cheb_read(samples: np.ndarray, a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """The interpolant of a ``_cheb_table`` on [a, b] at the points ``t``.
+
+    The barycentric formula on the Chebyshev-Lobatto points (Berrut &
+    Trefethen, SIAM Review 46, 2004): one points x samples matrix, summed by
+    numpy, not BLAS, so reruns are bit-identical.  A point on a sample gives
+    that sample.
+    """
+    nodes, w = _lobatto(samples.size - 1)
+    x = (2.0 * t - a - b) / (b - a)
+    q = np.subtract.outer(x, nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(w, q, out=q)
+        out = np.einsum("ij,j->i", q, samples) / np.einsum("ij->i", q)
+    bad = np.isnan(out)
+    if bad.any():
+        hit = x[bad, None] == nodes
+        out[bad] = np.where(hit.any(axis=1), samples[hit.argmax(axis=1)], np.nan)
+    return out
 
 
 def _growth_rate_floor(m: int) -> float:
@@ -745,8 +823,10 @@ def bergman_normalized(
     when u_floor is 0), u_hi where e^{-y u^(2m)} falls below the truncation
     depth.  P does not depend on y, and log P is smooth in t, so each call
     tabulates it once: a Chebyshev table in t (``_cheb_table``) sized until
-    its coefficient tail is at most rel_tol / 10, usually 65 or 129
-    ``_log_P`` evaluations.  The adaptive u-integral then reads the table.
+    its coefficient tail is at most rel_tol / 10, or until the coefficients
+    level off at log P's own round-off (near 2e-13 on the mollified m = 2
+    model, so from rel_tol 1e-12 down), usually 65 or 129 ``_log_P``
+    evaluations.  The adaptive u-integral then reads the table.
     ``err_estimate`` is the integral's relative error, plus 0.5 rel_tol for
     the truncation, plus the table's tail (an absolute error of log P is a
     relative error of Kbar); ``evaluations`` counts the W-grid and profile
@@ -781,10 +861,10 @@ def bergman_normalized(
             nev[0] += ne
         return out
 
-    coef, tail = _cheb_table(log_P, t_lo, t_hi, 0.1 * cfg.rel_tol)
+    samples, tail = _cheb_table(log_P, t_lo, t_hi, 0.1 * cfg.rel_tol)
 
     def rows(t):
-        lp = np.polynomial.chebyshev.chebval((2.0 * t - t_lo - t_hi) / (t_hi - t_lo), coef)
+        lp = _cheb_read(samples, t_lo, t_hi, t)
         return (-y * np.exp(m2 * t) + lp + (2 * m2 + 2) * t)[None, :]
 
     n_init = max(14, int((t_hi - t_lo) / 0.1))

@@ -31,6 +31,7 @@ from tubekernels import quadrature
 from tubekernels.quadrature import (
     ProfileGrid,
     _bracket_root,
+    _cheb_read,
     _cheb_table,
     _inner_edge,
     _log_P,
@@ -124,16 +125,25 @@ def test_search_loops_are_capped():
 
 
 def test_bracket_root_is_elementwise():
-    # 200 monotone cubics whose roots lie left or right of their brackets:
-    # one array call must take, element by element, a scalar call's steps
+    # 200 monotone cubics whose roots lie left or right of their brackets,
+    # 50 with roots inside, 20 with roots on the first midpoint (where fn is
+    # exactly 0) and 10 with brackets already converged: one array call must
+    # take, element by element, a scalar call's steps
     rng = np.random.default_rng(20)
     n = 200
+    a = rng.uniform(-1.0, 0.0, n + 80)
+    b = a + rng.uniform(0.01, 1.0, n + 80)
+    b[-10:] = a[-10:] + 1e-15
     roots = np.concatenate(
-        [rng.uniform(-60.0, -2.0, n // 2), rng.uniform(2.0, 60.0, n // 2)]
+        [
+            rng.uniform(-60.0, -2.0, n // 2),
+            rng.uniform(2.0, 60.0, n // 2),
+            rng.uniform(a[n : n + 50], b[n : n + 50]),
+            0.5 * (a[n + 50 : n + 70] + b[n + 50 : n + 70]),
+            a[-10:],
+        ]
     )
-    slopes = rng.uniform(0.1, 10.0, n)
-    a = rng.uniform(-1.0, 0.0, n)
-    b = a + rng.uniform(0.01, 1.0, n)
+    slopes = rng.uniform(0.1, 10.0, roots.size)
 
     def cubic(x, r, k):
         d = x - r
@@ -146,11 +156,11 @@ def test_bracket_root_is_elementwise():
         seen.add(type(x))
         return cubic(x, r, k)
 
-    for i in range(n):
+    for i in range(roots.size):
         r, k = float(roots[i]), float(slopes[i])
         one = _bracket_root(lambda x: scalar_fn(x, r, k), float(a[i]), float(b[i]))
         assert type(one) is float
-        assert one == got[i]
+        assert one == got[i], i
     assert seen == {float}
     assert np.max(np.abs(got - roots)) < 1e-12
 
@@ -351,12 +361,32 @@ def test_cheb_table_tail_bounds_its_error_and_no_point_repeats():
         seen.append(t)
         return np.log(2.0 + np.sin(3.0 * t))
 
-    coef, tail = _cheb_table(fn, -1.0, 2.0, 1e-12)
+    samples, tail = _cheb_table(fn, -1.0, 2.0, 1e-12)
     pts = np.concatenate(seen)
-    assert pts.size == coef.size == np.unique(pts).size and tail <= 1e-12
+    assert pts.size == samples.size == np.unique(pts).size and tail <= 1e-12
     t = np.random.default_rng(7).uniform(-1.0, 2.0, 200)
-    err = np.abs(np.polynomial.chebyshev.chebval((2.0 * t - 1.0) / 3.0, coef) - fn(t))
+    err = np.abs(_cheb_read(samples, -1.0, 2.0, t) - fn(t))
     assert err.max() <= tail
+    # the ends are samples; reading them divides by zero, without a warning
+    ends = _cheb_read(samples, -1.0, 2.0, np.array([2.0, np.nan, -1.0]))
+    assert ends[0] == samples[0] and np.isnan(ends[1]) and ends[2] == samples[-1]
+
+
+@pytest.mark.parametrize("amp", [1e-14, 1e-12])
+def test_cheb_table_stops_on_a_noise_plateau(amp):
+    # exp(t) plus a ripple no table below 513 points resolves: the request
+    # cannot be met, so the table stops on its plateau and claims it
+    seen = []
+
+    def fn(t):
+        seen.append(t.size)
+        return np.exp(t) + amp * np.sin(3e5 * t)
+
+    samples, tail = _cheb_table(fn, -1.0, 2.0, 1e-16)
+    assert sum(seen) == samples.size <= 129
+    t = np.random.default_rng(5).uniform(-1.0, 2.0, 400)
+    err = np.abs(_cheb_read(samples, -1.0, 2.0, t) - np.exp(t)).max()
+    assert amp <= err <= tail <= 20.0 * amp
 
 
 def test_cheb_table_rejects_a_kink_at_its_cap():
@@ -383,10 +413,12 @@ def test_log_P_table_matches_direct_log_P(x, y, t_lo, tol):
         return _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m, log_drop)[0]
 
     t_hi = math.log(((log_drop + 13.0) / y) ** (1.0 / m2))
-    coef, tail = _cheb_table(lambda ts: np.array([log_P(t) for t in ts]), t_lo, t_hi, tol)
+    samples, tail = _cheb_table(
+        lambda ts: np.array([log_P(t) for t in ts]), t_lo, t_hi, tol
+    )
     assert tail <= tol
     for t in np.random.default_rng(11).uniform(t_lo, t_hi, 12):
-        got = np.polynomial.chebyshev.chebval((2.0 * t - t_lo - t_hi) / (t_hi - t_lo), coef)
+        got = _cheb_read(samples, t_lo, t_hi, np.array([t]))[0]
         assert abs(got - log_P(t)) <= 1e-11, t
 
 
@@ -402,3 +434,54 @@ def test_bergman_normalized_tabulates_log_P(monkeypatch):
     cfg = QuadratureConfig(rel_tol=1e-10)
     kv = bergman_normalized(f, BoundaryRelativePoint(0.0, 2.0**-10), cfg)
     assert 0 < calls[0] <= 129 and math.isfinite(kv.log_value)
+
+
+def test_bergman_normalized_stops_its_table_on_the_noise_plateau(monkeypatch):
+    # log P's coefficients level off near 2e-13; at 1e-13 the table stops
+    # there, as at 1e-12, and claims the plateau instead of running to 513
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _log_P(*args)
+
+    monkeypatch.setattr(quadrature, "_log_P", counted)
+    f = mollify(model_domain(2), 0.1)
+    p = BoundaryRelativePoint(0.0, 0.25)
+    tight = bergman_normalized(f, p, QuadratureConfig(rel_tol=1e-13))
+    assert calls[0] <= 257
+    loose = bergman_normalized(f, p, QuadratureConfig(rel_tol=1e-12))
+    assert abs(tight.value / loose.value - 1.0) <= tight.err_estimate
+
+
+def test_direct_pair_tabulates_log_G(monkeypatch):
+    # one Chebyshev table of log G per grid: 17, 33, 65 samples at most
+    freqs = []
+
+    class Counted(ProfileGrid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            freqs.append([])
+
+        def log_G(self, eta):
+            freqs[-1].append(np.size(eta))
+            return super().log_G(eta)
+
+    monkeypatch.setattr(quadrature, "ProfileGrid", Counted)
+    cfg = QuadratureConfig(rel_tol=1e-7)
+    direct_pair(model_domain(2), BoundaryRelativePoint(0.0, 0.25), cfg)
+    assert len(freqs) > 300
+    assert max(len(fs) for fs in freqs) <= 3
+    assert max(sum(fs) for fs in freqs) <= 65
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+def test_direct_pair_claims_cover_the_parabola_closed_forms(rel_tol):
+    f = model_domain(1)
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    for x, y in ((0.0, 0.25), (0.7, 0.8), (-0.3, 0.1), (0.2, 2.0)):
+        K, S = direct_pair(f, BoundaryRelativePoint(x, y), cfg)
+        d = y - x * x
+        k_err = abs(K.value * 4.0 * math.pi**2 * d**3 - 1.0)
+        s_err = abs(S.value * 8.0 * math.pi**2 * d**2 - 1.0)
+        assert k_err <= K.err_estimate and s_err <= S.err_estimate, (x, y)
