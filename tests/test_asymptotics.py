@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from tubekernels import asymptotics
 from tubekernels import (
     DomainError,
     L_growth,
@@ -133,6 +134,43 @@ def test_log_l_monotone_and_rate():
     assert abs(measured / expected - 1.0) <= 0.01
 
 
+def test_log_L_is_elementwise():
+    sp = PhiSpline(2, 400.0)
+    # the slope of log phi at v = 1 is below 3.2, so the search widens past [0, 1]
+    assert float(sp.deriv(1.0)) < 3.2
+    us = np.concatenate([[0.0, -0.4, -2.7, 3.2, 1e-9], np.linspace(-3.0, 3.0, 17)])
+    got = log_L(us, sp)
+    assert isinstance(got, np.ndarray) and got.shape == us.shape
+    for u, g in zip(us.tolist(), got.tolist()):
+        one = log_L(u, sp)
+        assert type(one) is float and one == g, u
+    assert log_L(us.reshape(2, -1), sp).tolist() == got.reshape(2, -1).tolist()
+
+
+def test_model_profile_pair_reads_log_L_once_per_integrand_call(monkeypatch):
+    events = []
+    real_engine, real_log_L = asymptotics.log_adaptive_multi, asymptotics.log_L
+
+    def engine(logf, *args, **kwargs):
+        def logged(s):
+            events.append(("logf", s.size))
+            return logf(s)
+
+        return real_engine(logged, *args, **kwargs)
+
+    def counted(u, phis):
+        assert isinstance(u, np.ndarray)
+        events.append(("log_L", u.size))
+        return real_log_L(u, phis)
+
+    monkeypatch.setattr(asymptotics, "log_adaptive_multi", engine)
+    monkeypatch.setattr(asymptotics, "log_L", counted)
+    lk, _ = model_profile_pair(2, 1.0, 0.7)
+    assert math.isclose(math.exp(lk), PAIR_TAU07[0], rel_tol=1e-9)
+    assert events and all(kind == "logf" for kind, _ in events[::2])
+    assert events[1::2] == [("log_L", n) for _, n in events[::2]]
+
+
 def test_phi_rate_probe_hits_growth_constant():
     measured, expected = phi_rate_probe(2)
     assert math.isclose(expected, growth_constant_a(2), rel_tol=1e-14)
@@ -202,3 +240,22 @@ def test_predict_reports_exponents_and_coefficient():
     # exponents depend only on m, not the profile shape
     pr = predict(rational_domain(3), "bergman", 0.8)
     assert pr.exponent == pb.exponent
+
+
+def test_phi_inputs_are_validated():
+    cases = [
+        (PhiSpline, (2, 0.0), "0.0"),
+        (PhiSpline, (2, -5.0), "-5.0"),
+        (PhiSpline, (2, math.nan), "nan"),
+        (PhiSpline, (2, math.inf), "inf"),
+        (PhiSpline, (2.5, 30.0), "2.5"),
+        (PhiSpline, (0, 30.0), "0"),
+        (log_phi, (1.0, -1), "-1"),
+        (log_phi, (1.0, 0), "0"),
+        (log_phi, (1.0, 2.0), "2.0"),
+        (log_phi, (math.nan, 2), "nan"),
+        (log_phi, (-math.inf, 2), "-inf"),
+    ]
+    for fn, args, bad in cases:
+        with pytest.raises(DomainError, match=f"got {bad}$"):
+            fn(*args)
