@@ -251,9 +251,13 @@ def laplace_leading(prob: LaplaceProblem, lam: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _log_exp_integral(c_fn, xi_star: float, log_drop: float = 42.0) -> float:
+# how far below its peak _log_exp_integral follows exp(-c)
+_LOG_DROP = 42.0
+
+
+def _log_exp_integral(c_fn, xi_star: float) -> float:
     """log int exp(-c(xi)) dxi for convex c with minimum 0 at xi_star."""
-    pg = ProfileGrid(c_fn, xi_star, 1.0, 1.0, log_drop=log_drop)
+    pg = ProfileGrid(c_fn, xi_star, 1.0, 1.0, log_drop=_LOG_DROP)
     return float(pg.log_G(np.array([1.0]))[0])
 
 
@@ -389,17 +393,19 @@ def model_profile_pair(
     exp(-(1 - t^(2m)) s^(2m)), so the grid extent scales with the
     degenerating rate as tau drops and the work stays bounded.  Each call
     of the integrand passes all its s nodes to one ``log_L`` call, so one
-    root search serves them all.
+    root search serves them all.  DomainError unless m is an integer >= 1,
+    g0 is finite and positive and tau lies in (0, 1].
     """
+    _check_order(m)
     cfg = cfg or QuadratureConfig(rel_tol=1e-9)
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"tau must lie in (0, 1], got {tau!r}")
-    if not (g0 > 0):
-        raise DomainError(f"g0 must be positive, got {g0!r}")
-    chart = chart or _default_chart(int(m))
-    if chart.m != int(m):
+    if not (math.isfinite(g0) and g0 > 0):
+        raise DomainError(f"g0 must be finite and positive, got {g0!r}")
+    chart = chart or _default_chart(m)
+    if chart.m != m:
         raise DomainError(f"chart is for m={chart.m}, not m={m}")
-    m2 = 2 * int(m)
+    m2 = 2 * m
     e = float(chart.core_fraction_from_tau(tau))
     t = e ** (1.0 / m2)
     eps = max(1.0 - e, 1e-12)  # s-decay rate 1 - t^(2m)

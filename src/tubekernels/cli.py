@@ -1,9 +1,12 @@
 """Command-line surface: eval, sweep, fit, predict, localize, hormander.
 
-Settings resolve as defaults <- config file <- command-line flags, and every
+Each command reads the settings ``_COMMANDS`` lists for it; its flags and
+its ``--dry-run`` plan come from that list.  Settings resolve as defaults <-
+the command's own defaults <- config file <- command-line flags, and every
 run is deterministic given the resolved settings (reruns are byte-identical).
 The config file is INI-style with sections [domain], [quadrature],
-[experiment], [output]; unknown sections or keys are errors.
+[experiment], [output]; unknown sections or keys are errors, and keys the
+command does not read are ignored.
 
 CSV output follows the fixed schema
 ``kind,m,tau,rho,x,y,log_value,value,err_estimate,evaluations,status``
@@ -41,6 +44,7 @@ from .experiments import (
     ApproachPath,
     _hormander_limit,
     blowup_exponent,
+    default_rho_grid,
     evaluate_path,
     fit_exponent,
     localization_experiment,
@@ -76,14 +80,15 @@ _SETTINGS = {
     },
     "output": {"csv": (str, None), "plot_script": (str, None)},
 }
+_SECTION = {key: section for section, keys in _SETTINGS.items() for key in keys}
+_KINDS = ("bergman", "szego")
 
 
 @dataclass
 class RunConfig:
-    """Resolved settings plus the set of keys that were set explicitly."""
+    """Resolved values of the settings one command reads."""
 
     values: dict
-    explicit: set
 
     def __getattr__(self, key):
         try:
@@ -91,12 +96,9 @@ class RunConfig:
         except KeyError:
             raise AttributeError(key) from None
 
-    def quadrature(self, default_rel_tol: float | None = None) -> QuadratureConfig:
-        rel = self.values["rel_tol"]
-        if default_rel_tol is not None and "rel_tol" not in self.explicit:
-            rel = default_rel_tol
+    def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(
-            rel_tol=rel,
+            rel_tol=self.values["rel_tol"],
             max_depth=self.values["max_depth"],
             truncation_drop=self.values["truncation_drop"],
         )
@@ -108,7 +110,7 @@ class RunConfig:
         r = self.values["rho_ratio"]
         if not (0 < r < 1):
             raise DomainError("rho_ratio must lie in (0, 1)")
-        return self.values["rho_start"] * r ** np.arange(n)
+        return default_rho_grid(n, self.values["rho_start"], r)
 
 
 def _load_config_file(path: str) -> dict:
@@ -133,20 +135,22 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = {key: d for keys in _SETTINGS.values() for key, (_, d) in keys.items()}
-    explicit = set()
-    if getattr(args, "config", None):
+    """The settings ``args.command`` reads, resolved in precedence order."""
+    _, _, reads, own = _COMMANDS[args.command]
+    values = {key: _SETTINGS[_SECTION[key]][key][1] for key in ["spec", *reads.split()]}
+    values.update(own)
+    if args.config:
         file_vals = _load_config_file(args.config)
-        values.update(file_vals)
-        explicit.update(file_vals)
+        values.update((key, v) for key, v in file_vals.items() if key in values)
     for key in values:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-            explicit.add(key)
+    if values.get("kind", "bergman") not in _KINDS:
+        raise DomainError(f"kind must be one of {_KINDS}, got {values['kind']!r}")
     if values.get("plot_script") is not None and values.get("csv") is None:
         raise DomainError("--plot-script needs --csv (the script reads the CSV)")
-    return RunConfig(values=values, explicit=explicit)
+    return RunConfig(values)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +240,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_csv(rows: list[list], path: str | None) -> None:
-    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
 """Log-log view of a kernel sweep CSV (generated; edit freely)."""
 import csv
@@ -276,11 +272,17 @@ print("wrote", out)
 '''
 
 
-def _emit_plot_script(cfg: RunConfig) -> None:
-    if cfg.plot_script is None:
-        return
-    with open(cfg.plot_script, "w") as fh:
-        fh.write(_PLOT_TEMPLATE.format(csv_path=cfg.csv))
+def _emit_csv(rows: list[list], cfg: RunConfig) -> None:
+    """The rows to ``cfg.csv`` (stdout when unset), then the plot script if set."""
+    path = cfg.csv
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    if cfg.plot_script is not None:
+        with open(cfg.plot_script, "w") as fh:
+            fh.write(_PLOT_TEMPLATE.format(csv_path=path))
 
 
 def _kernel_row(kind, f, tau, rho, x, y, kv, status) -> list:
@@ -292,13 +294,19 @@ def _kernel_row(kind, f, tau, rho, x, y, kv, status) -> list:
     ]
 
 
-def _plan(cfg: RunConfig, command: str, f: DefiningFunction, extra: str = "") -> None:
-    print(
-        f"plan: command={command} domain={f.label} m={f.m} kind={cfg.kind} "
-        f"rel_tol={cfg.values['rel_tol']!r} "
-        f"csv={cfg.csv or '-'} plot_script={cfg.plot_script or '-'}"
-        + (f" {extra}" if extra else "")
+# settings a --dry-run plan shows, in this order, when the command reads them;
+# the quadrature limits, the rho spacing and the pass/fail tolerances stay out
+_PLAN_KEYS = ("kind", "rel_tol", "csv", "plot_script", "x", "y", "x0", "delta", "tau",
+              "n_points", "window")
+
+
+def _plan(cfg: RunConfig, command: str, f: DefiningFunction) -> None:
+    shown = " ".join(
+        f"{'points' if key == 'n_points' else key}={_fmt(cfg.values[key]) or '-'}"
+        for key in _PLAN_KEYS
+        if key in cfg.values
     )
+    print(f"plan: command={command} domain={f.label} m={f.m} {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +319,7 @@ def cmd_eval(cfg: RunConfig, dry_run: bool) -> int:
     chart = BlowupChart(f.m)
     p = BoundaryRelativePoint(cfg.x, cfg.y)
     if dry_run:
-        _plan(cfg, "eval", f, extra=f"x={cfg.x!r} y={cfg.y!r}")
+        _plan(cfg, "eval", f)
         return 0
     q = to_polar(f, chart, p)
     K, S = direct_pair(f, p, cfg.quadrature())
@@ -322,14 +330,13 @@ def cmd_eval(cfg: RunConfig, dry_run: bool) -> int:
         f"err_estimate={kv.err_estimate!r} evaluations={kv.evaluations}"
     )
     if cfg.csv is not None:
-        _emit_csv([_kernel_row(cfg.kind, f, q.tau, q.rho, p.x, p.y, kv, "ok")], cfg.csv)
-        _emit_plot_script(cfg)
+        _emit_csv([_kernel_row(cfg.kind, f, q.tau, q.rho, p.x, p.y, kv, "ok")], cfg)
     return 0
 
 
-def _sweep_rows(cfg: RunConfig, f, chart, qcfg) -> tuple[list, list]:
+def _sweep_rows(cfg: RunConfig, f, chart) -> tuple[list, list]:
     path = ApproachPath("fixed_tau", {"tau": cfg.tau}, cfg.rho_grid())
-    results = evaluate_path(f, path, qcfg, chart)
+    results = evaluate_path(f, path, cfg.quadrature(), chart)
     rows = [
         _kernel_row(cfg.kind, f, cfg.tau, r["rho"], r["x"], r["y"], r[cfg.kind], r["status"])
         for r in results
@@ -341,12 +348,10 @@ def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
     if dry_run:
-        _plan(cfg, "sweep", f,
-              extra=f"tau={cfg.tau!r} points={cfg.values['n_points']}")
+        _plan(cfg, "sweep", f)
         return 0
-    rows, results = _sweep_rows(cfg, f, chart, cfg.quadrature())
-    _emit_csv(rows, cfg.csv)
-    _emit_plot_script(cfg)
+    rows, results = _sweep_rows(cfg, f, chart)
+    _emit_csv(rows, cfg)
     n_ok = sum(1 for r in results if r["status"] == "ok")
     if cfg.csv is not None:
         print(f"sweep: {n_ok}/{len(results)} points converged -> {cfg.csv}")
@@ -359,13 +364,11 @@ def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
     if dry_run:
-        _plan(cfg, "fit", f,
-              extra=f"tau={cfg.tau!r} points={cfg.values['n_points']} window={cfg.window}")
+        _plan(cfg, "fit", f)
         return 0
-    rows, results = _sweep_rows(cfg, f, chart, cfg.quadrature())
+    rows, results = _sweep_rows(cfg, f, chart)
     if cfg.csv is not None:
-        _emit_csv(rows, cfg.csv)
-        _emit_plot_script(cfg)
+        _emit_csv(rows, cfg)
     good = [(r["rho"], r[cfg.kind]) for r in results if r["status"] == "ok"]
     if len(good) < max(cfg.window, 6):
         raise QuadratureError(
@@ -389,7 +392,7 @@ def cmd_predict(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
     if dry_run:
-        _plan(cfg, "predict", f, extra=f"tau={cfg.tau!r}")
+        _plan(cfg, "predict", f)
         return 0
     pred = predict(f, cfg.kind, cfg.tau, chart)
     print(f"exponent={pred.exponent}, c0={pred.c0_tau:.6e}")
@@ -407,19 +410,11 @@ def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
     f2 = damp_tails(f1, cfg.delta)
     chart = BlowupChart(f1.m)
     if dry_run:
-        _plan(cfg, "localize", f1,
-              extra=f"delta={cfg.delta!r} tau={cfg.tau!r} points={cfg.values['n_points']}")
+        _plan(cfg, "localize", f1)
         return 0
-    n = cfg.values["n_points"]
-    if "n_points" not in cfg.explicit:
-        n = 11  # default grid to 2^-10: deep enough to flatten, still resolvable
-    grid = cfg.values["rho_start"] * cfg.values["rho_ratio"] ** np.arange(n)
-    path = ApproachPath("fixed_tau", {"tau": cfg.tau}, grid)
-    # resolving K1 - K2 under a rho^(-5/2) blow-up needs headroom: default to
-    # a tighter tolerance than the global one unless the user chose
-    qcfg = cfg.quadrature(default_rel_tol=1e-10)
+    path = ApproachPath("fixed_tau", {"tau": cfg.tau}, cfg.rho_grid())
     report = localization_experiment(
-        f1, f2, path, qcfg, chart=chart, agreement_radius=cfg.delta,
+        f1, f2, path, cfg.quadrature(), chart=chart, agreement_radius=cfg.delta,
         slope_rel_tol=cfg.fit_tol, bounded_slope_floor=cfg.bounded_floor,
         window_policy=f"trailing:{cfg.window}",
     )
@@ -434,8 +429,7 @@ def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
             else:
                 rows.append(["bergman", f1.m, cfg.tau, p["rho"], p["x"], p["y"],
                              None, None, None, None, p["status"]])
-        _emit_csv(rows, cfg.csv)
-        _emit_plot_script(cfg)
+        _emit_csv(rows, cfg)
     bounded = report.get("bounded", False)
     print(f"difference bounded: {'PASS' if bounded else 'FAIL'}")
     if report.get("fit_diff"):
@@ -454,7 +448,7 @@ def cmd_hormander(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
     if dry_run:
-        _plan(cfg, "hormander", f, extra=f"x0={cfg.x0!r}")
+        _plan(cfg, "hormander", f)
         return 0
     series, measured, predicted = _hormander_limit(f, cfg.x0, cfg.quadrature())
     ratio = measured / predicted
@@ -464,8 +458,7 @@ def cmd_hormander(cfg: RunConfig, dry_run: bool) -> int:
             q = to_polar(f, chart, BoundaryRelativePoint(rec["x"], rec["y"]))
             rows.append(_kernel_row("bergman", f, q.tau, rec["eps"], rec["x"], rec["y"],
                                     rec["bergman"], "ok"))
-        _emit_csv(rows, cfg.csv)
-        _emit_plot_script(cfg)
+        _emit_csv(rows, cfg)
     ok = abs(ratio - 1.0) <= cfg.ratio_tol
     print(
         f"measured={measured:.6e} predicted={predicted:.6e} ratio={ratio:.6f} "
@@ -479,25 +472,26 @@ def cmd_hormander(cfg: RunConfig, dry_run: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config file; flags override it")
-    sub.add_argument("--domain", dest="spec", help="domain spec, e.g. model:m=2,g0=1")
-    sub.add_argument("--kind", choices=["bergman", "szego"])
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sub.add_argument("--max-depth", dest="max_depth", type=int)
-    sub.add_argument("--truncation-drop", dest="truncation_drop", type=float)
-    sub.add_argument("--csv", help="write CSV here (eval/sweep/fit/localize/hormander)")
-    sub.add_argument("--plot-script",
-                     dest="plot_script", help="emit a plotting script for the CSV")
-    sub.add_argument("--dry-run", action="store_true",
-                     help="validate config and print the plan; no integrals")
+_PATH = " tau rho_start rho_ratio n_points"
+# settings of every command that integrates the kernels and can write a CSV
+_KERNELS = " rel_tol max_depth truncation_drop csv plot_script"
 
-
-def _add_grid(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rho-start", dest="rho_start", type=float)
-    sub.add_argument("--rho-ratio", dest="rho_ratio", type=float)
-    sub.add_argument("--n-points", dest="n_points", type=int)
-    sub.add_argument("--window", type=int)
+# command -> (function, help, settings it reads besides spec, its own defaults)
+_COMMANDS = {
+    "eval": (cmd_eval, "kernel at one interior point", "kind x y" + _KERNELS, {}),
+    "sweep": (cmd_sweep, "kernel along a fixed-tau path, CSV out",
+              "kind" + _PATH + _KERNELS, {}),
+    "fit": (cmd_fit, "blow-up exponent fit on a fixed-tau path",
+            "kind window fit_tol" + _PATH + _KERNELS, {}),
+    "predict": (cmd_predict, "expected exponent and model coefficient", "kind tau", {}),
+    # resolving K1 - K2 under a rho^(-5/2) blow-up needs a tighter tolerance,
+    # and a grid to 2^-10 is deep enough to flatten, still resolvable
+    "localize": (cmd_localize, "kernel difference of two locally equal domains",
+                 "kind delta window fit_tol bounded_floor" + _PATH + _KERNELS,
+                 {"rel_tol": 1e-10, "n_points": 11}),
+    "hormander": (cmd_hormander, "distance limit at a strictly pseudoconvex point",
+                  "x0 ratio_tol" + _KERNELS, {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,56 +500,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bergman and Szego kernel asymptotics on tube domains over R^2",
     )
     subs = ap.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("eval", help="kernel at one interior point")
-    _add_common(s)
-    s.add_argument("--x", type=float)
-    s.add_argument("--y", type=float)
-    s.set_defaults(func=cmd_eval)
-
-    s = subs.add_parser("sweep", help="kernel along a fixed-tau path, CSV out")
-    _add_common(s)
-    _add_grid(s)
-    s.add_argument("--tau", type=float)
-    s.set_defaults(func=cmd_sweep)
-
-    s = subs.add_parser("fit", help="blow-up exponent fit on a fixed-tau path")
-    _add_common(s)
-    _add_grid(s)
-    s.add_argument("--tau", type=float)
-    s.add_argument("--fit-tol", dest="fit_tol", type=float)
-    s.set_defaults(func=cmd_fit)
-
-    s = subs.add_parser("predict", help="expected exponent and model coefficient")
-    _add_common(s)
-    s.add_argument("--tau", type=float)
-    s.set_defaults(func=cmd_predict)
-
-    s = subs.add_parser("localize", help="kernel difference of two locally equal domains")
-    _add_common(s)
-    _add_grid(s)
-    s.add_argument("--tau", type=float)
-    s.add_argument("--delta", type=float,
-                   help="agreement radius; tails are damped beyond it")
-    s.add_argument("--fit-tol", dest="fit_tol", type=float)
-    s.add_argument("--bounded-floor", dest="bounded_floor", type=float)
-    s.set_defaults(func=cmd_localize)
-
-    s = subs.add_parser("hormander", help="distance limit at a strictly pseudoconvex point")
-    _add_common(s)
-    s.add_argument("--x0", type=float)
-    s.add_argument("--ratio-tol", dest="ratio_tol", type=float)
-    s.set_defaults(func=cmd_hormander)
-
+    for name, (_, help_text, reads, own) in _COMMANDS.items():
+        s = subs.add_parser(name, help=help_text)
+        s.add_argument("--config", help="INI config file; flags override it")
+        s.add_argument("--domain", dest="spec", help="domain spec, e.g. model:m=2,g0=1")
+        for key in reads.split():
+            caster, default = _SETTINGS[_SECTION[key]][key]
+            s.add_argument(
+                "--" + key.replace("_", "-"), type=caster,
+                choices=_KINDS if key == "kind" else None,
+                help=f"[{_SECTION[key]}] {key}, default {own.get(key, default)!r}",
+            )
+        s.add_argument("--dry-run", action="store_true",
+                       help="validate config and print the plan; no integrals")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return args.func(cfg, args.dry_run)
+        return _COMMANDS[args.command][0](cfg, args.dry_run)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -618,6 +618,10 @@ def direct_pair(
 # ---------------------------------------------------------------------------
 
 
+# _WGrid ends where the lower phase bound GLO w^(2m) - v_max w first reaches this
+_W_DROP = 45.0
+
+
 class _WGrid:
     """Fixed grid for phi(v, X) = int exp(-ghat(X w) w^(2m) + v w) dw.
 
@@ -628,11 +632,11 @@ class _WGrid:
 
     GLO = 0.85
 
-    def __init__(self, ghat, X, v_max, m2, drop=45.0):
+    def __init__(self, ghat, X, v_max, m2):
         glo = self.GLO
         wstar = (v_max / (m2 * glo)) ** (1.0 / (m2 - 1))
         w = wstar
-        while glo * w**m2 - v_max * w < drop:
+        while glo * w**m2 - v_max * w < _W_DROP:
             if w > 1e30:
                 raise QuadratureError(f"W-grid extent unbounded for v_max = {v_max!r}")
             w *= 1.12

@@ -223,6 +223,14 @@ def test_model_profile_validation():
         model_profile_pair(2, 1.0, 1.2)
     with pytest.raises(DomainError):
         model_profile_pair(2, -1.0, 0.5)
+    # the chart, the spline and the prefactor all need an integer order m
+    for args in [(2.5, 1.0, 0.7), (2.5, 2.0, 0.7), (0, 1.0, 0.7)]:
+        with pytest.raises(DomainError, match="m must be an integer"):
+            model_profile_pair(*args)
+    # an infinite or NaN g0 has no model profile
+    for g0 in [math.inf, math.nan]:
+        with pytest.raises(DomainError, match="g0 must be finite"):
+            model_profile_pair(2, g0, 0.7)
 
 
 def test_predict_reports_exponents_and_coefficient():

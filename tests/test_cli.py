@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
+from tubekernels import QuadratureConfig, cli
 from tubekernels.cli import CSV_HEADER, main, parse_domain
 
 
@@ -138,6 +140,11 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     rc, _, err = run(capsys, "sweep", "--config", str(removed_alpha), "--dry-run")
     assert rc == 2 and "unknown key" in err and "alpha" in err
 
+    bad_kind = tmp_path / "h.ini"
+    bad_kind.write_text("[experiment]\nkind = hardy\n")
+    rc, _, err = run(capsys, "eval", "--config", str(bad_kind), "--dry-run")
+    assert rc == 2 and "hardy" in err
+
     removed_section = tmp_path / "c.ini"
     removed_section.write_text("[chart]\nlayer_profile = composed\n")
     rc, _, err = run(capsys, "eval", "--config", str(removed_section), "--dry-run")
@@ -151,6 +158,11 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
         ["eval", "--scaling", "direct"],
         ["eval", "--abs-tol", "1e-30"],
         ["eval", "--layer-profile", "composed"],
+        # flags of settings the command does not read
+        ["predict", "--rel-tol", "1e-3"],
+        ["predict", "--csv", "p.csv"],
+        ["sweep", "--window", "3"],
+        ["hormander", "--kind", "szego"],
     ],
 )
 def test_removed_flags_exit_2(argv):
@@ -167,10 +179,17 @@ def test_localize_rejects_szego(capsys):
     assert "localize compares Bergman kernels" in err
 
 
-def test_plot_script_requires_csv(capsys):
+def test_plot_script_requires_csv(capsys, tmp_path):
     rc, _, err = run(capsys, "eval", "--domain", "model:m=1", "--plot-script", "p.py")
     assert rc == 2
     assert "--csv" in err
+    # predict writes no file, so it does not read [output] and cannot fail on it
+    ini = tmp_path / "out.ini"
+    ini.write_text("[output]\nplot_script = p.py\n")
+    rc, _, err = run(capsys, "eval", "--config", str(ini), "--dry-run")
+    assert rc == 2 and "--csv" in err
+    rc, out, _ = run(capsys, "predict", "--config", str(ini), "--dry-run")
+    assert rc == 0 and "plot_script" not in out
 
 
 def test_eval_csv_and_plot_script(capsys, tmp_path):
@@ -241,3 +260,75 @@ def test_localize_and_hormander_dry_runs(capsys):
         capsys, "hormander", "--domain", "model:m=2", "--x0", "1.0", "--dry-run",
     )
     assert rc == 0 and out.startswith("plan: command=hormander")
+
+
+# default --dry-run lines: each shows only settings its command reads
+_PLANS = {
+    "eval": "kind=bergman rel_tol=1e-08 csv=- plot_script=- x=0.0 y=1.0",
+    "sweep": "kind=bergman rel_tol=1e-08 csv=- plot_script=- tau=1.0 points=15",
+    "fit": "kind=bergman rel_tol=1e-08 csv=- plot_script=- tau=1.0 points=15 window=6",
+    "predict": "kind=bergman tau=1.0",
+    "localize": "kind=bergman rel_tol=1e-10 csv=- plot_script=- "
+                "delta=0.5 tau=1.0 points=11 window=6",
+    "hormander": "rel_tol=1e-08 csv=- plot_script=- x0=1.0",
+}
+
+
+@pytest.mark.parametrize("command", list(_PLANS))
+def test_default_dry_run_lines(capsys, command):
+    rc, out, _ = run(capsys, command, "--dry-run")
+    assert rc == 0
+    assert out == f"plan: command={command} domain=model(m=2,g0=1) m=2 {_PLANS[command]}\n"
+
+
+def _localize_call(monkeypatch, capsys, *argv):
+    seen = {}
+
+    def fake(f1, f2, path, cfg, **kwargs):
+        seen.update(cfg=cfg, grid=path.rho_grid)
+        return {"passed": True, "bounded": True}
+
+    monkeypatch.setattr(cli, "localization_experiment", fake)
+    rc, out, _ = run(capsys, "localize", "--domain", "model:m=2", *argv)
+    assert rc == 0 and "difference bounded: PASS" in out
+    return seen["cfg"], seen["grid"]
+
+
+def test_localize_command_defaults(monkeypatch, capsys, tmp_path):
+    cfg, grid = _localize_call(monkeypatch, capsys)
+    assert cfg == QuadratureConfig(rel_tol=1e-10, max_depth=60, truncation_drop=1e-16)
+    np.testing.assert_array_equal(grid, 0.5 ** np.arange(11))
+
+    ini = tmp_path / "loc.ini"
+    ini.write_text("[quadrature]\nrel_tol = 1e-7\n")
+    cfg, grid = _localize_call(monkeypatch, capsys, "--config", str(ini))
+    assert cfg.rel_tol == 1e-7 and grid.size == 11
+
+    cfg, grid = _localize_call(monkeypatch, capsys, "--n-points", "15", "--rho-start", "0.8")
+    assert cfg.rel_tol == 1e-10
+    np.testing.assert_array_equal(grid, 0.8 * 0.5 ** np.arange(15))
+
+
+_QUAD_OUT = {"--rel-tol", "--max-depth", "--truncation-drop", "--csv", "--plot-script"}
+_PATH = {"--tau", "--rho-start", "--rho-ratio", "--n-points"}
+
+
+def test_each_command_offers_exactly_the_settings_it_reads():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    expected = {
+        "eval": {"--kind", "--x", "--y"} | _QUAD_OUT,
+        "sweep": {"--kind"} | _PATH | _QUAD_OUT,
+        "fit": {"--kind", "--window", "--fit-tol"} | _PATH | _QUAD_OUT,
+        "predict": {"--kind", "--tau"},
+        "localize": {"--kind", "--delta", "--window", "--fit-tol", "--bounded-floor"}
+        | _PATH | _QUAD_OUT,
+        "hormander": {"--x0", "--ratio-tol"} | _QUAD_OUT,
+    }
+    assert set(subparsers) == set(expected)
+    for name, sub in subparsers.items():
+        flags = {o for a in sub._actions for o in a.option_strings}
+        common = {"-h", "--help", "--config", "--domain", "--dry-run"}
+        assert flags == expected[name] | common, name
+    # every setting is read by some command
+    read = {"spec"} | {k for _, _, reads, _ in cli._COMMANDS.values() for k in reads.split()}
+    assert read == {k for keys in cli._SETTINGS.values() for k in keys}

@@ -1,15 +1,20 @@
-"""Package surface: every exported name exists, and the benchmark's tracer
-can still wrap the entry points it measures."""
+"""Package surface: every exported name exists, the benchmark's tracer
+can still wrap the entry points it measures, and every demo still imports."""
 
 from __future__ import annotations
 
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import tubekernels
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_all_names_resolve():
@@ -33,7 +38,7 @@ def _two_gaussians(x):
 def test_bench_tracer_installs(monkeypatch):
     # bench/tracing.py patches names and signatures of this package from
     # outside; a rename here must fail a test, not only the benchmark
-    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    bench = ROOT / "bench"
     monkeypatch.syspath_prepend(str(bench))
     tracing = importlib.import_module("tracing")
     before = _module_bindings()
@@ -61,3 +66,16 @@ def test_bench_tracer_installs(monkeypatch):
     assert tubekernels.quadrature.direct_pair is original
     after = _module_bindings()
     assert all(after[k] is v for k, v in before.items())
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_help_runs(demo):
+    # demos import from the package, private names included; --help runs
+    # every import without computing anything
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo), "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
