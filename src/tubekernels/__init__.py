@@ -10,20 +10,16 @@ distance limit.
 
 from .asymptotics import (
     ExpansionPrediction,
-    L_growth,
-    LaplaceProblem,
     PhiSpline,
     alpha_critical,
     beta_critical,
     growth_constant_a,
-    laplace_leading,
     log_L,
     log_phi,
     model_phi,
     model_profile_pair,
     phase_p,
     phase_q,
-    phi_l_growth,
     phi_rate_probe,
     L_rate_probe,
     predict,
@@ -31,7 +27,6 @@ from .asymptotics import (
 from .blowup import (
     BlowupChart,
     PolarPoint,
-    admissible_region_test,
     from_polar,
     to_polar,
 )
@@ -52,7 +47,6 @@ from .domain_model import (
 from .experiments import (
     ApproachPath,
     FitResult,
-    admissible_coefficient_sweep,
     blowup_exponent,
     default_rho_grid,
     evaluate_path,
@@ -94,7 +88,6 @@ __all__ = [
     "BlowupChart",
     "to_polar",
     "from_polar",
-    "admissible_region_test",
     # quadrature
     "QuadratureError",
     "QuadratureConfig",
@@ -108,10 +101,6 @@ __all__ = [
     "beta_critical",
     "phase_p",
     "phase_q",
-    "phi_l_growth",
-    "L_growth",
-    "LaplaceProblem",
-    "laplace_leading",
     "log_phi",
     "PhiSpline",
     "log_L",
@@ -133,5 +122,4 @@ __all__ = [
     "hormander_series",
     "hormander_check",
     "localization_experiment",
-    "admissible_coefficient_sweep",
 ]

@@ -1,4 +1,4 @@
-"""Laplace-method estimates, growth laws, and the model boundary profile.
+"""Growth constants, measured growth, and the model boundary profile.
 
 The chain runs: phi(v) = int exp(-w^(2m) + v w) dw grows like
 v^((1-m)/(2m-1)) exp(a v^(2m/(2m-1))); its reciprocal feeds
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .blowup import BlowupChart
-from .domain_model import DefiningFunction, DomainError
+from .domain_model import DefiningFunction, DomainError, _check_order
 from .experiments import blowup_exponent
 from .quadrature import (
     ProfileGrid,
@@ -31,11 +31,7 @@ from .quadrature import (
 )
 
 __all__ = [
-    "LaplaceProblem",
     "ExpansionPrediction",
-    "laplace_leading",
-    "phi_l_growth",
-    "L_growth",
     "alpha_critical",
     "growth_constant_a",
     "beta_critical",
@@ -57,6 +53,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class LaplaceProblem:
+    """The phase p of a Laplace integral int exp(-lambda p(t)) dt."""
+
+    phase: Callable
+
+
 def alpha_critical(m: int) -> float:
     """Interior minimum of p(t) = t^(2m) - t."""
     return (2 * m) ** (-1.0 / (2 * m - 1))
@@ -73,177 +76,17 @@ def beta_critical(m: int) -> float:
     return (2 * m - 1) / (2 * m * growth_constant_a(m))
 
 
-def phase_p(m: int) -> "LaplaceProblem":
-    """p(t) = t^(2m) - t with its critical point, as a LaplaceProblem."""
+def phase_p(m: int) -> LaplaceProblem:
+    """p(t) = t^(2m) - t, whose minimum sits at alpha_critical(m)."""
     m2 = 2 * m
-    return LaplaceProblem(
-        phase=lambda t: t**m2 - t,
-        amplitude=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        critical_point=alpha_critical(m),
-        domain=(0.0, math.inf),
-    )
+    return LaplaceProblem(phase=lambda t: t**m2 - t)
 
 
-def phase_q(m: int) -> "LaplaceProblem":
-    """q(t) = a t^(2m) - t^(2m-1); -q has an interior minimum at beta."""
+def phase_q(m: int) -> LaplaceProblem:
+    """-q(t) for q(t) = a t^(2m) - t^(2m-1); its minimum sits at beta_critical(m)."""
     m2 = 2 * m
     a = growth_constant_a(m)
-    return LaplaceProblem(
-        phase=lambda t: -(a * t**m2 - t ** (m2 - 1)),
-        amplitude=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        critical_point=beta_critical(m),
-        domain=(0.0, math.inf),
-    )
-
-
-def phi_l_growth(m: int, l: int) -> tuple[Fraction, float]:
-    """Growth law of the l-th v-derivative of phi:
-
-        phi_l(v) ~ const * v^power * exp(a v^(2m/(2m-1))),
-        power = (1 - m + l)/(2m - 1).
-
-    Returns (power as an exact rational, a).
-    """
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise DomainError(f"m must be an integer >= 2, got {m!r}")
-    if not (isinstance(l, (int, np.integer)) and l >= 0):
-        raise DomainError(f"l must be an integer >= 0, got {l!r}")
-    return Fraction(1 - int(m) + int(l), 2 * int(m) - 1), growth_constant_a(int(m))
-
-
-def L_growth(m: int, n: int) -> tuple[Fraction, bool]:
-    """Growth law of L_A(u) = int A(v) e^(uv) dv for amplitude profiles
-    A(v) ~ v^(n/(2m-1)) exp(-a v^(2m/(2m-1))):
-
-        L_A(u) ~ const * u^(m-1+n) * exp(u^(2m)).
-
-    Returns (power as an exact rational, True) - the True records that the
-    exponential rate is exactly u^(2m) with coefficient one.  The reciprocal
-    1/phi has n = m - 1, so the kernel's L carries power 2m - 2.
-    """
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise DomainError(f"m must be an integer >= 2, got {m!r}")
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    return Fraction(int(m) - 1 + int(n)), True
-
-
-# ---------------------------------------------------------------------------
-# interior-minimum Laplace estimates
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LaplaceProblem:
-    """int A(t) exp(-lambda p(t)) dt with an interior minimum of p.
-
-    ``critical_point`` may be None, in which case :func:`laplace_leading`
-    locates it by grid scan plus derivative bisection.
-    """
-
-    phase: Callable
-    amplitude: Callable
-    critical_point: float | None
-    domain: tuple[float, float]
-
-
-def _locate_minimum(p: Callable, lo: float, hi: float) -> float:
-    s_lo = max(lo, -50.0)
-    s_hi = min(hi, 50.0)
-    grid = np.linspace(s_lo, s_hi, 2001)
-    vals = np.array([p(t) for t in grid])
-    i = int(np.argmin(vals))
-    if i == 0 or i == grid.size - 1:
-        raise DomainError("critical-point search failed: minimum sits on the scan edge")
-    a, b = grid[i - 1], grid[i + 1]
-    h = 1e-7 * (1.0 + abs(grid[i]))
-    dp = lambda t: (p(t + h) - p(t - h)) / (2 * h)
-    da, db = dp(a), dp(b)
-    if not (da < 0 < db):
-        return float(grid[i])
-    return _bracket_root(dp, a, b)
-
-
-def laplace_leading(prob: LaplaceProblem, lam: float) -> tuple[float, float]:
-    """Leading interior-minimum Laplace estimate of
-    int_domain A(t) e^(-lam p(t)) dt.
-
-    Returns (log of A(t*) sqrt(2 pi/(lam p''(t*))) e^(-lam p(t*)),
-    relative size of the first correction term), the latter from
-    fourth-derivative and amplitude-curvature data by finite differences.
-    """
-    if not (lam > 0):
-        raise DomainError(f"large parameter must be positive, got {lam!r}")
-    p, A = prob.phase, prob.amplitude
-    lo, hi = prob.domain
-    t0 = prob.critical_point
-    if t0 is None:
-        t0 = _locate_minimum(p, lo, hi)
-    t0 = float(t0)
-    if not (lo < t0 < hi):
-        raise DomainError(f"critical point {t0!r} is not interior to {prob.domain!r}")
-
-    h0 = 0.05 * (1.0 + abs(t0))
-    p2 = (p(t0 + h0) - 2.0 * p(t0) + p(t0 - h0)) / h0**2
-    if not (p2 > 0):
-        raise DomainError("phase is not convex at the critical point")
-    margin = min(t0 - lo, hi - t0)
-
-    # Newton on the centered difference refines any seed to the stencil's own
-    # stationary point.  The locator step must shrink with the peak width
-    # 1/sqrt(lam p''): its O(h^2 p''') offset from the true minimum enters the
-    # result as lam p'' offset^2, which stays below the 1/lam correction only
-    # for h of that scale.
-    h_loc = min(0.5 / math.sqrt(max(lam, 1.0) * p2), 0.3 / math.sqrt(p2), margin / 2.2)
-    h_loc = max(h_loc, 3e-6 * (1.0 + abs(t0)))
-    t_c = t0
-    for _ in range(40):
-        d1 = (p(t_c + h_loc) - p(t_c - h_loc)) / (2 * h_loc)
-        d2 = (p(t_c + h_loc) - 2.0 * p(t_c) + p(t_c - h_loc)) / h_loc**2
-        if not (d2 > 0):
-            raise DomainError("phase is not convex at the critical point")
-        step = max(-margin / 3.0, min(margin / 3.0, -d1 / d2))
-        if not (lo < t_c + step < hi):
-            break
-        t_c += step
-        if abs(step) < 1e-13 * (1.0 + abs(t_c)):
-            break
-    margin = min(t_c - lo, hi - t_c)
-    resid = (p(t_c + h_loc) - p(t_c - h_loc)) / (2 * h_loc)
-
-    # smooth-derivative stencils do not need the lam scaling
-    h = min(0.3 / math.sqrt(p2), margin / 2.2, 10.0 * h0)
-    ts = t_c + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    pv = np.array([p(t) for t in ts])
-    p2 = (-pv[0] + 16 * pv[1] - 30 * pv[2] + 16 * pv[3] - pv[4]) / (12 * h**2)
-    p3 = (pv[4] - 2 * pv[3] + 2 * pv[1] - pv[0]) / (2 * h**3)
-    p4 = (pv[4] - 4 * pv[3] + 6 * pv[2] - 4 * pv[1] + pv[0]) / h**4
-    if not (p2 > 0):
-        raise DomainError("phase is not convex at the critical point")
-    if abs(resid) > 1e-5 * max(1.0, p2 * h_loc):
-        raise DomainError(
-            f"critical-point search failed: residual p'({t_c:g}) = {resid:.3e}"
-        )
-    if 5.0 / math.sqrt(lam * p2) > margin:
-        raise DomainError(
-            "critical point too close to the domain boundary for an interior estimate"
-        )
-    t0 = t_c
-
-    A0 = float(A(t0))
-    if not (A0 > 0):
-        raise DomainError("amplitude must be positive at the critical point")
-    A1 = (float(A(t0 + h)) - float(A(t0 - h))) / (2 * h)
-    A2 = (float(A(t0 + h)) - 2 * A0 + float(A(t0 - h))) / h**2
-
-    log_value = math.log(A0) - lam * float(p(t0)) + 0.5 * math.log(2 * math.pi / (lam * p2))
-    c1 = (
-        A2 / (2 * A0 * p2)
-        - (A1 / A0) * p3 / (2 * p2**2)
-        + 5 * p3**2 / (24 * p2**3)
-        - p4 / (8 * p2**2)
-    )
-    return log_value, abs(c1) / lam
+    return LaplaceProblem(phase=lambda t: -(a * t**m2 - t ** (m2 - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +102,6 @@ def _log_exp_integral(c_fn, xi_star: float) -> float:
     """log int exp(-c(xi)) dxi for convex c with minimum 0 at xi_star."""
     pg = ProfileGrid(c_fn, xi_star, 1.0, 1.0, log_drop=_LOG_DROP)
     return float(pg.log_G(np.array([1.0]))[0])
-
-
-def _check_order(m) -> None:
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise DomainError(f"m must be an integer >= 1, got {m!r}")
 
 
 def log_phi(v: float, m: int) -> float:

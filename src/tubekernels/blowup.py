@@ -18,7 +18,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError, _smooth_step
+from .domain_model import (
+    BoundaryRelativePoint,
+    DefiningFunction,
+    DomainError,
+    _check_order,
+    _smooth_step,
+)
 from .quadrature import _bracket_root
 
 __all__ = [
@@ -26,7 +32,6 @@ __all__ = [
     "BlowupChart",
     "to_polar",
     "from_polar",
-    "admissible_region_test",
 ]
 
 
@@ -64,8 +69,7 @@ class BlowupChart:
     """
 
     def __init__(self, m: int):
-        if not (isinstance(m, (int, np.integer)) and int(m) >= 1):
-            raise DomainError(f"m must be an integer >= 1, got {m!r}")
+        _check_order(m)
         self.m = int(m)
         n = 2 * self.m
         self._n = n
@@ -222,10 +226,3 @@ def from_polar(
         return BoundaryRelativePoint(x=0.0, y=q.rho)
     x = _bracket_root(lambda t: float(f.f(t)) - target, 0.0, 1.0)
     return BoundaryRelativePoint(x=q.branch * x, y=q.rho)
-
-
-def admissible_region_test(q: PolarPoint, alpha: float) -> bool:
-    """True iff the point lies in U_alpha = {tau > 1/alpha}."""
-    if not (alpha > 1.0):
-        raise DomainError(f"alpha must exceed 1, got {alpha!r}")
-    return q.tau > 1.0 / alpha

@@ -150,7 +150,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"kind must be one of {_KINDS}, got {values['kind']!r}")
     if values.get("plot_script") is not None and values.get("csv") is None:
         raise DomainError("--plot-script needs --csv (the script reads the CSV)")
-    return RunConfig(values)
+    cfg = RunConfig(values)
+    if "rel_tol" in values:
+        cfg.quadrature()  # so that --dry-run rejects what a run would reject
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,12 @@ class DomainError(ValueError):
     or a requested construction that cannot satisfy its own constraints."""
 
 
+def _check_order(m) -> None:
+    """DomainError unless the degeneracy order m is an integer >= 1."""
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise DomainError(f"m must be an integer >= 1, got {m!r}")
+
+
 @dataclass(frozen=True)
 class DualCone:
     """Admissible Laplace directions: zeta1/zeta2 must lie in (-r_minus, r_plus).
@@ -97,8 +103,7 @@ class DefiningFunction:
         tail_slopes: tuple[float, float] | None = None,
         is_mollified: bool = False,
     ):
-        if not (isinstance(m, (int, np.integer)) and int(m) >= 1):
-            raise DomainError(f"m must be an integer >= 1, got {m!r}")
+        _check_order(m)
         self.m = int(m)
         self._f = f
         self._fp = fprime

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .blowup import BlowupChart, PolarPoint, from_polar
-from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError
+from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError, _check_order
 from .quadrature import (
     KernelValue,
     QuadratureConfig,
@@ -38,7 +38,6 @@ __all__ = [
     "hormander_series",
     "hormander_check",
     "localization_experiment",
-    "admissible_coefficient_sweep",
 ]
 
 
@@ -49,12 +48,11 @@ def default_rho_grid(n: int = 15, start: float = 1.0, ratio: float = 0.5) -> np.
 
 @dataclass(frozen=True)
 class ApproachPath:
-    """A family of interior points approaching the boundary.
+    """Interior points approaching the origin at a constant blow-up angle.
 
-    mode "fixed_tau": blow-up angle constant, rho = y decreasing (parameters:
-    tau, optional branch).  mode "fixed_x": x constant nonzero, y = f(x) + rho
-    (a strictly pseudoconvex approach).  mode "normal_cone": x = aperture * rho,
-    a non-tangential cone at the origin (parameters: aperture).
+    The one mode is "fixed_tau": parameters {"tau": tau} with tau in (0, 1],
+    and rho = y runs down ``rho_grid``, which must be finite, positive and
+    strictly decreasing.
     """
 
     mode: str
@@ -62,10 +60,26 @@ class ApproachPath:
     rho_grid: np.ndarray = field(default_factory=default_rho_grid)
 
     def __post_init__(self):
-        if self.mode not in ("fixed_tau", "fixed_x", "normal_cone"):
-            raise DomainError(f"unknown approach mode {self.mode!r}")
+        if self.mode != "fixed_tau":
+            raise DomainError(f"unknown approach mode {self.mode!r}; only fixed_tau exists")
+        if set(self.parameters) != {"tau"}:
+            raise DomainError(
+                f"fixed_tau takes exactly the parameter 'tau', got {sorted(self.parameters)}"
+            )
+        try:
+            tau = float(self.parameters["tau"])
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"tau must be a number, got {self.parameters['tau']!r}"
+            ) from None
+        if not (0.0 < tau <= 1.0):
+            raise DomainError(f"fixed_tau needs tau in (0, 1], got {tau!r}")
         rg = np.asarray(self.rho_grid, dtype=float)
-        if rg.ndim != 1 or rg.size < 2 or np.any(rg <= 0) or np.any(np.diff(rg) >= 0):
+        if rg.ndim != 1 or rg.size < 2:
+            raise DomainError("rho_grid must be a 1-d grid of at least 2 points")
+        if not np.all(np.isfinite(rg)):
+            raise DomainError("rho_grid must be finite")
+        if np.any(rg <= 0) or np.any(np.diff(rg) >= 0):
             raise DomainError("rho_grid must be positive and strictly decreasing")
         object.__setattr__(self, "rho_grid", rg)
 
@@ -74,27 +88,12 @@ def path_points(
     f: DefiningFunction, path: ApproachPath, chart: BlowupChart | None = None
 ) -> list[BoundaryRelativePoint]:
     """Interior points realizing the path on the given domain."""
-    pts = []
-    if path.mode == "fixed_tau":
-        tau = float(path.parameters["tau"])
-        branch = int(path.parameters.get("branch", +1))
-        if not (0.0 < tau <= 1.0):
-            raise DomainError(f"fixed_tau needs tau in (0, 1], got {tau!r}")
-        chart = chart or BlowupChart(f.m)
-        for rho in path.rho_grid:
-            if tau == 1.0:
-                pts.append(BoundaryRelativePoint(0.0, float(rho)))
-            else:
-                pts.append(from_polar(f, chart, PolarPoint(tau, float(rho), branch)))
-    elif path.mode == "fixed_x":
-        x = float(path.parameters["x"])
-        fx = float(f.f(x))
-        for rho in path.rho_grid:
-            pts.append(BoundaryRelativePoint(x, fx + float(rho)))
+    tau = float(path.parameters["tau"])
+    if tau == 1.0:
+        pts = [BoundaryRelativePoint(0.0, float(rho)) for rho in path.rho_grid]
     else:
-        c = float(path.parameters.get("aperture", 1.0))
-        for rho in path.rho_grid:
-            pts.append(BoundaryRelativePoint(c * float(rho), float(rho)))
+        chart = chart or BlowupChart(f.m)
+        pts = [from_polar(f, chart, PolarPoint(tau, float(rho))) for rho in path.rho_grid]
     for p in pts:
         f.require_interior(p)
     return pts
@@ -156,15 +155,20 @@ class FitResult:
 
 
 def _resolve_window(n: int, window_policy) -> tuple[int, int]:
-    if isinstance(window_policy, str):
-        if window_policy == "all":
-            k = n
-        elif window_policy.startswith("trailing:"):
-            k = int(window_policy.split(":", 1)[1])
-        else:
-            raise DomainError(f"unknown window policy {window_policy!r}")
-    else:
+    """(start, stop) of the trailing window that ``window_policy`` names:
+    "all", "trailing:<count>" or an integer count."""
+    if isinstance(window_policy, (int, np.integer)):
         k = int(window_policy)
+    elif window_policy == "all":
+        k = n
+    else:
+        head, _, count = str(window_policy).partition(":")
+        if head != "trailing" or not count.isdecimal():
+            raise DomainError(
+                f"unknown window policy {window_policy!r}; "
+                "use 'all', 'trailing:<count>' or an integer count"
+            )
+        k = int(count)
     if not (2 <= k <= n):
         raise DomainError(f"window of {k} points does not fit a grid of {n}")
     return n - k, n
@@ -212,6 +216,7 @@ def fit_exponent(values, rho_grid, window_policy="trailing:6") -> FitResult:
 
 
 def blowup_exponent(m: int, kind: str) -> Fraction:
+    _check_order(m)
     if kind == "bergman":
         return Fraction(2 * m + 1, m)
     if kind == "szego":
@@ -339,7 +344,7 @@ def hormander_check(
 
 
 # ---------------------------------------------------------------------------
-# localization and coefficient sweeps
+# localization
 # ---------------------------------------------------------------------------
 
 
@@ -370,8 +375,6 @@ def localization_experiment(
     within ``slope_rel_tol`` of -(2 + 1/m).
     """
     cfg = cfg or QuadratureConfig()
-    if path.mode != "fixed_tau":
-        raise DomainError("localization runs on a fixed_tau path")
     if f1.m != f2.m:
         raise DomainError("domains must share the degeneracy order m")
     probe = np.linspace(-agreement_radius, agreement_radius, 257)
@@ -445,70 +448,3 @@ def localization_experiment(
     )
     report["passed"] = bool(report["bounded"] and report["slopes_ok"])
     return report
-
-
-def admissible_coefficient_sweep(
-    f: DefiningFunction,
-    chart: BlowupChart,
-    alpha: float,
-    kind: str,
-    cfg: QuadratureConfig | None = None,
-    *,
-    n_tau: int = 8,
-    tau_margin: float = 0.05,
-    rho_grid: np.ndarray | None = None,
-) -> dict:
-    """Leading-coefficient estimates across the admissible angles.
-
-    Sweeps tau over [1/alpha + margin, 1], extrapolates c0(tau) on each
-    fixed-tau path, and checks the scaled family c0(tau) * tau^3 (Bergman;
-    tau^2 for Szego) stays bounded - the coefficient-boundedness property
-    of the admissible region.
-    """
-    cfg = cfg or QuadratureConfig()
-    if not (alpha > 1):
-        raise DomainError(f"alpha must exceed 1, got {alpha!r}")
-    expo = blowup_exponent(f.m, kind)  # validates kind
-    power = 3 if kind == "bergman" else 2
-    tau_lo = 1.0 / alpha + tau_margin
-    if not (tau_lo < 1.0):
-        raise DomainError("margin pushes the sweep past tau = 1")
-    taus = np.linspace(tau_lo, 1.0, n_tau)
-    if rho_grid is None:
-        rho_grid = default_rho_grid(11)
-
-    rows = []
-    for tau in taus:
-        path = ApproachPath("fixed_tau", {"tau": float(tau)}, rho_grid)
-        evals = evaluate_path(f, path, cfg, chart)
-        good = [r for r in evals if r["status"] == "ok"]
-        rec = {"tau": float(tau), "n_points": len(good)}
-        if len(good) < 3:
-            rec.update(status="failed: too few converged points", c0=math.nan,
-                       indicator=math.inf, scaled=math.nan, err_max=math.inf)
-        else:
-            vals = [r[kind] for r in good]
-            rhos = np.array([r["rho"] for r in good])
-            c0, ind = limit_c0(vals, rhos, f.m, kind)
-            rec.update(
-                status="ok", c0=c0, indicator=ind, scaled=c0 * tau**power,
-                err_max=max(r["err_estimate"] for r in good),
-            )
-        rows.append(rec)
-
-    scaled = [r["scaled"] for r in rows if r["status"] == "ok"]
-    all_finite = len(scaled) == len(rows) and all(math.isfinite(s) for s in scaled)
-    return {
-        "experiment": "admissible_coefficient_sweep",
-        "m": f.m,
-        "domain": f.label,
-        "kind": kind,
-        "exponent": str(expo),
-        "alpha": alpha,
-        "scaled_power": power,
-        "chart_id": chart.chart_id,
-        "config_hash": _config_hash(cfg),
-        "rows": rows,
-        "sup_scaled": max(scaled) if scaled else math.inf,
-        "passed": bool(all_finite),
-    }

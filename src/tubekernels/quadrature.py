@@ -55,10 +55,10 @@ class QuadratureConfig:
     truncation_drop: float = 1e-16
 
     def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise DomainError("rel_tol must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be >= 1")
+        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+            raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        if not (isinstance(self.max_depth, (int, np.integer)) and self.max_depth >= 1):
+            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
         if not (0 < self.truncation_drop < 1):
             raise DomainError("truncation_drop must lie in (0, 1)")
 

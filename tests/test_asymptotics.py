@@ -1,4 +1,4 @@
-"""Model-domain asymptotics: critical constants, Laplace engine, profiles."""
+"""Model-domain asymptotics: critical constants, measured growth, profiles."""
 
 from __future__ import annotations
 
@@ -13,14 +13,11 @@ from scipy.special import gamma
 from tubekernels import asymptotics
 from tubekernels import (
     DomainError,
-    L_growth,
     L_rate_probe,
-    LaplaceProblem,
     PhiSpline,
     alpha_critical,
     beta_critical,
     growth_constant_a,
-    laplace_leading,
     log_L,
     log_phi,
     model_domain,
@@ -28,7 +25,6 @@ from tubekernels import (
     model_profile_pair,
     phase_p,
     phase_q,
-    phi_l_growth,
     phi_rate_probe,
     predict,
     rational_domain,
@@ -62,47 +58,6 @@ def test_growth_constant_is_minus_phase_minimum():
         # the companion phase is normalized to equal -1 at its minimum
         q = phase_q(m)
         assert math.isclose(q.phase(beta_critical(m)), 1.0, rel_tol=1e-12)
-
-
-def test_laplace_gaussian_is_exact():
-    prob = LaplaceProblem(lambda t: t * t, lambda t: 1.0, 0.0, (-3.0, 3.0))
-    lv, corr = laplace_leading(prob, 2.5)
-    assert math.isclose(lv, 0.5 * math.log(2.0 * math.pi / 5.0), abs_tol=1e-12)
-    assert corr <= 1e-10
-
-
-def test_laplace_matches_quadrature_with_correction_margin():
-    prob = phase_p(2)
-    al = alpha_critical(2)
-    corrs = {}
-    for lam in (40.0, 400.0, 4000.0):
-        lv, corr = laplace_leading(prob, lam)
-        corrs[lam] = corr
-        # integrate a window of many peak widths; a whole-domain reference
-        # drops half the peak once it gets narrow enough
-        w = 30.0 / math.sqrt(lam)
-        ref, _ = quad(
-            lambda t, l=lam: math.exp(-l * prob.phase(t) - lv),
-            max(0.0, al - w), al + w, epsabs=1e-15, epsrel=1e-13, limit=200,
-        )
-        # leading order is off by the first correction ~ corr; allow 3x
-        assert abs(ref - 1.0) <= 3.0 * corr + 1e-6
-    assert corrs[400.0] < corrs[40.0]  # correction shrinks like 1/lambda
-    assert corrs[4000.0] < corrs[400.0]
-
-
-def test_laplace_searches_minimum_when_not_given():
-    given = phase_p(3)
-    searched = LaplaceProblem(given.phase, given.amplitude, None, given.domain)
-    lv_a, _ = laplace_leading(given, 25.0)
-    lv_b, _ = laplace_leading(searched, 25.0)
-    assert math.isclose(lv_a, lv_b, rel_tol=0, abs_tol=1e-10)
-
-
-def test_laplace_rejects_boundary_minimum():
-    prob = LaplaceProblem(lambda t: t, lambda t: 1.0, None, (0.1, 2.0))
-    with pytest.raises(DomainError):
-        laplace_leading(prob, 50.0)
 
 
 def test_log_phi_axis_matches_gamma():
@@ -175,19 +130,6 @@ def test_phi_rate_probe_hits_growth_constant():
     measured, expected = phi_rate_probe(2)
     assert math.isclose(expected, growth_constant_a(2), rel_tol=1e-14)
     assert abs(measured / expected - 1.0) <= 0.01
-
-
-def test_growth_laws_are_exact_fractions():
-    power, scale = phi_l_growth(2, 0)
-    assert power == Fraction(-1, 3) and scale == growth_constant_a(2)
-    power, _ = phi_l_growth(3, 2)
-    assert power == Fraction(0, 1)
-    with pytest.raises(DomainError):
-        phi_l_growth(1, 0)
-    power, in_exponent = L_growth(2, 1)
-    assert power == Fraction(2) and in_exponent is True
-    # 1/phi contributes n = m-1, closing the u-power bookkeeping at 2m-2
-    assert L_growth(2, 1)[0] == Fraction(2 * 2 - 2)
 
 
 def test_model_phi_matches_direct_kernel_and_freeze():

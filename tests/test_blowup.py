@@ -14,7 +14,6 @@ from tubekernels import (
     BoundaryRelativePoint,
     DomainError,
     PolarPoint,
-    admissible_region_test,
     from_polar,
     model_domain,
     rational_domain,
@@ -130,11 +129,3 @@ def test_to_polar_rejects_mismatched_chart_and_exterior():
         to_polar(f, BlowupChart(2), BoundaryRelativePoint(0.5, 1.0))
     with pytest.raises(DomainError):
         to_polar(f, BlowupChart(3), BoundaryRelativePoint(0.5, -1.0))
-
-
-def test_admissible_region():
-    assert admissible_region_test(PolarPoint(0.7, 0.1), 2.0)
-    assert not admissible_region_test(PolarPoint(0.3, 0.1), 2.0)
-    assert not admissible_region_test(PolarPoint(0.7, 0.1), 1.2)
-    with pytest.raises(DomainError):
-        admissible_region_test(PolarPoint(0.7, 0.1), 1.0)

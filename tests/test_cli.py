@@ -87,6 +87,18 @@ def test_bad_domain_exits_2(capsys):
     assert rc == 2 and "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--domain", "model:m=1", "--y", "0.25", "--rel-tol", "inf"],
+        ["fit", "--rel-tol", "inf", "--dry-run"],
+    ],
+)
+def test_non_finite_rel_tol_exits_2(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and "rel_tol" in err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--frobnicate"])

@@ -1,4 +1,4 @@
-"""Approach paths, exponent fits, distance limit, localization, sweeps."""
+"""Approach paths, exponent fits, distance limit, localization."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from tubekernels import (
     DomainError,
     KernelValue,
     QuadratureConfig,
-    admissible_coefficient_sweep,
     blowup_exponent,
     default_rho_grid,
     evaluate_path,
@@ -25,6 +24,7 @@ from tubekernels import (
     localization_experiment,
     model_domain,
     path_points,
+    to_polar,
 )
 from tubekernels.experiments import (
     _levi_determinant_fd,
@@ -43,8 +43,19 @@ def test_default_rho_grid():
 
 
 def test_approach_path_validation():
-    with pytest.raises(DomainError):
-        ApproachPath("spiral", {})
+    # fixed_tau is the one approach; other modes and stray keys are refused
+    for mode, params in (("spiral", {}), ("fixed_x", {"x": 0.5}),
+                         ("normal_cone", {"aperture": 0.5})):
+        with pytest.raises(DomainError, match="mode"):
+            ApproachPath(mode, params)
+    for params, cause in (({}, "tau"), ({"tau": 0.5, "branch": -1}, "branch"),
+                          ({"tau": "a"}, "number"), ({"tau": 0.0}, r"\(0, 1\]"),
+                          ({"tau": 1.2}, r"\(0, 1\]"), ({"tau": math.nan}, r"\(0, 1\]")):
+        with pytest.raises(DomainError, match=cause):
+            ApproachPath("fixed_tau", params)
+    for grid in ([1.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(DomainError, match="finite"):
+            ApproachPath("fixed_tau", {"tau": 0.5}, np.array(grid))
     with pytest.raises(DomainError):
         ApproachPath("fixed_tau", {"tau": 0.5}, np.array([0.25, 0.5]))  # increasing
     with pytest.raises(DomainError):
@@ -61,25 +72,23 @@ def test_path_points_three_modes():
     for p, rho in zip(on_axis, grid):
         assert p.x == 0.0 and p.y == rho
 
-    fixed_x = path_points(f, ApproachPath("fixed_x", {"x": 0.5}, grid))
-    for p, rho in zip(fixed_x, grid):
-        assert p.x == 0.5
-        assert math.isclose(p.y, 0.5**4 + rho, rel_tol=1e-15)
-
-    cone = path_points(f, ApproachPath("normal_cone", {"aperture": 0.5}, grid))
-    for p, rho in zip(cone, grid):
-        assert p.x == 0.5 * rho and p.y == rho
+    chart = BlowupChart(2)
+    inside = path_points(f, ApproachPath("fixed_tau", {"tau": 0.5}, grid), chart)
+    for p, rho in zip(inside, grid):
+        assert p.x > 0.0 and p.y == rho
+        assert math.isclose(to_polar(f, chart, p).tau, 0.5, rel_tol=1e-12)
 
 
 def test_path_points_rejections():
     f = model_domain(1)
+    # the path itself refuses a tau outside (0, 1] before any point is built
     with pytest.raises(DomainError):
         path_points(f, ApproachPath("fixed_tau", {"tau": 0.0}, default_rho_grid(5)))
     with pytest.raises(DomainError):
         path_points(f, ApproachPath("fixed_tau", {"tau": 1.2}, default_rho_grid(5)))
-    # aperture 2 at rho = 1 lands on f(2) = 4 > 1, outside the domain
-    with pytest.raises(DomainError):
-        path_points(f, ApproachPath("normal_cone", {"aperture": 2.0}, default_rho_grid(5)))
+    with pytest.raises(DomainError, match="chart"):
+        path_points(f, ApproachPath("fixed_tau", {"tau": 0.5}, default_rho_grid(5)),
+                    BlowupChart(2))
 
 
 def test_fit_exponent_exact_power_law():
@@ -114,8 +123,9 @@ def test_fit_exponent_guards():
         fit_exponent(values, np.concatenate([rho[:-1], rho[-2:-1]]))  # duplicate
     with pytest.raises(DomainError):
         fit_exponent(np.concatenate([values[:-1], [0.0]]), rho, "all")  # log -inf
-    with pytest.raises(DomainError):
-        fit_exponent(values, rho, "middle:4")
+    for policy in ("middle:4", "trailing:x", 2.7):
+        with pytest.raises(DomainError, match="window policy"):
+            fit_exponent(values, rho, policy)
 
 
 def test_blowup_exponents():
@@ -143,6 +153,8 @@ def test_limit_c0_cancels_first_correction():
     assert abs(c0 / 0.81 - 1.0) < 2e-3
     with pytest.raises(DomainError):
         limit_c0(rho[:2] ** -2.5, rho[:2], 2, "bergman")
+    with pytest.raises(DomainError, match="m must be"):
+        limit_c0(0.81 * rho**-2.5, rho, 0, "bergman")
 
 
 def test_nearest_boundary_distance_parabola():
@@ -202,10 +214,6 @@ def test_localization_guards():
     grid = default_rho_grid(8)
     tau_path = ApproachPath("fixed_tau", {"tau": 1.0}, grid)
     with pytest.raises(DomainError):
-        localization_experiment(
-            model_domain(1), model_domain(1), ApproachPath("fixed_x", {"x": 0.5}, grid)
-        )
-    with pytest.raises(DomainError):
         localization_experiment(model_domain(1), model_domain(2), tau_path)
     with pytest.raises(DomainError):
         localization_experiment(model_domain(2), model_domain(2, g0=1.1), tau_path)
@@ -229,22 +237,3 @@ def test_localization_identical_domains():
     assert abs(report["fit_k2"]["slope"] + 3.0) < 0.03
     assert len(report["points"]) == 8
     assert report["points"][0]["diff"] == 0.0
-
-
-def test_admissible_sweep_parabola():
-    f = model_domain(1)
-    chart = BlowupChart(1)
-    with pytest.raises(DomainError):
-        admissible_coefficient_sweep(f, chart, 1.0, "bergman")
-    report = admissible_coefficient_sweep(
-        f, chart, 2.0, "bergman", QuadratureConfig(rel_tol=1e-6),
-        n_tau=2, tau_margin=0.45, rho_grid=default_rho_grid(5),
-    )
-    assert report["passed"] is True
-    assert report["exponent"] == "3"
-    assert report["scaled_power"] == 3
-    assert len(report["rows"]) == 2
-    last = report["rows"][-1]
-    assert last["tau"] == 1.0 and last["status"] == "ok"
-    assert math.isclose(last["c0"], 1.0 / (4 * math.pi**2), rel_tol=1e-3)
-    assert math.isfinite(report["sup_scaled"])

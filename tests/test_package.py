@@ -1,11 +1,14 @@
-"""Package surface: every exported name exists, the benchmark's tracer
-can still wrap the entry points it measures, and every demo still imports."""
+"""Package surface: every exported name exists, no module imports a name it
+never uses, the benchmark's tracer can still wrap the entry points it
+measures, and every demo still imports."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -20,6 +23,51 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 def test_all_names_resolve():
     missing = [name for name in tubekernels.__all__ if not hasattr(tubekernels, name)]
     assert missing == []
+
+
+def _modules():
+    return {
+        info.name: importlib.import_module(f"tubekernels.{info.name}")
+        for info in pkgutil.iter_modules(tubekernels.__path__)
+    }
+
+
+def test_module_surfaces_resolve():
+    # `from tubekernels.<module> import *` fails on any name __all__ keeps
+    # after its definition is gone
+    exported = set()
+    for name, mod in _modules().items():
+        missing = [key for key in mod.__all__ if not hasattr(mod, key)]
+        assert missing == [], name
+        exported.update(mod.__all__)
+    assert set(tubekernels.__all__) - exported == {"__version__"}
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Top-level imports of a module that nothing in it reads; a package
+    __init__ uses an import by listing it in __all__."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    src = ROOT / "src" / "tubekernels"
+    unused = [hit for path in sorted(src.glob("*.py")) for hit in _unused_imports(path)]
+    assert unused == []
 
 
 def _module_bindings() -> dict:

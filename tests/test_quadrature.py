@@ -51,6 +51,12 @@ D4_ORACLE = 1.7959267415781637  # D(0.3, 1.1), f = x^4
 def test_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="rel_tol"):
+            QuadratureConfig(rel_tol=bad)
+    # a fractional depth would make a fractional panel budget
+    with pytest.raises(DomainError, match="max_depth"):
+        QuadratureConfig(max_depth=2.5)
     cfg = QuadratureConfig()
     assert cfg.log_drop > 30.0
     assert cfg.max_panels >= cfg.max_depth
