@@ -19,13 +19,14 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .blowup import BlowupChart
+from .blowup import BlowupChart, _check_tau
 from .domain_model import DefiningFunction, DomainError, _check_order
 from .experiments import blowup_exponent
 from .quadrature import (
     ProfileGrid,
     QuadratureConfig,
     QuadratureError,
+    _TRUNCATION_DEPTH,
     _bracket_root,
     log_adaptive_multi,
 )
@@ -178,26 +179,30 @@ def _phi_spline_for(m: int, v_max: float) -> PhiSpline:
     return _phi_spline_cached(int(m), bucket)
 
 
-def phi_rate_probe(m: int, v: float = 40.0, delta: float = 0.05) -> tuple[float, float]:
+_PROBE_STEP = 0.05  # the probes' relative half-step in the rate variable
+
+
+def phi_rate_probe(m: int, v: float = 40.0) -> tuple[float, float]:
     """(measured, expected) growth rate of log phi in the variable v^(2m/(2m-1)).
 
     The measured value is a centered difference of log phi at relative
-    offset ``delta`` in the rate variable; it converges to a as v grows.
+    offset 5% in the rate variable; it converges to a as v grows.
     """
     m2 = 2 * m
     ex = m2 / (m2 - 1.0)
     z = v**ex
-    dz = delta * z
+    dz = _PROBE_STEP * z
     lo = log_phi((z - dz) ** (1.0 / ex), m)
     hi = log_phi((z + dz) ** (1.0 / ex), m)
     return (hi - lo) / (2 * dz), growth_constant_a(m)
 
 
-def L_rate_probe(m: int, u: float = 3.2, delta: float = 0.05) -> tuple[float, float]:
-    """(measured, expected=1) growth rate of log L in the variable u^(2m)."""
+def L_rate_probe(m: int, u: float = 3.2) -> tuple[float, float]:
+    """(measured, expected=1) growth rate of log L in the variable u^(2m),
+    a centered difference at relative offset 5%."""
     m2 = 2 * m
     z = u**m2
-    dz = delta * z
+    dz = _PROBE_STEP * z
     u_hi = (z + dz) ** (1.0 / m2)
     phis = _phi_spline_for(m, m2 * u_hi ** (m2 - 1) * 1.3 + 60.0)
     us = np.array([(z - dz) ** (1.0 / m2), u_hi])
@@ -236,8 +241,7 @@ def model_profile_pair(
     """
     _check_order(m)
     cfg = cfg or QuadratureConfig(rel_tol=1e-9)
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must lie in (0, 1], got {tau!r}")
+    _check_tau(tau)
     if not (math.isfinite(g0) and g0 > 0):
         raise DomainError(f"g0 must be finite and positive, got {g0!r}")
     chart = chart or _default_chart(m)
@@ -247,7 +251,7 @@ def model_profile_pair(
     e = float(chart.core_fraction_from_tau(tau))
     t = e ** (1.0 / m2)
     eps = max(1.0 - e, 1e-12)  # s-decay rate 1 - t^(2m)
-    s_hi = ((cfg.log_drop + 8.0) / eps) ** (1.0 / m2)
+    s_hi = ((_TRUNCATION_DEPTH + 8.0) / eps) ** (1.0 / m2)
     u_max = t * s_hi + 1.0
     phis = _phi_spline_for(m, m2 * u_max ** (m2 - 1) * 1.3 + 60.0)
 
@@ -262,7 +266,6 @@ def model_profile_pair(
         0.0,
         s_hi,
         rel_tol=cfg.rel_tol,
-        max_panels=cfg.max_panels,
         init=max(16, int(4 * s_hi)),
     )
     worst = float(np.max(re))

@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _check_tau(tau: float) -> None:
+    """DomainError unless tau lies in (0, 1]."""
+    if not (0.0 < tau <= 1.0):
+        raise DomainError(f"tau must lie in (0, 1], got {tau!r}")
+
+
 @dataclass(frozen=True)
 class PolarPoint:
     """Blow-up coordinates: tau in (0, 1], rho > 0, branch = sign of x."""
@@ -44,8 +50,7 @@ class PolarPoint:
     branch: int = +1
 
     def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
-            raise DomainError(f"tau must lie in (0, 1], got {self.tau!r}")
+        _check_tau(self.tau)
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise DomainError(f"rho must be positive, got {self.rho!r}")
         if self.branch not in (+1, -1):
@@ -189,8 +194,7 @@ class BlowupChart:
 
     def core_fraction_from_tau(self, tau: float) -> float:
         """Inverse bridge: e = 1 - chi^(-1)(tau), stable for tau near 1."""
-        if not (0.0 < tau <= 1.0):
-            raise DomainError(f"tau must lie in (0, 1], got {tau!r}")
+        _check_tau(tau)
         if tau >= 2.0 / 3.0:
             return (1.0 - tau) ** self._n
         return 1.0 - float(self.chi_inverse(tau))

@@ -6,7 +6,9 @@ the command's own defaults <- config file <- command-line flags, and every
 run is deterministic given the resolved settings (reruns are byte-identical).
 The config file is INI-style with sections [domain], [quadrature],
 [experiment], [output]; unknown sections or keys are errors, and keys the
-command does not read are ignored.
+command does not read are ignored.  Each command makes every check of its
+settings before its first integral, and ``--dry-run`` stops right after
+them, so it rejects exactly what a run would reject.
 
 CSV output follows the fixed schema
 ``kind,m,tau,rho,x,y,log_value,value,err_estimate,evaluations,status``
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import predict
-from .blowup import BlowupChart, to_polar
+from .blowup import BlowupChart, _check_tau, to_polar
 from .domain_model import (
     BoundaryRelativePoint,
     DefiningFunction,
@@ -43,6 +45,8 @@ from .domain_model import (
 from .experiments import (
     ApproachPath,
     _hormander_limit,
+    _normal_steps,
+    _resolve_window,
     blowup_exponent,
     default_rho_grid,
     evaluate_path,
@@ -58,11 +62,7 @@ CSV_HEADER = "kind,m,tau,rho,x,y,log_value,value,err_estimate,evaluations,status
 # config section -> key -> (type, default); a flag of the same name overrides
 _SETTINGS = {
     "domain": {"spec": (str, "model:m=2,g0=1")},
-    "quadrature": {
-        "rel_tol": (float, 1e-8),
-        "max_depth": (int, 60),
-        "truncation_drop": (float, 1e-16),
-    },
+    "quadrature": {"rel_tol": (float, 1e-8)},
     "experiment": {
         "kind": (str, "bergman"),
         "tau": (float, 1.0),
@@ -97,20 +97,18 @@ class RunConfig:
             raise AttributeError(key) from None
 
     def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(
-            rel_tol=self.values["rel_tol"],
-            max_depth=self.values["max_depth"],
-            truncation_drop=self.values["truncation_drop"],
-        )
+        return QuadratureConfig(rel_tol=self.values["rel_tol"])
 
-    def rho_grid(self) -> np.ndarray:
+    def path(self) -> ApproachPath:
+        """The fixed-tau path of ``n_points`` geometric rho values."""
         n = self.values["n_points"]
         if n < 2:
             raise DomainError("n_points must be at least 2")
         r = self.values["rho_ratio"]
         if not (0 < r < 1):
             raise DomainError("rho_ratio must lie in (0, 1)")
-        return default_rho_grid(n, self.values["rho_start"], r)
+        grid = default_rho_grid(n, self.values["rho_start"], r)
+        return ApproachPath("fixed_tau", {"tau": self.values["tau"]}, grid)
 
 
 def _load_config_file(path: str) -> dict:
@@ -153,6 +151,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(values)
     if "rel_tol" in values:
         cfg.quadrature()  # so that --dry-run rejects what a run would reject
+    if "window" in values:
+        _resolve_window(values["n_points"], f"trailing:{values['window']}")
     return cfg
 
 
@@ -321,10 +321,10 @@ def cmd_eval(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
     p = BoundaryRelativePoint(cfg.x, cfg.y)
+    q = to_polar(f, chart, p)
     if dry_run:
         _plan(cfg, "eval", f)
         return 0
-    q = to_polar(f, chart, p)
     K, S = direct_pair(f, p, cfg.quadrature())
     kv = K if cfg.kind == "bergman" else S
     print(
@@ -337,8 +337,7 @@ def cmd_eval(cfg: RunConfig, dry_run: bool) -> int:
     return 0
 
 
-def _sweep_rows(cfg: RunConfig, f, chart) -> tuple[list, list]:
-    path = ApproachPath("fixed_tau", {"tau": cfg.tau}, cfg.rho_grid())
+def _sweep_rows(cfg: RunConfig, f, path, chart) -> tuple[list, list]:
     results = evaluate_path(f, path, cfg.quadrature(), chart)
     rows = [
         _kernel_row(cfg.kind, f, cfg.tau, r["rho"], r["x"], r["y"], r[cfg.kind], r["status"])
@@ -350,10 +349,11 @@ def _sweep_rows(cfg: RunConfig, f, chart) -> tuple[list, list]:
 def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
+    path = cfg.path()
     if dry_run:
         _plan(cfg, "sweep", f)
         return 0
-    rows, results = _sweep_rows(cfg, f, chart)
+    rows, results = _sweep_rows(cfg, f, path, chart)
     _emit_csv(rows, cfg)
     n_ok = sum(1 for r in results if r["status"] == "ok")
     if cfg.csv is not None:
@@ -366,10 +366,11 @@ def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
 def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
+    path = cfg.path()
     if dry_run:
         _plan(cfg, "fit", f)
         return 0
-    rows, results = _sweep_rows(cfg, f, chart)
+    rows, results = _sweep_rows(cfg, f, path, chart)
     if cfg.csv is not None:
         _emit_csv(rows, cfg)
     good = [(r["rho"], r[cfg.kind]) for r in results if r["status"] == "ok"]
@@ -394,6 +395,7 @@ def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
 def cmd_predict(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
+    _check_tau(cfg.tau)
     if dry_run:
         _plan(cfg, "predict", f)
         return 0
@@ -412,10 +414,10 @@ def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
     f1 = parse_domain(cfg.spec)
     f2 = damp_tails(f1, cfg.delta)
     chart = BlowupChart(f1.m)
+    path = cfg.path()
     if dry_run:
         _plan(cfg, "localize", f1)
         return 0
-    path = ApproachPath("fixed_tau", {"tau": cfg.tau}, cfg.rho_grid())
     report = localization_experiment(
         f1, f2, path, cfg.quadrature(), chart=chart, agreement_radius=cfg.delta,
         slope_rel_tol=cfg.fit_tol, bounded_slope_floor=cfg.bounded_floor,
@@ -450,6 +452,7 @@ def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
 def cmd_hormander(cfg: RunConfig, dry_run: bool) -> int:
     f = parse_domain(cfg.spec)
     chart = BlowupChart(f.m)
+    _normal_steps(f, cfg.x0)
     if dry_run:
         _plan(cfg, "hormander", f)
         return 0
@@ -477,7 +480,7 @@ def cmd_hormander(cfg: RunConfig, dry_run: bool) -> int:
 
 _PATH = " tau rho_start rho_ratio n_points"
 # settings of every command that integrates the kernels and can write a CSV
-_KERNELS = " rel_tol max_depth truncation_drop csv plot_script"
+_KERNELS = " rel_tol csv plot_script"
 
 # command -> (function, help, settings it reads besides spec, its own defaults)
 _COMMANDS = {

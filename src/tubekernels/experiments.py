@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blowup import BlowupChart, PolarPoint, from_polar
+from .blowup import BlowupChart, PolarPoint, _check_tau, from_polar
 from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError, _check_order
 from .quadrature import (
     KernelValue,
@@ -46,6 +46,18 @@ def default_rho_grid(n: int = 15, start: float = 1.0, ratio: float = 0.5) -> np.
     return start * ratio ** np.arange(n)
 
 
+def _decreasing_grid(rho_grid) -> np.ndarray:
+    """``rho_grid`` as a float array; DomainError unless it is finite,
+    positive and strictly decreasing, the order the fit windows and the
+    extrapolation steps assume."""
+    rg = np.asarray(rho_grid, dtype=float)
+    if not np.all(np.isfinite(rg)):
+        raise DomainError("rho_grid must be finite")
+    if np.any(rg <= 0) or np.any(np.diff(rg) >= 0):
+        raise DomainError("rho_grid must be positive and strictly decreasing")
+    return rg
+
+
 @dataclass(frozen=True)
 class ApproachPath:
     """Interior points approaching the origin at a constant blow-up angle.
@@ -72,16 +84,11 @@ class ApproachPath:
             raise DomainError(
                 f"tau must be a number, got {self.parameters['tau']!r}"
             ) from None
-        if not (0.0 < tau <= 1.0):
-            raise DomainError(f"fixed_tau needs tau in (0, 1], got {tau!r}")
+        _check_tau(tau)
         rg = np.asarray(self.rho_grid, dtype=float)
         if rg.ndim != 1 or rg.size < 2:
             raise DomainError("rho_grid must be a 1-d grid of at least 2 points")
-        if not np.all(np.isfinite(rg)):
-            raise DomainError("rho_grid must be finite")
-        if np.any(rg <= 0) or np.any(np.diff(rg) >= 0):
-            raise DomainError("rho_grid must be positive and strictly decreasing")
-        object.__setattr__(self, "rho_grid", rg)
+        object.__setattr__(self, "rho_grid", _decreasing_grid(rg))
 
 
 def path_points(
@@ -154,19 +161,23 @@ class FitResult:
         }
 
 
+# the fewest grid points a fit accepts
+_FIT_MIN_POINTS = 6
+
+
 def _resolve_window(n: int, window_policy) -> tuple[int, int]:
-    """(start, stop) of the trailing window that ``window_policy`` names:
-    "all", "trailing:<count>" or an integer count."""
-    if isinstance(window_policy, (int, np.integer)):
-        k = int(window_policy)
-    elif window_policy == "all":
+    """(start, stop) of the trailing window that ``window_policy`` names,
+    "all" or "trailing:<count>", on a grid of n points.  DomainError unless
+    n is at least ``_FIT_MIN_POINTS`` and the window fits the grid."""
+    if n < _FIT_MIN_POINTS:
+        raise DomainError(f"need at least {_FIT_MIN_POINTS} grid points to fit, got {n}")
+    if window_policy == "all":
         k = n
     else:
         head, _, count = str(window_policy).partition(":")
         if head != "trailing" or not count.isdecimal():
             raise DomainError(
-                f"unknown window policy {window_policy!r}; "
-                "use 'all', 'trailing:<count>' or an integer count"
+                f"unknown window policy {window_policy!r}; use 'all' or 'trailing:<count>'"
             )
         k = int(count)
     if not (2 <= k <= n):
@@ -190,16 +201,13 @@ def fit_exponent(values, rho_grid, window_policy="trailing:6") -> FitResult:
 
     ``values`` are KernelValue objects (or positive reals); the slope
     estimates the blow-up exponent, e.g. -(2 + 1/m) on a fixed-tau Bergman
-    path.
+    path.  ``rho_grid`` must be finite, positive and strictly decreasing,
+    so that the trailing window holds the smallest rho.
     """
-    rho = np.asarray(rho_grid, dtype=float)
+    rho = _decreasing_grid(rho_grid)
     lv = _log_values(values)
     if rho.size != lv.size:
         raise DomainError("values and rho_grid lengths differ")
-    if rho.size < 6:
-        raise DomainError("need at least 6 grid points to fit")
-    if np.unique(rho).size != rho.size or np.any(rho <= 0):
-        raise DomainError("degenerate rho grid")
     i0, i1 = _resolve_window(rho.size, window_policy)
     lr = np.log(rho[i0:i1])
     lw = lv[i0:i1]
@@ -231,9 +239,10 @@ def limit_c0(values, rho_grid, m: int, kind: str) -> tuple[float, float]:
     adjacent pair is extrapolated with theta = (rho_next/rho)^(1/m); the
     returned indicator is the relative gap between the last two extrapolants
     (a Cauchy tail: small means converged, order of the quadrature noise for
-    an exactly homogeneous model).
+    an exactly homogeneous model).  ``rho_grid`` must be finite, positive and
+    strictly decreasing, so that each step theta lies in (0, 1).
     """
-    rho = np.asarray(rho_grid, dtype=float)
+    rho = _decreasing_grid(rho_grid)
     lv = _log_values(values)
     expo = float(blowup_exponent(m, kind))
     if rho.size < 3:
@@ -286,15 +295,10 @@ def _levi_determinant_fd(f: DefiningFunction, x0: float) -> float:
     return fpp / (4.0 * (1.0 + fp * fp) ** 1.5)
 
 
-def hormander_series(
-    f: DefiningFunction, x0: float, cfg: QuadratureConfig | None = None
-) -> list[dict]:
-    """Per-step data for the distance limit: K * d^3 along the inward normal.
-
-    Steps eps = 0.1 * 2^-k, k = 0..9, from the boundary point (x0, f(x0));
-    d is the exact nearest-point distance to the curve, not the vertical gap.
-    """
-    cfg = cfg or QuadratureConfig()
+def _normal_steps(f: DefiningFunction, x0: float) -> list[tuple[float, BoundaryRelativePoint]]:
+    """(eps, point) at eps = 0.1 * 2^-k, k = 0..9, along the inward normal
+    from the boundary point (x0, f(x0)); DomainError unless x0 != 0, the
+    boundary is strictly pseudoconvex there and every point is interior."""
     x0 = float(x0)
     if x0 == 0.0:
         raise DomainError("x0 = 0 is the degenerate point; pick x0 != 0")
@@ -305,15 +309,29 @@ def hormander_series(
     fp = float(f.fprime(x0))
     nrm = math.hypot(fp, 1.0)
     nx, ny = -fp / nrm, 1.0 / nrm
-
-    rows = []
+    steps = []
     for e in 0.1 * 0.5 ** np.arange(10):
         p = BoundaryRelativePoint(float(bx + e * nx), float(by + e * ny))
         f.require_interior(p)
+        steps.append((float(e), p))
+    return steps
+
+
+def hormander_series(
+    f: DefiningFunction, x0: float, cfg: QuadratureConfig | None = None
+) -> list[dict]:
+    """Per-step data for the distance limit: K * d^3 along the inward normal.
+
+    Steps eps = 0.1 * 2^-k, k = 0..9, from the boundary point (x0, f(x0));
+    d is the exact nearest-point distance to the curve, not the vertical gap.
+    """
+    cfg = cfg or QuadratureConfig()
+    rows = []
+    for e, p in _normal_steps(f, x0):
         K, _ = direct_pair(f, p, cfg)
         d = _nearest_boundary_distance(f, p.x, p.y)
         rows.append(
-            {"eps": float(e), "x": p.x, "y": p.y, "distance": d,
+            {"eps": e, "x": p.x, "y": p.y, "distance": d,
              "bergman": K, "scaled": K.value * d**3}
         )
     return rows
@@ -372,7 +390,8 @@ def localization_experiment(
     Along a fixed-tau path both kernels blow up at the full rate while their
     difference stays bounded; the report asserts a trailing-window slope of
     log|K1 - K2| above ``bounded_slope_floor`` and each individual slope
-    within ``slope_rel_tol`` of -(2 + 1/m).
+    within ``slope_rel_tol`` of -(2 + 1/m).  A window that does not fit the
+    path's grid is a DomainError raised before any kernel is evaluated.
     """
     cfg = cfg or QuadratureConfig()
     if f1.m != f2.m:
@@ -383,6 +402,7 @@ def localization_experiment(
         raise DomainError(
             f"domains differ by {gap:.3e} inside |x| < {agreement_radius:g}"
         )
+    w0, w1 = _resolve_window(len(path.rho_grid), window_policy)
     chart = chart or BlowupChart(f1.m)
     rows1 = evaluate_path(f1, path, cfg, chart)
     rows2 = evaluate_path(f2, path, cfg, chart)
@@ -415,8 +435,7 @@ def localization_experiment(
         "points": points,
         "excluded": [p["rho"] for p in points if p["status"] != "ok"],
     }
-    w0, w1 = _resolve_window(len(path.rho_grid), window_policy)
-    if len(ok) < max(w1 - w0, 6):
+    if len(ok) < max(w1 - w0, _FIT_MIN_POINTS):
         report.update(passed=False, reason="too few converged points to fit")
         return report
 

@@ -43,33 +43,20 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for all evaluators.
-
-    ``truncation_drop`` sets where integrand tails are abandoned relative to
-    the running peak; ``max_depth`` bounds the subdivision work (the engine
-    translates it into a panel budget).
-    """
+    """The relative tolerance of all evaluators; the truncation depth and
+    the engine's panel budget are module constants, not settings."""
 
     rel_tol: float = 1e-8
-    max_depth: int = 60
-    truncation_drop: float = 1e-16
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
             raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
-        if not (isinstance(self.max_depth, (int, np.integer)) and self.max_depth >= 1):
-            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
-        if not (0 < self.truncation_drop < 1):
-            raise DomainError("truncation_drop must lie in (0, 1)")
 
-    @property
-    def log_drop(self) -> float:
-        """Truncation depth in e-folds, with a safety pad."""
-        return -math.log(self.truncation_drop) + 5.0
 
-    @property
-    def max_panels(self) -> int:
-        return 40 * self.max_depth
+# Truncation depth in e-folds (a 1e-16 relative drop plus a 5 e-fold pad).
+# Fixed, because direct_pair's 0.35 rel_tol and bergman_normalized's 0.5
+# rel_tol error budgets treat the mass dropped below it as negligible.
+_TRUNCATION_DEPTH = -math.log(1e-16) + 5.0
 
 
 @dataclass(frozen=True)
@@ -169,13 +156,15 @@ def _panel_rules(lf: np.ndarray, h: np.ndarray):
     return l15, lerr
 
 
+_MAX_PANELS = 2400  # the engine's refinement budget: 40 panels x 60 levels
+
+
 def log_adaptive_multi(
     logf: Callable,
     a: float,
     b: float,
     *,
     rel_tol: float = 1e-9,
-    max_panels: int = 2400,
     init: int = 8,
     init_edges=None,
 ):
@@ -186,7 +175,8 @@ def log_adaptive_multi(
     with the largest relative error, the panel with the largest error.
     Returns ``(log_values(k), rel_err(k), n_rule_points)``; a zero integrand
     gives -inf, and a NaN or +inf integrand value a NaN log value, both
-    with an infinite error.
+    with an infinite error.  Refinement also stops at ``_MAX_PANELS``
+    panels' worth of rule points, so callers check the error returned.
 
     ``init_edges``, when given, overrides the uniform initial subdivision.
     Initial panels must straddle any feature narrower than a panel, or the
@@ -210,7 +200,7 @@ def log_adaptive_multi(
             off = 0.0
         tot = np.sum(np.exp(l15 - off), axis=1)
         err = np.sum(np.exp(lerr - off), axis=1)
-        if nev >= max_panels * 15:
+        if nev >= _MAX_PANELS * 15:
             break
         if not (off + math.log(max(tot[0], 1e-300)) >= LOG_ABS_FLOOR):
             break  # total is zero at the floor, or NaN
@@ -448,11 +438,11 @@ def compute_D(
     """log D(zeta1, zeta2) = log int exp(-xi zeta1 - f(xi) zeta2) dxi.
 
     The point must lie in the open dual cone: zeta2 > 0 and zeta1/zeta2
-    inside (-r_minus, r_plus).  The error estimate is measured, not assumed:
-    the profile is integrated on two grids of different density and the
+    inside (-r_minus, r_plus).  The profile grid is fixed, so ``cfg`` does
+    not change the result; the error estimate is measured, not assumed: the
+    profile is integrated again on a grid of half the density and the
     difference reported.
     """
-    cfg = cfg or QuadratureConfig()
     if not (zeta2 > 0):
         raise DomainError(f"zeta2 must be positive, got {zeta2!r}")
     lo, hi = _cone_interval(f)
@@ -467,11 +457,11 @@ def compute_D(
     def c_fn(xi):
         return f.f(xi) + zeta * xi - A
 
-    pg = ProfileGrid(c_fn, xi_s, zeta2, zeta2, log_drop=cfg.log_drop)
+    pg = ProfileGrid(c_fn, xi_s, zeta2, zeta2, log_drop=_TRUNCATION_DEPTH)
     lg = float(pg.log_G(np.array([zeta2]))[0])
 
     # density-halved grid for an honest error measurement
-    half = _CoarseProfile(c_fn, xi_s, zeta2, zeta2, log_drop=cfg.log_drop)
+    half = _CoarseProfile(c_fn, xi_s, zeta2, zeta2, log_drop=_TRUNCATION_DEPTH)
     lg2 = float(half.log_G(np.array([zeta2]))[0])
     err = abs(math.expm1(lg2 - lg)) + 1e-14
     return -zeta2 * A + lg, err
@@ -509,11 +499,10 @@ def direct_pair(
     f.require_interior(p)
     x, y = float(p.x), float(p.y)
     ps = np.array([2.0, 1.0])
-    log_drop = cfg.log_drop
     # h = eta * r is the rescaled frequency; the integrand carries h^(p+3/2)
     # near 0, so this floor keeps the discarded mass below ~0.03 * rel_tol
     h_lo = max(1e-6, (0.03 * cfg.rel_tol) ** (1.0 / 2.5))
-    h_hi = 1.55 * log_drop
+    h_hi = 1.55 * _TRUNCATION_DEPTH
     t_lo, t_hi = math.log(h_lo), math.log(h_hi)
     n_init_mid = int(np.ceil((t_hi - t_lo) / 0.8))
     nev = [0]
@@ -525,7 +514,7 @@ def direct_pair(
             xi_s,
             h_lo / r,
             h_hi / r,
-            log_drop=log_drop,
+            log_drop=_TRUNCATION_DEPTH,
         )
         # log G(e^t / r) is smooth in t: tabulate it once for this zeta
         samples, tail = _cheb_table(
@@ -544,7 +533,6 @@ def direct_pair(
             t_lo,
             t_hi,
             rel_tol=cfg.rel_tol * 0.25,
-            max_panels=cfg.max_panels,
             init=n_init_mid,
         )
         nev[0] += ne
@@ -574,7 +562,7 @@ def direct_pair(
             v = middles(np.array([zz]))[0, 0]
             scan.append((zz, v))
             best = max(best, v)
-            if v < best - log_drop:
+            if v < best - _TRUNCATION_DEPTH:
                 break
             z *= 2.0
         else:
@@ -585,7 +573,7 @@ def direct_pair(
     zs = np.array([q[0] for q in scan])
     vals = np.array([q[1] for q in scan])
     peak = vals.max()
-    keep = np.nonzero(vals > peak - log_drop)[0]
+    keep = np.nonzero(vals > peak - _TRUNCATION_DEPTH)[0]
     ilo = max(keep[0] - 1, 0)
     ihi = min(keep[-1] + 1, len(zs) - 1)
     edges = zs[ilo : ihi + 1]
@@ -595,7 +583,6 @@ def direct_pair(
         edges[0],
         edges[-1],
         rel_tol=cfg.rel_tol,
-        max_panels=cfg.max_panels,
         init_edges=edges,
     )
     achieved = float(np.max(re))
@@ -764,7 +751,7 @@ def _growth_rate_floor(m: int) -> float:
     return 0.75 * a
 
 
-def _log_P(ghat, u: float, tilt: float, m: int, log_drop: float) -> tuple[float, int]:
+def _log_P(ghat, u: float, tilt: float, m: int) -> tuple[float, int]:
     """log P(x, u) = log int exp(tilt * v) / phi(v, 1/u) dv."""
     m2 = 2 * m
     X = 1.0 / u
@@ -773,9 +760,9 @@ def _log_P(ghat, u: float, tilt: float, m: int, log_drop: float) -> tuple[float,
     # fixed point of v = ((drop + |tilt| v)/rate)^ex bounds the explored
     # v-range; superlinear growth guarantees it exists, monotone iteration
     # from below reaches it
-    v_max = ((log_drop + 16.0) / rate_lo) ** ex
+    v_max = ((_TRUNCATION_DEPTH + 16.0) / rate_lo) ** ex
     for _ in range(200):
-        nxt = ((log_drop + 16.0 + abs(tilt) * v_max) / rate_lo) ** ex
+        nxt = ((_TRUNCATION_DEPTH + 16.0 + abs(tilt) * v_max) / rate_lo) ** ex
         if nxt <= v_max * (1.0 + 1e-9):
             break
         v_max = nxt
@@ -799,7 +786,7 @@ def _log_P(ghat, u: float, tilt: float, m: int, log_drop: float) -> tuple[float,
         c_off = float(c_raw(np.array([v_star]))[0])
 
     pg = ProfileGrid(
-        lambda v: c_raw(v) - c_off, v_star, 1.0, 1.0, log_drop=log_drop
+        lambda v: c_raw(v) - c_off, v_star, 1.0, 1.0, log_drop=_TRUNCATION_DEPTH
     )
     lp = -lphi0 - c_off + float(pg.log_G(np.array([1.0]))[0])
     return lp, wg.n + pg.n_evals
@@ -850,7 +837,7 @@ def bergman_normalized(
         return f.g(scale * np.asarray(xhat, dtype=float)) / g0
 
     x, y = float(p.x), float(p.y)
-    u_hi = ((cfg.log_drop + 13.0) / y) ** (1.0 / m2)
+    u_hi = ((_TRUNCATION_DEPTH + 13.0) / y) ** (1.0 / m2)
     if u_floor > 0 and u_floor >= u_hi:
         raise DomainError("u_floor is beyond the truncation range for this y")
     t_lo = math.log(u_floor) if u_floor > 0 else -12.0
@@ -861,7 +848,7 @@ def bergman_normalized(
         out = np.empty(ts.size)
         for i, t in enumerate(ts):
             u = math.exp(t)
-            out[i], ne = _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m, cfg.log_drop)
+            out[i], ne = _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m)
             nev[0] += ne
         return out
 
@@ -872,9 +859,7 @@ def bergman_normalized(
         return (-y * np.exp(m2 * t) + lp + (2 * m2 + 2) * t)[None, :]
 
     n_init = max(14, int((t_hi - t_lo) / 0.1))
-    lv, re, ne = log_adaptive_multi(
-        rows, t_lo, t_hi, rel_tol=cfg.rel_tol, max_panels=cfg.max_panels, init=n_init
-    )
+    lv, re, ne = log_adaptive_multi(rows, t_lo, t_hi, rel_tol=cfg.rel_tol, init=n_init)
     nev[0] += ne
     if not (re[0] <= 20.0 * cfg.rel_tol):
         raise QuadratureError(

@@ -147,6 +147,12 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     rc, _, err = run(capsys, "eval", "--config", str(removed_key), "--dry-run")
     assert rc == 2 and "unknown key" in err
 
+    # the truncation depth is fixed: a shallower one would void the error claim
+    removed_drop = tmp_path / "t.ini"
+    removed_drop.write_text("[quadrature]\ntruncation_drop = 1e-3\n")
+    rc, _, err = run(capsys, "eval", "--config", str(removed_drop), "--dry-run")
+    assert rc == 2 and "unknown key" in err and "truncation_drop" in err
+
     removed_alpha = tmp_path / "a.ini"
     removed_alpha.write_text("[experiment]\nalpha = 2.0\n")
     rc, _, err = run(capsys, "sweep", "--config", str(removed_alpha), "--dry-run")
@@ -170,6 +176,8 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
         ["eval", "--scaling", "direct"],
         ["eval", "--abs-tol", "1e-30"],
         ["eval", "--layer-profile", "composed"],
+        ["eval", "--max-depth", "60"],
+        ["sweep", "--truncation-drop", "1e-16"],
         # flags of settings the command does not read
         ["predict", "--rel-tol", "1e-3"],
         ["predict", "--csv", "p.csv"],
@@ -181,6 +189,33 @@ def test_removed_flags_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--dry-run"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["eval", "--domain", "model:m=1", "--x", "2", "--y", "1"], "outside"),
+        (["sweep", "--n-points", "1"], "n_points"),
+        (["sweep", "--tau", "0"], "tau"),
+        (["sweep", "--rho-ratio", "1"], "rho_ratio"),
+        (["predict", "--tau", "0"], "tau"),
+        (["hormander", "--x0", "0"], "x0"),
+        # a fit needs 6 points and a window that fits the grid
+        (["fit", "--domain", "model:m=1", "--n-points", "6", "--window", "7"], "window"),
+        (["fit", "--domain", "model:m=1", "--n-points", "5"], "at least 6"),
+        (["localize", "--window", "12"], "window"),
+    ],
+)
+def test_dry_run_rejects_what_the_run_rejects(monkeypatch, capsys, argv, cause):
+    def no_integral(*args, **kwargs):
+        raise AssertionError("integrated before the config was checked")
+
+    for name in ("direct_pair", "evaluate_path", "localization_experiment",
+                 "_hormander_limit", "predict"):
+        monkeypatch.setattr(cli, name, no_integral)
+    for dry in ([], ["--dry-run"]):
+        rc, out, err = run(capsys, *argv, *dry)
+        assert rc == 2 and cause in err and out == "", (dry, err)
 
 
 def test_localize_rejects_szego(capsys):
@@ -308,7 +343,7 @@ def _localize_call(monkeypatch, capsys, *argv):
 
 def test_localize_command_defaults(monkeypatch, capsys, tmp_path):
     cfg, grid = _localize_call(monkeypatch, capsys)
-    assert cfg == QuadratureConfig(rel_tol=1e-10, max_depth=60, truncation_drop=1e-16)
+    assert cfg == QuadratureConfig(rel_tol=1e-10)
     np.testing.assert_array_equal(grid, 0.5 ** np.arange(11))
 
     ini = tmp_path / "loc.ini"
@@ -321,7 +356,7 @@ def test_localize_command_defaults(monkeypatch, capsys, tmp_path):
     np.testing.assert_array_equal(grid, 0.8 * 0.5 ** np.arange(15))
 
 
-_QUAD_OUT = {"--rel-tol", "--max-depth", "--truncation-drop", "--csv", "--plot-script"}
+_QUAD_OUT = {"--rel-tol", "--csv", "--plot-script"}
 _PATH = {"--tau", "--rho-start", "--rho-ratio", "--n-points"}
 
 

@@ -26,6 +26,7 @@ from tubekernels import (
     path_points,
     to_polar,
 )
+from tubekernels import experiments
 from tubekernels.experiments import (
     _levi_determinant_fd,
     _nearest_boundary_distance,
@@ -107,7 +108,7 @@ def test_fit_exponent_exact_power_law():
         for v in values
     ]
     assert math.isclose(fit_exponent(kvs, rho, "all").slope, -2.5, abs_tol=1e-12)
-    assert fit_exponent(values, rho, 8).window == (2, 10)
+    assert fit_exponent(values, rho, "trailing:8").window == (2, 10)
     d = fit.as_dict()
     assert d["window"] == [4, 10] and d["slope"] == fit.slope
 
@@ -123,9 +124,29 @@ def test_fit_exponent_guards():
         fit_exponent(values, np.concatenate([rho[:-1], rho[-2:-1]]))  # duplicate
     with pytest.raises(DomainError):
         fit_exponent(np.concatenate([values[:-1], [0.0]]), rho, "all")  # log -inf
-    for policy in ("middle:4", "trailing:x", 2.7):
+    for policy in ("middle:4", "trailing:x", 2.7, 8):
         with pytest.raises(DomainError, match="window policy"):
             fit_exponent(values, rho, policy)
+
+
+@pytest.mark.parametrize(
+    "grid, cause",
+    [
+        (np.array([1.0, 0.5, np.nan, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]), "finite"),
+        (np.array([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, np.inf]), "finite"),
+        (0.5 ** np.arange(8)[::-1], "decreasing"),
+        (np.array([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.015625]), "decreasing"),
+        (np.array([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, -1.0]), "positive"),
+    ],
+)
+def test_fit_and_limit_need_a_finite_decreasing_grid(grid, cause):
+    # the trailing window and the steps theta < 1 both assume a grid that
+    # runs down towards the boundary
+    values = default_rho_grid(8) ** -2.5
+    with pytest.raises(DomainError, match=f"rho_grid must be .*{cause}"):
+        fit_exponent(values, grid, "all")
+    with pytest.raises(DomainError, match=f"rho_grid must be .*{cause}"):
+        limit_c0(values, grid, 2, "bergman")
 
 
 def test_blowup_exponents():
@@ -217,6 +238,20 @@ def test_localization_guards():
         localization_experiment(model_domain(1), model_domain(2), tau_path)
     with pytest.raises(DomainError):
         localization_experiment(model_domain(2), model_domain(2, g0=1.1), tau_path)
+
+
+def test_localization_resolves_its_window_before_integrating(monkeypatch):
+    def no_integral(*args, **kwargs):
+        raise AssertionError("integrated before the window was checked")
+
+    monkeypatch.setattr(experiments, "evaluate_path", no_integral)
+    f = model_domain(1)
+    tau_path = ApproachPath("fixed_tau", {"tau": 1.0}, default_rho_grid(8))
+    with pytest.raises(DomainError, match="window of 9 points"):
+        localization_experiment(f, f, tau_path, window_policy="trailing:9")
+    short = ApproachPath("fixed_tau", {"tau": 1.0}, default_rho_grid(5))
+    with pytest.raises(DomainError, match="at least 6"):
+        localization_experiment(f, f, short)
 
 
 def test_localization_identical_domains():

@@ -30,6 +30,7 @@ from tubekernels import (
 from tubekernels import quadrature
 from tubekernels.quadrature import (
     ProfileGrid,
+    _TRUNCATION_DEPTH,
     _bracket_root,
     _cheb_read,
     _cheb_table,
@@ -54,12 +55,6 @@ def test_config_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError, match="rel_tol"):
             QuadratureConfig(rel_tol=bad)
-    # a fractional depth would make a fractional panel budget
-    with pytest.raises(DomainError, match="max_depth"):
-        QuadratureConfig(max_depth=2.5)
-    cfg = QuadratureConfig()
-    assert cfg.log_drop > 30.0
-    assert cfg.max_panels >= cfg.max_depth
 
 
 def test_adaptive_rescales_past_a_missed_peak():
@@ -408,7 +403,7 @@ def test_cheb_table_rejects_a_kink_at_its_cap():
 def test_log_P_table_matches_direct_log_P(x, y, t_lo, tol):
     # the table bergman_normalized builds, at its own u-range
     f = mollify(model_domain(2), 0.1)
-    m, m2, log_drop = 2, 4, QuadratureConfig().log_drop
+    m, m2 = 2, 4
     g0 = float(f.g(0.0))
 
     def ghat(xhat):
@@ -416,9 +411,9 @@ def test_log_P_table_matches_direct_log_P(x, y, t_lo, tol):
 
     def log_P(t):
         u = math.exp(t)
-        return _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m, log_drop)[0]
+        return _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m)[0]
 
-    t_hi = math.log(((log_drop + 13.0) / y) ** (1.0 / m2))
+    t_hi = math.log(((_TRUNCATION_DEPTH + 13.0) / y) ** (1.0 / m2))
     samples, tail = _cheb_table(
         lambda ts: np.array([log_P(t) for t in ts]), t_lo, t_hi, tol
     )
