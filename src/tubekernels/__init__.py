@@ -34,11 +34,8 @@ from .domain_model import (
     BoundaryRelativePoint,
     DefiningFunction,
     DomainError,
-    DualCone,
     blended_linear_domain,
     damp_tails,
-    dual_cone,
-    make_defining_function,
     model_domain,
     mollify,
     rational_domain,
@@ -72,11 +69,8 @@ __all__ = [
     "__version__",
     # domains
     "DomainError",
-    "DualCone",
     "BoundaryRelativePoint",
     "DefiningFunction",
-    "make_defining_function",
-    "dual_cone",
     "model_domain",
     "rational_domain",
     "blended_linear_domain",

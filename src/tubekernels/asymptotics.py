@@ -95,13 +95,9 @@ def phase_q(m: int) -> LaplaceProblem:
 # ---------------------------------------------------------------------------
 
 
-# how far below its peak _log_exp_integral follows exp(-c)
-_LOG_DROP = 42.0
-
-
 def _log_exp_integral(c_fn, xi_star: float) -> float:
     """log int exp(-c(xi)) dxi for convex c with minimum 0 at xi_star."""
-    pg = ProfileGrid(c_fn, xi_star, 1.0, 1.0, log_drop=_LOG_DROP)
+    pg = ProfileGrid(c_fn, xi_star, 1.0, 1.0)
     return float(pg.log_G(np.array([1.0]))[0])
 
 

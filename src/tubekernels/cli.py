@@ -43,6 +43,7 @@ from .domain_model import (
     table_domain,
 )
 from .experiments import (
+    _FIT_MIN_POINTS,
     ApproachPath,
     _hormander_limit,
     _normal_steps,
@@ -374,7 +375,7 @@ def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
     if cfg.csv is not None:
         _emit_csv(rows, cfg)
     good = [(r["rho"], r[cfg.kind]) for r in results if r["status"] == "ok"]
-    if len(good) < max(cfg.window, 6):
+    if len(good) < max(cfg.window, _FIT_MIN_POINTS):
         raise QuadratureError(
             f"only {len(good)} of {len(results)} points converged; cannot fit"
         )

@@ -18,11 +18,8 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 __all__ = [
     "DomainError",
-    "DualCone",
     "BoundaryRelativePoint",
     "DefiningFunction",
-    "make_defining_function",
-    "dual_cone",
     "mollify",
     "damp_tails",
     "model_domain",
@@ -44,19 +41,6 @@ def _check_order(m) -> None:
 
 
 @dataclass(frozen=True)
-class DualCone:
-    """Admissible Laplace directions: zeta1/zeta2 must lie in (-r_minus, r_plus).
-
-    ``r_plus`` is the tail slope of f on the x -> -infinity branch and
-    ``r_minus`` the slope on the x -> +infinity branch (math.inf for
-    superlinear tails).
-    """
-
-    r_plus: float
-    r_minus: float
-
-
-@dataclass(frozen=True)
 class BoundaryRelativePoint:
     """Imaginary parts (x, y) of a point of the tube; interior means y > f(x)."""
 
@@ -64,29 +48,14 @@ class BoundaryRelativePoint:
     y: float
 
 
-def _vectorize(fn: Callable) -> Callable:
-    """Return a callable guaranteed to map 1-d float arrays to 1-d arrays."""
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(fn(x), dtype=float)
-            if out.shape == x.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.asarray([float(fn(float(v))) for v in x])
-
-    return wrapped
-
-
 class DefiningFunction:
     """f(x) = x^(2m) g(x) with f convex and g(0) > 0.
 
     Internal callables operate on 1-d numpy arrays; the public accessors
-    accept scalars or arrays and return matching shapes.  ``tail_slopes``,
-    when provided, are the exact limits of f(x)/|x| on the (x -> -inf,
-    x -> +inf) branches, with ``math.inf`` for superlinear growth; ``None``
-    means "estimate numerically on demand" (see :func:`dual_cone`).
+    accept scalars or arrays and return matching shapes.  ``tail_slopes``
+    are the exact limits of f(x)/|x| on the (x -> -inf, x -> +inf) branches,
+    with ``math.inf`` for superlinear growth; both must be positive.  They
+    fix the dual cone: zeta1/zeta2 ranges over (-slope(+inf), slope(-inf)).
     """
 
     def __init__(
@@ -100,7 +69,7 @@ class DefiningFunction:
         *,
         label: str,
         full_theorem_class: bool = True,
-        tail_slopes: tuple[float, float] | None = None,
+        tail_slopes: tuple[float, float],
         is_mollified: bool = False,
     ):
         _check_order(m)
@@ -112,7 +81,10 @@ class DefiningFunction:
         self._gp = gprime
         self.label = str(label)
         self.full_theorem_class = bool(full_theorem_class)
-        self.tail_slopes = tail_slopes
+        neg, pos = (float(r) for r in tail_slopes)
+        if not (neg > 0 and pos > 0):
+            raise DomainError(f"tail slopes must be positive, got ({neg!r}, {pos!r})")
+        self.tail_slopes = (neg, pos)
         self.is_mollified = bool(is_mollified)
         g0 = float(self._g(np.asarray([0.0]))[0])
         if not (math.isfinite(g0) and g0 > 0):
@@ -212,89 +184,6 @@ def _f_from_g(m: int, g: Callable, gp: Callable, gpp: Callable):
         return x ** (n - 2) * (n * (n - 1) * g(x) + 2.0 * n * x * gp(x) + x * x * gpp(x))
 
     return fv, fpv, fppv
-
-
-def make_defining_function(
-    m: int,
-    g: Callable,
-    gprime: Callable | None = None,
-    gsecond: Callable | None = None,
-    *,
-    label: str = "custom",
-    tail_slopes: tuple[float, float] | None = None,
-) -> DefiningFunction:
-    """Build a DefiningFunction from g (and optional analytic derivatives).
-
-    Missing derivatives are filled in by central differences, which is
-    plenty for their only consumers (validation and peak seeding); the
-    kernel evaluators use f values only.
-    """
-    gv = _vectorize(g)
-    if gprime is not None:
-        gpv = _vectorize(gprime)
-    else:
-
-        def gpv(x, _g=gv):
-            h = 1e-6 * (1.0 + np.abs(x))
-            return (_g(x + h) - _g(x - h)) / (2.0 * h)
-
-    if gsecond is not None:
-        gppv = _vectorize(gsecond)
-    else:
-
-        def gppv(x, _g=gv):
-            h = 2e-5 * (1.0 + np.abs(x))
-            return (_g(x + h) - 2.0 * _g(x) + _g(x - h)) / (h * h)
-
-    return DefiningFunction(
-        m,
-        *_f_from_g(m, gv, gpv, gppv),
-        gv,
-        gpv,
-        label=label,
-        tail_slopes=tail_slopes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# dual cone
-# ---------------------------------------------------------------------------
-
-
-def _tail_slope(f: DefiningFunction, sign: float) -> float:
-    """Chord-slope estimate of lim f(x)/|x| on one branch.
-
-    Convexity makes the chord slopes over [2^k, 2^(k+1)] increase to the
-    limit, so divergence and convergence are both detectable.
-    """
-    prev = None
-    for k in range(3, 27):
-        a, b = 2.0**k, 2.0 ** (k + 1)
-        fa = f.f(sign * a)
-        fb = f.f(sign * b)
-        s = (fb - fa) / (b - a)
-        if not math.isfinite(s) or s > 1e9:
-            return math.inf
-        if prev is not None and abs(s - prev) <= 1e-9 * max(abs(s), 1e-30):
-            return s
-        prev = s
-    return prev
-
-
-def dual_cone(f: DefiningFunction) -> DualCone:
-    """Dual cone opening (-r_minus, r_plus) for the direction zeta1/zeta2.
-
-    Exact when the definition carries analytic tail slopes; otherwise
-    estimated from chord slopes on a doubling grid.
-    """
-    if f.tail_slopes is not None:
-        neg, pos = f.tail_slopes
-        return DualCone(r_plus=float(neg), r_minus=float(pos))
-    rp = _tail_slope(f, -1.0)
-    rm = _tail_slope(f, +1.0)
-    if not (rp > 0 and rm > 0):
-        raise DomainError(f"degenerate tail slopes ({rp!r}, {rm!r})")
-    return DualCone(r_plus=rp, r_minus=rm)
 
 
 # ---------------------------------------------------------------------------

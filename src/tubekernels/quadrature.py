@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError, dual_cone
+from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError
 
 __all__ = [
     "QuadratureError",
@@ -53,9 +53,10 @@ class QuadratureConfig:
             raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
 
 
-# Truncation depth in e-folds (a 1e-16 relative drop plus a 5 e-fold pad).
-# Fixed, because direct_pair's 0.35 rel_tol and bergman_normalized's 0.5
-# rel_tol error budgets treat the mass dropped below it as negligible.
+# Truncation depth in e-folds (a 1e-16 relative drop plus a 5 e-fold pad),
+# the one depth of every ProfileGrid.  Fixed, because direct_pair's
+# 0.35 rel_tol and bergman_normalized's 0.5 rel_tol error budgets treat the
+# mass dropped below it as negligible.
 _TRUNCATION_DEPTH = -math.log(1e-16) + 5.0
 
 
@@ -289,9 +290,10 @@ class ProfileGrid:
 
     On each side one panel runs from xi_star to the inner edge, the first
     4^(1/16) rung with c >= c_small/eta_hi (flat at the stiffest frequency);
-    panels then grow by RATIO out to the first rung with c >= log_drop/eta_lo
-    (truncated at the softest).  Vectorized ladders find both edges, so a
-    build usually makes eight ``c_fn`` calls.  One Kronrod rule per panel;
+    panels then grow by RATIO out to the first rung with
+    c >= _TRUNCATION_DEPTH/eta_lo (truncated at the softest).  Vectorized
+    ladders find both edges, so a build usually makes eight ``c_fn`` calls.
+    One Kronrod rule per panel;
     G(eta) is a sum over the stored nodes in linear space, each term scaled by
     exp(eta min c) so that none overflows.
     """
@@ -299,9 +301,9 @@ class ProfileGrid:
     RATIO = 1.45
     C_SMALL = 0.03
 
-    def __init__(self, c_fn, xi_star, eta_lo, eta_hi, *, log_drop=42.0):
+    def __init__(self, c_fn, xi_star, eta_lo, eta_hi):
         c_min = self.C_SMALL / eta_hi
-        c_max = log_drop / eta_lo
+        c_max = _TRUNCATION_DEPTH / eta_lo
         c_parts = []
         w_parts = []
         nev = 0
@@ -428,8 +430,9 @@ def _first_failure(ok, *values) -> list[float]:
 
 
 def _cone_interval(f: DefiningFunction) -> tuple[float, float]:
-    cone = dual_cone(f)
-    return -cone.r_minus, cone.r_plus
+    """The dual cone's range of zeta1/zeta2, from f's exact tail slopes."""
+    neg, pos = f.tail_slopes
+    return -pos, neg
 
 
 def compute_D(
@@ -438,11 +441,13 @@ def compute_D(
     """log D(zeta1, zeta2) = log int exp(-xi zeta1 - f(xi) zeta2) dxi.
 
     The point must lie in the open dual cone: zeta2 > 0 and zeta1/zeta2
-    inside (-r_minus, r_plus).  The profile grid is fixed, so ``cfg`` does
-    not change the result; the error estimate is measured, not assumed: the
+    inside the range ``_cone_interval`` reads from f's tail slopes.  The
+    profile grid is fixed; the error estimate is measured, not assumed: the
     profile is integrated again on a grid of half the density and the
-    difference reported.
+    difference reported.  QuadratureError when that error exceeds
+    ``cfg.rel_tol``.
     """
+    cfg = cfg or QuadratureConfig()
     if not (zeta2 > 0):
         raise DomainError(f"zeta2 must be positive, got {zeta2!r}")
     lo, hi = _cone_interval(f)
@@ -457,13 +462,18 @@ def compute_D(
     def c_fn(xi):
         return f.f(xi) + zeta * xi - A
 
-    pg = ProfileGrid(c_fn, xi_s, zeta2, zeta2, log_drop=_TRUNCATION_DEPTH)
+    pg = ProfileGrid(c_fn, xi_s, zeta2, zeta2)
     lg = float(pg.log_G(np.array([zeta2]))[0])
 
     # density-halved grid for an honest error measurement
-    half = _CoarseProfile(c_fn, xi_s, zeta2, zeta2, log_drop=_TRUNCATION_DEPTH)
+    half = _CoarseProfile(c_fn, xi_s, zeta2, zeta2)
     lg2 = float(half.log_G(np.array([zeta2]))[0])
     err = abs(math.expm1(lg2 - lg)) + 1e-14
+    if not (err <= cfg.rel_tol):
+        raise QuadratureError(
+            f"D({zeta1!r}, {zeta2!r}) missed its tolerance: measured rel err "
+            f"{err:.3e} (requested {cfg.rel_tol:.1e})"
+        )
     return -zeta2 * A + lg, err
 
 
@@ -509,13 +519,7 @@ def direct_pair(
     tail_G = [0.0]
 
     def inner(zeta: float, xi_s: float, A: float, r: float) -> np.ndarray:
-        pg = ProfileGrid(
-            lambda xi: f.f(xi) + zeta * xi - A,
-            xi_s,
-            h_lo / r,
-            h_hi / r,
-            log_drop=_TRUNCATION_DEPTH,
-        )
+        pg = ProfileGrid(lambda xi: f.f(xi) + zeta * xi - A, xi_s, h_lo / r, h_hi / r)
         # log G(e^t / r) is smooth in t: tabulate it once for this zeta
         samples, tail = _cheb_table(
             lambda t: pg.log_G(np.exp(t) / r), t_lo, t_hi, 0.1 * cfg.rel_tol
@@ -785,9 +789,7 @@ def _log_P(ghat, u: float, tilt: float, m: int) -> tuple[float, int]:
         )
         c_off = float(c_raw(np.array([v_star]))[0])
 
-    pg = ProfileGrid(
-        lambda v: c_raw(v) - c_off, v_star, 1.0, 1.0, log_drop=_TRUNCATION_DEPTH
-    )
+    pg = ProfileGrid(lambda v: c_raw(v) - c_off, v_star, 1.0, 1.0)
     lp = -lphi0 - c_off + float(pg.log_G(np.array([1.0]))[0])
     return lp, wg.n + pg.n_evals
 

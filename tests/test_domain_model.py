@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 
 from tubekernels import (
     BoundaryRelativePoint,
+    DefiningFunction,
     DomainError,
     blended_linear_domain,
     damp_tails,
-    dual_cone,
-    make_defining_function,
     model_domain,
     mollify,
     rational_domain,
     table_domain,
 )
+from tubekernels.quadrature import _cone_interval
 
 
 def test_model_domain_is_the_monomial():
@@ -55,40 +55,47 @@ def test_rational_domain_shape():
 
 def test_blended_linear_tail_slopes():
     f = blended_linear_domain(2, slope=0.8)
-    cone = dual_cone(f)
-    assert math.isclose(cone.r_plus, 0.8, rel_tol=1e-9)
-    assert math.isclose(cone.r_minus, 0.8, rel_tol=1e-9)
+    neg, pos = f.tail_slopes
+    assert math.isclose(neg, 0.8, rel_tol=1e-9)
+    assert math.isclose(pos, 0.8, rel_tol=1e-9)
     far = f.fprime(50.0)
     assert math.isclose(float(far), 0.8, rel_tol=1e-9)
 
 
 def test_dual_cone_model_is_everything():
-    cone = dual_cone(model_domain(2))
-    assert cone.r_plus == math.inf and cone.r_minus == math.inf
+    assert _cone_interval(model_domain(2)) == (-math.inf, math.inf)
 
 
-def test_make_defining_function_rejects_growing_g():
-    with pytest.raises(DomainError):
-        make_defining_function(1, lambda x: 1.0 + x**2)
+def _table(g, gp):
+    xs = np.linspace(-3.0, 3.0, 121)
+    return table_domain(xs, g(xs), gp(xs), 1)
 
 
-def test_make_defining_function_rejects_nonconvex_f():
+def test_table_domain_rejects_growing_g():
+    with pytest.raises(DomainError, match=r"x g'\(x\) <= 0 violated"):
+        _table(lambda x: 1.0 + x**2, lambda x: 2.0 * x)
+
+
+def test_table_domain_rejects_nonconvex_f():
     # f = x^2 exp(-4x^2) dips below zero curvature near |x| ~ 0.5
-    with pytest.raises(DomainError):
-        make_defining_function(1, lambda x: np.exp(-4.0 * x**2))
+    with pytest.raises(DomainError, match="f is not convex"):
+        _table(lambda x: np.exp(-4.0 * x**2), lambda x: -8.0 * x * np.exp(-4.0 * x**2))
 
 
-def test_make_defining_function_finite_difference_fallback():
-    # f = 2x^2 + x^2/(1+x^2); curvature stays >= 3, so validation passes
-    f = make_defining_function(1, lambda x: 2.0 + 1.0 / (1.0 + x**2))
-
-    def exact_fprime(x):
-        return 4.0 * x + 2.0 * x / (1.0 + x**2) ** 2
-
-    for x in (-1.3, -0.4, 0.0, 0.9, 2.1):
-        fp = float(f.fprime(x))
-        want = float(exact_fprime(x))
-        assert math.isclose(fp, want, rel_tol=1e-6, abs_tol=1e-9)
+@pytest.mark.parametrize("slopes", [(0.0, 1.0), (1.0, -0.5), (math.nan, math.inf)])
+def test_defining_function_rejects_non_positive_tail_slopes(slopes):
+    # a valid parabola; only the declared dual cone is wrong
+    with pytest.raises(DomainError, match="tail slopes must be positive"):
+        DefiningFunction(
+            1,
+            lambda x: x**2,
+            lambda x: 2.0 * x,
+            lambda x: np.full_like(x, 2.0),
+            np.ones_like,
+            np.zeros_like,
+            label="parabola",
+            tail_slopes=slopes,
+        )
 
 
 def test_table_domain_reproduces_sampled_profile():
@@ -140,8 +147,8 @@ def test_damp_tails_exact_core_and_linear_tail():
     np.testing.assert_allclose(fd.fsecond(tail), 0.0, atol=1e-12)
     slope = float(fd.fprime(2.0))
     assert math.isclose(float(fd.fprime(9.0)), slope, rel_tol=1e-12)
-    cone = dual_cone(fd)
-    assert math.isclose(cone.r_plus, slope, rel_tol=1e-9)
+    _, r_plus = _cone_interval(fd)
+    assert math.isclose(r_plus, slope, rel_tol=1e-9)
     grid = np.linspace(-3.0, 3.0, 301)
     assert np.all(fd.fsecond(grid) >= -1e-10)
     assert fd.m == f.m

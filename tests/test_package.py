@@ -70,6 +70,53 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _private_definitions(tree: ast.Module):
+    """Top-level private functions, classes and constants: (name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(tree: ast.Module):
+    """(name, line) of every Name load, attribute name and from-import name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_no_unread_private_definitions():
+    # a deletion can strand the private helpers that only the deleted code
+    # called; each must be read somewhere in the package outside its own body
+    src = ROOT / "src" / "tubekernels"
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    reads = {name: list(_reads(tree)) for name, tree in trees.items()}
+    unread = []
+    for fname, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                key == name and not (other == fname and line in own)
+                for other, hits in reads.items()
+                for key, line in hits
+            ):
+                unread.append(f"{fname}:{name}")
+    assert unread == []
+
+
 def _module_bindings() -> dict:
     return {
         (name, key): val

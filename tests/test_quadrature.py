@@ -281,6 +281,15 @@ def test_compute_d_against_library_quadrature():
     assert math.isclose(math.exp(lg), D4_ORACLE, rel_tol=1e-10)
 
 
+def test_compute_d_raises_when_it_misses_its_tolerance():
+    # the half-density error carries a 1e-14 floor, so 1e-15 is out of reach
+    f = model_domain(1)
+    with pytest.raises(QuadratureError, match="measured rel err"):
+        compute_D(f, 0.0, 1.0, QuadratureConfig(rel_tol=1e-15))
+    _, err = compute_D(f, 0.0, 1.0, QuadratureConfig())
+    assert err <= QuadratureConfig().rel_tol
+
+
 def test_compute_d_rejects_frequencies_outside_dual_cone():
     f = blended_linear_domain(2, slope=1.0)
     lg, _ = compute_D(f, 0.5, 1.0)  # |zeta1/zeta2| < 1 is fine
