@@ -146,6 +146,16 @@ class DefiningFunction:
         if not np.all(np.isfinite(f)):
             raise DomainError("f takes non-finite values on the sample grid")
 
+        # f' of a convex f rises toward the tail slope, so f'(12) bounds it
+        # from below on each branch
+        reached = self.fprime(np.array([-12.0, 12.0])) * np.array([-1.0, 1.0])
+        for side, declared, least in zip(("-inf", "+inf"), self.tail_slopes, reached):
+            if declared < least - 1e-9 * abs(least):
+                raise DomainError(
+                    f"tail slope {declared!r} declared at x -> {side} is below "
+                    f"|f'| = {float(least)!r} at |x| = 12"
+                )
+
         tol = 1e-9 * (1.0 + np.abs(fpp))
         bad = fpp < -tol
         if np.any(bad):

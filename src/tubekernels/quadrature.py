@@ -11,7 +11,11 @@ as an exponential sum over its nodes, each term scaled by the phase minimum,
 which is what makes the double and triple integrals tractable.  Smooth 1-D
 profiles are tabulated once per use, as Chebyshev tables sized by the
 tolerance: log G in log frequency once per zeta in ``direct_pair``, and
-log P in log u once per ``bergman_normalized`` call.
+log P in log u once per ``bergman_normalized`` call.  ``direct_pair`` works
+on the zetas of an outer integrand call in chunks of ``_ZETA_CHUNK``: one
+table pass samples the log G of a whole chunk from padded (zeta, t, node)
+arrays, and one engine call integrates the chunk's inner rows on shared
+panels.
 """
 
 from __future__ import annotations
@@ -174,6 +178,10 @@ def log_adaptive_multi(
     ``logf(x: array(n)) -> array(k, n)`` gives log-integrand values for k
     integrand rows sharing the same panels.  Each round splits, in the row
     with the largest relative error, the panel with the largest error.
+    Every row's sums are scaled by its own largest term, and a row whose
+    total is below ``LOG_ABS_FLOOR`` e-folds, or NaN, asks for no
+    refinement, so a k-row call that refines nothing gives each row its
+    one-row value and error bit for bit.
     Returns ``(log_values(k), rel_err(k), n_rule_points)``; a zero integrand
     gives -inf, and a NaN or +inf integrand value a NaN log value, both
     with an infinite error.  Refinement also stops at ``_MAX_PANELS``
@@ -195,20 +203,20 @@ def log_adaptive_multi(
     nev = 15 * lo.size
 
     while True:
-        # sums scaled by the largest rule or error term, so nothing overflows
-        off = np.max((l15, lerr))
-        if off == -np.inf:
-            off = 0.0
-        tot = np.sum(np.exp(l15 - off), axis=1)
-        err = np.sum(np.exp(lerr - off), axis=1)
+        # each row's sums scaled by its largest rule or error term, so
+        # nothing overflows and no row is measured against another's scale
+        off = np.maximum(np.max(l15, axis=1), np.max(lerr, axis=1))
+        off[off == -np.inf] = 0.0
+        tot = np.sum(np.exp(l15 - off[:, None]), axis=1)
+        err = np.sum(np.exp(lerr - off[:, None]), axis=1)
         if nev >= _MAX_PANELS * 15:
             break
-        if not (off + math.log(max(tot[0], 1e-300)) >= LOG_ABS_FLOOR):
-            break  # total is zero at the floor, or NaN
-        if np.all(err <= rel_tol * np.abs(tot)):
+        # a row whose total is zero at the floor, or NaN, asks for nothing
+        live = off + np.log(np.maximum(tot, 1e-300)) >= LOG_ABS_FLOOR
+        if np.all(~live | (err <= rel_tol * tot)):
             break
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.nanargmax(err / np.abs(tot))
+            r = np.argmax(np.where(live, err / tot, 0.0))
         j = np.argmax(lerr[r])
         pa, pb = lo[j], hi[j]
         mid = 0.5 * (pa + pb)
@@ -346,17 +354,27 @@ class ProfileGrid:
 
     def log_G(self, eta) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
-        # exponents -eta (c - min c) <= 0, so nothing overflows, and the
-        # minimum node keeps every sum positive; numpy's sum, not BLAS, so
-        # reruns are bit-identical whatever the BLAS threads.  Exponents are
-        # floored at -700: exp takes a slow path where its result underflows,
-        # and a term e^-700 w is below 1e-300 of its weight, under the
-        # round-off of any sum whose weights span less than 1e280
-        terms = np.multiply.outer(-eta, self.dc)
-        np.maximum(terms, -700.0, out=terms)
-        np.exp(terms, out=terms)
-        terms *= self.w
-        return np.log(terms.sum(axis=1)) - eta * self.c_low
+        return _log_G(self.dc, self.w, self.c_low, eta)
+
+
+def _log_G(dc, w, c_low, eta) -> np.ndarray:
+    """log G at the frequencies ``eta`` (n,) on one grid, with shifted phase
+    ``dc`` and weights ``w`` (nodes,) and phase minimum ``c_low``; or of k
+    grids at once, row i of ``eta`` (k, n) on ``dc[i]``, ``w[i]`` (k, nodes)
+    and ``c_low[i]`` (k, 1).  Grids of fewer nodes are padded with w = 0.
+
+    Exponents -eta (c - min c) are <= 0, so nothing overflows, and the
+    minimum node keeps every sum positive; numpy's sum, not BLAS, so reruns
+    are bit-identical whatever the BLAS threads.  Exponents are floored at
+    -700: exp takes a slow path where its result underflows, and a term
+    e^-700 w is below 1e-300 of its weight, under the round-off of any sum
+    whose weights span less than 1e280.
+    """
+    terms = -eta[..., None] * dc[..., None, :]
+    np.maximum(terms, -700.0, out=terms)
+    np.exp(terms, out=terms)
+    terms *= w[..., None, :]
+    return np.log(terms.sum(axis=-1)) - eta * c_low
 
 
 def _pick(cond, x, y):
@@ -481,6 +499,18 @@ class _CoarseProfile(ProfileGrid):
     RATIO = ProfileGrid.RATIO ** 2
 
 
+# zetas per chunk of direct_pair's inner layer, sized by measured memory: a
+# round of 64 new log G samples over ~900 padded nodes (rel_tol 1e-10) takes
+# about 0.45 MB per zeta, and a call's traced peak is 2.5 MB at 6 zetas and
+# 3.3 MB at 8, against 0.5 MB unbatched; chunks past 6 gain little speed
+_ZETA_CHUNK = 6
+
+
+def _phase(f: DefiningFunction, zeta: float, A: float) -> Callable:
+    """The phase f(xi) + zeta xi - A of E(zeta, .), its minimum A moved to 0."""
+    return lambda xi: f.f(xi) + zeta * xi - A
+
+
 def direct_pair(
     f: DefiningFunction, p: BoundaryRelativePoint, cfg: QuadratureConfig | None = None
 ) -> tuple[KernelValue, KernelValue]:
@@ -495,20 +525,29 @@ def direct_pair(
     The outer integrand is batched: one elementwise root search gives the
     phase minimum xi_s of E(zeta, .) for all of a call's zetas (every
     initial panel in the first call, one split panel in each later call) and
-    one call of ``f.f`` its value.  Each zeta then builds its profile grid
-    and tabulates log G(e^t / r) once, a Chebyshev table in t = log h
-    (``_cheb_table``) sized until its tail is at most rel_tol / 10, usually
-    17 or 65 samples; its inner eta integral reads that table.
+    one call of ``f.f`` its value.  The zetas then go through the inner
+    layer in chunks of at most ``_ZETA_CHUNK``.  Each zeta builds its own
+    profile grid.  One ``_cheb_table`` pass tabulates log G(e^t / r) in
+    t = log h for every zeta of the chunk, each row sized until its tail is
+    at most rel_tol / 10, usually 17 or 65 samples, from the grids' nodes
+    padded to a common count with zero weight.  One ``log_adaptive_multi``
+    call then integrates the chunk's 2k inner eta rows (Bergman and Szego
+    for each zeta) on shared t panels, reading all tables at once.  An inner
+    row that ends above its 0.25 rel_tol budget raises QuadratureError
+    naming its zeta.
     ``err_estimate`` is the outer integral's relative error, plus
     0.35 rel_tol for the inner integrals and the truncation, plus the largest
     table tail (an absolute error of log G is a relative error of the
-    integrand); ``evaluations`` counts the profile grids' phase points, the
-    table samples and the rule points of both integrals.
+    integrand).  ``evaluations`` sums, over every zeta (the scan's and the
+    outer rule's), its grid's phase points, its table's samples and the
+    rule points of the inner call that integrated it; the zetas of a chunk
+    share that call's panels, and each counts its rule points once.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
     x, y = float(p.x), float(p.y)
-    ps = np.array([2.0, 1.0])
+    ps = np.array([[2.0], [1.0]])
+    inner_tol = 0.25 * cfg.rel_tol
     # h = eta * r is the rescaled frequency; the integrand carries h^(p+3/2)
     # near 0, so this floor keeps the discarded mass below ~0.03 * rel_tol
     h_lo = max(1e-6, (0.03 * cfg.rel_tol) ** (1.0 / 2.5))
@@ -518,29 +557,43 @@ def direct_pair(
     nev = [0]
     tail_G = [0.0]
 
-    def inner(zeta: float, xi_s: float, A: float, r: float) -> np.ndarray:
-        pg = ProfileGrid(lambda xi: f.f(xi) + zeta * xi - A, xi_s, h_lo / r, h_hi / r)
-        # log G(e^t / r) is smooth in t: tabulate it once for this zeta
-        samples, tail = _cheb_table(
-            lambda t: pg.log_G(np.exp(t) / r), t_lo, t_hi, 0.1 * cfg.rel_tol
-        )
-        nev[0] += pg.n_evals + samples.size
-        tail_G[0] = max(tail_G[0], tail)
-        log_r = math.log(r)
+    def inner(zetas: np.ndarray, xi_s: np.ndarray, A: np.ndarray, r: np.ndarray):
+        # one profile grid per zeta, padded with w = 0 to a common node count
+        grids = [
+            ProfileGrid(_phase(f, zeta, a), s, h_lo / q, h_hi / q)
+            for zeta, s, a, q in zip(zetas.tolist(), xi_s.tolist(), A.tolist(), r.tolist())
+        ]
+        k = len(grids)
+        size = max(g.dc.size for g in grids)
+        dc, w = np.zeros((k, size)), np.zeros((k, size))
+        for i, g in enumerate(grids):
+            dc[i, : g.dc.size], w[i, : g.w.size] = g.dc, g.w
+        c_low = np.array([g.c_low for g in grids])
+
+        # log G(e^t / r) is smooth in t: tabulate it once for each zeta
+        def log_G(rows, t):
+            eta = np.exp(t)[None, :] / r[rows, None]
+            return _log_G(dc[rows], w[rows], c_low[rows, None], eta)
+
+        tables, tails = _cheb_table(log_G, t_lo, t_hi, 0.1 * cfg.rel_tol, k)
+        log_r = np.log(r)
 
         def logI(t):
-            lg = _cheb_read(samples, t_lo, t_hi, t)
-            return (t - log_r)[None, :] * ps[:, None] + (t - np.exp(t) - lg)[None, :]
+            lg = _cheb_read(tables, t_lo, t_hi, t)
+            tp = (t[None, :] - log_r[:, None])[:, None, :] * ps
+            return (tp + ((t - np.exp(t))[None, :] - lg)[:, None, :]).reshape(2 * k, -1)
 
-        lv, re, ne = log_adaptive_multi(
-            logI,
-            t_lo,
-            t_hi,
-            rel_tol=cfg.rel_tol * 0.25,
-            init=n_init_mid,
-        )
-        nev[0] += ne
-        return lv - log_r
+        lv, re, ne = log_adaptive_multi(logI, t_lo, t_hi, rel_tol=inner_tol, init=n_init_mid)
+        miss = np.flatnonzero(~(re <= inner_tol))
+        if miss.size:
+            i = miss[0]
+            raise QuadratureError(
+                f"inner eta integral at zeta = {float(zetas[i // 2])!r} did not converge: "
+                f"achieved rel err {re[i]:.3e} (requested {inner_tol:.1e})"
+            )
+        nev[0] += sum(g.n_evals for g in grids) + sum(s.size for s in tables) + k * ne
+        tail_G[0] = max(tail_G[0], float(tails.max()))
+        return (lv.reshape(k, 2) - log_r[:, None]).T
 
     def middles(zetas: np.ndarray) -> np.ndarray:
         ones = np.ones_like(zetas)
@@ -548,8 +601,9 @@ def direct_pair(
         A = f.f(xi_s) + zetas * xi_s
         r = y + x * zetas - A  # >= y - f(x) > 0
         out = np.empty((2, zetas.size))
-        for j in range(zetas.size):
-            out[:, j] = inner(float(zetas[j]), float(xi_s[j]), float(A[j]), float(r[j]))
+        for j in range(0, zetas.size, _ZETA_CHUNK):
+            c = slice(j, j + _ZETA_CHUNK)
+            out[:, c] = inner(zetas[c], xi_s[c], A[c], r[c])
         return out
 
     lo, hi = _cone_interval(f)
@@ -649,72 +703,92 @@ class _WGrid:
         return _logsumexp((self.logw - self.Q)[None, :] + v[:, None] * self.w[None, :])
 
 
-def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarray, float]:
-    """Chebyshev interpolant of ``fn`` on [a, b], sized by ``tol``.
+def _cheb_table(
+    fn: Callable, a: float, b: float, tol: float, k: int = 1
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Chebyshev interpolants of k functions on [a, b], each sized by ``tol``.
 
-    ``fn`` maps an array of points to an array of values.  It is sampled at
-    the Chebyshev-Lobatto points cos(pi k / n) mapped onto [a, b], starting
-    at n = 16 and doubling n; the grids are nested, so each doubling calls
-    ``fn`` once, on the new odd-index points only.  The coefficients c_k come
-    from the FFT of the even extension of the samples.  The table stops when
-    the largest |c_k| over the top quarter is at or below ``tol``, or when
-    the coefficients end in a round-off plateau (``_plateau``) at this size
-    and the one before; past 513 points it raises QuadratureError.
+    ``fn(rows, t)`` maps row indices (an int array) and points t to the
+    (rows.size, t.size) array of those rows' values.  Every row is sampled
+    at the Chebyshev-Lobatto points cos(pi j / n) mapped onto [a, b],
+    starting at n = 16 and doubling n; the grids are nested, so each
+    doubling calls ``fn`` once, on the new odd-index points only, for the
+    rows still open.  A row's coefficients c_k come from the FFT of the even
+    extension of its samples.  A row stops when the largest |c_k| over the
+    top quarter is at or below ``tol``, or when its coefficients end in a
+    round-off plateau (``_plateau``) at this size and the one before, and is
+    not sampled again; past 513 points QuadratureError names the first row
+    still open.
 
-    Returns ``(samples, tail)``, the samples at cos(pi k / n), k = 0..n, read
-    by ``_cheb_read``.  ``tail`` estimates the interpolant's error: the
-    stopping figure, or at a plateau the sum of |c_k| over it, floored at
-    8 eps sum |c_k| (the samples' round-off, amplified by the Lebesgue
-    constant, below 5 at 513 points, plus the round-off of the reader).
+    Returns ``(tables, tails)``: row i's samples at cos(pi j / n),
+    j = 0..n, read by ``_cheb_read``, and ``tails[i]``, an estimate of its
+    interpolant's error: the stopping figure, or at a plateau the sum of
+    |c_k| over it, floored at 8 eps sum |c_k| (the samples' round-off,
+    amplified by the Lebesgue constant, below 5 at 513 points, plus the
+    round-off of the reader).
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     n = 16
-    vals = fn(mid + half * np.cos(np.pi * np.arange(n + 1) / n))
-    flat_before = False
+    rows = np.arange(k)
+    vals = fn(rows, mid + half * np.cos(np.pi * np.arange(n + 1) / n))
+    tables: list[np.ndarray] = [np.empty(0)] * k
+    tails = np.empty(k)
+    flat_before = np.zeros(k, dtype=bool)
     while True:
-        ext = np.concatenate((vals, vals[-2:0:-1]))
-        c = np.fft.rfft(ext).real[: n + 1] / n
-        c[0] *= 0.5
-        c[n] *= 0.5
-        floor = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(c)))
-        tail = float(np.max(np.abs(c[(3 * n) // 4 :])))
-        if tail <= tol:
-            return vals, max(tail, floor)
-        j = _plateau(c)
-        if j is not None and flat_before:
-            return vals, max(float(np.sum(np.abs(c[j:]))), floor)
-        flat_before = j is not None
+        ext = np.concatenate((vals, vals[:, -2:0:-1]), axis=1)
+        c = np.fft.rfft(ext, axis=1).real[:, : n + 1] / n
+        c[:, 0] *= 0.5
+        c[:, n] *= 0.5
+        floor = 8.0 * np.finfo(float).eps * np.sum(np.abs(c), axis=1)
+        tail = np.max(np.abs(c[:, (3 * n) // 4 :]), axis=1)
+        # only rows that miss tol look for a plateau (a zero row has none)
+        j = np.zeros(rows.size, dtype=int)
+        j[tail > tol] = _plateau(c[tail > tol])
+        flat = j > 0
+        est = tail.copy()
+        for i in np.flatnonzero(flat):
+            est[i] = np.sum(np.abs(c[i, j[i] :]))
+        done = (tail <= tol) | (flat & flat_before)
+        tails[rows[done]] = np.maximum(est, floor)[done]
+        for i in np.flatnonzero(done):
+            tables[rows[i]] = vals[i]
+        if done.all():
+            return tables, tails
         if n >= 512:
+            i = np.flatnonzero(~done)[0]
             raise QuadratureError(
-                f"Chebyshev table on [{a!r}, {b!r}] did not resolve at "
-                f"{n + 1} points: tail {tail:.3e} (requested {tol:.1e})"
+                f"Chebyshev table row {rows[i]} on [{a!r}, {b!r}] did not resolve "
+                f"at {n + 1} points: tail {tail[i]:.3e} (requested {tol:.1e})"
             )
-        new = np.empty(2 * n + 1)
-        new[0::2] = vals
-        new[1::2] = fn(mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        rows, vals, flat_before = rows[~done], vals[~done], flat[~done]
+        new = np.empty((rows.size, 2 * n + 1))
+        new[:, 0::2] = vals
+        new[:, 1::2] = fn(rows, mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
         vals = new
         n *= 2
 
 
-def _plateau(c: np.ndarray) -> int | None:
-    """Start of a round-off plateau of the Chebyshev coefficients ``c``.
+def _plateau(c: np.ndarray) -> np.ndarray:
+    """Start of a round-off plateau in each row of the Chebyshev
+    coefficients ``c`` (k, n + 1), or 0 where a row has none.
 
     Aurentz & Trefethen's plateau test ("Chopping a Chebyshev series", 2017)
     at tolerance eps: with e_j = max_{k >= j} |c_k| / max |c_k|, the plateau
     starts at the first j with e_j2 >= 3 (1 - log e_j / log eps) e_j, where
     j2 = round(1.25 j + 5) is still a coefficient.  The factor is below 1
     only where e_j < eps^(2/3), so coefficients still decaying, or flat above
-    that level, give None.
+    that level, give 0.
     """
-    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1]
-    e = env / env[0]
-    j = np.arange(1, c.size)
+    env = np.maximum.accumulate(np.abs(c)[:, ::-1], axis=1)[:, ::-1]
+    e = env / env[:, :1]
+    n1 = c.shape[1]
+    j = np.arange(1, n1)
     j2 = np.rint(1.25 * j + 5.0).astype(int)
-    j, j2 = j[j2 < c.size], j2[j2 < c.size]
+    j, j2 = j[j2 < n1], j2[j2 < n1]
     eps = np.finfo(float).eps
-    r = 3.0 * (1.0 - np.log(np.maximum(e[j], np.finfo(float).tiny)) / math.log(eps))
-    flat = np.flatnonzero(e[j2] >= r * e[j])
-    return int(j[flat[0]]) if flat.size else None
+    r = 3.0 * (1.0 - np.log(np.maximum(e[:, j], np.finfo(float).tiny)) / math.log(eps))
+    flat = e[:, j2] >= r * e[:, j]
+    return np.where(flat.any(axis=1), j[flat.argmax(axis=1)], 0)
 
 
 @lru_cache(maxsize=8)
@@ -726,24 +800,33 @@ def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(np.pi * np.arange(n + 1) / n), w
 
 
-def _cheb_read(samples: np.ndarray, a: float, b: float, t: np.ndarray) -> np.ndarray:
-    """The interpolant of a ``_cheb_table`` on [a, b] at the points ``t``.
+def _cheb_read(tables: list[np.ndarray], a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """The interpolants of ``_cheb_table`` rows on [a, b] at the points
+    ``t``, one row each: an array (len(tables), t.size).
 
     The barycentric formula on the Chebyshev-Lobatto points (Berrut &
-    Trefethen, SIAM Review 46, 2004): one points x samples matrix, summed by
-    numpy, not BLAS, so reruns are bit-identical.  A point on a sample gives
-    that sample.
+    Trefethen, SIAM Review 46, 2004): for each table size, one points x
+    samples matrix, contracted with every table of that size by
+    ``np.einsum``, not BLAS, so reruns are bit-identical.  A point on a
+    sample gives that sample.
     """
-    nodes, w = _lobatto(samples.size - 1)
     x = (2.0 * t - a - b) / (b - a)
-    q = np.subtract.outer(x, nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(w, q, out=q)
-        out = np.einsum("ij,j->i", q, samples) / np.einsum("ij->i", q)
-    bad = np.isnan(out)
-    if bad.any():
-        hit = x[bad, None] == nodes
-        out[bad] = np.where(hit.any(axis=1), samples[hit.argmax(axis=1)], np.nan)
+    sizes = np.array([s.size for s in tables])
+    out = np.empty((sizes.size, x.size))
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        samples = np.array([tables[i] for i in rows])
+        nodes, w = _lobatto(int(size) - 1)
+        q = np.subtract.outer(x, nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(w, q, out=q)
+            vals = np.einsum("ij,kj->ki", q, samples) / np.einsum("ij->i", q)
+        bad = np.isnan(vals)
+        if bad.any():
+            r, j = np.nonzero(bad)
+            hit = x[j, None] == nodes
+            vals[bad] = np.where(hit.any(axis=1), samples[r, hit.argmax(axis=1)], np.nan)
+        out[rows] = vals
     return out
 
 
@@ -854,11 +937,12 @@ def bergman_normalized(
             nev[0] += ne
         return out
 
-    samples, tail = _cheb_table(log_P, t_lo, t_hi, 0.1 * cfg.rel_tol)
+    tables, tails = _cheb_table(lambda _, ts: log_P(ts)[None, :], t_lo, t_hi, 0.1 * cfg.rel_tol)
+    tail = tails[0]
 
     def rows(t):
-        lp = _cheb_read(samples, t_lo, t_hi, t)
-        return (-y * np.exp(m2 * t) + lp + (2 * m2 + 2) * t)[None, :]
+        lp = _cheb_read(tables, t_lo, t_hi, t)
+        return -y * np.exp(m2 * t) + lp + (2 * m2 + 2) * t
 
     n_init = max(14, int((t_hi - t_lo) / 0.1))
     lv, re, ne = log_adaptive_multi(rows, t_lo, t_hi, rel_tol=cfg.rel_tol, init=n_init)

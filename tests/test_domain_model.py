@@ -98,6 +98,34 @@ def test_defining_function_rejects_non_positive_tail_slopes(slopes):
         )
 
 
+def test_defining_function_rejects_tail_slopes_below_f_prime():
+    # a parabola's slopes grow without bound; declaring (1, 1) would cut its
+    # dual cone to (-1, 1), so construction fails and names both values
+    with pytest.raises(DomainError, match=r"tail slope 1\.0 declared at x -> -inf .* 24\.0"):
+        DefiningFunction(
+            1,
+            lambda x: x**2,
+            lambda x: 2.0 * x,
+            lambda x: np.full_like(x, 2.0),
+            np.ones_like,
+            np.zeros_like,
+            label="parabola",
+            tail_slopes=(1.0, 1.0),
+        )
+    # every constructor declares slopes at or above f'(12)
+    base = model_domain(2)
+    for f in (
+        blended_linear_domain(2, slope=0.8),
+        blended_linear_domain(2, slope=1.0),
+        damp_tails(base, 0.5),
+        mollify(base, 0.1),
+        table_domain(np.linspace(-3, 3, 13), np.ones(13), np.zeros(13), 1),
+        rational_domain(2),
+    ):
+        neg, pos = f.tail_slopes
+        assert neg >= -f.fprime(-12.0) * (1 - 1e-9) and pos >= f.fprime(12.0) * (1 - 1e-9)
+
+
 def test_table_domain_reproduces_sampled_profile():
     src = rational_domain(2)
     xs = np.linspace(-3.0, 3.0, 121)

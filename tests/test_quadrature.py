@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -105,6 +106,29 @@ def test_adaptive_refines_the_worst_row():
     )
     assert n <= 600
     assert math.isclose(lv[1], 50.0 + math.log(math.sqrt(math.pi / 5e4)), rel_tol=1e-9)
+
+
+def test_adaptive_rows_do_not_see_each_other():
+    # six smooth rows, resolved by the initial panels: one 6-row call gives
+    # each row's one-row value and error bit for bit
+    peaks = (0.2, 0.35, 0.5, 0.6, 0.75, 0.9)
+
+    def rows(x):
+        return np.vstack([3.0 * j - 4.0 * (x - c) ** 2 for j, c in enumerate(peaks)])
+
+    lv, re, n = log_adaptive_multi(rows, 0.0, 1.0, init=8, rel_tol=1e-6)
+    assert n == 15 * 8
+    for j in range(len(peaks)):
+        one, one_re, one_n = log_adaptive_multi(
+            lambda x: rows(x)[j : j + 1], 0.0, 1.0, init=8, rel_tol=1e-6
+        )
+        assert one_n == n and one[0] == lv[j] and one_re[0] == re[j], j
+    # a row e^-800 below another keeps its own scale and a finite value
+    lv, re, _ = log_adaptive_multi(
+        lambda x: np.vstack([-x * x, -800.0 - x * x]), 0.0, 1.0, init=8, rel_tol=1e-9
+    )
+    assert math.isfinite(lv[1]) and abs(lv[1] - (lv[0] - 800.0)) <= 1e-12
+    assert re[1] <= 1e-9
 
 
 def test_search_loops_are_capped():
@@ -371,15 +395,49 @@ def test_cheb_table_tail_bounds_its_error_and_no_point_repeats():
         seen.append(t)
         return np.log(2.0 + np.sin(3.0 * t))
 
-    samples, tail = _cheb_table(fn, -1.0, 2.0, 1e-12)
+    (samples,), (tail,) = _cheb_table(lambda _, t: fn(t)[None, :], -1.0, 2.0, 1e-12)
     pts = np.concatenate(seen)
     assert pts.size == samples.size == np.unique(pts).size and tail <= 1e-12
     t = np.random.default_rng(7).uniform(-1.0, 2.0, 200)
-    err = np.abs(_cheb_read(samples, -1.0, 2.0, t) - fn(t))
+    err = np.abs(_cheb_read([samples], -1.0, 2.0, t)[0] - fn(t))
     assert err.max() <= tail
     # the ends are samples; reading them divides by zero, without a warning
-    ends = _cheb_read(samples, -1.0, 2.0, np.array([2.0, np.nan, -1.0]))
+    ends = _cheb_read([samples], -1.0, 2.0, np.array([2.0, np.nan, -1.0]))[0]
     assert ends[0] == samples[0] and np.isnan(ends[1]) and ends[2] == samples[-1]
+
+
+def test_cheb_table_rows_stop_on_their_own_rules():
+    # rows that stop at 17 samples, at 65 on a noise plateau, at 65 on the
+    # tail, at 129 and, a zero row, at 17 without a warning: the 5-row table
+    # gives each row its one-row table, and no row is sampled after it has
+    # stopped
+    fns = [
+        lambda t: 1.0 + 0.1 * t,
+        lambda t: np.exp(t) + 1e-12 * np.sin(3e5 * t),
+        lambda t: np.exp(np.sin(2.0 * t)),
+        lambda t: np.log(2.0 + np.sin(3.0 * t)),
+        lambda t: 0.0 * t,
+    ]
+    seen = np.zeros(len(fns), dtype=int)
+
+    def fn(rows, t):
+        seen[rows] += t.size
+        return np.array([fns[i](t) for i in rows])
+
+    tables, tails = _cheb_table(fn, -1.0, 2.0, 1e-13, len(fns))
+    assert [s.size for s in tables] == [17, 65, 65, 129, 17]
+    assert list(seen) == [17, 65, 65, 129, 17]
+    assert tails[1] > 1e-13 >= tails[2]  # the plateau claims its level
+    for i, g in enumerate(fns):
+        (one,), (one_tail,) = _cheb_table(lambda _, t: g(t)[None, :], -1.0, 2.0, 1e-13)
+        assert np.array_equal(one, tables[i]) and one_tail == tails[i], i
+    # k tables of mixed sizes read together equal k one-row reads, the
+    # table ends (exact samples) included
+    t = np.concatenate(([-1.0, 2.0], np.random.default_rng(3).uniform(-1.0, 2.0, 300)))
+    got = _cheb_read(tables, -1.0, 2.0, t)
+    for i, table in enumerate(tables):
+        assert np.array_equal(got[i], _cheb_read([table], -1.0, 2.0, t)[0]), i
+    assert got[0, 0] == tables[0][-1] and got[3, 1] == tables[3][0]
 
 
 @pytest.mark.parametrize("amp", [1e-14, 1e-12])
@@ -392,17 +450,17 @@ def test_cheb_table_stops_on_a_noise_plateau(amp):
         seen.append(t.size)
         return np.exp(t) + amp * np.sin(3e5 * t)
 
-    samples, tail = _cheb_table(fn, -1.0, 2.0, 1e-16)
+    (samples,), (tail,) = _cheb_table(lambda _, t: fn(t)[None, :], -1.0, 2.0, 1e-16)
     assert sum(seen) == samples.size <= 129
     t = np.random.default_rng(5).uniform(-1.0, 2.0, 400)
-    err = np.abs(_cheb_read(samples, -1.0, 2.0, t) - np.exp(t)).max()
+    err = np.abs(_cheb_read([samples], -1.0, 2.0, t)[0] - np.exp(t)).max()
     assert amp <= err <= tail <= 20.0 * amp
 
 
 def test_cheb_table_rejects_a_kink_at_its_cap():
     t0 = time.perf_counter()
     with pytest.raises(QuadratureError, match=r"\[-1.0, 2.0\].* 513 points: tail"):
-        _cheb_table(lambda t: np.abs(t - 0.3), -1.0, 2.0, 1e-12)
+        _cheb_table(lambda _, t: np.abs(t - 0.3)[None, :], -1.0, 2.0, 1e-12)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -423,12 +481,12 @@ def test_log_P_table_matches_direct_log_P(x, y, t_lo, tol):
         return _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m)[0]
 
     t_hi = math.log(((_TRUNCATION_DEPTH + 13.0) / y) ** (1.0 / m2))
-    samples, tail = _cheb_table(
-        lambda ts: np.array([log_P(t) for t in ts]), t_lo, t_hi, tol
+    tables, (tail,) = _cheb_table(
+        lambda _, ts: np.array([[log_P(t) for t in ts]]), t_lo, t_hi, tol
     )
     assert tail <= tol
     for t in np.random.default_rng(11).uniform(t_lo, t_hi, 12):
-        got = _cheb_read(samples, t_lo, t_hi, np.array([t]))[0]
+        got = _cheb_read(tables, t_lo, t_hi, np.array([t]))[0, 0]
         assert abs(got - log_P(t)) <= 1e-11, t
 
 
@@ -465,24 +523,37 @@ def test_bergman_normalized_stops_its_table_on_the_noise_plateau(monkeypatch):
 
 
 def test_direct_pair_tabulates_log_G(monkeypatch):
-    # one Chebyshev table of log G per grid: 17, 33, 65 samples at most
-    freqs = []
+    # one Chebyshev table row of log G per grid: 17, 33, 65 samples at most,
+    # counted per row across the batched sampling rounds
+    grids = [0]
+    rows = []  # per table row: [sampling rounds, samples]
 
     class Counted(ProfileGrid):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            freqs.append([])
+            grids[0] += 1
 
-        def log_G(self, eta):
-            freqs[-1].append(np.size(eta))
-            return super().log_G(eta)
+    real_table = quadrature._cheb_table
+
+    def counted_table(fn, a, b, tol, k=1):
+        mine = [[0, 0] for _ in range(k)]
+        rows.extend(mine)
+
+        def sampled(idx, t):
+            for i in idx:
+                mine[i][0] += 1
+                mine[i][1] += t.size
+            return fn(idx, t)
+
+        return real_table(sampled, a, b, tol, k)
 
     monkeypatch.setattr(quadrature, "ProfileGrid", Counted)
+    monkeypatch.setattr(quadrature, "_cheb_table", counted_table)
     cfg = QuadratureConfig(rel_tol=1e-7)
     direct_pair(model_domain(2), BoundaryRelativePoint(0.0, 0.25), cfg)
-    assert len(freqs) > 300
-    assert max(len(fs) for fs in freqs) <= 3
-    assert max(sum(fs) for fs in freqs) <= 65
+    assert grids[0] > 300 and len(rows) == grids[0]
+    assert max(n for n, _ in rows) <= 3
+    assert max(size for _, size in rows) <= 65
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
@@ -495,3 +566,45 @@ def test_direct_pair_claims_cover_the_parabola_closed_forms(rel_tol):
         k_err = abs(K.value * 4.0 * math.pi**2 * d**3 - 1.0)
         s_err = abs(S.value * 8.0 * math.pi**2 * d**2 - 1.0)
         assert k_err <= K.err_estimate and s_err <= S.err_estimate, (x, y)
+
+
+def test_direct_pair_raises_on_a_missed_inner_row(monkeypatch):
+    # the engine reports one inner eta row above its 0.25 rel_tol budget;
+    # direct_pair must name it, not fold the row into the outer integral
+    real = quadrature.log_adaptive_multi
+    inner_calls = [0]
+
+    def engine(logf, a, b, *, rel_tol, **kwargs):
+        lv, re, n = real(logf, a, b, rel_tol=rel_tol, **kwargs)
+        if rel_tol < 1e-7:
+            inner_calls[0] += 1
+            if inner_calls[0] == 3:
+                re = re.copy()
+                re[-1] = 1e-3
+        return lv, re, n
+
+    monkeypatch.setattr(quadrature, "log_adaptive_multi", engine)
+    with pytest.raises(QuadratureError, match=r"inner eta integral at zeta = .* 1\.000e-03"):
+        direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 0.25), QuadratureConfig(1e-7))
+
+
+@pytest.mark.parametrize(
+    "make, y, rel_tol",
+    [
+        (lambda: rational_domain(2), 2.0**-12, 1e-7),
+        (lambda: mollify(model_domain(2), 0.1), 2.0**-10, 1e-10),
+    ],
+    ids=["rational-m2", "mollified-m2"],
+)
+def test_direct_pair_memory_stays_bounded(make, y, rel_tol):
+    # the batched inner layer works on chunks of zetas: one call's peak
+    # allocation stays at 3 MB, where one batch of all a call's zetas
+    # would take 30-60 MB
+    f = make()
+    tracemalloc.start()
+    try:
+        direct_pair(f, BoundaryRelativePoint(0.0, y), QuadratureConfig(rel_tol))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
