@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .domain_model import (
     BoundaryRelativePoint,
@@ -57,6 +57,26 @@ class PolarPoint:
             raise DomainError(f"branch must be +1 or -1, got {self.branch!r}")
 
 
+class _GlueLayer(NamedTuple):
+    """A glue layer of chi on [start, start + width], read in the unit
+    variable t = (u - start) / width: ``slope`` is the spline of chi' - 1/2
+    in t, and ``area``, its antiderivative from t = 0, times the width is
+    what the layer lifts chi above the slope-1/2 line."""
+
+    start: float
+    width: float
+    slope: CubicSpline
+    area: PPoly
+
+    def t(self, u):
+        return np.clip((u - self.start) / self.width, 0.0, 1.0)
+
+
+def _glue_layer(start: float, width: float, t: np.ndarray, slope: np.ndarray) -> _GlueLayer:
+    spline = CubicSpline(t, slope)
+    return _GlueLayer(start, width, spline, spline.antiderivative())
+
+
 class BlowupChart:
     """One concrete chi together with its inverse and derivative.
 
@@ -68,9 +88,12 @@ class BlowupChart:
     * [q - w, q]            slope ramps from 1/2 up to the outer piece's
     * [q, 1]                chi(u) = 1 - (1-u)^(1/(2m)),  q = 1 - 3^(-2m)
 
-    The single free width w is fixed by chi(q) = 2/3 (continuity of the
-    closed-form outer piece).  chi' >= 1/2 everywhere by construction.
-    The glue layers ramp with the C-infinity step ``_smooth_step``.
+    On [1/3, q], chi is the line of slope 1/2 through (1/3, 1/3) plus the
+    area that each glue layer's spline of chi' - 1/2 adds.  The single free
+    width w is solved on those same splines so that chi(q) = 2/3
+    (continuity of the closed-form outer piece).  chi' >= 1/2 everywhere by
+    construction.  The glue layers ramp with the C-infinity step
+    ``_smooth_step``.
     """
 
     def __init__(self, m: int):
@@ -80,106 +103,79 @@ class BlowupChart:
         self._n = n
         self.p = 1.0 / 3.0
         self.q = 1.0 - 3.0**-n
+        # the area both layers must add above the slope-1/2 line on [p, q]
         budget = 0.5 * 3.0**-n
+        t = np.linspace(0.0, 1.0, 2001)
+        step = _smooth_step(t)
+        # the down layer's spline in t does not depend on w
+        down = _glue_layer(self.p, 1.0, t, 0.5 * (1.0 - step))
+        down_area = float(down.area(1.0))
 
-        def outer_slope(u):
-            return (1.0 / n) * (1.0 - u) ** (1.0 / n - 1.0)
+        def up_layer(w: float) -> _GlueLayer:
+            u = (self.q - w) + w * t
+            return _glue_layer(self.q - w, w, t, (self._outer_slope(u) - 0.5) * step)
 
-        self._outer_slope = outer_slope
         # the up-layer's endpoint slope must already exceed 1/2
         u_half = 1.0 - float(self.m) ** (-n / (n - 1.0))
         w_cap = min(0.9 * (self.q - u_half), (self.q - self.p) / 3.0)
 
-        def excess(w: float) -> float:
-            down = quad(
-                lambda u: 0.5 * (1.0 - float(_smooth_step(np.asarray([(u - self.p) / w]))[0])),
-                self.p,
-                self.p + w,
-                limit=200,
-            )[0]
-            up = quad(
-                lambda u: (outer_slope(u) - 0.5)
-                * float(_smooth_step(np.asarray([(u - (self.q - w)) / w]))[0]),
-                self.q - w,
-                self.q,
-                limit=200,
-            )[0]
-            return down + up - budget
+        def excess(r: float) -> float:
+            w = r * w_cap
+            return w * (down_area + float(up_layer(w).area(1.0))) - budget
 
-        if excess(w_cap) <= 0.0:
+        if excess(1.0) <= 0.0:
             raise RuntimeError("chi corridor construction failed (internal error)")
-        self.w = _bracket_root(excess, 1e-12 * w_cap, w_cap)
-
-        w = self.w
-        u1 = np.linspace(self.p, self.p + w, 2001)
-        self._d1 = CubicSpline(u1, 1.0 - 0.5 * _smooth_step((u1 - self.p) / w))
-        self._c1 = self._d1.antiderivative()
-        u2 = np.linspace(self.q - w, self.q, 2001)
-        self._d2 = CubicSpline(
-            u2, 0.5 + (outer_slope(u2) - 0.5) * _smooth_step((u2 - (self.q - w)) / w)
-        )
-        self._c2 = self._d2.antiderivative()
+        # solved for r = w / w_cap, so the root's absolute stop is a share
+        # of the cap rather than a fixed width
+        self.w = w = _bracket_root(excess, 1e-12, 1.0) * w_cap
+        self._layers = (down._replace(width=w), up_layer(w))
         # piece anchors
-        self.v_lo = self.p + float(self._c1(self.p + w))  # chi(p + w)
+        self.v_lo = self.p + w * (0.5 + down_area)  # chi(p + w)
         self.v_hi = self.v_lo + 0.5 * ((self.q - w) - (self.p + w))  # chi(q - w)
-        self._chi_q = self.v_hi + float(self._c2(self.q))
         self.chart_id = f"chi[m={self.m},w={self.w:.12e}]"
+
+    def _outer_slope(self, u):
+        return (1.0 / self._n) * (1.0 - u) ** (1.0 / self._n - 1.0)
 
     # -- forward map ---------------------------------------------------------
 
     def chi(self, u):
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u_arr)
-        n = self._n
-        a = u_arr <= self.p
-        b = (u_arr > self.p) & (u_arr <= self.p + self.w)
-        c = (u_arr > self.p + self.w) & (u_arr < self.q - self.w)
-        dd = (u_arr >= self.q - self.w) & (u_arr < self.q)
-        e = u_arr >= self.q
-        out[a] = u_arr[a]
-        out[b] = self.p + self._c1(u_arr[b])
-        out[c] = self.v_lo + 0.5 * (u_arr[c] - (self.p + self.w))
-        out[dd] = self.v_hi + self._c2(u_arr[dd])
-        out[e] = 1.0 - (1.0 - u_arr[e]) ** (1.0 / n)
+        mid = np.clip(u_arr, self.p, self.q)
+        out = self.p + 0.5 * (mid - self.p)
+        for layer in self._layers:
+            out += layer.width * layer.area(layer.t(mid))
+        low, high = u_arr <= self.p, u_arr >= self.q
+        out[low] = u_arr[low]
+        out[high] = 1.0 - (1.0 - u_arr[high]) ** (1.0 / self._n)
         return out if np.ndim(u) else float(out[0])
 
     def chi_prime(self, u):
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u_arr)
-        a = u_arr <= self.p
-        b = (u_arr > self.p) & (u_arr <= self.p + self.w)
-        c = (u_arr > self.p + self.w) & (u_arr < self.q - self.w)
-        dd = (u_arr >= self.q - self.w) & (u_arr < self.q)
-        e = u_arr >= self.q
-        out[a] = 1.0
-        out[b] = self._d1(u_arr[b])
-        out[c] = 0.5
-        out[dd] = self._d2(u_arr[dd])
+        mid = np.clip(u_arr, self.p, self.q)
+        out = 0.5 + sum(layer.slope(layer.t(mid)) for layer in self._layers)
+        low, high = u_arr <= self.p, u_arr >= self.q
+        out[low] = 1.0
         with np.errstate(divide="ignore"):
-            out[e] = self._outer_slope(u_arr[e])
+            out[high] = self._outer_slope(u_arr[high])
         return out if np.ndim(u) else float(out[0])
 
     # -- inverse map -----------------------------------------------------------
 
     def chi_inverse(self, v):
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.empty_like(v_arr)
-        n = self._n
-        a = v_arr <= self.p
-        b = (v_arr > self.p) & (v_arr <= self.v_lo)
-        c = (v_arr > self.v_lo) & (v_arr < self.v_hi)
-        dd = (v_arr >= self.v_hi) & (v_arr < 2.0 / 3.0)
-        e = v_arr >= 2.0 / 3.0
-        out[a] = v_arr[a]
-        vb, vd = v_arr[b], v_arr[dd]
-        out[b] = _bracket_root(
-            lambda u: self.p + self._c1(u) - vb, np.full_like(vb, self.p), self.p + self.w
-        )
-        out[c] = (self.p + self.w) + 2.0 * (v_arr[c] - self.v_lo)
-        out[dd] = _bracket_root(
-            lambda u: self.v_hi + self._c2(u) - vd, np.full_like(vd, self.q - self.w), self.q
-        )
-        out[e] = 1.0 - (1.0 - v_arr[e]) ** n
+        out = (self.p + self.w) + 2.0 * (v_arr - self.v_lo)  # corridor
+        # each layer's range of chi runs from its anchor chi(start) to the next
+        for layer, lo, hi in zip(self._layers, (self.p, self.v_hi), (self.v_lo, 2.0 / 3.0)):
+            inside = (v_arr > lo) & (v_arr < hi)
+            rise = (v_arr[inside] - lo) / layer.width
+            t = _bracket_root(
+                lambda t: 0.5 * t + layer.area(t) - rise, np.zeros_like(rise), 1.0
+            )
+            out[inside] = layer.start + layer.width * t
+        low, high = v_arr <= self.p, v_arr >= 2.0 / 3.0
+        out[low] = v_arr[low]
+        out[high] = 1.0 - (1.0 - v_arr[high]) ** self._n
         return out if np.ndim(v) else float(out[0])
 
     # -- numerically stable bridges used by the coordinate maps ---------------

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 __all__ = [
     "DomainError",
@@ -436,16 +435,22 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
     # two plateau bumps in s^2 g~''(s): down on [delta, xs], up on [xs, 1]
     xs_split = 2.0 * d / (1.0 + d)
 
-    def b1(s):
-        return _plateau(s, d, xs_split)
-
-    def b2(s):
-        return _plateau(s, xs_split, 1.0)
-
-    I1 = quad(lambda s: b1(np.asarray([s]))[0] / s**2, d, xs_split, limit=200)[0]
-    I2 = quad(lambda s: b2(np.asarray([s]))[0] / s**2, xs_split, 1.0, limit=200)[0]
-    J1 = quad(lambda s: (1.0 - s) * b1(np.asarray([s]))[0] / s**2, d, xs_split, limit=200)[0]
-    J2 = quad(lambda s: (1.0 - s) * b2(np.asarray([s]))[0] / s**2, xs_split, 1.0, limit=200)[0]
+    # the bumps over s^2 as one two-column spline on the blend's nodes: its
+    # antiderivative at 1 gives I = int B/s^2, and its second gives
+    # J = int (1 - s) B/s^2 (by parts), the same integrals g~ is built from
+    nodes = np.unique(
+        np.concatenate(
+            [
+                np.linspace(d, 1.0, 6001),
+                np.linspace(d, xs_split, 1500),
+                np.linspace(xs_split, 1.0, 1500),
+            ]
+        )
+    )
+    bumps = np.column_stack([_plateau(nodes, d, xs_split), _plateau(nodes, xs_split, 1.0)])
+    over_s2 = CubicSpline(nodes, bumps / nodes[:, None] ** 2)
+    I1, I2 = over_s2.antiderivative()(1.0)
+    J1, J2 = over_s2.antiderivative(2)(1.0)
 
     # g~'' = (-c1 B1 + c2 B2)/s^2 with: slope zero at 1, value 0.9 g0 at 1
     # [ -I1  I2 ] [c1]   [ -g'(delta)                         ]
@@ -466,19 +471,7 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
             f"|x^2 g~''| < {bound:.4g}"
         )
 
-    def gpp_blend(s):
-        return (-c1 * b1(s) + c2 * b2(s)) / (s * s)
-
-    nodes = np.unique(
-        np.concatenate(
-            [
-                np.linspace(d, 1.0, 6001),
-                np.linspace(d, xs_split, 1500),
-                np.linspace(xs_split, 1.0, 1500),
-            ]
-        )
-    )
-    sp2 = CubicSpline(nodes, gpp_blend(nodes))
+    sp2 = PPoly(over_s2.c @ np.array([-c1, c2]), nodes)
     sp1 = sp2.antiderivative()  # zero at delta
     sp0 = sp1.antiderivative()
 
@@ -507,21 +500,27 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
         out[midm] = (gp_d + sp1(s[midm])) * np.sign(x[midm])
         return out
 
-    def gppv_signed(x):
+    def gppv(x):
+        # on the core the parent's f'' stands in for the one built from g~''
         s = np.abs(x)
         out = np.zeros_like(s)
         midm = (s > d) & (s < 1.0)
         out[midm] = sp2(s[midm])
-        inner = s <= d
-        if np.any(inner):
-            # fall back on the parent's curvature inside the core
-            h = 2e-6 * (1.0 + s[inner])
-            out[inner] = (f.g(x[inner] + h) - 2 * f.g(x[inner]) + f.g(x[inner] - h)) / (h * h)
+        return out
+
+    fv, fpv, fppv_blend = _f_from_g(f.m, gv, gpv, gppv)
+
+    def fppv(x):
+        out = fppv_blend(x)
+        inner = np.abs(x) <= d
+        out[inner] = f.fsecond(x[inner])
         return out
 
     out = DefiningFunction(
         f.m,
-        *_f_from_g(f.m, gv, gpv, gppv_signed),
+        fv,
+        fpv,
+        fppv,
         gv,
         gpv,
         label=f"mollified({f.label},delta={d:g})",

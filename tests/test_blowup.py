@@ -129,3 +129,23 @@ def test_to_polar_rejects_mismatched_chart_and_exterior():
         to_polar(f, BlowupChart(2), BoundaryRelativePoint(0.5, 1.0))
     with pytest.raises(DomainError):
         to_polar(f, BlowupChart(3), BoundaryRelativePoint(0.5, -1.0))
+
+
+def test_chi_meets_the_outer_piece_at_q():
+    # the up layer ends at t = 1 on chi(q) = 2/3; read just below q and
+    # carried to q along the outer slope, so one ulp of u does not count
+    for m, chart in _CHARTS.items():
+        u = np.nextafter(chart.q, 0.0)
+        end = chart.chi(u) + chart.chi_prime(chart.q) * (chart.q - u)
+        assert abs(end - 2.0 / 3.0) <= 1e-13, m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("delta", [1e-11, 1e-13])
+def test_chi_inverse_just_below_two_thirds(m, delta):
+    # the root lies in the up layer, not on the spline extrapolated past q
+    chart = _CHARTS[m]
+    v = 2.0 / 3.0 - delta
+    u = chart.chi_inverse(v)
+    assert chart.q - chart.w <= u <= chart.q
+    assert abs(chart.chi(u) - v) <= 1e-14

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tubekernels import (
@@ -155,6 +155,63 @@ def test_mollify_agreement_and_plateau():
     np.testing.assert_allclose(fm.g(outer), 0.9 * f.g0, rtol=1e-10)
     grid = np.linspace(-3.0, 3.0, 301)
     assert np.all(fm.fsecond(grid) >= -1e-10)
+
+
+def test_mollify_core_curvature_is_the_parent_s():
+    core = np.linspace(-0.1, 0.1, 41)
+    for f in (model_domain(2), rational_domain(2)):
+        np.testing.assert_array_equal(mollify(f, 0.1).fsecond(core), f.fsecond(core))
+
+
+def test_mollify_lands_flat_at_one():
+    # the bump integrals come from the splines g~ is built from, so g~'
+    # reaches zero at |x| = 1 to rounding
+    for f in (model_domain(2), rational_domain(2)):
+        fm = mollify(f, 0.1)
+        assert abs(fm.gprime(1.0 - 1e-9)) <= 1e-14
+        assert abs(fm.gprime(-1.0 + 1e-9)) <= 1e-14
+
+
+_TABLE_XS = np.linspace(-3.0, 3.0, 241)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.02, 0.2),
+    st.floats(0.1, 1.2),
+)
+def test_mollify_and_damp_tails_keep_convexity_and_core(a, b, delta, radius):
+    # g = 1/(1 + a x^2 + b x^4) with its exact g'; at m = 3 nearly all of
+    # the box is admissible, and a draw that is not is skipped
+    q = 1.0 + a * _TABLE_XS**2 + b * _TABLE_XS**4
+    dq = 2.0 * a * _TABLE_XS + 4.0 * b * _TABLE_XS**3
+    try:
+        f = table_domain(_TABLE_XS, 1.0 / q, -dq / q**2, 3)
+    except DomainError:
+        assume(False)
+    grid = np.linspace(-3.0, 3.0, 601)
+    for build, core, ends in (
+        (lambda: mollify(f, delta), delta, (delta, 1.0)),
+        (lambda: damp_tails(f, radius), 1.1 * radius, (1.1 * radius, 2.4 * radius)),
+    ):
+        try:
+            fc = build()
+        except DomainError:
+            continue
+        assert np.all(fc.fsecond(grid) >= -1e-10)
+        for e in ends:
+            for side in (-e, e):
+                across = np.array([side - 1e-9, side + 1e-9])
+                left, right = fc.fprime(across)
+                curv = np.max(np.abs(fc.fsecond(across)))
+                assert abs(right - left) <= 4e-9 * curv + 1e-12 * abs(left)
+        xs = np.linspace(-core, core, 41)
+        for name in ("f", "fprime", "fsecond"):
+            np.testing.assert_allclose(
+                getattr(fc, name)(xs), getattr(f, name)(xs), rtol=1e-12, atol=1e-300
+            )
 
 
 def test_mollify_rejects_impossible_deltas():

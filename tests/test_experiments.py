@@ -23,7 +23,9 @@ from tubekernels import (
     limit_c0,
     localization_experiment,
     model_domain,
+    model_profile_pair,
     path_points,
+    rational_domain,
     to_polar,
 )
 from tubekernels import experiments
@@ -272,3 +274,22 @@ def test_localization_identical_domains():
     assert abs(report["fit_k2"]["slope"] + 3.0) < 0.03
     assert len(report["points"]) == 8
     assert report["points"][0]["diff"] == 0.0
+
+
+@pytest.mark.parametrize("m, tau, top", [(2, 1.0, 10), (2, 0.7, 8), (3, 0.7, 10)])
+def test_first_correction_is_of_order_rho_to_the_one_over_m(m, tau, top):
+    # rational:m scaled to rho = 1 is x^(2m) / (1 + eps x^2) with
+    # eps = rho^(1/m), so d = K rho^e / Phi(tau) - 1 falls like rho^(1/m):
+    # the first correction that limit_c0 cancels
+    cfg = QuadratureConfig(rel_tol=1e-9)
+    grid = default_rho_grid(7, start=2.0**-top)
+    path = ApproachPath("fixed_tau", {"tau": tau}, grid)
+    rows = evaluate_path(rational_domain(m), path, cfg)
+    log_phis = model_profile_pair(m, 1.0, tau, cfg=cfg)
+    for kind, log_phi in zip(("bergman", "szego"), log_phis):
+        e = float(blowup_exponent(m, kind))
+        d = np.array(
+            [math.expm1(r[kind].log_value + e * math.log(r["rho"]) - log_phi) for r in rows]
+        )
+        slopes = np.diff(np.log(np.abs(d))) / np.diff(np.log(grid))
+        assert np.all(np.abs(slopes[-2:] - 1.0 / m) <= 0.01), (kind, slopes)

@@ -1,6 +1,7 @@
 """Package surface: every exported name exists, no module imports a name it
-never uses, the benchmark's tracer can still wrap the entry points it
-measures, and every demo still imports."""
+never uses, no private definition or attribute goes unread, the benchmark's
+tracer can still wrap the entry points it measures, and every demo still
+imports."""
 
 from __future__ import annotations
 
@@ -114,6 +115,30 @@ def test_no_unread_private_definitions():
                 for key, line in hits
             ):
                 unread.append(f"{fname}:{name}")
+    assert unread == []
+
+
+def test_no_unread_private_attributes():
+    # a private attribute that is assigned on self but never read is state
+    # that nothing uses
+    src = ROOT / "src" / "tubekernels"
+    attrs = [
+        (path.name, node)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+    ]
+    read = {node.attr for _, node in attrs if isinstance(node.ctx, ast.Load)}
+    unread = sorted(
+        f"{fname}:{node.attr}"
+        for fname, node in attrs
+        if isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and node.attr not in read
+    )
     assert unread == []
 
 
