@@ -119,15 +119,15 @@ class BlowupChart:
         u_half = 1.0 - float(self.m) ** (-n / (n - 1.0))
         w_cap = min(0.9 * (self.q - u_half), (self.q - self.p) / 3.0)
 
-        def excess(r: float) -> float:
-            w = r * w_cap
+        def excess(s: float) -> float:
+            w = math.exp(s) * w_cap
             return w * (down_area + float(up_layer(w).area(1.0))) - budget
 
-        if excess(1.0) <= 0.0:
+        if excess(0.0) <= 0.0:
             raise RuntimeError("chi corridor construction failed (internal error)")
-        # solved for r = w / w_cap, so the root's absolute stop is a share
-        # of the cap rather than a fixed width
-        self.w = w = _bracket_root(excess, 1e-12, 1.0) * w_cap
+        # solved for s = log(w / w_cap), so the root's absolute stop in s is
+        # a relative stop in w however small w is against the cap
+        self.w = w = math.exp(_bracket_root(excess, math.log(1e-12), 0.0)) * w_cap
         self._layers = (down._replace(width=w), up_layer(w))
         # piece anchors
         self.v_lo = self.p + w * (0.5 + down_area)  # chi(p + w)

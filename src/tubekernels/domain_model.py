@@ -545,8 +545,9 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
     1.1 * radius (so the two domains agree there exactly by double
     integration from 0) and falls smoothly to zero by 2.4 * radius, after
     which the function continues as an exact straight line.  Convexity is
-    inherited; the dual cone is known in closed form.  Both branches are
-    mirrored from x > 0, so f must be even on |x| <= 1.1 * radius.
+    inherited; the dual cone is known in closed form.  The core is f itself
+    on both sides; both tails are built from x > 0, so f must be even on
+    |x| <= 1.1 * radius.
     """
     r = float(radius)
     if not (r > 0 and math.isfinite(r)):
@@ -574,42 +575,36 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
     slope = fp_r1 + float(sp1(r2))
     f_r2 = f_r1 + fp_r1 * (r2 - r1) + float(sp0(r2))
 
-    def half_f(s):
+    def fv(x):
+        s = np.abs(x)
         out = np.empty_like(s)
         a = s <= r1
         c = s >= r2
         b = ~(a | c)
-        out[a] = f.f(s[a])
+        out[a] = f.f(x[a])
         out[b] = f_r1 + fp_r1 * (s[b] - r1) + sp0(s[b])
         out[c] = f_r2 + slope * (s[c] - r2)
         return out
 
-    def half_fp(s):
+    def fpv(x):
+        s = np.abs(x)
         out = np.empty_like(s)
         a = s <= r1
         c = s >= r2
         b = ~(a | c)
-        out[a] = f.fprime(s[a])
-        out[b] = fp_r1 + sp1(s[b])
-        out[c] = slope
+        out[a] = f.fprime(x[a])
+        out[b] = np.sign(x[b]) * (fp_r1 + sp1(s[b]))
+        out[c] = np.sign(x[c]) * slope
         return out
 
-    def half_fpp(s):
+    def fppv(x):
+        s = np.abs(x)
         out = np.zeros_like(s)
         a = s <= r1
         b = (s > r1) & (s < r2)
-        out[a] = f.fsecond(s[a])
+        out[a] = f.fsecond(x[a])
         out[b] = sp2(s[b])
         return out
-
-    def fv(x):
-        return half_f(np.abs(x))
-
-    def fpv(x):
-        return np.sign(x) * half_fp(np.abs(x))
-
-    def fppv(x):
-        return half_fpp(np.abs(x))
 
     n = 2 * f.m
 
@@ -619,7 +614,7 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
         a = s <= r1
         out[a] = f.g(x[a])
         xs = s[~a]
-        out[~a] = half_f(xs) / xs**n
+        out[~a] = fv(xs) / xs**n
         return out
 
     def gpv(x):
@@ -628,7 +623,7 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
         a = s <= r1
         out[a] = f.gprime(x[a])
         xs = s[~a]
-        out[~a] = (xs * half_fp(xs) - n * half_f(xs)) / xs ** (n + 1) * np.sign(x[~a])
+        out[~a] = (xs * fpv(xs) - n * fv(xs)) / xs ** (n + 1) * np.sign(x[~a])
         return out
 
     return DefiningFunction(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,59 @@ def test_phi_spline_tracks_the_function():
     sp = PhiSpline(2, 30.0)
     for v in (0.0, 0.37, 3.1, 12.0, 29.0):
         assert math.isclose(float(sp(v)), log_phi(v, 2), rel_tol=0, abs_tol=1e-6)
+
+
+def test_log_phi_is_elementwise_and_even():
+    vs = np.array([0.0, 5e-324, 1e-300, 3.0, -3.0, 1e6])
+    for m in (1, 2, 3):
+        got = log_phi(vs, m)
+        assert isinstance(got, np.ndarray) and got.shape == vs.shape
+        # a float call sizes its grid to its own lambda, so the two agree to
+        # the grid's discretisation error rather than bit for bit
+        for v, g in zip(vs.tolist(), got.tolist()):
+            one = log_phi(v, m)
+            assert type(one) is float
+            assert math.isclose(one, g, rel_tol=0, abs_tol=1e-13 * max(1.0, abs(g))), (m, v)
+        assert log_phi(-vs, m).tolist() == got.tolist()
+        assert log_phi(vs.reshape(2, 3), m).tolist() == got.reshape(2, 3).tolist()
+
+
+def test_log_phi_matches_the_m1_closed_form_on_spline_nodes():
+    # phi(v) = sqrt(pi) exp(v^2/4) for m = 1
+    v = PhiSpline(1, 2.0**14)._sp.x
+    exact = 0.5 * math.log(math.pi) + 0.25 * v**2
+    got = log_phi(v, 1)
+    assert np.all(np.abs(got - exact) <= 1e-14 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_phi_spline_and_probe_build_one_grid(monkeypatch):
+    grids = []
+
+    class Counted(asymptotics.ProfileGrid):
+        def __init__(self, *args):
+            grids.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(asymptotics, "ProfileGrid", Counted)
+    PhiSpline(2, 400.0)
+    assert len(grids) == 1
+    phi_rate_probe(3)
+    assert len(grids) == 2
+
+
+def test_log_phi_names_overflow():
+    for m in (1, 2, 3):
+        for v in (1e300, -1e300):
+            with pytest.raises(DomainError, match=re.escape(f"overflows at v = {v!r}")):
+                log_phi(v, m)
+        with pytest.raises(DomainError, match=re.escape("overflows at v = 1e+300")):
+            log_phi(np.array([0.0, 2.0, 1e300, -3.0]), m)
+
+
+def test_rate_probes_return_floats():
+    for probe in (phi_rate_probe, L_rate_probe):
+        measured, expected = probe(2)
+        assert type(measured) is float and type(expected) is float
 
 
 def test_log_l_monotone_and_rate():
@@ -209,3 +263,6 @@ def test_phi_inputs_are_validated():
     for fn, args, bad in cases:
         with pytest.raises(DomainError, match=f"got {bad}$"):
             fn(*args)
+        if fn is log_phi:  # the same rejection from an array holding the v
+            with pytest.raises(DomainError, match=f"got {bad}$"):
+                fn(np.array([0.5, args[0], 2.0]), args[1])
