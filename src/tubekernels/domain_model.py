@@ -132,9 +132,7 @@ class DefiningFunction:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
-        xs = np.concatenate(
-            [[0.0], np.geomspace(1e-8, 12.0, 400), -np.geomspace(1e-8, 12.0, 400)]
-        )
+        xs = _SAMPLE_XS
         f = self.f(xs)
         fpp = self.fsecond(xs)
         g = self.g(xs)
@@ -160,7 +158,7 @@ class DefiningFunction:
         if np.any(bad):
             i = int(np.argmin(fpp + tol))
             raise DomainError(
-                f"f is not convex: f''({xs[i]!r}) = {fpp[i]!r}"
+                f"f is not convex: f''({float(xs[i])!r}) = {float(fpp[i])!r}"
             )
 
         # structural consistency f = x^(2m) g on a moderate window
@@ -171,12 +169,26 @@ class DefiningFunction:
             raise DomainError("f and x^(2m) g(x) disagree on the sample grid")
 
         if self.full_theorem_class:
-            xg = xs * gp
-            if np.any(xg > 1e-9 * (1.0 + np.abs(g))):
-                i = int(np.argmax(xg))
+            i = _xg_violation(xs, g, gp)
+            if i is not None:
                 raise DomainError(
-                    f"x g'(x) <= 0 violated at x={xs[i]!r}: x g' = {xg[i]!r}"
+                    f"x g'(x) <= 0 violated at x={float(xs[i])!r}: "
+                    f"x g' = {float(xs[i] * gp[i])!r}"
                 )
+
+
+# the points at which DefiningFunction checks its invariants
+_SAMPLE_XS = np.concatenate(
+    [[0.0], np.geomspace(1e-8, 12.0, 400), -np.geomspace(1e-8, 12.0, 400)]
+)
+
+
+def _xg_violation(xs: np.ndarray, g: np.ndarray, gp: np.ndarray) -> int | None:
+    """Index of the largest x g' when some x g' exceeds 1e-9 (1 + |g|)."""
+    xg = xs * gp
+    if np.any(xg > 1e-9 * (1.0 + np.abs(g))):
+        return int(np.argmax(xg))
+    return None
 
 
 def _f_from_g(m: int, g: Callable, gp: Callable, gpp: Callable):
@@ -345,10 +357,29 @@ def table_domain(
         raise DomainError("table x-values must be strictly increasing")
     if not (xs[0] < 0.0 < xs[-1]):
         raise DomainError("table must bracket x = 0")
+    i = _xg_violation(xs, gs, gps)
+    if i is not None:
+        raise DomainError(
+            f"x g'(x) <= 0 violated at table row x={float(xs[i])!r}: "
+            f"x g' = {float(xs[i] * gps[i])!r}"
+        )
     spl = CubicHermiteSpline(xs, gs, gps)
     dspl = spl.derivative()
     ddspl = dspl.derivative()
     lo, hi = float(xs[0]), float(xs[-1])
+    # the rows pass, so a violation on the validation points inside the
+    # table comes from the interpolant between two rows
+    inside = _SAMPLE_XS[(_SAMPLE_XS >= lo) & (_SAMPLE_XS <= hi)]
+    gp_in = dspl(inside)
+    j = _xg_violation(inside, spl(inside), gp_in)
+    if j is not None:
+        k = min(int(np.searchsorted(xs, inside[j], side="right")), xs.size - 1)
+        raise DomainError(
+            f"the cubic Hermite interpolant of the table breaks x g'(x) <= 0 on "
+            f"[{float(xs[k - 1])!r}, {float(xs[k])!r}], though both rows meet it: "
+            f"x g' = {float(inside[j] * gp_in[j])!r} at x={float(inside[j])!r}; "
+            f"add rows there"
+        )
     glo, ghi = float(gs[0]), float(gs[-1])
 
     def gv(x):

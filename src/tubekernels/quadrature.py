@@ -15,7 +15,10 @@ log P in log u once per ``bergman_normalized`` call.  ``direct_pair`` works
 on the zetas of an outer integrand call in chunks of ``_ZETA_CHUNK``: one
 table pass samples the log G of a whole chunk from padded (zeta, t, node)
 arrays, and one engine call integrates the chunk's inner rows on shared
-panels.
+panels.  The W-grid behind ``bergman_normalized``'s log P has uniform
+panels, so its exponential sum factors by panel: each tilt costs one exp
+per panel and one per Kronrod abscissa instead of one per node, with the
+same nodes and weights, so the factored sum is the dense one up to rounding.
 """
 
 from __future__ import annotations
@@ -671,8 +674,23 @@ class _WGrid:
     """Fixed grid for phi(v, X) = int exp(-ghat(X w) w^(2m) + v w) dw.
 
     Because the mollified ghat stays within [0.9, 1] of its center value,
-    the phase is pinned between two pure powers and one linear-panel grid
-    resolves every tilted peak with |v| <= v_max.
+    the phase is pinned between two pure powers and one grid of uniform
+    panels resolves every tilted peak with |v| <= v_max.
+
+    Every node is w = c_p + h x_k: panel center c_p, the one half-width h
+    and Kronrod abscissa x_k.  With a = log(h w_k) - Q at the nodes and
+    A_p its maximum over panel p, the exponential sum factors exactly:
+
+        phi(v) = sum_p e^(A_p + v c_p) sum_k E[p, k] e^(v h x_k),
+
+    E = e^(a - A_p) <= 1 stored once, so a row v takes n_pan + 15 exps
+    instead of one per node.  Exponents of E are floored at -700 (as in
+    ``_log_G``), so each panel keeps a positive entry at its outer node and
+    log phi stays finite at the far rungs the profile-grid ladders probe
+    (tested to |v| = 1e60).  Within a panel the tilt moves an exponent by at
+    most 2 |v| h, so for |v| <= v_max (|v| h below 20 at the largest tilts
+    of m = 1..4) a floored entry stays over 650 e-folds below its panel's
+    largest term.
     """
 
     GLO = 0.85
@@ -685,22 +703,32 @@ class _WGrid:
             if w > 1e30:
                 raise QuadratureError(f"W-grid extent unbounded for v_max = {v_max!r}")
             w *= 1.12
-        w_pos = w
-        # tilts of either sign occur, so both sides carry the full extent
-        w_neg = w_pos
+        # tilts of either sign occur, so both sides carry the full extent w
         width = (m2 * (m2 - 1) * 1.05 * max(wstar, 1.0) ** (m2 - 2)) ** -0.5
         dw = min(0.8 * width, 0.25)
-        n_pan = int(np.ceil((w_pos + w_neg) / dw))
-        edges = np.linspace(-w_neg, w_pos, n_pan + 1)
-        h, nodes = _kronrod_nodes(edges[:-1], edges[1:])
-        self.w = nodes = nodes.ravel()
-        self.logw = np.log(h[:, None] * WGK[None, :]).ravel()
-        self.Q = ghat(X * nodes) * nodes**m2
+        n_pan = int(np.ceil(2.0 * w / dw))
+        edges = np.linspace(-w, w, n_pan + 1)
+        self.c = 0.5 * (edges[:-1] + edges[1:])
+        self.h = w / n_pan
+        nodes = self.c[:, None] + self.h * XGK
+        a = np.log(self.h * WGK) - ghat(X * nodes.ravel()).reshape(nodes.shape) * nodes**m2
+        self.A = a.max(axis=1)
+        self.E = np.exp(np.maximum(a - self.A[:, None], -700.0))
         self.n = nodes.size
 
     def log_phi(self, v) -> np.ndarray:
+        """log phi at the tilts ``v`` (n,); each row v is scaled by
+        e^(max_p (A_p + v c_p) + |v| h max x_k), so no factor exceeds 1 and
+        a row's value does not depend on the other rows.  ``np.einsum``,
+        not BLAS, so reruns are bit-identical."""
         v = np.asarray(v, dtype=float)
-        return _logsumexp((self.logw - self.Q)[None, :] + v[:, None] * self.w[None, :])
+        panel = self.A + v[:, None] * self.c
+        top = panel.max(axis=1)
+        vh = v * self.h
+        reach = np.abs(vh) * XGK[-1]
+        tilt = np.exp(vh[:, None] * XGK - reach[:, None])
+        inner = np.einsum("pk,vk->vp", self.E, tilt)
+        return top + reach + np.log(np.einsum("vp,vp->v", np.exp(panel - top[:, None]), inner))
 
 
 def _cheb_table(
@@ -860,16 +888,15 @@ def _log_P(ghat, u: float, tilt: float, m: int) -> tuple[float, int]:
     def c_raw(v):
         return wg.log_phi(v) - lphi0 - tilt * v
 
+    def slope(v):
+        # both sides in one call: rows of log_phi do not see each other
+        c_pm = c_raw(np.array([v + 1e-5, v - 1e-5]))
+        return float(c_pm[0] - c_pm[1]) / 2e-5
+
     if tilt == 0.0:
         v_star, c_off = 0.0, 0.0
     else:
-        v_star = _bracket_root(
-            lambda v: float(
-                (c_raw(np.array([v + 1e-5])) - c_raw(np.array([v - 1e-5])))[0] / 2e-5
-            ),
-            -1.0,
-            1.0,
-        )
+        v_star = _bracket_root(slope, -1.0, 1.0)
         c_off = float(c_raw(np.array([v_star]))[0])
 
     pg = ProfileGrid(lambda v: c_raw(v) - c_off, v_star, 1.0, 1.0)
@@ -902,7 +929,10 @@ def bergman_normalized(
     its coefficient tail is at most rel_tol / 10, or until the coefficients
     level off at log P's own round-off (near 2e-13 on the mollified m = 2
     model, so from rel_tol 1e-12 down), usually 65 or 129 ``_log_P``
-    evaluations.  The adaptive u-integral then reads the table.
+    evaluations.  Each ``_log_P`` builds one ``_WGrid`` and reads phi at
+    every tilt its root search and profile grid ask for through the grid's
+    factored sum, n_pan + 15 exps a tilt (``_WGrid``), which takes most of
+    the table's time.  The adaptive u-integral then reads the table.
     ``err_estimate`` is the integral's relative error, plus 0.5 rel_tol for
     the truncation, plus the table's tail (an absolute error of log P is a
     relative error of Kbar); ``evaluations`` counts the W-grid and profile

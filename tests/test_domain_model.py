@@ -76,6 +76,43 @@ def test_table_domain_rejects_growing_g():
         _table(lambda x: 1.0 + x**2, lambda x: 2.0 * x)
 
 
+def test_table_domain_names_the_row_that_breaks_x_g_prime():
+    xs = np.linspace(-3.0, 3.0, 121)
+    gp = np.zeros(121)
+    gp[80] = 0.5  # x = 1: the only row with x g' > 0
+    with pytest.raises(DomainError, match=r"x g'\(x\) <= 0 violated at table row x=1\.0: x g' = 0\.5$"):
+        table_domain(xs, np.ones(121), gp, 1)
+
+
+def test_table_domain_blames_its_interpolant_between_rows():
+    # g = 1/(1 + x^4) has x g' <= 0 on every row, but the cubic Hermite
+    # interpolant overshoots on the first interval past x = 0, whose end
+    # slopes are 0 and 4 times the secant
+    xs = np.linspace(-3.0, 3.0, 241)
+    q = 1.0 + xs**4
+    with pytest.raises(DomainError) as info:
+        table_domain(xs, 1.0 / q, -4.0 * xs**3 / q**2, 3)
+    msg = str(info.value)
+    assert "cubic Hermite interpolant" in msg and "np.float64" not in msg
+    lo, hi = (float(x) for x in xs[120:122])  # the rows 0 and 0.025
+    assert f"[{lo!r}, {hi!r}]" in msg, msg
+
+
+def test_validation_messages_print_plain_floats():
+    # f = x^2 (1 - x^2 / 2) is concave past |x| = 1/sqrt(6)
+    with pytest.raises(DomainError, match=r"f is not convex: f''\(-?\d[\d.e-]*\) = -[\d.e-]+$"):
+        DefiningFunction(
+            1,
+            lambda x: x**2 - 0.5 * x**4,
+            lambda x: 2.0 * x - 2.0 * x**3,
+            lambda x: 2.0 - 6.0 * x**2,
+            lambda x: 1.0 - 0.5 * x**2,
+            lambda x: -x,
+            label="quartic cap",
+            tail_slopes=(math.inf, math.inf),
+        )
+
+
 def test_table_domain_rejects_nonconvex_f():
     # f = x^2 exp(-4x^2) dips below zero curvature near |x| ~ 0.5
     with pytest.raises(DomainError, match="f is not convex"):

@@ -30,8 +30,11 @@ from tubekernels import (
 )
 from tubekernels import quadrature
 from tubekernels.quadrature import (
+    WGK,
+    XGK,
     ProfileGrid,
     _TRUNCATION_DEPTH,
+    _WGrid,
     _bracket_root,
     _cheb_read,
     _cheb_table,
@@ -386,6 +389,62 @@ def test_bergman_normalized_recovers_direct_kernel():
 def test_bergman_normalized_requires_mollified_domain():
     with pytest.raises(DomainError):
         bergman_normalized(model_domain(2), BoundaryRelativePoint(0.0, 1.0))
+
+
+@pytest.mark.parametrize("y", [2.0**-2, 2.0**-8])
+def test_bergman_normalized_recovers_direct_kernel_on_the_axis(y):
+    f = mollify(model_domain(2), 0.1)
+    p = BoundaryRelativePoint(0.0, y)
+    cfg = QuadratureConfig(rel_tol=1e-9)
+    full = bergman_normalized(f, p, cfg, u_floor=0.0)
+    K, _ = direct_pair(f, p, cfg)
+    assert abs(full.value / K.value - 1.0) <= full.err_estimate + K.err_estimate
+
+
+def _mollified_w_grid(X, v_max):
+    """The W-grid of _log_P on the mollified m = 2 model, with its ghat."""
+    f = mollify(model_domain(2), 0.1)
+    g0 = float(f.g(0.0))
+
+    def ghat(xhat):
+        return f.g(g0**-0.25 * np.asarray(xhat, dtype=float)) / g0
+
+    return _WGrid(ghat, X, v_max, 4), ghat
+
+
+@pytest.mark.parametrize("X, v_max", [(1.0, 56.0), (0.2, 600.0)])
+def test_w_grid_log_phi_matches_the_dense_sum(X, v_max):
+    wg, ghat = _mollified_w_grid(X, v_max)
+    # the dense sum over the grid's nodes c_p + h x_k with weights h w_k
+    nodes = (wg.c[:, None] + wg.h * XGK).ravel()
+    a = np.log(wg.h * np.tile(WGK, wg.c.size)) - ghat(X * nodes) * nodes**4
+    v = np.linspace(-v_max, v_max, 401)
+    want = _logsumexp(a[None, :] + v[:, None] * nodes[None, :])
+    got = wg.log_phi(v)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    assert wg.n == nodes.size
+
+
+def test_w_grid_log_phi_is_finite_and_monotone_at_extreme_tilts():
+    # the profile grids of _log_P probe tilts up to ~1e12 on their ladders
+    wg, _ = _mollified_w_grid(1.0, 56.0)
+    ladder = 10.0 ** np.arange(0, 61)
+    assert 1e12 in ladder and 1e60 in ladder
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for side in (1.0, -1.0):
+            lp = wg.log_phi(side * ladder)
+            assert np.all(np.isfinite(lp))
+            assert np.all(np.diff(lp) >= 0.0)
+
+
+def test_w_grid_rows_do_not_see_each_other():
+    wg, _ = _mollified_w_grid(1.0, 56.0)
+    v = np.random.default_rng(5).uniform(-60.0, 60.0, 37)
+    rows = wg.log_phi(v)
+    singles = np.array([wg.log_phi(v[i : i + 1])[0] for i in range(v.size)])
+    assert np.array_equal(rows, singles)
+    assert np.array_equal(wg.log_phi(v[:2]), rows[:2])
 
 
 def test_cheb_table_tail_bounds_its_error_and_no_point_repeats():
