@@ -12,7 +12,12 @@ them, so it rejects exactly what a run would reject.
 
 CSV output follows the fixed schema
 ``kind,m,tau,rho,x,y,log_value,value,err_estimate,evaluations,status``
-with per-point failures recorded in the status column.  Exit codes:
+with per-point failures recorded in the status column and empty value
+columns.  ``localize`` writes the difference K1 - K2 of its two domains'
+Bergman kernels: ``value`` is signed, ``log_value`` is log |K1 - K2|,
+``err_estimate`` the larger of the two estimates, and ``evaluations`` is
+empty.  ``hormander`` writes the normal step eps in the ``rho`` column;
+its ``tau`` is the point's blow-up angle, whose rho is ``y``.  Exit codes:
 0 success, 1 headline assertion failed, 2 domain or config error,
 3 quadrature non-convergence.
 """

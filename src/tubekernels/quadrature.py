@@ -10,15 +10,17 @@ samples the convex phase once and serves every frequency in a declared range
 as an exponential sum over its nodes, each term scaled by the phase minimum,
 which is what makes the double and triple integrals tractable.  Smooth 1-D
 profiles are tabulated once per use, as Chebyshev tables sized by the
-tolerance: log G in log frequency once per zeta in ``direct_pair``, and
-log P in log u once per ``bergman_normalized`` call.  ``direct_pair`` works
-on the zetas of an outer integrand call in chunks of ``_ZETA_CHUNK``: one
-table pass samples the log G of a whole chunk from padded (zeta, t, node)
-arrays, and one engine call integrates the chunk's inner rows on shared
-panels.  The W-grid behind ``bergman_normalized``'s log P has uniform
-panels, so its exponential sum factors by panel: each tilt costs one exp
-per panel and one per Kronrod abscissa instead of one per node, with the
-same nodes and weights, so the factored sum is the dense one up to rounding.
+tolerance, one size for all the rows of a table: log G in log frequency
+once per zeta in ``direct_pair``, and log P in log u once per
+``bergman_normalized`` call.  ``direct_pair`` works on the zetas of an
+outer integrand call in chunks of ``_ZETA_CHUNK``: one table pass samples
+the log G of a whole chunk from padded (zeta, t, node) arrays into one
+(zeta, sample) table, and one engine call integrates the chunk's inner
+rows on shared panels.  The W-grid behind ``bergman_normalized``'s log P
+has uniform panels, so its exponential sum factors by panel: each tilt
+costs one exp per panel and one per Kronrod abscissa instead of one per
+node, with the same nodes and weights, so the factored sum is the dense
+one up to rounding.
 """
 
 from __future__ import annotations
@@ -531,9 +533,10 @@ def direct_pair(
     one call of ``f.f`` its value.  The zetas then go through the inner
     layer in chunks of at most ``_ZETA_CHUNK``.  Each zeta builds its own
     profile grid.  One ``_cheb_table`` pass tabulates log G(e^t / r) in
-    t = log h for every zeta of the chunk, each row sized until its tail is
-    at most rel_tol / 10, usually 17 or 65 samples, from the grids' nodes
-    padded to a common count with zero weight.  One ``log_adaptive_multi``
+    t = log h for every zeta of the chunk, from the grids' nodes padded to a
+    common count with zero weight: one table of one size, grown until every
+    row's tail is at most rel_tol / 10, usually 17 or 65 samples a row.
+    One ``log_adaptive_multi``
     call then integrates the chunk's 2k inner eta rows (Bergman and Szego
     for each zeta) on shared t panels, reading all tables at once.  An inner
     row that ends above its 0.25 rel_tol budget raises QuadratureError
@@ -574,15 +577,14 @@ def direct_pair(
         c_low = np.array([g.c_low for g in grids])
 
         # log G(e^t / r) is smooth in t: tabulate it once for each zeta
-        def log_G(rows, t):
-            eta = np.exp(t)[None, :] / r[rows, None]
-            return _log_G(dc[rows], w[rows], c_low[rows, None], eta)
+        def log_G(t):
+            return _log_G(dc, w, c_low[:, None], np.exp(t)[None, :] / r[:, None])
 
-        tables, tails = _cheb_table(log_G, t_lo, t_hi, 0.1 * cfg.rel_tol, k)
+        table, tails = _cheb_table(log_G, t_lo, t_hi, 0.1 * cfg.rel_tol)
         log_r = np.log(r)
 
         def logI(t):
-            lg = _cheb_read(tables, t_lo, t_hi, t)
+            lg = _cheb_read(table, t_lo, t_hi, t)
             tp = (t[None, :] - log_r[:, None])[:, None, :] * ps
             return (tp + ((t - np.exp(t))[None, :] - lg)[:, None, :]).reshape(2 * k, -1)
 
@@ -594,7 +596,7 @@ def direct_pair(
                 f"inner eta integral at zeta = {float(zetas[i // 2])!r} did not converge: "
                 f"achieved rel err {re[i]:.3e} (requested {inner_tol:.1e})"
             )
-        nev[0] += sum(g.n_evals for g in grids) + sum(s.size for s in tables) + k * ne
+        nev[0] += sum(g.n_evals for g in grids) + table.size + k * ne
         tail_G[0] = max(tail_G[0], float(tails.max()))
         return (lv.reshape(k, 2) - log_r[:, None]).T
 
@@ -731,36 +733,35 @@ class _WGrid:
         return top + reach + np.log(np.einsum("vp,vp->v", np.exp(panel - top[:, None]), inner))
 
 
-def _cheb_table(
-    fn: Callable, a: float, b: float, tol: float, k: int = 1
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Chebyshev interpolants of k functions on [a, b], each sized by ``tol``.
+def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev interpolants of k functions on [a, b], one size for all.
 
-    ``fn(rows, t)`` maps row indices (an int array) and points t to the
-    (rows.size, t.size) array of those rows' values.  Every row is sampled
-    at the Chebyshev-Lobatto points cos(pi j / n) mapped onto [a, b],
-    starting at n = 16 and doubling n; the grids are nested, so each
-    doubling calls ``fn`` once, on the new odd-index points only, for the
-    rows still open.  A row's coefficients c_k come from the FFT of the even
-    extension of its samples.  A row stops when the largest |c_k| over the
-    top quarter is at or below ``tol``, or when its coefficients end in a
-    round-off plateau (``_plateau``) at this size and the one before, and is
-    not sampled again; past 513 points QuadratureError names the first row
+    ``fn(t)`` maps points t to the (k, t.size) array of the k functions'
+    values; k is read from the first call.  Every row is sampled at the
+    Chebyshev-Lobatto points cos(pi j / n) mapped onto [a, b], starting at
+    n = 16 and doubling n; the grids are nested, so each doubling calls
+    ``fn`` once, on the new odd-index points only.  A row's coefficients
+    c_k come from the FFT of the even extension of its samples.  A row is
+    resolved when the largest |c_k| over the top quarter is at or below
+    ``tol``, or when its coefficients end in a round-off plateau
+    (``_plateau``) at this size and the one before; it stays resolved, with
+    the tail of the size that resolved it, while the table grows for the
+    rows still open.  Past 513 points QuadratureError names the first row
     still open.
 
-    Returns ``(tables, tails)``: row i's samples at cos(pi j / n),
-    j = 0..n, read by ``_cheb_read``, and ``tails[i]``, an estimate of its
-    interpolant's error: the stopping figure, or at a plateau the sum of
+    Returns ``(table, tails)``: the (k, n + 1) samples at cos(pi j / n),
+    j = 0..n, read by ``_cheb_read``, and ``tails[i]``, an estimate of row
+    i's interpolant error: the stopping figure, or at a plateau the sum of
     |c_k| over it, floored at 8 eps sum |c_k| (the samples' round-off,
     amplified by the Lebesgue constant, below 5 at 513 points, plus the
     round-off of the reader).
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     n = 16
-    rows = np.arange(k)
-    vals = fn(rows, mid + half * np.cos(np.pi * np.arange(n + 1) / n))
-    tables: list[np.ndarray] = [np.empty(0)] * k
+    vals = fn(mid + half * np.cos(np.pi * np.arange(n + 1) / n))
+    k = vals.shape[0]
     tails = np.empty(k)
+    done = np.zeros(k, dtype=bool)
     flat_before = np.zeros(k, dtype=bool)
     while True:
         ext = np.concatenate((vals, vals[:, -2:0:-1]), axis=1)
@@ -769,29 +770,29 @@ def _cheb_table(
         c[:, n] *= 0.5
         floor = 8.0 * np.finfo(float).eps * np.sum(np.abs(c), axis=1)
         tail = np.max(np.abs(c[:, (3 * n) // 4 :]), axis=1)
-        # only rows that miss tol look for a plateau (a zero row has none)
-        j = np.zeros(rows.size, dtype=int)
-        j[tail > tol] = _plateau(c[tail > tol])
+        # only open rows that miss tol look for a plateau (a zero row has none)
+        look = ~done & (tail > tol)
+        j = np.zeros(k, dtype=int)
+        j[look] = _plateau(c[look])
         flat = j > 0
         est = tail.copy()
         for i in np.flatnonzero(flat):
             est[i] = np.sum(np.abs(c[i, j[i] :]))
-        done = (tail <= tol) | (flat & flat_before)
-        tails[rows[done]] = np.maximum(est, floor)[done]
-        for i in np.flatnonzero(done):
-            tables[rows[i]] = vals[i]
+        now = ~done & ((tail <= tol) | (flat & flat_before))
+        tails[now] = np.maximum(est, floor)[now]
+        done |= now
         if done.all():
-            return tables, tails
+            return vals, tails
         if n >= 512:
             i = np.flatnonzero(~done)[0]
             raise QuadratureError(
-                f"Chebyshev table row {rows[i]} on [{a!r}, {b!r}] did not resolve "
+                f"Chebyshev table row {i} on [{a!r}, {b!r}] did not resolve "
                 f"at {n + 1} points: tail {tail[i]:.3e} (requested {tol:.1e})"
             )
-        rows, vals, flat_before = rows[~done], vals[~done], flat[~done]
-        new = np.empty((rows.size, 2 * n + 1))
+        flat_before = flat
+        new = np.empty((k, 2 * n + 1))
         new[:, 0::2] = vals
-        new[:, 1::2] = fn(rows, mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        new[:, 1::2] = fn(mid + half * np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
         vals = new
         n *= 2
 
@@ -828,34 +829,27 @@ def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(np.pi * np.arange(n + 1) / n), w
 
 
-def _cheb_read(tables: list[np.ndarray], a: float, b: float, t: np.ndarray) -> np.ndarray:
-    """The interpolants of ``_cheb_table`` rows on [a, b] at the points
-    ``t``, one row each: an array (len(tables), t.size).
+def _cheb_read(table: np.ndarray, a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """The interpolants of a ``_cheb_table`` table (k, n + 1) on [a, b] at
+    the points ``t``: an array (k, t.size).
 
     The barycentric formula on the Chebyshev-Lobatto points (Berrut &
-    Trefethen, SIAM Review 46, 2004): for each table size, one points x
-    samples matrix, contracted with every table of that size by
-    ``np.einsum``, not BLAS, so reruns are bit-identical.  A point on a
-    sample gives that sample.
+    Trefethen, SIAM Review 46, 2004): one points x samples matrix,
+    contracted with every row by ``np.einsum``, not BLAS, so reruns are
+    bit-identical.  A point on a sample gives that sample.
     """
     x = (2.0 * t - a - b) / (b - a)
-    sizes = np.array([s.size for s in tables])
-    out = np.empty((sizes.size, x.size))
-    for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        samples = np.array([tables[i] for i in rows])
-        nodes, w = _lobatto(int(size) - 1)
-        q = np.subtract.outer(x, nodes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(w, q, out=q)
-            vals = np.einsum("ij,kj->ki", q, samples) / np.einsum("ij->i", q)
-        bad = np.isnan(vals)
-        if bad.any():
-            r, j = np.nonzero(bad)
-            hit = x[j, None] == nodes
-            vals[bad] = np.where(hit.any(axis=1), samples[r, hit.argmax(axis=1)], np.nan)
-        out[rows] = vals
-    return out
+    nodes, w = _lobatto(table.shape[1] - 1)
+    q = np.subtract.outer(x, nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(w, q, out=q)
+        vals = np.einsum("ij,kj->ki", q, table) / np.einsum("ij->i", q)
+    bad = np.isnan(vals)
+    if bad.any():
+        r, j = np.nonzero(bad)
+        hit = x[j, None] == nodes
+        vals[bad] = np.where(hit.any(axis=1), table[r, hit.argmax(axis=1)], np.nan)
+    return vals
 
 
 def _growth_rate_floor(m: int) -> float:
@@ -925,14 +919,14 @@ def bergman_normalized(
     The integral runs in t = log u over [log u_floor, log u_hi] (from t = -12
     when u_floor is 0), u_hi where e^{-y u^(2m)} falls below the truncation
     depth.  P does not depend on y, and log P is smooth in t, so each call
-    tabulates it once: a Chebyshev table in t (``_cheb_table``) sized until
-    its coefficient tail is at most rel_tol / 10, or until the coefficients
-    level off at log P's own round-off (near 2e-13 on the mollified m = 2
-    model, so from rel_tol 1e-12 down), usually 65 or 129 ``_log_P``
-    evaluations.  Each ``_log_P`` builds one ``_WGrid`` and reads phi at
-    every tilt its root search and profile grid ask for through the grid's
-    factored sum, n_pan + 15 exps a tilt (``_WGrid``), which takes most of
-    the table's time.  The adaptive u-integral then reads the table.
+    tabulates it once: a one-row Chebyshev table in t (``_cheb_table``)
+    sized until its coefficient tail is at most rel_tol / 10, or until the
+    coefficients level off at log P's own round-off (near 2e-13 on the
+    mollified m = 2 model, so from rel_tol 1e-12 down), usually 65 or 129
+    ``_log_P`` evaluations.  Each ``_log_P`` builds one ``_WGrid`` and reads
+    phi at every tilt its root search and profile grid ask for through the
+    grid's factored sum, n_pan + 15 exps a tilt (``_WGrid``), which takes
+    most of the table's time.  The adaptive u-integral then reads the table.
     ``err_estimate`` is the integral's relative error, plus 0.5 rel_tol for
     the truncation, plus the table's tail (an absolute error of log P is a
     relative error of Kbar); ``evaluations`` counts the W-grid and profile
@@ -967,11 +961,10 @@ def bergman_normalized(
             nev[0] += ne
         return out
 
-    tables, tails = _cheb_table(lambda _, ts: log_P(ts)[None, :], t_lo, t_hi, 0.1 * cfg.rel_tol)
-    tail = tails[0]
+    table, (tail,) = _cheb_table(lambda ts: log_P(ts)[None, :], t_lo, t_hi, 0.1 * cfg.rel_tol)
 
     def rows(t):
-        lp = _cheb_read(tables, t_lo, t_hi, t)
+        lp = _cheb_read(table, t_lo, t_hi, t)
         return -y * np.exp(m2 * t) + lp + (2 * m2 + 2) * t
 
     n_init = max(14, int((t_hi - t_lo) / 0.1))

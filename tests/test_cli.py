@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from tubekernels import QuadratureConfig, cli
+from tubekernels import BlowupChart, BoundaryRelativePoint, QuadratureConfig, cli, to_polar
 from tubekernels.cli import CSV_HEADER, main, parse_domain
 
 
@@ -379,3 +379,78 @@ def test_each_command_offers_exactly_the_settings_it_reads():
     # every setting is read by some command
     read = {"spec"} | {k for _, _, reads, _ in cli._COMMANDS.values() for k in reads.split()}
     assert read == {k for keys in cli._SETTINGS.values() for k in keys}
+
+
+def test_hormander_csv_rho_column_holds_the_normal_step(capsys, tmp_path):
+    csv_path = tmp_path / "h.csv"
+    rc, out, _ = run(
+        capsys, "hormander", "--domain", "model:m=1", "--x0", "1", "--csv", str(csv_path),
+    )
+    assert rc == (0 if out.rstrip().endswith("PASS") else 1), out
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 11
+    f = parse_domain("model:m=1")
+    chart = BlowupChart(1)
+    for k, line in enumerate(lines[1:]):
+        kind, m, tau, rho, x, y, log_value, value, err, evals, status = line.split(",")
+        assert (kind, m, status) == ("bergman", "1", "ok")
+        # rho is the step eps along the normal, not the point's rho = y
+        assert float(rho) == 0.1 * 0.5**k and float(y) > 1.0
+        q = to_polar(f, chart, BoundaryRelativePoint(float(x), float(y)))
+        assert float(tau) == q.tau and q.rho == float(y)
+        assert math.isclose(math.exp(float(log_value)), float(value), rel_tol=1e-12)
+        assert 0 < float(err) < 1e-6 and int(evals) > 0
+    assert lines[1].split(",")[3:6] == ["0.1", "0.9105572809000084", "1.0447213595499958"]
+
+
+def test_localize_csv_value_holds_the_signed_difference(monkeypatch, capsys, tmp_path):
+    reports = []
+    real = cli.localization_experiment
+
+    def kept(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "localization_experiment", kept)
+    csv_path = tmp_path / "l.csv"
+    rc, out, _ = run(
+        capsys, "localize", "--domain", "model:m=2", "--rel-tol", "1e-7",
+        "--n-points", "6", "--window", "6", "--csv", str(csv_path),
+    )
+    verdict = re.search(r"difference bounded: (PASS|FAIL)", out).group(1)
+    assert rc == (0 if verdict == "PASS" else 1), out
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 7
+    for line, p in zip(lines[1:], reports[0]["points"]):
+        kind, m, tau, rho, x, y, log_value, value, err, evals, status = line.split(",")
+        assert (kind, m, tau, status) == ("bergman", "2", "1.0", "ok")
+        assert float(rho) == p["rho"] == float(y)
+        # value is K1 - K2 with its sign, log_value the log of its size,
+        # and evaluations is left empty
+        assert float(value) == p["k1"] - p["k2"]
+        assert math.isclose(math.exp(float(log_value)), abs(float(value)), rel_tol=1e-9)
+        assert float(err) == p["err_estimate"] and evals == ""
+
+
+def test_sweep_writes_an_empty_row_for_a_failed_point(fail_at, capsys, tmp_path):
+    fail_at(0.25)
+    csv_path = tmp_path / "s.csv"
+    rc, out, _ = run(
+        capsys, "sweep", "--domain", "model:m=1", "--n-points", "4", "--csv", str(csv_path),
+    )
+    assert rc == 0 and "sweep: 3/4 points converged" in out
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 5
+    assert lines[3] == (
+        "bergman,1,1.0,0.25,0.0,0.25,,,,,QuadratureError: no convergence at y = 0.25"
+    )
+    assert all(line.endswith(",ok") for i, line in enumerate(lines[1:]) if i != 2)
+
+
+def test_fit_exits_3_when_too_few_points_converge(fail_at, capsys):
+    fail_at(0.5, 0.125, 0.03125)
+    rc, out, err = run(
+        capsys, "fit", "--domain", "model:m=1", "--n-points", "8", "--window", "6",
+    )
+    assert rc == 3 and out == ""
+    assert "only 5 of 8 points converged; cannot fit" in err

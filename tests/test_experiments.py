@@ -233,6 +233,29 @@ def test_evaluate_path_parabola_closed_form():
         assert math.isfinite(r["err_estimate"])
 
 
+def test_evaluate_path_keeps_the_place_of_a_failed_point(fail_at):
+    grid = default_rho_grid(6)
+    fail_at(grid[2])
+    rows = evaluate_path(model_domain(1), ApproachPath("fixed_tau", {"tau": 1.0}, grid))
+    assert [r["rho"] for r in rows] == list(grid)
+    bad = rows[2]
+    assert bad["status"] == f"QuadratureError: no convergence at y = {float(grid[2])!r}"
+    assert bad["err_estimate"] == math.inf and bad["bergman"] is bad["szego"] is None
+    assert all(r["status"] == "ok" for i, r in enumerate(rows) if i != 2)
+
+
+def test_localization_reports_too_few_converged_points(fail_at):
+    grid = default_rho_grid(8)
+    fail_at(grid[1], grid[4], grid[7])
+    f = model_domain(1)
+    report = localization_experiment(f, f, ApproachPath("fixed_tau", {"tau": 1.0}, grid))
+    assert report["passed"] is False
+    assert report["reason"] == "too few converged points to fit"
+    assert report["excluded"] == [grid[1], grid[4], grid[7]]
+    assert [p["rho"] for p in report["points"]] == list(grid)
+    assert "fit_k1" not in report
+
+
 def test_localization_guards():
     grid = default_rho_grid(8)
     tau_path = ApproachPath("fixed_tau", {"tau": 1.0}, grid)

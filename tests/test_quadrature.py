@@ -33,6 +33,7 @@ from tubekernels.quadrature import (
     WGK,
     XGK,
     ProfileGrid,
+    _MAX_PANELS,
     _TRUNCATION_DEPTH,
     _WGrid,
     _bracket_root,
@@ -132,6 +133,26 @@ def test_adaptive_rows_do_not_see_each_other():
     )
     assert math.isfinite(lv[1]) and abs(lv[1] - (lv[0] - 800.0)) <= 1e-12
     assert re[1] <= 1e-9
+
+
+def test_adaptive_stops_at_its_panel_budget():
+    # a request no error can meet runs to the budget, exactly, and reports
+    # the error it reached
+    lv, re, n = log_adaptive_multi(lambda x: -x * x, -1.0, 1.0, rel_tol=0.0)
+    assert n == _MAX_PANELS * 15 == 36000
+    assert 0 < re[0] <= 1e-13
+    assert math.isclose(lv[0], math.log(math.sqrt(math.pi) * math.erf(1.0)), rel_tol=1e-14)
+
+
+def test_adaptive_stops_at_its_panel_width_floor():
+    # a jump at 1/3 is never resolved: the panel around it halves down to the
+    # width floor, where refinement stops long before the budget
+    lv, re, n = log_adaptive_multi(
+        lambda x: np.where(x < 1.0 / 3.0, 0.0, -np.inf), 0.0, 1.0, rel_tol=1e-20
+    )
+    assert n == 1500 < _MAX_PANELS * 15
+    assert 1e-20 < re[0] <= 1e-13
+    assert abs(lv[0] - math.log(1.0 / 3.0)) <= 1e-13
 
 
 def test_search_loops_are_capped():
@@ -454,22 +475,22 @@ def test_cheb_table_tail_bounds_its_error_and_no_point_repeats():
         seen.append(t)
         return np.log(2.0 + np.sin(3.0 * t))
 
-    (samples,), (tail,) = _cheb_table(lambda _, t: fn(t)[None, :], -1.0, 2.0, 1e-12)
+    samples, (tail,) = _cheb_table(lambda t: fn(t)[None, :], -1.0, 2.0, 1e-12)
     pts = np.concatenate(seen)
     assert pts.size == samples.size == np.unique(pts).size and tail <= 1e-12
     t = np.random.default_rng(7).uniform(-1.0, 2.0, 200)
-    err = np.abs(_cheb_read([samples], -1.0, 2.0, t)[0] - fn(t))
+    err = np.abs(_cheb_read(samples, -1.0, 2.0, t)[0] - fn(t))
     assert err.max() <= tail
     # the ends are samples; reading them divides by zero, without a warning
-    ends = _cheb_read([samples], -1.0, 2.0, np.array([2.0, np.nan, -1.0]))[0]
-    assert ends[0] == samples[0] and np.isnan(ends[1]) and ends[2] == samples[-1]
+    ends = _cheb_read(samples, -1.0, 2.0, np.array([2.0, np.nan, -1.0]))[0]
+    assert ends[0] == samples[0, 0] and np.isnan(ends[1]) and ends[2] == samples[0, -1]
 
 
-def test_cheb_table_rows_stop_on_their_own_rules():
-    # rows that stop at 17 samples, at 65 on a noise plateau, at 65 on the
+def test_cheb_table_rows_share_one_size():
+    # rows that resolve at 17 samples, at 65 on a noise plateau, at 65 on the
     # tail, at 129 and, a zero row, at 17 without a warning: the 5-row table
-    # gives each row its one-row table, and no row is sampled after it has
-    # stopped
+    # grows to 129 for all of them, every point is sampled once, and each
+    # row keeps the tail of the size that resolved it, its one-row tail
     fns = [
         lambda t: 1.0 + 0.1 * t,
         lambda t: np.exp(t) + 1e-12 * np.sin(3e5 * t),
@@ -477,26 +498,29 @@ def test_cheb_table_rows_stop_on_their_own_rules():
         lambda t: np.log(2.0 + np.sin(3.0 * t)),
         lambda t: 0.0 * t,
     ]
-    seen = np.zeros(len(fns), dtype=int)
+    seen = []
 
-    def fn(rows, t):
-        seen[rows] += t.size
-        return np.array([fns[i](t) for i in rows])
+    def fn(t):
+        seen.append(t)
+        return np.array([g(t) for g in fns])
 
-    tables, tails = _cheb_table(fn, -1.0, 2.0, 1e-13, len(fns))
-    assert [s.size for s in tables] == [17, 65, 65, 129, 17]
-    assert list(seen) == [17, 65, 65, 129, 17]
+    table, tails = _cheb_table(fn, -1.0, 2.0, 1e-13)
+    pts = np.concatenate(seen)
+    assert table.shape == (5, 129) and pts.size == np.unique(pts).size == 129
     assert tails[1] > 1e-13 >= tails[2]  # the plateau claims its level
     for i, g in enumerate(fns):
-        (one,), (one_tail,) = _cheb_table(lambda _, t: g(t)[None, :], -1.0, 2.0, 1e-13)
-        assert np.array_equal(one, tables[i]) and one_tail == tails[i], i
-    # k tables of mixed sizes read together equal k one-row reads, the
-    # table ends (exact samples) included
+        one, (one_tail,) = _cheb_table(lambda t: g(t)[None, :], -1.0, 2.0, 1e-13)
+        assert one.shape[1] == [17, 65, 65, 129, 17][i], i
+        # the nested grids: the one-row table is every (128 / n)-th sample
+        step = 128 // (one.shape[1] - 1)
+        assert np.array_equal(one[0], table[i, ::step]) and one_tail == tails[i], i
+    # the k rows read together equal k one-row reads, the table ends (exact
+    # samples) included
     t = np.concatenate(([-1.0, 2.0], np.random.default_rng(3).uniform(-1.0, 2.0, 300)))
-    got = _cheb_read(tables, -1.0, 2.0, t)
-    for i, table in enumerate(tables):
-        assert np.array_equal(got[i], _cheb_read([table], -1.0, 2.0, t)[0]), i
-    assert got[0, 0] == tables[0][-1] and got[3, 1] == tables[3][0]
+    got = _cheb_read(table, -1.0, 2.0, t)
+    for i in range(len(fns)):
+        assert np.array_equal(got[i], _cheb_read(table[i : i + 1], -1.0, 2.0, t)[0]), i
+    assert got[0, 0] == table[0, -1] and got[3, 1] == table[3, 0]
 
 
 @pytest.mark.parametrize("amp", [1e-14, 1e-12])
@@ -509,17 +533,17 @@ def test_cheb_table_stops_on_a_noise_plateau(amp):
         seen.append(t.size)
         return np.exp(t) + amp * np.sin(3e5 * t)
 
-    (samples,), (tail,) = _cheb_table(lambda _, t: fn(t)[None, :], -1.0, 2.0, 1e-16)
+    samples, (tail,) = _cheb_table(lambda t: fn(t)[None, :], -1.0, 2.0, 1e-16)
     assert sum(seen) == samples.size <= 129
     t = np.random.default_rng(5).uniform(-1.0, 2.0, 400)
-    err = np.abs(_cheb_read([samples], -1.0, 2.0, t)[0] - np.exp(t)).max()
+    err = np.abs(_cheb_read(samples, -1.0, 2.0, t)[0] - np.exp(t)).max()
     assert amp <= err <= tail <= 20.0 * amp
 
 
 def test_cheb_table_rejects_a_kink_at_its_cap():
     t0 = time.perf_counter()
     with pytest.raises(QuadratureError, match=r"\[-1.0, 2.0\].* 513 points: tail"):
-        _cheb_table(lambda _, t: np.abs(t - 0.3)[None, :], -1.0, 2.0, 1e-12)
+        _cheb_table(lambda t: np.abs(t - 0.3)[None, :], -1.0, 2.0, 1e-12)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -540,12 +564,12 @@ def test_log_P_table_matches_direct_log_P(x, y, t_lo, tol):
         return _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m)[0]
 
     t_hi = math.log(((_TRUNCATION_DEPTH + 13.0) / y) ** (1.0 / m2))
-    tables, (tail,) = _cheb_table(
-        lambda _, ts: np.array([[log_P(t) for t in ts]]), t_lo, t_hi, tol
+    table, (tail,) = _cheb_table(
+        lambda ts: np.array([[log_P(t) for t in ts]]), t_lo, t_hi, tol
     )
     assert tail <= tol
     for t in np.random.default_rng(11).uniform(t_lo, t_hi, 12):
-        got = _cheb_read(tables, t_lo, t_hi, np.array([t]))[0, 0]
+        got = _cheb_read(table, t_lo, t_hi, np.array([t]))[0, 0]
         assert abs(got - log_P(t)) <= 1e-11, t
 
 
@@ -582,10 +606,10 @@ def test_bergman_normalized_stops_its_table_on_the_noise_plateau(monkeypatch):
 
 
 def test_direct_pair_tabulates_log_G(monkeypatch):
-    # one Chebyshev table row of log G per grid: 17, 33, 65 samples at most,
-    # counted per row across the batched sampling rounds
+    # one Chebyshev table row of log G per grid, each table of 17, 33 or 65
+    # samples a row, in at most three sampling rounds
     grids = [0]
-    rows = []  # per table row: [sampling rounds, samples]
+    tables = []  # per table: [sampling rounds, rows, samples a row]
 
     class Counted(ProfileGrid):
         def __init__(self, *args, **kwargs):
@@ -594,25 +618,26 @@ def test_direct_pair_tabulates_log_G(monkeypatch):
 
     real_table = quadrature._cheb_table
 
-    def counted_table(fn, a, b, tol, k=1):
-        mine = [[0, 0] for _ in range(k)]
-        rows.extend(mine)
+    def counted_table(fn, a, b, tol):
+        mine = [0, 0, 0]
+        tables.append(mine)
 
-        def sampled(idx, t):
-            for i in idx:
-                mine[i][0] += 1
-                mine[i][1] += t.size
-            return fn(idx, t)
+        def sampled(t):
+            out = fn(t)
+            mine[0] += 1
+            mine[1] = out.shape[0]
+            mine[2] += t.size
+            return out
 
-        return real_table(sampled, a, b, tol, k)
+        return real_table(sampled, a, b, tol)
 
     monkeypatch.setattr(quadrature, "ProfileGrid", Counted)
     monkeypatch.setattr(quadrature, "_cheb_table", counted_table)
     cfg = QuadratureConfig(rel_tol=1e-7)
     direct_pair(model_domain(2), BoundaryRelativePoint(0.0, 0.25), cfg)
-    assert grids[0] > 300 and len(rows) == grids[0]
-    assert max(n for n, _ in rows) <= 3
-    assert max(size for _, size in rows) <= 65
+    assert grids[0] > 300 and sum(k for _, k, _ in tables) == grids[0]
+    assert max(n for n, _, _ in tables) <= 3
+    assert max(size for _, _, size in tables) <= 65
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
