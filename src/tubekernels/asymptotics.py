@@ -27,7 +27,8 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureError,
     _TRUNCATION_DEPTH,
-    _bracket_root,
+    _tilted,
+    _tilted_peak,
     log_adaptive_multi,
 )
 
@@ -93,12 +94,6 @@ def phase_q(m: int) -> LaplaceProblem:
 # ---------------------------------------------------------------------------
 # measured growth: phi, its log-spline cache, and L
 # ---------------------------------------------------------------------------
-
-
-def _log_exp_integral(c_fn, xi_star: float) -> float:
-    """log int exp(-c(xi)) dxi for convex c with minimum 0 at xi_star."""
-    pg = ProfileGrid(c_fn, xi_star, 1.0, 1.0)
-    return float(pg.log_G(np.array([1.0]))[0])
 
 
 _PHI_BLOCK = 128  # frequencies per log_G pass: a block of ~1.5 MB of terms
@@ -182,18 +177,17 @@ class PhiSpline:
 def log_L(u, phis: PhiSpline):
     """log int exp(u v)/phi(v) dv using a spline cache of log phi.
 
-    Array in, array out, one element per u: one elementwise root search
-    finds every peak v_s (where d log phi/dv = |u|) and one spline read
-    their offsets; then each u integrates on its own peak-centered grid.
-    A float gives a float.
+    The integrand is exp(-(L(v) - |u| v)) with L = log phi: array in, array
+    out, one element per u, one elementwise ``_tilted_peak`` finds every
+    peak v_s (where d log phi/dv = |u|) and its offset; then each u
+    integrates its ``_tilted`` phase on its own peak-centered
+    ``ProfileGrid``.  A float gives a float.
     """
     u = np.abs(np.asarray(u, dtype=float))
     flat = u.ravel()
-    zero = np.zeros_like(flat)
-    v_s = _bracket_root(lambda v: phis.deriv(v) - flat, zero, zero + 1.0)
-    Aoff = phis(v_s) - flat * v_s
+    v_s, Aoff = _tilted_peak(phis, phis.deriv, flat)
     out = np.array([
-        -A + _log_exp_integral(lambda v, uj=uj, A=A: (phis(v) - uj * v) - A, vs)
+        -A + float(ProfileGrid(_tilted(phis, uj, A), vs, 1.0, 1.0).log_G(np.array([1.0]))[0])
         for uj, vs, A in zip(flat.tolist(), v_s.tolist(), Aoff.tolist())
     ]).reshape(u.shape)
     return out if u.ndim else float(out)

@@ -216,13 +216,14 @@ def from_polar(
 ) -> BoundaryRelativePoint:
     """Inverse chart: solve f(x) = rho * (1 - chi^(-1)(tau)) on the branch.
 
-    f is nondecreasing in |x| (convex with minimum 0 at the origin), so a
-    monotone bracket search on x >= 0 finds the solution.
+    f is convex with minimum 0 at the origin, so t -> f(branch t) is
+    nondecreasing in t >= 0 on either branch, and a monotone bracket search
+    on t >= 0 finds x = branch t, also where f is not even.
     """
     if chart.m != f.m:
         raise DomainError(f"chart is for m={chart.m}, domain has m={f.m}")
     target = q.rho * chart.core_fraction_from_tau(q.tau)
     if target == 0.0:
         return BoundaryRelativePoint(x=0.0, y=q.rho)
-    x = _bracket_root(lambda t: float(f.f(t)) - target, 0.0, 1.0)
-    return BoundaryRelativePoint(x=q.branch * x, y=q.rho)
+    t = _bracket_root(lambda t: float(f.f(q.branch * t)) - target, 0.0, 1.0)
+    return BoundaryRelativePoint(x=q.branch * t, y=q.rho)

@@ -423,9 +423,10 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def _plateau(s: np.ndarray, a: float, b: float, ramp: float = 0.2) -> np.ndarray:
-    """Unit-height plateau bump on [a, b] with smooth-step ramps."""
-    r = ramp * (b - a)
+def _bump(s: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Unit-height plateau bump on [a, b] with smooth-step ramps, each a
+    fifth of the width."""
+    r = 0.2 * (b - a)
     return _smooth_step((s - a) / r) * _smooth_step((b - s) / r)
 
 
@@ -478,7 +479,7 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
             ]
         )
     )
-    bumps = np.column_stack([_plateau(nodes, d, xs_split), _plateau(nodes, xs_split, 1.0)])
+    bumps = np.column_stack([_bump(nodes, d, xs_split), _bump(nodes, xs_split, 1.0)])
     over_s2 = CubicSpline(nodes, bumps / nodes[:, None] ** 2)
     I1, I2 = over_s2.antiderivative()(1.0)
     J1, J2 = over_s2.antiderivative(2)(1.0)

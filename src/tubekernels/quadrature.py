@@ -8,14 +8,17 @@ split worst error first, and sums taken relative to the largest term.  Inner
 Laplace transforms are not re-integrated per frequency: a profile grid
 samples the convex phase once and serves every frequency in a declared range
 as an exponential sum over its nodes, each term scaled by the phase minimum,
-which is what makes the double and triple integrals tractable.  Smooth 1-D
-profiles are tabulated once per use, as Chebyshev tables sized by the
-tolerance, one size for all the rows of a table: log G in log frequency
-once per zeta in ``direct_pair``, and log P in log u once per
-``bergman_normalized`` call.  ``direct_pair`` works on the zetas of an
-outer integrand call in chunks of ``_ZETA_CHUNK``: one table pass samples
-the log G of a whole chunk from padded (zeta, t, node) arrays into one
-(zeta, sample) table, and one engine call integrates the chunk's inner
+which is what makes the double and triple integrals tractable.  D, the
+kernel pair's E, L and P are one tilted-Laplace integral int exp(-(L(v) -
+t v)) dv of a convex L, taken one way: ``_tilted_peak`` finds the peak
+L'(v) = t, ``_tilted`` moves the phase's minimum to 0, and
+``ProfileGrid.log_G`` sums it.  Smooth 1-D profiles are tabulated once per
+use, as Chebyshev tables sized by the tolerance, one size for all the rows
+of a table: log G in log frequency once per zeta in ``direct_pair``, and
+log P in log u once per ``bergman_normalized`` call.  ``direct_pair`` works
+on the zetas of an outer integrand call in chunks of ``_ZETA_CHUNK``: one
+table pass samples the log G of a whole chunk from one
+``ProfileGrid.stack``, and one engine call integrates the chunk's inner
 rows on shared panels.  The W-grid behind ``bergman_normalized``'s log P
 has uniform panels, so its exponential sum factors by panel: each tilt
 costs one exp per panel and one per Kronrod abscissa instead of one per
@@ -357,29 +360,34 @@ class ProfileGrid:
         self.w = np.concatenate(w_parts)
         self.n_evals = nev
 
+    @classmethod
+    def stack(cls, grids: list[ProfileGrid]) -> ProfileGrid:
+        """k grids as one, whose ``log_G`` reads row i of eta (k, n) on grid
+        i: nodes padded with w = 0 to a common count, ``n_evals`` summed."""
+        out = cls.__new__(cls)
+        out.dc, out.w = np.zeros((2, len(grids), max(g.dc.size for g in grids)))
+        for i, g in enumerate(grids):
+            out.dc[i, : g.dc.size], out.w[i, : g.w.size] = g.dc, g.w
+        out.c_low = np.array([[g.c_low] for g in grids])
+        out.n_evals = sum(g.n_evals for g in grids)
+        return out
+
     def log_G(self, eta) -> np.ndarray:
+        """log G at the frequencies ``eta`` (n,), or (k, n) on a ``stack``.
+
+        Exponents -eta (c - min c) are <= 0, so nothing overflows, and the
+        minimum node keeps every sum positive; numpy's sum, not BLAS, so
+        reruns are bit-identical whatever the BLAS threads.  Exponents are
+        floored at -700: exp takes a slow path where its result underflows,
+        and a term e^-700 w is below 1e-300 of its weight, under the
+        round-off of any sum whose weights span less than 1e280.
+        """
         eta = np.asarray(eta, dtype=float)
-        return _log_G(self.dc, self.w, self.c_low, eta)
-
-
-def _log_G(dc, w, c_low, eta) -> np.ndarray:
-    """log G at the frequencies ``eta`` (n,) on one grid, with shifted phase
-    ``dc`` and weights ``w`` (nodes,) and phase minimum ``c_low``; or of k
-    grids at once, row i of ``eta`` (k, n) on ``dc[i]``, ``w[i]`` (k, nodes)
-    and ``c_low[i]`` (k, 1).  Grids of fewer nodes are padded with w = 0.
-
-    Exponents -eta (c - min c) are <= 0, so nothing overflows, and the
-    minimum node keeps every sum positive; numpy's sum, not BLAS, so reruns
-    are bit-identical whatever the BLAS threads.  Exponents are floored at
-    -700: exp takes a slow path where its result underflows, and a term
-    e^-700 w is below 1e-300 of its weight, under the round-off of any sum
-    whose weights span less than 1e280.
-    """
-    terms = -eta[..., None] * dc[..., None, :]
-    np.maximum(terms, -700.0, out=terms)
-    np.exp(terms, out=terms)
-    terms *= w[..., None, :]
-    return np.log(terms.sum(axis=-1)) - eta * c_low
+        terms = -eta[..., None] * self.dc[..., None, :]
+        np.maximum(terms, -700.0, out=terms)
+        np.exp(terms, out=terms)
+        terms *= self.w[..., None, :]
+        return np.log(terms.sum(axis=-1)) - eta * self.c_low
 
 
 def _pick(cond, x, y):
@@ -447,6 +455,23 @@ def _first_failure(ok, *values) -> list[float]:
     return [float(np.ravel(v)[i]) for v in values]
 
 
+def _tilted_peak(L: Callable, dL: Callable, t):
+    """Peak v of the tilted phase L(v) - t v of a convex L, where
+    L'(v) = t, and its value A = L(v) - t v there.
+
+    One ``_bracket_root`` search on dL(v) - t from [-1, 1]: elementwise for
+    an array ``t``, on floats for a float.
+    """
+    one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    v = _bracket_root(lambda v: dL(v) - t, -one, one)
+    return v, L(v) - t * v
+
+
+def _tilted(L: Callable, t: float, A: float) -> Callable:
+    """The tilted phase L(v) - t v - A, its minimum A moved to 0."""
+    return lambda v: L(v) - t * v - A
+
+
 # ---------------------------------------------------------------------------
 # D and the kernels
 # ---------------------------------------------------------------------------
@@ -479,17 +504,12 @@ def compute_D(
         raise DomainError(
             f"zeta1/zeta2 = {zeta!r} outside the dual cone ({lo!r}, {hi!r})"
         )
-    xi_s = _bracket_root(lambda xi: f.fprime(xi) + zeta, -1.0, 1.0)
-    A = f.f(xi_s) + zeta * xi_s
-
-    def c_fn(xi):
-        return f.f(xi) + zeta * xi - A
-
-    pg = ProfileGrid(c_fn, xi_s, zeta2, zeta2)
-    lg = float(pg.log_G(np.array([zeta2]))[0])
+    xi_s, A = _tilted_peak(f.f, f.fprime, -zeta)
+    c = _tilted(f.f, -zeta, A)
+    lg = float(ProfileGrid(c, xi_s, zeta2, zeta2).log_G(np.array([zeta2]))[0])
 
     # density-halved grid for an honest error measurement
-    half = _CoarseProfile(c_fn, xi_s, zeta2, zeta2)
+    half = _CoarseProfile(c, xi_s, zeta2, zeta2)
     lg2 = float(half.log_G(np.array([zeta2]))[0])
     err = abs(math.expm1(lg2 - lg)) + 1e-14
     if not (err <= cfg.rel_tol):
@@ -511,11 +531,6 @@ class _CoarseProfile(ProfileGrid):
 _ZETA_CHUNK = 6
 
 
-def _phase(f: DefiningFunction, zeta: float, A: float) -> Callable:
-    """The phase f(xi) + zeta xi - A of E(zeta, .), its minimum A moved to 0."""
-    return lambda xi: f.f(xi) + zeta * xi - A
-
-
 def direct_pair(
     f: DefiningFunction, p: BoundaryRelativePoint, cfg: QuadratureConfig | None = None
 ) -> tuple[KernelValue, KernelValue]:
@@ -527,20 +542,19 @@ def direct_pair(
     Both weights ride the same panels (the eta-integral rows share every
     profile grid), so the pair costs barely more than either alone.
 
-    The outer integrand is batched: one elementwise root search gives the
-    phase minimum xi_s of E(zeta, .) for all of a call's zetas (every
-    initial panel in the first call, one split panel in each later call) and
-    one call of ``f.f`` its value.  The zetas then go through the inner
-    layer in chunks of at most ``_ZETA_CHUNK``.  Each zeta builds its own
-    profile grid.  One ``_cheb_table`` pass tabulates log G(e^t / r) in
-    t = log h for every zeta of the chunk, from the grids' nodes padded to a
-    common count with zero weight: one table of one size, grown until every
+    The outer integrand is batched: E(zeta, .) is f tilted by -zeta, and one
+    elementwise ``_tilted_peak`` gives its peak xi_s and value for all of a
+    call's zetas (every initial panel in the first call, one split panel in
+    each later call).  The zetas then go through the inner layer in chunks
+    of at most ``_ZETA_CHUNK``.  Each zeta builds its own profile grid of
+    the ``_tilted`` phase.  One ``_cheb_table`` pass tabulates
+    log G(e^t / r) in t = log h for every zeta of the chunk from the
+    chunk's ``ProfileGrid.stack``: one table of one size, grown until every
     row's tail is at most rel_tol / 10, usually 17 or 65 samples a row.
-    One ``log_adaptive_multi``
-    call then integrates the chunk's 2k inner eta rows (Bergman and Szego
-    for each zeta) on shared t panels, reading all tables at once.  An inner
-    row that ends above its 0.25 rel_tol budget raises QuadratureError
-    naming its zeta.
+    One ``log_adaptive_multi`` call then integrates the chunk's 2k inner
+    eta rows (Bergman and Szego for each zeta) on shared t panels, reading
+    all tables at once.  An inner row that ends above its 0.25 rel_tol
+    budget raises QuadratureError naming its zeta.
     ``err_estimate`` is the outer integral's relative error, plus
     0.35 rel_tol for the inner integrals and the truncation, plus the largest
     table tail (an absolute error of log G is a relative error of the
@@ -564,21 +578,16 @@ def direct_pair(
     tail_G = [0.0]
 
     def inner(zetas: np.ndarray, xi_s: np.ndarray, A: np.ndarray, r: np.ndarray):
-        # one profile grid per zeta, padded with w = 0 to a common node count
-        grids = [
-            ProfileGrid(_phase(f, zeta, a), s, h_lo / q, h_hi / q)
+        # one profile grid per zeta, of the phase f tilted by -zeta
+        grids = ProfileGrid.stack([
+            ProfileGrid(_tilted(f.f, -zeta, a), s, h_lo / q, h_hi / q)
             for zeta, s, a, q in zip(zetas.tolist(), xi_s.tolist(), A.tolist(), r.tolist())
-        ]
-        k = len(grids)
-        size = max(g.dc.size for g in grids)
-        dc, w = np.zeros((k, size)), np.zeros((k, size))
-        for i, g in enumerate(grids):
-            dc[i, : g.dc.size], w[i, : g.w.size] = g.dc, g.w
-        c_low = np.array([g.c_low for g in grids])
+        ])
+        k = zetas.size
 
         # log G(e^t / r) is smooth in t: tabulate it once for each zeta
         def log_G(t):
-            return _log_G(dc, w, c_low[:, None], np.exp(t)[None, :] / r[:, None])
+            return grids.log_G(np.exp(t)[None, :] / r[:, None])
 
         table, tails = _cheb_table(log_G, t_lo, t_hi, 0.1 * cfg.rel_tol)
         log_r = np.log(r)
@@ -596,14 +605,12 @@ def direct_pair(
                 f"inner eta integral at zeta = {float(zetas[i // 2])!r} did not converge: "
                 f"achieved rel err {re[i]:.3e} (requested {inner_tol:.1e})"
             )
-        nev[0] += sum(g.n_evals for g in grids) + table.size + k * ne
+        nev[0] += grids.n_evals + table.size + k * ne
         tail_G[0] = max(tail_G[0], float(tails.max()))
         return (lv.reshape(k, 2) - log_r[:, None]).T
 
     def middles(zetas: np.ndarray) -> np.ndarray:
-        ones = np.ones_like(zetas)
-        xi_s = _bracket_root(lambda xi: f.fprime(xi) + zetas, -ones, ones)
-        A = f.f(xi_s) + zetas * xi_s
+        xi_s, A = _tilted_peak(f.f, f.fprime, -zetas)
         r = y + x * zetas - A  # >= y - f(x) > 0
         out = np.empty((2, zetas.size))
         for j in range(0, zetas.size, _ZETA_CHUNK):
@@ -687,9 +694,9 @@ class _WGrid:
 
     E = e^(a - A_p) <= 1 stored once, so a row v takes n_pan + 15 exps
     instead of one per node.  Exponents of E are floored at -700 (as in
-    ``_log_G``), so each panel keeps a positive entry at its outer node and
-    log phi stays finite at the far rungs the profile-grid ladders probe
-    (tested to |v| = 1e60).  Within a panel the tilt moves an exponent by at
+    ``ProfileGrid.log_G``), so each panel keeps a positive entry at its
+    outer node and log phi stays finite at the far rungs the profile-grid
+    ladders probe (tested to |v| = 1e60).  Within a panel the tilt moves an exponent by at
     most 2 |v| h, so for |v| <= v_max (|v| h below 20 at the largest tilts
     of m = 1..4) a floored entry stays over 650 e-folds below its panel's
     largest term.
@@ -718,19 +725,20 @@ class _WGrid:
         self.E = np.exp(np.maximum(a - self.A[:, None], -700.0))
         self.n = nodes.size
 
-    def log_phi(self, v) -> np.ndarray:
-        """log phi at the tilts ``v`` (n,); each row v is scaled by
-        e^(max_p (A_p + v c_p) + |v| h max x_k), so no factor exceeds 1 and
-        a row's value does not depend on the other rows.  ``np.einsum``,
-        not BLAS, so reruns are bit-identical."""
-        v = np.asarray(v, dtype=float)
+    def log_phi(self, tilts):
+        """log phi at the tilts (n,), or at one float as a float; each row
+        v is scaled by e^(max_p (A_p + v c_p) + |v| h max x_k), so no factor
+        exceeds 1 and a row's value does not depend on the other rows.
+        ``np.einsum``, not BLAS, so reruns are bit-identical."""
+        v = np.atleast_1d(np.asarray(tilts, dtype=float))
         panel = self.A + v[:, None] * self.c
         top = panel.max(axis=1)
         vh = v * self.h
         reach = np.abs(vh) * XGK[-1]
         tilt = np.exp(vh[:, None] * XGK - reach[:, None])
         inner = np.einsum("pk,vk->vp", self.E, tilt)
-        return top + reach + np.log(np.einsum("vp,vp->v", np.exp(panel - top[:, None]), inner))
+        out = top + reach + np.log(np.einsum("vp,vp->v", np.exp(panel - top[:, None]), inner))
+        return out if np.ndim(tilts) else float(out[0])
 
 
 def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -861,7 +869,9 @@ def _growth_rate_floor(m: int) -> float:
 
 
 def _log_P(ghat, u: float, tilt: float, m: int) -> tuple[float, int]:
-    """log P(x, u) = log int exp(tilt * v) / phi(v, 1/u) dv."""
+    """log P(x, u) = log int exp(tilt * v) / phi(v, 1/u) dv: L = log phi
+    tilted by ``tilt``, L from one ``_WGrid``, its peak found on L's central
+    difference (at 0 for a zero tilt), and the number of points evaluated."""
     m2 = 2 * m
     X = 1.0 / u
     rate_lo = _growth_rate_floor(m)
@@ -877,25 +887,15 @@ def _log_P(ghat, u: float, tilt: float, m: int) -> tuple[float, int]:
         v_max = nxt
     v_max += 10.0
     wg = _WGrid(ghat, X, v_max, m2)
-    lphi0 = float(wg.log_phi(np.array([0.0]))[0])
-
-    def c_raw(v):
-        return wg.log_phi(v) - lphi0 - tilt * v
 
     def slope(v):
         # both sides in one call: rows of log_phi do not see each other
-        c_pm = c_raw(np.array([v + 1e-5, v - 1e-5]))
-        return float(c_pm[0] - c_pm[1]) / 2e-5
+        lp = wg.log_phi(np.array([v + 1e-5, v - 1e-5]))
+        return float(lp[0] - lp[1]) / 2e-5
 
-    if tilt == 0.0:
-        v_star, c_off = 0.0, 0.0
-    else:
-        v_star = _bracket_root(slope, -1.0, 1.0)
-        c_off = float(c_raw(np.array([v_star]))[0])
-
-    pg = ProfileGrid(lambda v: c_raw(v) - c_off, v_star, 1.0, 1.0)
-    lp = -lphi0 - c_off + float(pg.log_G(np.array([1.0]))[0])
-    return lp, wg.n + pg.n_evals
+    v_star, A = _tilted_peak(wg.log_phi, slope, tilt) if tilt else (0.0, wg.log_phi(0.0))
+    pg = ProfileGrid(_tilted(wg.log_phi, tilt, A), v_star, 1.0, 1.0)
+    return -A + float(pg.log_G(np.array([1.0]))[0]), wg.n + pg.n_evals
 
 
 def bergman_normalized(
@@ -945,6 +945,8 @@ def bergman_normalized(
     def ghat(xhat):
         return f.g(scale * np.asarray(xhat, dtype=float)) / g0
 
+    if not (math.isfinite(u_floor) and u_floor >= 0):
+        raise DomainError(f"u_floor must be finite and >= 0, got {u_floor!r}")
     x, y = float(p.x), float(p.y)
     u_hi = ((_TRUNCATION_DEPTH + 13.0) / y) ** (1.0 / m2)
     if u_floor > 0 and u_floor >= u_hi:

@@ -17,6 +17,7 @@ from tubekernels import (
     from_polar,
     model_domain,
     rational_domain,
+    table_domain,
     to_polar,
 )
 
@@ -115,6 +116,21 @@ def test_polar_roundtrip_other_domain_and_profile():
     q = to_polar(f, chart, p)
     assert math.isclose(q.tau, 0.6, abs_tol=1e-10)
     assert math.isclose(q.rho, 0.01, rel_tol=1e-10)
+
+
+def test_from_polar_keeps_the_branch_on_an_asymmetric_domain():
+    # g = 1/(1 + c x^2), c = 2 for x < 0: f(-t) > f(t), so the negative
+    # branch solves f(-t) = target, not f(t) = target
+    xs = np.linspace(-3.0, 3.0, 241)
+    c = np.where(xs < 0, 2.0, 1.0)
+    f = table_domain(xs, 1.0 / (1.0 + c * xs**2), -2.0 * c * xs / (1.0 + c * xs**2) ** 2, 2)
+    chart = _CHARTS[2]
+    for branch in (-1, 1):
+        p = from_polar(f, chart, PolarPoint(0.5, 0.05, branch))
+        q = to_polar(f, chart, p)
+        assert q.branch == branch
+        assert abs(q.tau - 0.5) <= 1e-12
+        assert q.rho == 0.05
 
 
 def test_chart_validation_and_ids():

@@ -118,6 +118,31 @@ def test_no_unread_private_definitions():
     assert unread == []
 
 
+def _top_level_definitions(tree: ast.Module):
+    """Names a module's own top-level functions, classes and assignments
+    define (imports excluded)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def test_one_definition_per_top_level_name():
+    # two modules defining one name for two things leave a reader, and a
+    # search, to guess which one a call reaches
+    src = ROOT / "src" / "tubekernels"
+    owners: dict[str, list[str]] = {}
+    for path in sorted(src.glob("*.py")):
+        for name in set(_top_level_definitions(ast.parse(path.read_text(), str(path)))):
+            owners.setdefault(name, []).append(path.name)
+    twice = {name: files for name, files in owners.items() if len(files) > 1}
+    twice.pop("__all__", None)
+    assert twice == {}
+
+
 def test_no_unread_private_attributes():
     # a private attribute that is assigned on self but never read is state
     # that nothing uses
@@ -186,6 +211,24 @@ def test_bench_tracer_installs(monkeypatch):
     assert tubekernels.quadrature.direct_pair is original
     after = _module_bindings()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_bench_tracer_sees_direct_pair_log_G(monkeypatch):
+    # direct_pair samples log G through ProfileGrid.log_G, so the tracer's
+    # per-layer log_G figures count its tables
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    f = tubekernels.model_domain(1)
+    tr = tracing.Tracer()
+    try:
+        tracing.install(tr, tubekernels, [f])
+        tubekernels.quadrature.direct_pair(
+            f, tubekernels.BoundaryRelativePoint(0.0, 0.25), tubekernels.QuadratureConfig(1e-5)
+        )
+    finally:
+        tr.uninstall()
+    assert tr.spans.get("quadrature.log_G", [0])[0] > 0
+    assert tr.counts["quadrature.log_G.freqs"] > 0
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

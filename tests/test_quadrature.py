@@ -18,12 +18,14 @@ from scipy.special import gamma
 from tubekernels import (
     BoundaryRelativePoint,
     DomainError,
+    PhiSpline,
     QuadratureConfig,
     QuadratureError,
     bergman_normalized,
     blended_linear_domain,
     compute_D,
     direct_pair,
+    log_L,
     model_domain,
     mollify,
     rational_domain,
@@ -410,6 +412,26 @@ def test_bergman_normalized_recovers_direct_kernel():
 def test_bergman_normalized_requires_mollified_domain():
     with pytest.raises(DomainError):
         bergman_normalized(model_domain(2), BoundaryRelativePoint(0.0, 1.0))
+
+
+@pytest.mark.parametrize("u_floor", [-1.0, math.nan, math.inf])
+def test_bergman_normalized_rejects_a_bad_u_floor(u_floor):
+    f = mollify(model_domain(2), 0.1)
+    with pytest.raises(DomainError, match="u_floor"):
+        bergman_normalized(
+            f, BoundaryRelativePoint(0.0, 0.25), QuadratureConfig(rel_tol=1e-8), u_floor=u_floor
+        )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_log_P_with_a_flat_ghat_is_log_L(m):
+    # with ghat = 1, phi(v, X) = phi(v) for every X, so the W-grid's log P
+    # and the spline's log L are the same tilted integral
+    phis = PhiSpline(m, 256.0)
+    for u, tilt in ((1.0, 0.0), (3.0, 0.5), (0.5, -1.5), (2.0, 1.2)):
+        got, _ = _log_P(np.ones_like, u, tilt, m)
+        want = log_L(tilt, phis)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("y", [2.0**-2, 2.0**-8])
