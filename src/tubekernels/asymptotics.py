@@ -150,8 +150,8 @@ class PhiSpline:
     """Cubic-spline cache of log phi on [0, v_max] with even extension.
 
     1600 nodes, quadratically clustered near 0 where log phi curves hardest;
-    beyond v_max the spline extrapolates its end cubic, so callers size
-    v_max to cover the v-range they will explore.  DomainError unless m is
+    beyond v_max the spline extrapolates its end cubic, which ``log_L``
+    refuses to read.  DomainError unless m is
     an integer >= 1 and v_max is finite and positive.
     """
 
@@ -181,11 +181,12 @@ def log_L(u, phis: PhiSpline):
     out, one element per u, one elementwise ``_tilted_peak`` finds every
     peak v_s (where d log phi/dv = |u|) and its offset; then each u
     integrates its ``_tilted`` phase on its own peak-centered
-    ``ProfileGrid``.  A float gives a float.
+    ``ProfileGrid``.  A float gives a float.  DomainError naming v_max
+    where the grid would read past it (``_peaks_inside``).
     """
     u = np.abs(np.asarray(u, dtype=float))
     flat = u.ravel()
-    v_s, Aoff = _tilted_peak(phis, phis.deriv, flat)
+    v_s, Aoff = _peaks_inside(phis, flat)
     out = np.array([
         -A + float(ProfileGrid(_tilted(phis, uj, A), vs, 1.0, 1.0).log_G(np.array([1.0]))[0])
         for uj, vs, A in zip(flat.tolist(), v_s.tolist(), Aoff.tolist())
@@ -193,14 +194,37 @@ def log_L(u, phis: PhiSpline):
     return out if u.ndim else float(out)
 
 
+def _peaks_inside(phis: PhiSpline, u: np.ndarray):
+    """``_tilted_peak`` of the flat |u| on phis, or DomainError naming u and
+    v_max for a peak past v_max or a phase there under the truncation depth."""
+    ok = u <= phis.deriv(phis.v_max)  # False for a NaN u
+    if not np.all(ok):
+        raise DomainError(f"log_L: u = {float(u[~ok][0])!r} peaks past v_max = {phis.v_max!r}")
+    v_s, A = _tilted_peak(phis, phis.deriv, u)
+    margin = phis(phis.v_max) - u * phis.v_max - A
+    if np.any(margin < _TRUNCATION_DEPTH):
+        u_bad = float(u[margin.argmin()])
+        raise DomainError(f"log_L: u = {u_bad!r} reads phi past v_max = {phis.v_max!r}")
+    return v_s, A
+
+
 @lru_cache(maxsize=16)
 def _phi_spline_cached(m: int, bucket: int) -> PhiSpline:
     return PhiSpline(m, float(2**bucket))
 
 
-def _phi_spline_for(m: int, v_max: float) -> PhiSpline:
+def _phi_spline_for(m: int, u_max: float, v_max: float) -> PhiSpline:
+    """The cached PhiSpline of the first power-of-two v_max >= 2^6 and the
+    estimate v_max that ``_peaks_inside`` accepts at u_max, and so at every
+    smaller |u|: the truncation margin falls as u grows."""
     bucket = max(6, int(math.ceil(math.log2(max(v_max, 1.0)))))
-    return _phi_spline_cached(int(m), bucket)
+    while True:
+        phis = _phi_spline_cached(int(m), bucket)
+        try:
+            _peaks_inside(phis, np.array([u_max]))
+            return phis
+        except DomainError:
+            bucket += 1
 
 
 _PROBE_STEP = 0.05  # the probes' relative half-step in the rate variable
@@ -227,7 +251,7 @@ def L_rate_probe(m: int, u: float = 3.2) -> tuple[float, float]:
     z = u**m2
     dz = _PROBE_STEP * z
     u_hi = (z + dz) ** (1.0 / m2)
-    phis = _phi_spline_for(m, m2 * u_hi ** (m2 - 1) * 1.3 + 60.0)
+    phis = _phi_spline_for(m, u_hi, m2 * u_hi ** (m2 - 1) * 1.3 + 60.0)
     us = np.array([(z - dz) ** (1.0 / m2), u_hi])
     # broadcast: the benchmark's set-up swaps log_L for a scalar constant
     lo, hi = np.broadcast_to(log_L(us, phis), us.shape)
@@ -276,7 +300,7 @@ def model_profile_pair(
     eps = max(1.0 - e, 1e-12)  # s-decay rate 1 - t^(2m)
     s_hi = ((_TRUNCATION_DEPTH + 8.0) / eps) ** (1.0 / m2)
     u_max = t * s_hi + 1.0
-    phis = _phi_spline_for(m, m2 * u_max ** (m2 - 1) * 1.3 + 60.0)
+    phis = _phi_spline_for(m, t * s_hi, m2 * u_max ** (m2 - 1) * 1.3 + 60.0)
 
     def rows(s):
         base = -(s**m2) + log_L(t * s, phis)

@@ -103,6 +103,8 @@ class BlowupChart:
         self._n = n
         self.p = 1.0 / 3.0
         self.q = 1.0 - 3.0**-n
+        if not self.q < 1.0:  # from m = 18, 3^(-2m) < 2^-54 and q rounds to 1
+            raise DomainError(f"BlowupChart needs m <= 17: at m = {m}, q = 1 - 3^(-2m) is 1")
         # the area both layers must add above the slope-1/2 line on [p, q]
         budget = 0.5 * 3.0**-n
         t = np.linspace(0.0, 1.0, 2001)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import math
 import sys
 from contextlib import nullcontext
@@ -167,72 +168,73 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parse_kv(text: str) -> dict:
-    out = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise DomainError(f"expected key=value, got {item!r}")
-        out[key.strip()] = val.strip()
-    return out
-
-
 def _load_table(path: str, m: int) -> DefiningFunction:
-    xs, gs, gps = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"x", "g", "gprime"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise DomainError(f"table file needs columns x,g,gprime: {path}")
-        for row in reader:
-            xs.append(float(row["x"]))
-            gs.append(float(row["g"]))
-            gps.append(float(row["gprime"]))
+    """The table domain of a CSV file with columns x, g and gprime."""
+    try:
+        with open(path, newline="") as fh:
+            # restval: a short row reads as empty cells, which float refuses
+            rows = [[float(row[key]) for key in ("x", "g", "gprime")]
+                    for row in csv.DictReader(fh, restval="")]
+    except KeyError as exc:
+        raise DomainError(f"table file needs columns x,g,gprime: {path}") from exc
+    except (OSError, ValueError, csv.Error) as exc:  # no file, a bad cell or a short row
+        raise DomainError(f"cannot read table file {path}: {exc}") from exc
+    xs, gs, gps = np.reshape(rows, (-1, 3)).T
     return table_domain(xs, gs, gps, m, label=f"table({path},m={m})")
+
+
+# spec name -> (constructor, type of each parameter); a parameter is required
+# when the constructor's signature gives it no default
+_DOMAINS = {
+    "model": (model_domain, {"m": int, "g0": float}),
+    "rational": (rational_domain, {"m": int}),
+    "blended-linear": (blended_linear_domain, {"m": int, "slope": float}),
+    "table": (_load_table, {"path": str, "m": int}),
+}
+# a modifier's constructor takes the domain it modifies first
+_MODIFIERS = {
+    "mollify": (mollify, {"delta": float}),
+    "damp": (damp_tails, {"radius": float}),
+}
+
+
+def _build(what: str, table: dict, piece: str, *parent):
+    """The object one spec piece ``name:key=val,...`` names in ``table``."""
+    name, _, argstr = piece.partition(":")
+    if name not in table:
+        raise DomainError(f"unknown {what} {name!r}")
+    make, types = table[name]
+    kwargs = {}
+    for item in argstr.split(",") if argstr else ():
+        key, sep, raw = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise DomainError(f"{what} {name!r}: expected key=value, got {item!r}")
+        if key not in types:
+            raise DomainError(f"{what} {name!r}: unknown parameter {key!r}")
+        try:
+            kwargs[key] = types[key](raw)
+        except ValueError:
+            raise DomainError(f"{what} {name!r}: bad value {raw!r} for {key!r}") from None
+    params = inspect.signature(make).parameters
+    for key in types:
+        if key not in kwargs and params[key].default is inspect.Parameter.empty:
+            raise DomainError(f"{what} {name!r} needs parameter {key!r}")
+    return make(*parent, **kwargs)
 
 
 def parse_domain(spec: str) -> DefiningFunction:
     """Build a domain from a spec string.
 
     Grammar: ``name:key=val,...`` optionally followed by ``|modifier:...``
-    pieces.  Names: model (m, g0), rational (m), blended-linear (m, slope),
-    table (path, m).  Modifiers: mollify (delta), damp (radius).  Example:
-    ``model:m=2,g0=1|mollify:delta=0.1``.
+    pieces.  ``_DOMAINS`` lists the names with their parameters (model,
+    rational, blended-linear, table) and ``_MODIFIERS`` the modifiers
+    (mollify, damp); a parameter without a default in its constructor is
+    required.  Example: ``model:m=2,g0=1|mollify:delta=0.1``.
     """
-    parts = spec.split("|")
-    name, _, argstr = parts[0].partition(":")
-    kv = _parse_kv(argstr)
-    try:
-        if name == "model":
-            f = model_domain(int(kv.pop("m")), float(kv.pop("g0", "1")))
-        elif name == "rational":
-            f = rational_domain(int(kv.pop("m")))
-        elif name == "blended-linear":
-            f = blended_linear_domain(int(kv.pop("m")), float(kv.pop("slope", "1")))
-        elif name == "table":
-            f = _load_table(kv.pop("path"), int(kv.pop("m")))
-        else:
-            raise DomainError(f"unknown domain {name!r}")
-    except KeyError as exc:
-        raise DomainError(f"domain {name!r} needs parameter {exc.args[0]!r}") from exc
-    if kv:
-        raise DomainError(f"unknown domain parameters {sorted(kv)} for {name!r}")
-    for mod in parts[1:]:
-        mname, _, margs = mod.partition(":")
-        mkv = _parse_kv(margs)
-        try:
-            if mname == "mollify":
-                f = mollify(f, float(mkv.pop("delta")))
-            elif mname == "damp":
-                f = damp_tails(f, float(mkv.pop("radius")))
-            else:
-                raise DomainError(f"unknown domain modifier {mname!r}")
-        except KeyError as exc:
-            raise DomainError(f"modifier {mname!r} needs {exc.args[0]!r}") from exc
-        if mkv:
-            raise DomainError(f"unknown modifier parameters {sorted(mkv)} for {mname!r}")
+    first, *mods = spec.split("|")
+    f = _build("domain", _DOMAINS, first)
+    for mod in mods:
+        f = _build("modifier", _MODIFIERS, mod, f)
     return f
 
 
@@ -309,13 +311,14 @@ _PLAN_KEYS = ("kind", "rel_tol", "csv", "plot_script", "x", "y", "x0", "delta", 
               "n_points", "window")
 
 
-def _plan(cfg: RunConfig, command: str, f: DefiningFunction) -> None:
+def _plan(cfg: RunConfig, command: str, f: DefiningFunction) -> int:
     shown = " ".join(
         f"{'points' if key == 'n_points' else key}={_fmt(cfg.values[key]) or '-'}"
         for key in _PLAN_KEYS
         if key in cfg.values
     )
     print(f"plan: command={command} domain={f.label} m={f.m} {shown}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +326,11 @@ def _plan(cfg: RunConfig, command: str, f: DefiningFunction) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(cfg: RunConfig, dry_run: bool) -> int:
-    f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m)
+def cmd_eval(cfg: RunConfig, f, chart, dry_run: bool) -> int:
     p = BoundaryRelativePoint(cfg.x, cfg.y)
     q = to_polar(f, chart, p)
     if dry_run:
-        _plan(cfg, "eval", f)
-        return 0
+        return _plan(cfg, "eval", f)
     K, S = direct_pair(f, p, cfg.quadrature())
     kv = K if cfg.kind == "bergman" else S
     print(
@@ -352,13 +352,10 @@ def _sweep_rows(cfg: RunConfig, f, path, chart) -> tuple[list, list]:
     return rows, results
 
 
-def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
-    f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m)
+def cmd_sweep(cfg: RunConfig, f, chart, dry_run: bool) -> int:
     path = cfg.path()
     if dry_run:
-        _plan(cfg, "sweep", f)
-        return 0
+        return _plan(cfg, "sweep", f)
     rows, results = _sweep_rows(cfg, f, path, chart)
     _emit_csv(rows, cfg)
     n_ok = sum(1 for r in results if r["status"] == "ok")
@@ -369,13 +366,10 @@ def cmd_sweep(cfg: RunConfig, dry_run: bool) -> int:
     return 0
 
 
-def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
-    f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m)
+def cmd_fit(cfg: RunConfig, f, chart, dry_run: bool) -> int:
     path = cfg.path()
     if dry_run:
-        _plan(cfg, "fit", f)
-        return 0
+        return _plan(cfg, "fit", f)
     rows, results = _sweep_rows(cfg, f, path, chart)
     if cfg.csv is not None:
         _emit_csv(rows, cfg)
@@ -398,13 +392,10 @@ def cmd_fit(cfg: RunConfig, dry_run: bool) -> int:
     return 0 if ok else 1
 
 
-def cmd_predict(cfg: RunConfig, dry_run: bool) -> int:
-    f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m)
+def cmd_predict(cfg: RunConfig, f, chart, dry_run: bool) -> int:
     _check_tau(cfg.tau)
     if dry_run:
-        _plan(cfg, "predict", f)
-        return 0
+        return _plan(cfg, "predict", f)
     pred = predict(f, cfg.kind, cfg.tau, chart)
     print(f"exponent={pred.exponent}, c0={pred.c0_tau:.6e}")
     print(
@@ -414,16 +405,13 @@ def cmd_predict(cfg: RunConfig, dry_run: bool) -> int:
     return 0
 
 
-def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
+def cmd_localize(cfg: RunConfig, f1, chart, dry_run: bool) -> int:
     if cfg.kind != "bergman":
         raise DomainError("localize compares Bergman kernels; --kind szego is not supported")
-    f1 = parse_domain(cfg.spec)
     f2 = damp_tails(f1, cfg.delta)
-    chart = BlowupChart(f1.m)
     path = cfg.path()
     if dry_run:
-        _plan(cfg, "localize", f1)
-        return 0
+        return _plan(cfg, "localize", f1)
     report = localization_experiment(
         f1, f2, path, cfg.quadrature(), chart=chart, agreement_radius=cfg.delta,
         slope_rel_tol=cfg.fit_tol, bounded_slope_floor=cfg.bounded_floor,
@@ -455,13 +443,10 @@ def cmd_localize(cfg: RunConfig, dry_run: bool) -> int:
     return 0 if report.get("passed") else 1
 
 
-def cmd_hormander(cfg: RunConfig, dry_run: bool) -> int:
-    f = parse_domain(cfg.spec)
-    chart = BlowupChart(f.m)
+def cmd_hormander(cfg: RunConfig, f, chart, dry_run: bool) -> int:
     _normal_steps(f, cfg.x0)
     if dry_run:
-        _plan(cfg, "hormander", f)
-        return 0
+        return _plan(cfg, "hormander", f)
     series, measured, predicted = _hormander_limit(f, cfg.x0, cfg.quadrature())
     ratio = measured / predicted
     if cfg.csv is not None:
@@ -532,7 +517,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command][0](cfg, args.dry_run)
+        f = parse_domain(cfg.spec)
+        return _COMMANDS[args.command][0](cfg, f, BlowupChart(f.m), args.dry_run)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

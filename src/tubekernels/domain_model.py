@@ -207,6 +207,26 @@ def _f_from_g(m: int, g: Callable, gp: Callable, gpp: Callable):
     return fv, fpv, fppv
 
 
+def _g_from_f(m: int, fv: Callable, fpv: Callable, core: float, g_core: Callable,
+              gp_core: Callable):
+    """(g, g') of g = f / x^(2m): ``g_core``, ``gp_core`` on |x| <= core, and
+    f / x^(2m), (x f' - 2m f) / x^(2m+1) from f and f' outside it."""
+    n = 2 * int(m)
+
+    def piece(x, inner, outer):
+        s = np.abs(x)
+        out = np.empty_like(s)
+        a = s <= core
+        out[a] = inner(x[a])
+        out[~a] = outer(s[~a], np.sign(x[~a]))
+        return out
+
+    return (
+        lambda x: piece(x, g_core, lambda s, _: fv(s) / s**n),
+        lambda x: piece(x, gp_core, lambda s, sg: (s * fpv(s) - n * fv(s)) / s ** (n + 1) * sg),
+    )
+
+
 # ---------------------------------------------------------------------------
 # built-in domains
 # ---------------------------------------------------------------------------
@@ -304,31 +324,16 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
     def fppv(x):
         return fpp_half(np.abs(x))
 
-    def gv(x):
-        ax = np.abs(x)
-        out = np.empty_like(ax)
-        small = ax < x_series
-        out[small] = 1.0 - c_series * ax[small] ** (2 * n - 2)
-        xs = ax[~small]
-        out[~small] = fv(xs) / xs**n
-        return out
-
-    def gpv(x):
-        ax = np.abs(x)
-        out = np.empty_like(ax)
-        small = ax < x_series
-        out[small] = -(2 * n - 2) * c_series * ax[small] ** (2 * n - 3)
-        xs = ax[~small]
-        out[~small] = (xs * fp_half(xs) - n * fv(xs)) / xs ** (n + 1)
-        return out * np.sign(x)
-
     return DefiningFunction(
         m,
         fv,
         fpv,
         fppv,
-        gv,
-        gpv,
+        *_g_from_f(
+            m, fv, fpv, x_series,
+            lambda x: 1.0 - c_series * np.abs(x) ** (2 * n - 2),
+            lambda x: -(2 * n - 2) * c_series * np.abs(x) ** (2 * n - 3) * np.sign(x),
+        ),
         label=f"blended-linear(m={int(m)},slope={s:g})",
         tail_slopes=(s, s),
     )
@@ -638,33 +643,12 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
         out[b] = sp2(s[b])
         return out
 
-    n = 2 * f.m
-
-    def gv(x):
-        s = np.abs(x)
-        out = np.empty_like(s)
-        a = s <= r1
-        out[a] = f.g(x[a])
-        xs = s[~a]
-        out[~a] = fv(xs) / xs**n
-        return out
-
-    def gpv(x):
-        s = np.abs(x)
-        out = np.empty_like(s)
-        a = s <= r1
-        out[a] = f.gprime(x[a])
-        xs = s[~a]
-        out[~a] = (xs * fpv(xs) - n * fv(xs)) / xs ** (n + 1) * np.sign(x[~a])
-        return out
-
     return DefiningFunction(
         f.m,
         fv,
         fpv,
         fppv,
-        gv,
-        gpv,
+        *_g_from_f(f.m, fv, fpv, r1, f.g, f.gprime),
         label=f"linear-tails({f.label},r={r:g})",
         full_theorem_class=False,
         tail_slopes=(slope, slope),

@@ -266,3 +266,35 @@ def test_phi_inputs_are_validated():
         if fn is log_phi:  # the same rejection from an array holding the v
             with pytest.raises(DomainError, match=f"got {bad}$"):
                 fn(np.array([0.5, args[0], 2.0]), args[1])
+
+
+@pytest.mark.parametrize("u", [2.6403, 3.0, 5.0, -3.0, math.nan])
+def test_log_L_refuses_to_read_phi_past_v_max(u):
+    # phi'(64) = 2.5146 at m = 2: from u = 2.6403 on the peak itself lies
+    # on the spline's extrapolated end cubic; a NaN u is refused the same way
+    phis = PhiSpline(2, 64.0)
+    with pytest.raises(DomainError, match="peaks past v_max"):
+        log_L(u, phis)
+    with pytest.raises(DomainError, match="peaks past v_max"):
+        log_L(np.array([0.5, u]), phis)
+    assert math.isfinite(log_L(0.5, phis))
+
+
+@pytest.mark.parametrize("u", [2.2631, 1.76])
+def test_log_L_refuses_a_grid_that_truncates_past_v_max(u):
+    # the peak lies inside v_max = 64, but the tilted phase there is less
+    # than the truncation depth above it (margin 17.5 at u = 1.76), so the
+    # grid would read the extrapolated cubic (off by 3.9e-6 at u = 2.2631)
+    phis = PhiSpline(2, 64.0)
+    assert u < float(phis.deriv(phis.v_max))
+    with pytest.raises(DomainError, match="reads phi past v_max"):
+        log_L(np.array([0.5, u]), phis)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_L_rate_probe_sizes_its_spline_for_every_u(m):
+    # the spline estimate 2m u^(2m-1) 1.3 + 60 left a margin below the
+    # truncation depth at u = 2.32 (m = 2) and on several ranges at m = 3
+    for u in np.arange(0.3, 4.0, 0.05).tolist() + [2.32]:
+        measured, expected = L_rate_probe(m, u)
+        assert math.isfinite(measured) and expected == 1.0

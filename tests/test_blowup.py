@@ -166,3 +166,17 @@ def test_chi_inverse_just_below_two_thirds(m, delta):
     u = chart.chi_inverse(v)
     assert chart.q - chart.w <= u <= chart.q
     assert abs(chart.chi(u) - v) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [18, 40])
+def test_chart_rejects_an_order_whose_q_rounds_to_one(m):
+    # from m = 18, q = 1 - 3^(-2m) is 1.0 and the outer slope divides by 0
+    with pytest.raises(DomainError, match="m <= 17"):
+        BlowupChart(m)
+
+
+@pytest.mark.xfail(strict=True, reason="from m = 9 the glue layer (w = 3.6e-16 at m = 9) "
+                   "is finer than the spacing of doubles near u = 1")
+def test_chi_meets_two_thirds_at_q_at_order_9():
+    chart = BlowupChart(9)
+    assert abs(chart.chi(chart.q) - 2.0 / 3.0) <= 1e-10

@@ -454,3 +454,30 @@ def test_fit_exits_3_when_too_few_points_converge(fail_at, capsys):
     )
     assert rc == 3 and out == ""
     assert "only 5 of 8 points converged; cannot fit" in err
+
+
+_BAD_SPECS = {
+    "m not an integer": (["eval", "--domain", "model:m=abc"], "'model'"),
+    "m a fraction": (["eval", "--domain", "model:m=2.5"], "'model'"),
+    "g0 not a number": (["eval", "--domain", "model:m=2,g0=abc"], "'g0'"),
+    "mollify delta": (["eval", "--domain", "model:m=2|mollify:delta=x"], "'mollify'"),
+    "damp radius": (["eval", "--domain", "rational:m=2|damp:radius=1e"], "'damp'"),
+    "no table file": (["eval", "--domain", "table:path=/nonexistent.csv,m=2"],
+                      "/nonexistent.csv"),
+    "bad table cell": (["eval", "--domain", "table:path=cell.csv,m=2"], "cell.csv"),
+    "short table row": (["eval", "--domain", "table:path=short.csv,m=2"], "short.csv"),
+    "config spec": (["sweep", "--config", "spec.ini"], "'model'"),
+    "order past the chart": (["predict", "--domain", "model:m=18"], "m <= 17"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SPECS))
+def test_malformed_spec_exits_2(case, capsys, tmp_path, monkeypatch):
+    argv, named = _BAD_SPECS[case]
+    (tmp_path / "cell.csv").write_text("x,g,gprime\n-1,1,0\n0,abc,0\n1,1,0\n2,1,0\n")
+    (tmp_path / "short.csv").write_text("x,g,gprime\n-1,1,0\n0,1\n1,1,0\n2,1,0\n")
+    (tmp_path / "spec.ini").write_text("[domain]\nspec = model:m=abc\n")
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv, "--dry-run")
+    assert rc == 2 and out == "", err
+    assert err.startswith("domain error:") and named in err, err

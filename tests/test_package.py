@@ -167,6 +167,32 @@ def test_no_unread_private_attributes():
     assert unread == []
 
 
+# the raises main does not map to an exit code, each deliberate
+_OTHER_RAISES = {
+    ("blowup.py", "RuntimeError"),  # an internal invariant of the chart
+    ("cli.py", "AttributeError"),  # RunConfig.__getattr__
+    ("cli.py", "SystemExit"),  # under __main__
+}
+
+
+def test_every_raise_is_a_domain_or_quadrature_error():
+    # main turns DomainError into exit 2 and QuadratureError into exit 3;
+    # any other exception ends a command in a traceback
+    src = ROOT / "src" / "tubekernels"
+    other = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name not in ("DomainError", "QuadratureError") and (
+                (path.name, name) not in _OTHER_RAISES
+            ):
+                other.append(f"{path.name}:{node.lineno} {name}")
+    assert other == []
+
+
 def _module_bindings() -> dict:
     return {
         (name, key): val
