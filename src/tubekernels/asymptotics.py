@@ -174,23 +174,32 @@ class PhiSpline:
         return np.sign(v) * self._dsp(np.abs(v))
 
 
+# u per ProfileGrid build of log_L, sized by measured memory: a call on
+# 1,000 u at m = 3 peaks at 2.4 MB traced with builds of 64 u, 4.6 MB with
+# 128 and 24 MB with one build of all; builds past 64 u gain no speed
+_L_CHUNK = 64
+
+
 def log_L(u, phis: PhiSpline):
     """log int exp(u v)/phi(v) dv using a spline cache of log phi.
 
     The integrand is exp(-(L(v) - |u| v)) with L = log phi: array in, array
     out, one element per u, one elementwise ``_tilted_peak`` finds every
-    peak v_s (where d log phi/dv = |u|) and its offset; then each u
-    integrates its ``_tilted`` phase on its own peak-centered
-    ``ProfileGrid``.  A float gives a float.  DomainError naming v_max
-    where the grid would read past it (``_peaks_inside``).
+    peak v_s (where d log phi/dv = |u|) and its offset; then one
+    ``ProfileGrid`` build per chunk of ``_L_CHUNK`` u integrates their
+    ``_tilted`` phases, each on its own peak-centered grid.  A float gives
+    a float.  DomainError naming v_max where the grid would read past it
+    (``_peaks_inside``).
     """
     u = np.abs(np.asarray(u, dtype=float))
     flat = u.ravel()
-    v_s, Aoff = _peaks_inside(phis, flat)
-    out = np.array([
-        -A + float(ProfileGrid(_tilted(phis, uj, A), vs, 1.0, 1.0).log_G(np.array([1.0]))[0])
-        for uj, vs, A in zip(flat.tolist(), v_s.tolist(), Aoff.tolist())
-    ]).reshape(u.shape)
+    v_s, A = _peaks_inside(phis, flat)
+    out = np.empty(flat.size)
+    for j in range(0, flat.size, _L_CHUNK):
+        c = slice(j, j + _L_CHUNK)
+        grids = ProfileGrid(_tilted(phis, flat[c], A[c]), v_s[c], 1.0, 1.0)
+        out[c] = grids.log_G(np.ones((v_s[c].size, 1)))[:, 0] - A[c]
+    out = out.reshape(u.shape)
     return out if u.ndim else float(out)
 
 

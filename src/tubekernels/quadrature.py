@@ -12,13 +12,16 @@ which is what makes the double and triple integrals tractable.  D, the
 kernel pair's E, L and P are one tilted-Laplace integral int exp(-(L(v) -
 t v)) dv of a convex L, taken one way: ``_tilted_peak`` finds the peak
 L'(v) = t, ``_tilted`` moves the phase's minimum to 0, and
-``ProfileGrid.log_G`` sums it.  Smooth 1-D profiles are tabulated once per
-use, as Chebyshev tables sized by the tolerance, one size for all the rows
-of a table: log G in log frequency once per zeta in ``direct_pair``, and
-log P in log u once per ``bergman_normalized`` call.  ``direct_pair`` works
-on the zetas of an outer integrand call in chunks of ``_ZETA_CHUNK``: one
-table pass samples the log G of a whole chunk from one
-``ProfileGrid.stack``, and one engine call integrates the chunk's inner
+``ProfileGrid.log_G`` sums it.  One ``ProfileGrid`` build serves k phases
+at once, each of its steps one call of the phase on all of them, so a
+caller with many phases builds their grids together: ``direct_pair`` per
+chunk of zetas and ``log_L`` per chunk of u.  Smooth 1-D profiles are
+tabulated once per use, as Chebyshev tables sized by the tolerance, one
+size for all the rows of a table: log G in log frequency once per zeta in
+``direct_pair``, and log P in log u once per ``bergman_normalized`` call.
+``direct_pair`` works on the zetas of an outer integrand call in chunks of
+``_ZETA_CHUNK``: one grid build, one table pass that samples the log G of
+the whole chunk, and one engine call that integrates the chunk's inner
 rows on shared panels.  The W-grid behind ``bergman_normalized``'s log P
 has uniform panels, so its exponential sum factors by panel: each tilt
 costs one exp per panel and one per Kronrod abscissa instead of one per
@@ -260,120 +263,186 @@ _K_FIRST = np.arange(-7, 3)
 _FINE_RUNGS = 4.0 ** (np.arange(17) / 16)
 
 
-def _inner_edge(c_side: Callable, c_min: float) -> tuple[float, int]:
-    """First rung u of the 4^(1/16) ladder through u = 1 with
-    c_side(u) >= c_min, for c_side nondecreasing in u > 0, and the number of
-    points evaluated.
+def _inner_edge(
+    c_rungs: Callable, c_min: np.ndarray, xi_star: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """For each row r, the first rung u of the 4^(1/16) ladder through
+    u = 1 with c_r(u) >= c_min[r], and the number of points evaluated in
+    all, for phases c_r nondecreasing in u > 0.  ``c_rungs(rows, u, valid)``
+    gives c_rows[i](u[i, j]) for the rows (n,) at the rungs u, (n, M) or a
+    block (M,) shared by all rows, where ``valid[i, j]`` (everywhere when
+    it is None), and -inf elsewhere.
 
-    A x4 ladder finds the crossing's x4 bracket (lo, 4 lo]: one call on the
-    block 4^-7..4^2 across u = 1, then, while needed, 8 rungs a call
-    downward or upward.  One more call on the rungs lo 4^(j/16), 0 < j < 16,
-    picks the first that reaches c_min, or else 4 lo.  The ladder has seen
-    lo miss, unless it stopped at its floor; then lo is evaluated too.
+    A x4 ladder finds each row's crossing x4 bracket (lo, 4 lo]: one call on
+    the block 4^-7..4^2 across u = 1 for all rows, then, while needed, 8
+    rungs a call downward for every row still going down and upward for
+    every row still going up: rows that start together stay in step.  One
+    more call on the rungs lo 4^(j/16), 0 < j < 16, of all rows picks each
+    row's first that reaches c_min, or else 4 lo.  The ladder has seen lo
+    miss, unless it stopped at its floor; then lo is evaluated too.
+    QuadratureError names the ``xi_star`` of the first row whose ladder
+    passes 1e60 below c_min.
     """
+    n = c_min.size
+    lo = np.empty(n)
+    floor = np.zeros(n, dtype=bool)
     nev = 0
-    k = _K_FIRST
-    up = False
-    while True:
-        us = 4.0 ** k
-        cs = c_side(us)
-        nev += us.size
-        hit = cs >= c_min
-        if hit[0] and not up and k[0] > _K_DOWN:
-            # lower; the next block keeps this block's bottom rung
-            k = np.arange(max(k[0] - 8, _K_DOWN), k[0] + 1)
-        elif hit.any():
-            break
-        elif k[-1] >= _K_UP:
-            raise QuadratureError(
-                f"profile phase stays below {c_min:.3e} out to "
-                f"|xi - xi_star| = {us[-1]:.3e} (last value {cs[-1]:.3e})"
-            )
-        else:
-            up = True
-            k = np.arange(k[-1] + 1, min(k[-1] + 9, _K_UP + 1))
-    i = hit.argmax()
-    floor = i == 0 and not up
-    fine = 0.25 * float(us[i]) * _FINE_RUNGS[0 if floor else 1 : 16]
-    hit = c_side(fine) >= c_min
-    u = fine[hit.argmax()] if hit.any() else us[i]
-    return float(u), nev + fine.size
+    # (rows, their block's exponents, whether it goes up)
+    blocks = [(np.arange(n), _K_FIRST, False)]
+    while blocks:
+        rows, ks, up = blocks.pop()
+        us = 4.0**ks
+        cs = c_rungs(rows, us, None)
+        hit = cs >= c_min[rows, None]
+        nev += hit.size
+        found = hit.any(axis=1)
+        # lower; the next block keeps this block's bottom rung
+        down = hit[:, 0] & (not up and ks[0] > _K_DOWN)
+        done = found & ~down
+        first = hit.argmax(axis=1)[done]
+        lo[rows[done]] = us[first]
+        if not up and ks[0] <= _K_DOWN:
+            floor[rows[done]] = first == 0
+        if down.any():
+            blocks.append((rows[down], np.arange(max(ks[0] - 8, _K_DOWN), ks[0] + 1), False))
+        if not found.all():
+            if ks[-1] >= _K_UP:
+                i = found.argmin()
+                raise QuadratureError(
+                    f"profile phase at xi_star = {float(xi_star[rows[i]])!r} stays below "
+                    f"{c_min[rows[i]]:.3e} out to |xi - xi_star| = {us[-1]:.3e} "
+                    f"(last value {cs[i, -1]:.3e})"
+                )
+            blocks.append((rows[~found], np.arange(ks[-1] + 1, min(ks[-1] + 9, _K_UP + 1)), True))
+    fine = (0.25 * lo)[:, None] * _FINE_RUNGS[:16]
+    # rung 0 is lo itself, seen to miss unless the ladder stopped at its floor
+    valid = floor[:, None] | (_FINE_RUNGS[:16] > 1.0)
+    hit = c_rungs(np.arange(n), fine, valid) >= c_min[:, None]
+    j = hit.argmax(axis=1)
+    u = np.where(hit.any(axis=1), fine[np.arange(n), j], lo)
+    return u, nev + np.count_nonzero(valid)
 
 
 class ProfileGrid:
-    """Quadrature grid for G(eta) = int exp(-eta c(xi)) dxi, c convex with
-    minimum 0 at xi_star, valid for every eta in [eta_lo, eta_hi].
+    """Quadrature grids for G_i(eta) = int exp(-eta c_i(xi)) dxi of k phases
+    c_i, each convex with minimum 0 at xi_star[i] and valid for every eta
+    in [eta_lo[i], eta_hi[i]].
 
-    On each side one panel runs from xi_star to the inner edge, the first
-    4^(1/16) rung with c >= c_small/eta_hi (flat at the stiffest frequency);
-    panels then grow by RATIO out to the first rung with
-    c >= _TRUNCATION_DEPTH/eta_lo (truncated at the softest).  Vectorized
-    ladders find both edges, so a build usually makes eight ``c_fn`` calls.
-    One Kronrod rule per panel;
-    G(eta) is a sum over the stored nodes in linear space, each term scaled by
-    exp(eta min c) so that none overflows.
+    On each side of a phase one panel runs from xi_star to the inner edge,
+    the first 4^(1/16) rung with c >= c_small/eta_hi (flat at the stiffest
+    frequency); panels then grow by RATIO out to the first rung with
+    c >= _TRUNCATION_DEPTH/eta_lo (truncated at the softest).  The two
+    sides of every phase are rows of one build, and each step takes all
+    rows in one ``c_fn`` call: the x4 blocks and fine rungs of
+    ``_inner_edge``, the 81-rung RATIO ladders (a row that misses c_max
+    there redoes its ladder at twice the length, in a call a round) and
+    every row's Kronrod nodes, so a build of any k usually makes four
+    ``c_fn`` calls.  One Kronrod rule per panel; G(eta) is a sum over the
+    stored nodes in linear space, each term scaled by exp(eta min c) so
+    that none overflows.
+
+    An array ``xi_star`` (k,) builds k grids from ``c_fn(xi, i)``, which
+    gives phase i[j] at xi[j] for flat arrays; ``eta_lo`` and ``eta_hi``
+    are arrays (k,) or floats.  ``dc`` and ``w`` are (k, nodes), each
+    phase's nodes at the start of its row and padding (w = 0) after them,
+    and ``c_low`` is (k, 1), so ``log_G`` reads row i of eta (k, n) on grid
+    i.  A float ``xi_star`` builds one grid from ``c_fn(xi)``: ``dc`` and
+    ``w`` are (nodes,) and ``c_low`` a scalar.  ``c`` holds every phase's
+    node values, flat, and ``n_evals`` the number of points evaluated.
     """
 
     RATIO = 1.45
     C_SMALL = 0.03
 
     def __init__(self, c_fn, xi_star, eta_lo, eta_hi):
-        c_min = self.C_SMALL / eta_hi
-        c_max = _TRUNCATION_DEPTH / eta_lo
-        c_parts = []
-        w_parts = []
-        nev = 0
-        for side in (-1.0, +1.0):
+        # a float xi_star is one grid (isinstance costs less than np.ndim)
+        one = not isinstance(xi_star, np.ndarray)
+        xi_star = np.array(xi_star, dtype=float, ndmin=1)
+        k = xi_star.size
+        # row 2i is phase i's side xi < xi_star, row 2i + 1 its side xi > xi_star
+        phase = np.arange(2 * k) >> 1
+        side = np.empty(2 * k)
+        side[0::2], side[1::2] = -1.0, 1.0
+        x0 = xi_star.repeat(2)
+        lims = np.empty((2, k))
+        lims[0], lims[1] = self.C_SMALL / eta_hi, _TRUNCATION_DEPTH / eta_lo
+        c_min, c_max = lims.repeat(2, axis=1)
 
-            def c_side(u):
-                return c_fn(xi_star + side * u)
+        def c_rungs(r, u, valid):
+            xi = x0[r, None] + side[r, None] * u
+            if valid is None:
+                cs = c_fn(xi.ravel()) if one else c_fn(xi.ravel(), phase[r].repeat(xi.shape[1]))
+                return cs.reshape(xi.shape)
+            cs = np.full(xi.shape, -np.inf)
+            cs[valid] = c_fn(xi[valid]) if one else c_fn(xi[valid], phase[r[np.nonzero(valid)[0]]])
+            return cs
 
-            u0, n = _inner_edge(c_side, c_min)
-            nev += n
-            # RATIO ladder out to c_max, stopping at its first rung past 1e60
-            n_cap = math.ceil((math.log(1e60) - math.log(u0)) / math.log(self.RATIO))
-            n_cap = max(n_cap, 1)
-            n_guess = 80
-            while True:
-                us = u0 * self.RATIO ** np.arange(min(n_guess, n_cap) + 1)
-                cs = c_side(us)
-                nev += us.size
-                idx = np.nonzero(cs >= c_max)[0]
-                if idx.size:
-                    us = us[: idx[0] + 1]
-                    break
-                if n_guess >= n_cap:
+        u0, nev = _inner_edge(c_rungs, c_min, x0)
+        # RATIO ladders out to c_max, each stopping at its first rung past 1e60
+        n_cap = np.ceil((math.log(1e60) - np.log(u0)) / math.log(self.RATIO))
+        n_cap = np.maximum(n_cap, 1).astype(int)
+        rows = np.arange(2 * k)
+        ladder = np.zeros((2 * k, 0))
+        n_rungs = np.zeros(2 * k, dtype=int)
+        n_guess = 80
+        while rows.size:
+            top = np.minimum(n_guess, n_cap[rows])
+            us = u0[rows, None] * self.RATIO ** np.arange(top.max() + 1)
+            # a row capped below the others' length stops at its cap
+            valid = np.arange(us.shape[1]) <= top[:, None] if top.min() < top.max() else None
+            cs = c_rungs(rows, us, valid)
+            nev += us.size if valid is None else np.count_nonzero(valid)
+            hit = cs >= c_max[rows, None]
+            found = hit.any(axis=1)
+            if not found.all():
+                stuck = ~found & (n_guess >= n_cap[rows])
+                if stuck.any():
+                    i = stuck.argmax()
                     raise QuadratureError(
-                        f"profile phase stays below c_max = {c_max:.3e} out to "
-                        f"|xi - xi_star| = {us[-1]:.3e} (last value {cs[-1]:.3e})"
+                        f"profile phase at xi_star = {float(x0[rows[i]])!r} stays below "
+                        f"c_max = {c_max[rows[i]]:.3e} out to |xi - xi_star| = "
+                        f"{us[i, top[i]]:.3e} (last value {cs[i, top[i]]:.3e})"
                     )
-                n_guess *= 2
-            edges = np.concatenate(([0.0], us))
-            h, x = _kronrod_nodes(edges[:-1], edges[1:])
-            cv = c_side(x.ravel())
-            nev += cv.size
-            c_parts.append(cv)
-            w_parts.append((h[:, None] * WGK[None, :]).ravel())
-        self.c = np.concatenate(c_parts)
-        self.c_low = self.c.min()
-        self.dc = self.c - self.c_low
-        self.w = np.concatenate(w_parts)
-        self.n_evals = nev
+            # the first round holds every row; rows still open are written
+            # again by a later, longer round
+            if rows.size == 2 * k:
+                ladder = us
+            else:
+                ladder = np.concatenate(
+                    (ladder, np.zeros((2 * k, us.shape[1] - ladder.shape[1]))), axis=1
+                )
+                ladder[rows] = us
+            n_rungs[rows] = hit.argmax(axis=1) + 1
+            rows = rows[~found]
+            n_guess *= 2
 
-    @classmethod
-    def stack(cls, grids: list[ProfileGrid]) -> ProfileGrid:
-        """k grids as one, whose ``log_G`` reads row i of eta (k, n) on grid
-        i: nodes padded with w = 0 to a common count, ``n_evals`` summed."""
-        out = cls.__new__(cls)
-        out.dc, out.w = np.zeros((2, len(grids), max(g.dc.size for g in grids)))
-        for i, g in enumerate(grids):
-            out.dc[i, : g.dc.size], out.w[i, : g.w.size] = g.dc, g.w
-        out.c_low = np.array([[g.c_low] for g in grids])
-        out.n_evals = sum(g.n_evals for g in grids)
-        return out
+        # panels [0, u_0], [u_0, u_1], ... out to each row's last rung
+        valid = np.arange(n_rungs.max(initial=0)) < n_rungs[:, None]
+        b = ladder[:, : valid.shape[1]]
+        a = np.zeros(b.shape)
+        a[:, 1:] = b[:, :-1]
+        h, x = _kronrod_nodes(a[valid], b[valid])
+        c = c_rungs(np.nonzero(valid)[0], x, None).ravel()
+        nev += c.size
+
+        n_nodes = 15 * n_rungs.reshape(k, 2).sum(axis=1)
+        nodes = np.arange(n_nodes.max(initial=0)) < n_nodes[:, None]
+        dc = np.full(nodes.shape, np.inf)
+        dc[nodes] = c
+        c_low = dc.min(axis=1, initial=np.inf, keepdims=True)
+        dc -= c_low
+        dc[~nodes] = 0.0
+        w = np.zeros(nodes.shape)
+        w[nodes] = (h[:, None] * WGK).ravel()
+        self.c = c
+        self.n_evals = int(nev)
+        if one:
+            self.dc, self.w, self.c_low = dc[0], w[0], c_low[0, 0]
+        else:
+            self.dc, self.w, self.c_low = dc, w, c_low
 
     def log_G(self, eta) -> np.ndarray:
-        """log G at the frequencies ``eta`` (n,), or (k, n) on a ``stack``.
+        """log G at the frequencies ``eta`` (n,) on one grid, or (k, n) on k.
 
         Exponents -eta (c - min c) are <= 0, so nothing overflows, and the
         minimum node keeps every sum positive; numpy's sum, not BLAS, so
@@ -467,9 +536,12 @@ def _tilted_peak(L: Callable, dL: Callable, t):
     return v, L(v) - t * v
 
 
-def _tilted(L: Callable, t: float, A: float) -> Callable:
-    """The tilted phase L(v) - t v - A, its minimum A moved to 0."""
-    return lambda v: L(v) - t * v - A
+def _tilted(L: Callable, t, A) -> Callable:
+    """The tilted phases L(v) - t v - A, each minimum A moved to 0, as a
+    ``ProfileGrid`` c_fn(v, i) of phase i[j] at v[j] for arrays t and A
+    (k,); for floats, one phase, c_fn(v)."""
+    t, A = np.atleast_1d(t, A)
+    return lambda v, i=0: L(v) - t[i] * v - A[i]
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +618,11 @@ def direct_pair(
     elementwise ``_tilted_peak`` gives its peak xi_s and value for all of a
     call's zetas (every initial panel in the first call, one split panel in
     each later call).  The zetas then go through the inner layer in chunks
-    of at most ``_ZETA_CHUNK``.  Each zeta builds its own profile grid of
-    the ``_tilted`` phase.  One ``_cheb_table`` pass tabulates
-    log G(e^t / r) in t = log h for every zeta of the chunk from the
-    chunk's ``ProfileGrid.stack``: one table of one size, grown until every
-    row's tail is at most rel_tol / 10, usually 17 or 65 samples a row.
+    of at most ``_ZETA_CHUNK``.  One ``ProfileGrid`` build gives every zeta
+    of a chunk its own grid of the ``_tilted`` phase.  One ``_cheb_table``
+    pass tabulates log G(e^t / r) in t = log h for every zeta of the chunk
+    from those grids: one table of one size, grown until every row's tail
+    is at most rel_tol / 10, usually 17 or 65 samples a row.
     One ``log_adaptive_multi`` call then integrates the chunk's 2k inner
     eta rows (Bergman and Szego for each zeta) on shared t panels, reading
     all tables at once.  An inner row that ends above its 0.25 rel_tol
@@ -578,11 +650,8 @@ def direct_pair(
     tail_G = [0.0]
 
     def inner(zetas: np.ndarray, xi_s: np.ndarray, A: np.ndarray, r: np.ndarray):
-        # one profile grid per zeta, of the phase f tilted by -zeta
-        grids = ProfileGrid.stack([
-            ProfileGrid(_tilted(f.f, -zeta, a), s, h_lo / q, h_hi / q)
-            for zeta, s, a, q in zip(zetas.tolist(), xi_s.tolist(), A.tolist(), r.tolist())
-        ])
+        # one profile grid build for the chunk, of the phases f tilted by -zeta
+        grids = ProfileGrid(_tilted(f.f, -zetas, A), xi_s, h_lo / r, h_hi / r)
         k = zetas.size
 
         # log G(e^t / r) is smooth in t: tabulate it once for each zeta

@@ -222,44 +222,235 @@ def test_bracket_root_is_elementwise():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(1e-3, 1e3), st.floats(1.0, 8.0), st.floats(1e-10, 1e2))
-def test_inner_edge_is_the_first_fine_rung_reaching_c_min(a, p, c_min):
-    seen_u, seen_c = [], []
+@given(
+    st.lists(
+        st.tuples(st.floats(1e-3, 1e3), st.floats(1.0, 8.0), st.floats(1e-10, 1e2)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_inner_edge_is_the_first_fine_rung_reaching_c_min(rows):
+    # one call finds the inner edges of a batch of rows c_r(u) = a u^p
+    a, p, c_min = (np.array(col) for col in zip(*rows))
+    seen_r, seen_u = [], []
 
-    def c_side(u):
-        seen_u.append(u)
-        seen_c.append(a * u**p)
-        return seen_c[-1]
+    def c_rungs(r, u, valid):
+        u = np.broadcast_to(u, (r.size, np.shape(u)[-1]))
+        valid = np.ones(u.shape, dtype=bool) if valid is None else valid
+        seen_r.append(np.broadcast_to(r[:, None], u.shape)[valid])
+        seen_u.append(u[valid])
+        return np.where(valid, a[r, None] * u ** p[r, None], -np.inf)
 
-    u, n = _inner_edge(c_side, c_min)
-    us, cs = np.concatenate(seen_u), np.concatenate(seen_c)
+    u, n = _inner_edge(c_rungs, c_min, np.zeros(len(rows)))
+    rs, us = np.concatenate(seen_r), np.concatenate(seen_u)
     assert n == us.size
-    # c(u) >= c_min > c(u / 4^(1/16)), both read off the evaluated rungs
-    below = us < u
-    prev = us[below].max()
-    assert math.isclose(prev, u / 4.0 ** (1 / 16), rel_tol=1e-14)
-    assert cs[us == u].min() >= c_min > cs[below].max()
+    for i in range(len(rows)):
+        # c(u) >= c_min > c(u / 4^(1/16)), both read off the rungs evaluated
+        mine = us[rs == i]
+        below = mine[mine < u[i]]
+        assert math.isclose(below.max(), u[i] / 4.0 ** (1 / 16), rel_tol=1e-14)
+        assert a[i] * u[i] ** p[i] >= c_min[i] > a[i] * below.max() ** p[i]
+        assert u[i] in mine
 
 
 def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
     # every grid of this point crosses c_min within the first x4 block,
-    # below u = 1 at small |zeta| and above it at large |zeta|
-    calls = []
+    # below u = 1 at small |zeta| and above it at large |zeta|: a build of
+    # a chunk's phases makes two calls for the inner edges, one for the
+    # RATIO ladders and one for the nodes
+    builds = []  # per build: [c_fn calls, phases]
 
     class Counted(ProfileGrid):
-        def __init__(self, c_fn, *args, **kwargs):
-            calls.append(0)
+        def __init__(self, c_fn, xi_star, *args, **kwargs):
+            builds.append([0, xi_star.size])
 
-            def counted(xi):
-                calls[-1] += 1
-                return c_fn(xi)
+            def counted(*a):
+                builds[-1][0] += 1
+                return c_fn(*a)
 
-            super().__init__(counted, *args, **kwargs)
+            super().__init__(counted, xi_star, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "ProfileGrid", Counted)
     cfg = QuadratureConfig(rel_tol=1e-7)
     direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 0.25), cfg)
-    assert len(calls) > 300 and max(calls) <= 8
+    assert sum(k for _, k in builds) > 300
+    assert max(k for _, k in builds) == quadrature._ZETA_CHUNK
+    assert max(n for n, _ in builds) <= 4
+
+
+def _row_by_row_grid(c_side, xi_star, eta_lo, eta_hi, ratio=ProfileGrid.RATIO):
+    """(dc, w, c_low, n_evals) of one phase's grid, built side by side and
+    rung by rung as the one-grid build did: the reference the batched
+    build must equal bit for bit."""
+    c_min = ProfileGrid.C_SMALL / eta_hi
+    c_max = _TRUNCATION_DEPTH / eta_lo
+    c_parts, w_parts, nev = [], [], 0
+    for side in (-1.0, +1.0):
+
+        def c(u):
+            return c_side(xi_star + side * u)
+
+        k, up = np.arange(-7, 3), False
+        while True:
+            us = 4.0**k
+            hit = c(us) >= c_min
+            nev += us.size
+            if hit[0] and not up and k[0] > quadrature._K_DOWN:
+                k = np.arange(max(k[0] - 8, quadrature._K_DOWN), k[0] + 1)
+            elif hit.any():
+                break
+            else:
+                assert k[-1] < quadrature._K_UP
+                up, k = True, np.arange(k[-1] + 1, min(k[-1] + 9, quadrature._K_UP + 1))
+        i = hit.argmax()
+        fine = 0.25 * float(us[i]) * 4.0 ** (np.arange(0 if i == 0 and not up else 1, 16) / 16)
+        hit = c(fine) >= c_min
+        nev += fine.size
+        u0 = float(fine[hit.argmax()] if hit.any() else us[i])
+        n_cap = max(math.ceil((math.log(1e60) - math.log(u0)) / math.log(ratio)), 1)
+        n_guess = 80
+        while True:
+            us = u0 * ratio ** np.arange(min(n_guess, n_cap) + 1)
+            idx = np.nonzero(c(us) >= c_max)[0]
+            nev += us.size
+            if idx.size:
+                break
+            assert n_guess < n_cap
+            n_guess *= 2
+        edges = np.concatenate(([0.0], us[: idx[0] + 1]))
+        h = 0.5 * (edges[1:] - edges[:-1])
+        x = 0.5 * (edges[:-1] + edges[1:])[:, None] + h[:, None] * XGK
+        c_parts.append(c(x.ravel()))
+        w_parts.append((h[:, None] * WGK).ravel())
+        nev += c_parts[-1].size
+    c_all = np.concatenate(c_parts)
+    return c_all - c_all.min(), np.concatenate(w_parts), c_all.min(), nev
+
+
+def _tilted_rows(f, rows):
+    """Peaks and offsets of f tilted by -zeta for rows of (zeta, eta_lo, eta_hi)."""
+    zetas, lo, hi = (np.array(col) for col in zip(*rows))
+    xi_s, A = quadrature._tilted_peak(f.f, f.fprime, -zetas)
+    return quadrature._tilted(f.f, -zetas, A), xi_s, lo, hi
+
+
+def _w_grid_rows(rows):
+    """The tilted log phi of a mollified m = 2 W-grid for rows of (tilt, eta_lo, eta_hi)."""
+    wg, _ = _mollified_w_grid(0.5, 60.0)
+    tilts, lo, hi = (np.array(col) for col in zip(*rows))
+
+    def slope(v):
+        return (wg.log_phi(v + 1e-5) - wg.log_phi(v - 1e-5)) / 2e-5
+
+    v_s = np.array([_bracket_root(lambda v: slope(v) - t, -1.0, 1.0) for t in tilts])
+    return quadrature._tilted(wg.log_phi, tilts, wg.log_phi(v_s) - tilts * v_s), v_s, lo, hi
+
+
+# (zeta or tilt, eta_lo, eta_hi): an inner edge reached from the first x4
+# block, one found going down (large eta_hi), one going up (tiny eta_hi or
+# a steep tilt) and a RATIO ladder past 80 rungs (tiny eta_lo)
+_BATCHES = {
+    "model-m1": lambda: _tilted_rows(
+        model_domain(1),
+        [(0.0, 1e-4, 50.0), (0.7, 1e-2, 1e20), (-40.0, 1e-8, 1e-6), (0.3, 1e-30, 1e2)],
+    ),
+    "model-m2": lambda: _tilted_rows(
+        model_domain(2),
+        [(0.0, 1e-4, 50.0), (0.7, 1.0, 1e20), (-40.0, 1e-10, 1e-8), (0.3, 1e-200, 1e2)],
+    ),
+    "rational-m2": lambda: _tilted_rows(
+        rational_domain(2),
+        [(0.0, 1e-4, 50.0), (0.7, 1.0, 1e20), (-2.0, 1e-8, 1e-6), (0.3, 1e-30, 1e2)],
+    ),
+    "mollified-m2": lambda: _tilted_rows(
+        mollify(model_domain(2), 0.1),
+        [(0.0, 1e-2, 3e3), (0.3, 1.0, 1e20), (-1.0, 1e-10, 1e-8), (0.7, 1e-60, 1e2)],
+    ),
+    "blended-m2": lambda: _tilted_rows(
+        blended_linear_domain(2),
+        [(0.0, 1e-4, 50.0), (0.5, 1.0, 1e20), (-0.9, 1e-8, 1e-6), (0.3, 1e-30, 1e2)],
+    ),
+    "w-grid": lambda: _w_grid_rows(
+        [(0.0, 1.0, 1.0), (0.8, 1.0, 1e12), (-1.2, 1e-4, 1e-3), (1.0, 1e-40, 1.0)]
+    ),
+    # a phase with a kink at xi_star: its ladder stops at its floor
+    "floor": lambda: (lambda xi, i=0: np.sqrt(np.abs(xi)), np.array([0.0]), 1e100, 1e200),
+}
+
+
+@pytest.mark.parametrize("make", list(_BATCHES.values()), ids=list(_BATCHES))
+def test_batched_build_equals_one_row_builds(make):
+    c_fn, xi_s, eta_lo, eta_hi = make()
+    eta_lo, eta_hi = np.broadcast_to(eta_lo, xi_s.shape), np.broadcast_to(eta_hi, xi_s.shape)
+    grids = ProfileGrid(c_fn, xi_s, eta_lo, eta_hi)
+    k = xi_s.size
+    assert grids.dc.shape == grids.w.shape and grids.dc.shape[0] == k
+    assert grids.c_low.shape == (k, 1)
+    total = 0
+    for i in range(k):
+
+        def c_side(xi):
+            return c_fn(xi, np.full(xi.shape, i))
+
+        dc, w, c_low, n_evals = _row_by_row_grid(c_side, xi_s[i], eta_lo[i], eta_hi[i])
+        one = ProfileGrid(c_side, float(xi_s[i]), float(eta_lo[i]), float(eta_hi[i]))
+        assert one.dc.tolist() == dc.tolist() and one.w.tolist() == w.tolist(), i
+        assert one.c_low == c_low and one.n_evals == n_evals, i
+        n = dc.size
+        assert grids.dc[i, :n].tolist() == dc.tolist() and grids.w[i, :n].tolist() == w.tolist(), i
+        assert not grids.dc[i, n:].any() and not grids.w[i, n:].any(), i
+        assert grids.c_low[i, 0] == c_low, i
+        total += n_evals
+    assert grids.n_evals == total
+    # the coarse grid of compute_D's error estimate, by the same build
+    coarse = quadrature._CoarseProfile(c_fn, xi_s, eta_lo, eta_hi)
+    dc, w, c_low, n_evals = _row_by_row_grid(
+        lambda xi: c_fn(xi, np.zeros(xi.shape, dtype=int)), xi_s[0], eta_lo[0], eta_hi[0],
+        ratio=quadrature._CoarseProfile.RATIO,
+    )
+    assert coarse.dc[0, : dc.size].tolist() == dc.tolist() and coarse.c_low[0, 0] == c_low
+
+
+def test_batched_build_covers_every_search_branch():
+    # the rows of the equality test above do reach the branches they name
+    f = model_domain(1)
+    rows = [(0.7, 1e-2, 1e20), (-40.0, 1e-8, 1e-6), (0.3, 1e-30, 1e2)]
+    c_fn, xi_s, lo, hi = _tilted_rows(f, rows)
+    calls = []
+
+    def counted(xi, i):
+        calls.append(xi.size)
+        return c_fn(xi, i)
+
+    grids = ProfileGrid(counted, xi_s, lo, hi)
+    # first block, one block down, one up, fine rungs, two ladder rounds, nodes
+    assert len(calls) == 7
+    assert np.count_nonzero(grids.w[2]) > 2 * 15 * 80
+    # a kink at xi_star: the inner edge, the first panel's width, sits one
+    # x4 rung below the floor, and the ladder runs past 320 rungs
+    one = ProfileGrid(lambda xi: np.sqrt(np.abs(xi)), 0.0, 1e100, 1e200)
+    assert one.w[:15].sum() == pytest.approx(4.0 ** (quadrature._K_DOWN - 1), rel=1e-14)
+    assert one.w.size > 2 * 15 * 320
+
+
+def test_log_L_float_call_reads_the_row_by_row_grid():
+    # a float u is a batch of one: no padding, so log_L's value is the one
+    # of a single grid built row by row, bit for bit
+    phis = PhiSpline(2, 400.0)
+    for u in (0.0, 0.4, 2.7, 3.2):
+        v_s, A = quadrature._tilted_peak(phis, phis.deriv, np.array([u]))
+        c_fn = quadrature._tilted(phis, np.array([u]), A)
+        ref = ProfileGrid.__new__(ProfileGrid)
+        ref.dc, ref.w, ref.c_low, _ = _row_by_row_grid(lambda v: c_fn(v, 0), v_s[0], 1.0, 1.0)
+        assert log_L(u, phis) == -A[0] + ref.log_G(np.array([1.0]))[0], u
+
+
+def test_batched_build_of_no_phases_is_empty():
+    grids = ProfileGrid(lambda xi, i: xi * xi, np.empty(0), 1.0, 1.0)
+    assert grids.dc.shape == grids.w.shape == (0, 0) and grids.c_low.shape == (0, 1)
+    assert grids.n_evals == 0 and grids.c.size == 0
+    assert grids.log_G(np.empty((0, 3))).shape == (0, 3)
+    assert log_L(np.empty(0), PhiSpline(2, 64.0)).shape == (0,)
 
 
 @pytest.mark.parametrize(
@@ -628,15 +819,15 @@ def test_bergman_normalized_stops_its_table_on_the_noise_plateau(monkeypatch):
 
 
 def test_direct_pair_tabulates_log_G(monkeypatch):
-    # one Chebyshev table row of log G per grid, each table of 17, 33 or 65
-    # samples a row, in at most three sampling rounds
-    grids = [0]
+    # one Chebyshev table row of log G per grid row, each table of 17, 33 or
+    # 65 samples a row, in at most three sampling rounds
+    grid_rows = [0]
     tables = []  # per table: [sampling rounds, rows, samples a row]
 
     class Counted(ProfileGrid):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            grids[0] += 1
+            grid_rows[0] += self.dc.shape[0]
 
     real_table = quadrature._cheb_table
 
@@ -657,7 +848,7 @@ def test_direct_pair_tabulates_log_G(monkeypatch):
     monkeypatch.setattr(quadrature, "_cheb_table", counted_table)
     cfg = QuadratureConfig(rel_tol=1e-7)
     direct_pair(model_domain(2), BoundaryRelativePoint(0.0, 0.25), cfg)
-    assert grids[0] > 300 and sum(k for _, k, _ in tables) == grids[0]
+    assert grid_rows[0] > 300 and sum(k for _, k, _ in tables) == grid_rows[0]
     assert max(n for n, _, _ in tables) <= 3
     assert max(size for _, _, size in tables) <= 65
 
