@@ -137,10 +137,11 @@ def log_phi(v, m: int):
                     f"log phi overflows at v = {float(flat[far][big.argmax()])!r}"
                 )
             grid = ProfileGrid(
-                lambda x: x**m2 - m2 * x + (m2 - 1), 1.0, lam.min(), lam.max()
+                lambda x, i: x**m2 - m2 * x + (m2 - 1), 1.0, lam.min(), lam.max()
             )
             out[far] = lead + np.concatenate([
-                grid.log_G(lam[i : i + _PHI_BLOCK]) for i in range(0, lam.size, _PHI_BLOCK)
+                grid.log_G(lam[None, i : i + _PHI_BLOCK])[0]
+                for i in range(0, lam.size, _PHI_BLOCK)
             ])
     out = out.reshape(v.shape)
     return out if v.ndim else float(out)
@@ -375,8 +376,6 @@ def predict(
     exponent = blowup_exponent(f.m, kind)  # validates kind
     m = f.m
     chart = chart or _default_chart(m)
-    if chart.m != m:
-        raise DomainError(f"chart is for m={chart.m}, not m={m}")
     g0 = float(f.g(0.0))
     pair = model_profile_pair(m, g0, tau, chart)
     c0 = math.exp(pair[0] if kind == "bergman" else pair[1])

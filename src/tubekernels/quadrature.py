@@ -12,21 +12,21 @@ which is what makes the double and triple integrals tractable.  D, the
 kernel pair's E, L and P are one tilted-Laplace integral int exp(-(L(v) -
 t v)) dv of a convex L, taken one way: ``_tilted_peak`` finds the peak
 L'(v) = t, ``_tilted`` moves the phase's minimum to 0, and
-``ProfileGrid.log_G`` sums it.  One ``ProfileGrid`` build serves k phases
-at once, each of its steps one call of the phase on all of them, so a
-caller with many phases builds their grids together: ``direct_pair`` per
-chunk of zetas and ``log_L`` per chunk of u.  Smooth 1-D profiles are
-tabulated once per use, as Chebyshev tables sized by the tolerance, one
-size for all the rows of a table: log G in log frequency once per zeta in
-``direct_pair``, and log P in log u once per ``bergman_normalized`` call.
-``direct_pair`` works on the zetas of an outer integrand call in chunks of
-``_ZETA_CHUNK``: one grid build, one table pass that samples the log G of
-the whole chunk, and one engine call that integrates the chunk's inner
-rows on shared panels.  The W-grid behind ``bergman_normalized``'s log P
-has uniform panels, so its exponential sum factors by panel: each tilt
-costs one exp per panel and one per Kronrod abscissa instead of one per
-node, with the same nodes and weights, so the factored sum is the dense
-one up to rounding.
+``ProfileGrid.log_G`` sums it.  A ``ProfileGrid`` build serves k phases
+c_fn(xi, i), k = 1 included, as rows (k, nodes), each step one call of the
+phase on all rows, so a caller with many phases builds their grids
+together: ``direct_pair`` per chunk of zetas and ``log_L`` per chunk of u.
+Smooth 1-D profiles are tabulated once per use, as Chebyshev tables sized
+by the tolerance, one size for all the rows of a table: log G in log
+frequency once per zeta in ``direct_pair``, and log P in log u once per
+``bergman_normalized`` call.  ``direct_pair`` works on the zetas of an
+outer integrand call in chunks of ``_ZETA_CHUNK``: one grid build, one
+table pass that samples the log G of the whole chunk, and one engine call
+that integrates the chunk's inner rows on shared panels.  The W-grid
+behind ``bergman_normalized``'s log P has uniform panels, so its
+exponential sum factors by panel: each tilt costs one exp per panel and
+one per Kronrod abscissa instead of one per node, with the same nodes and
+weights, so the factored sum is the dense one up to rounding.
 """
 
 from __future__ import annotations
@@ -337,26 +337,25 @@ class ProfileGrid:
     ``_inner_edge``, the 81-rung RATIO ladders (a row that misses c_max
     there redoes its ladder at twice the length, in a call a round) and
     every row's Kronrod nodes, so a build of any k usually makes four
-    ``c_fn`` calls.  One Kronrod rule per panel; G(eta) is a sum over the
-    stored nodes in linear space, each term scaled by exp(eta min c) so
-    that none overflows.
+    ``c_fn`` calls.  A round keeps only each row's rung count; the panels
+    are then rebuilt from the same rung formula, which splits RATIO^j in
+    two factors so that it stays finite out to the 1e60 cap.  One Kronrod
+    rule per panel; G(eta) is a sum over the stored nodes in linear space,
+    each term scaled by exp(eta min c) so that none overflows.
 
-    An array ``xi_star`` (k,) builds k grids from ``c_fn(xi, i)``, which
+    ``xi_star`` is an array (k,), a float being k = 1, and ``c_fn(xi, i)``
     gives phase i[j] at xi[j] for flat arrays; ``eta_lo`` and ``eta_hi``
     are arrays (k,) or floats.  ``dc`` and ``w`` are (k, nodes), each
     phase's nodes at the start of its row and padding (w = 0) after them,
     and ``c_low`` is (k, 1), so ``log_G`` reads row i of eta (k, n) on grid
-    i.  A float ``xi_star`` builds one grid from ``c_fn(xi)``: ``dc`` and
-    ``w`` are (nodes,) and ``c_low`` a scalar.  ``c`` holds every phase's
-    node values, flat, and ``n_evals`` the number of points evaluated.
+    i.  ``c`` holds every phase's node values, flat, and ``n_evals`` the
+    number of points evaluated.
     """
 
     RATIO = 1.45
     C_SMALL = 0.03
 
     def __init__(self, c_fn, xi_star, eta_lo, eta_hi):
-        # a float xi_star is one grid (isinstance costs less than np.ndim)
-        one = not isinstance(xi_star, np.ndarray)
         xi_star = np.array(xi_star, dtype=float, ndmin=1)
         k = xi_star.size
         # row 2i is phase i's side xi < xi_star, row 2i + 1 its side xi > xi_star
@@ -371,23 +370,29 @@ class ProfileGrid:
         def c_rungs(r, u, valid):
             xi = x0[r, None] + side[r, None] * u
             if valid is None:
-                cs = c_fn(xi.ravel()) if one else c_fn(xi.ravel(), phase[r].repeat(xi.shape[1]))
-                return cs.reshape(xi.shape)
+                return c_fn(xi.ravel(), phase[r].repeat(xi.shape[1])).reshape(xi.shape)
             cs = np.full(xi.shape, -np.inf)
-            cs[valid] = c_fn(xi[valid]) if one else c_fn(xi[valid], phase[r[np.nonzero(valid)[0]]])
+            cs[valid] = c_fn(xi[valid], phase[r[np.nonzero(valid)[0]]])
             return cs
+
+        # rung j of a row, u0 RATIO^j: RATIO^j alone overflows past j_fin
+        # (1,910 for 1.45), so the excess is a second factor, 1 up to j_fin
+        j_fin = math.floor(math.log(np.finfo(float).max) / math.log(self.RATIO))
+
+        def rungs(u0, j):
+            j_lo = np.minimum(j, j_fin)
+            return u0 * self.RATIO**j_lo * self.RATIO ** (j - j_lo)
 
         u0, nev = _inner_edge(c_rungs, c_min, x0)
         # RATIO ladders out to c_max, each stopping at its first rung past 1e60
         n_cap = np.ceil((math.log(1e60) - np.log(u0)) / math.log(self.RATIO))
         n_cap = np.maximum(n_cap, 1).astype(int)
         rows = np.arange(2 * k)
-        ladder = np.zeros((2 * k, 0))
         n_rungs = np.zeros(2 * k, dtype=int)
         n_guess = 80
         while rows.size:
             top = np.minimum(n_guess, n_cap[rows])
-            us = u0[rows, None] * self.RATIO ** np.arange(top.max() + 1)
+            us = rungs(u0[rows, None], np.arange(top.max() + 1))
             # a row capped below the others' length stops at its cap
             valid = np.arange(us.shape[1]) <= top[:, None] if top.min() < top.max() else None
             cs = c_rungs(rows, us, valid)
@@ -403,46 +408,31 @@ class ProfileGrid:
                         f"c_max = {c_max[rows[i]]:.3e} out to |xi - xi_star| = "
                         f"{us[i, top[i]]:.3e} (last value {cs[i, top[i]]:.3e})"
                     )
-            # the first round holds every row; rows still open are written
-            # again by a later, longer round
-            if rows.size == 2 * k:
-                ladder = us
-            else:
-                ladder = np.concatenate(
-                    (ladder, np.zeros((2 * k, us.shape[1] - ladder.shape[1]))), axis=1
-                )
-                ladder[rows] = us
             n_rungs[rows] = hit.argmax(axis=1) + 1
             rows = rows[~found]
             n_guess *= 2
 
         # panels [0, u_0], [u_0, u_1], ... out to each row's last rung
-        valid = np.arange(n_rungs.max(initial=0)) < n_rungs[:, None]
-        b = ladder[:, : valid.shape[1]]
-        a = np.zeros(b.shape)
-        a[:, 1:] = b[:, :-1]
-        h, x = _kronrod_nodes(a[valid], b[valid])
-        c = c_rungs(np.nonzero(valid)[0], x, None).ravel()
+        r, j = np.nonzero(np.arange(n_rungs.max(initial=0)) < n_rungs[:, None])
+        b = rungs(u0[r], j)
+        h, x = _kronrod_nodes(np.where(j > 0, np.roll(b, 1), 0.0), b)
+        c = c_rungs(r, x, None).ravel()
         nev += c.size
 
         n_nodes = 15 * n_rungs.reshape(k, 2).sum(axis=1)
         nodes = np.arange(n_nodes.max(initial=0)) < n_nodes[:, None]
-        dc = np.full(nodes.shape, np.inf)
-        dc[nodes] = c
-        c_low = dc.min(axis=1, initial=np.inf, keepdims=True)
-        dc -= c_low
-        dc[~nodes] = 0.0
-        w = np.zeros(nodes.shape)
-        w[nodes] = (h[:, None] * WGK).ravel()
+        self.dc = np.full(nodes.shape, np.inf)
+        self.dc[nodes] = c
+        self.c_low = self.dc.min(axis=1, initial=np.inf, keepdims=True)
+        self.dc -= self.c_low
+        self.dc[~nodes] = 0.0
+        self.w = np.zeros(nodes.shape)
+        self.w[nodes] = (h[:, None] * WGK).ravel()
         self.c = c
         self.n_evals = int(nev)
-        if one:
-            self.dc, self.w, self.c_low = dc[0], w[0], c_low[0, 0]
-        else:
-            self.dc, self.w, self.c_low = dc, w, c_low
 
     def log_G(self, eta) -> np.ndarray:
-        """log G at the frequencies ``eta`` (n,) on one grid, or (k, n) on k.
+        """log G at the frequencies ``eta`` (k, n), row i on grid i: (k, n).
 
         Exponents -eta (c - min c) are <= 0, so nothing overflows, and the
         minimum node keeps every sum positive; numpy's sum, not BLAS, so
@@ -452,10 +442,10 @@ class ProfileGrid:
         round-off of any sum whose weights span less than 1e280.
         """
         eta = np.asarray(eta, dtype=float)
-        terms = -eta[..., None] * self.dc[..., None, :]
+        terms = -eta[:, :, None] * self.dc[:, None, :]
         np.maximum(terms, -700.0, out=terms)
         np.exp(terms, out=terms)
-        terms *= self.w[..., None, :]
+        terms *= self.w[:, None, :]
         return np.log(terms.sum(axis=-1)) - eta * self.c_low
 
 
@@ -538,10 +528,10 @@ def _tilted_peak(L: Callable, dL: Callable, t):
 
 def _tilted(L: Callable, t, A) -> Callable:
     """The tilted phases L(v) - t v - A, each minimum A moved to 0, as a
-    ``ProfileGrid`` c_fn(v, i) of phase i[j] at v[j] for arrays t and A
-    (k,); for floats, one phase, c_fn(v)."""
+    ``ProfileGrid`` c_fn(v, i) of phase i[j] at v[j], for t and A arrays
+    (k,) or floats (k = 1)."""
     t, A = np.atleast_1d(t, A)
-    return lambda v, i=0: L(v) - t[i] * v - A[i]
+    return lambda v, i: L(v) - t[i] * v - A[i]
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +556,11 @@ def compute_D(
     profile is integrated again on a grid of half the density and the
     difference reported.  QuadratureError when that error exceeds
     ``cfg.rel_tol``.
+
+    QuadratureError too for a zeta2 past the peak's resolution: xi_s is
+    found to about 1e-14, and once zeta2 times the tilted phase's dip
+    below 0 exceeds ``ProfileGrid.C_SMALL`` (on the model domains from
+    zeta2 near 3e27 at m = 1 and 3e56 at m = 2) the first panel is not flat.
     """
     cfg = cfg or QuadratureConfig()
     if not (zeta2 > 0):
@@ -578,11 +573,17 @@ def compute_D(
         )
     xi_s, A = _tilted_peak(f.f, f.fprime, -zeta)
     c = _tilted(f.f, -zeta, A)
-    lg = float(ProfileGrid(c, xi_s, zeta2, zeta2).log_G(np.array([zeta2]))[0])
+    grid, eta = ProfileGrid(c, xi_s, zeta2, zeta2), np.array([[zeta2]])
+    dip = -zeta2 * float(grid.c_low[0, 0])
+    if dip > ProfileGrid.C_SMALL:
+        raise QuadratureError(
+            f"D({zeta1!r}, {zeta2!r}): zeta2 is past the resolution of the peak at "
+            f"xi = {xi_s!r}: the tilted phase undercuts it by {dip:.3e} e-folds"
+        )
+    lg = float(grid.log_G(eta)[0, 0])
 
     # density-halved grid for an honest error measurement
-    half = _CoarseProfile(c, xi_s, zeta2, zeta2)
-    lg2 = float(half.log_G(np.array([zeta2]))[0])
+    lg2 = float(_CoarseProfile(c, xi_s, zeta2, zeta2).log_G(eta)[0, 0])
     err = abs(math.expm1(lg2 - lg)) + 1e-14
     if not (err <= cfg.rel_tol):
         raise QuadratureError(
@@ -795,19 +796,18 @@ class _WGrid:
         self.n = nodes.size
 
     def log_phi(self, tilts):
-        """log phi at the tilts (n,), or at one float as a float; each row
-        v is scaled by e^(max_p (A_p + v c_p) + |v| h max x_k), so no factor
-        exceeds 1 and a row's value does not depend on the other rows.
-        ``np.einsum``, not BLAS, so reruns are bit-identical."""
-        v = np.atleast_1d(np.asarray(tilts, dtype=float))
+        """log phi at the tilts (n,), a float being n = 1, as an array (n,);
+        each row v is scaled by e^(max_p (A_p + v c_p) + |v| h max x_k), so
+        no factor exceeds 1 and a row's value does not depend on the other
+        rows.  ``np.einsum``, not BLAS, so reruns are bit-identical."""
+        v = np.array(tilts, dtype=float, ndmin=1)
         panel = self.A + v[:, None] * self.c
         top = panel.max(axis=1)
         vh = v * self.h
         reach = np.abs(vh) * XGK[-1]
         tilt = np.exp(vh[:, None] * XGK - reach[:, None])
         inner = np.einsum("pk,vk->vp", self.E, tilt)
-        out = top + reach + np.log(np.einsum("vp,vp->v", np.exp(panel - top[:, None]), inner))
-        return out if np.ndim(tilts) else float(out[0])
+        return top + reach + np.log(np.einsum("vp,vp->v", np.exp(panel - top[:, None]), inner))
 
 
 def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -964,7 +964,7 @@ def _log_P(ghat, u: float, tilt: float, m: int) -> tuple[float, int]:
 
     v_star, A = _tilted_peak(wg.log_phi, slope, tilt) if tilt else (0.0, wg.log_phi(0.0))
     pg = ProfileGrid(_tilted(wg.log_phi, tilt, A), v_star, 1.0, 1.0)
-    return -A + float(pg.log_G(np.array([1.0]))[0]), wg.n + pg.n_evals
+    return float(pg.log_G(np.ones((1, 1)))[0, 0] - A[0]), wg.n + pg.n_evals
 
 
 def bergman_normalized(

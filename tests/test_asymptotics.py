@@ -263,6 +263,9 @@ def test_predict_reports_exponents_and_coefficient():
     # exponents depend only on m, not the profile shape
     pr = predict(rational_domain(3), "bergman", 0.8)
     assert pr.exponent == pb.exponent
+    # a chart for another order is refused by name
+    with pytest.raises(DomainError, match="chart is for m=2, not m=3"):
+        predict(f, "bergman", 0.8, chart=asymptotics._default_chart(2))
 
 
 def test_phi_inputs_are_validated():

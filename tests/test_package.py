@@ -167,6 +167,21 @@ def test_no_unread_private_attributes():
     assert unread == []
 
 
+def test_scipy_is_imported_only_for_interpolation():
+    # every integral is the package's own quadrature: nothing imports
+    # scipy.integrate, or scipy whole, through which it could be reached
+    src = ROOT / "src" / "tubekernels"
+    seen = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                seen += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                seen.append((path.name, node.module))
+    scipy = [(name, mod) for name, mod in seen if mod.split(".")[0] == "scipy"]
+    assert scipy and all(mod == "scipy.interpolate" for _, mod in scipy), scipy
+
+
 # the raises main does not map to an exit code, each deliberate
 _OTHER_RAISES = {
     ("blowup.py", "RuntimeError"),  # an internal invariant of the chart
@@ -228,8 +243,8 @@ def test_bench_tracer_installs(monkeypatch):
             assert ref >= 0 and ref == int(ref) and ref == (n - 15 * panels) / 30
         # the tracer reads a grid's node count from ProfileGrid.c and the
         # frequencies from the size of what log_G returns
-        grid = tubekernels.quadrature.ProfileGrid(lambda xi: xi**2, 0.0, 0.5, 8.0)
-        grid.log_G(np.linspace(0.5, 8.0, 15))
+        grid = tubekernels.quadrature.ProfileGrid(lambda xi, i: xi**2, 0.0, 0.5, 8.0)
+        grid.log_G(np.linspace(0.5, 8.0, 15)[None])
         assert tr.counts["quadrature.profile_grid.nodes"] == grid.c.size
         assert tr.counts["quadrature.log_G.freqs"] == 15
     finally:

@@ -162,12 +162,12 @@ def test_search_loops_are_capped():
     with pytest.raises(QuadratureError):
         _bracket_root(lambda x: 1.0, -1.0, 1.0)
     with pytest.raises(QuadratureError):
-        ProfileGrid(lambda xi: 1.0 - np.exp(-(xi**2)), 0.0, 0.01, 0.01)
+        ProfileGrid(lambda xi, i: 1.0 - np.exp(-(xi**2)), 0.0, 0.01, 0.01)
     # the phase saturates between c_min and c_max; the search stops at a
     # finite distance, before anything overflows
     with pytest.raises(QuadratureError, match="c_max") as info:
         with np.errstate(over="raise", invalid="raise"):
-            ProfileGrid(lambda xi: 1.0 - np.exp(-(xi**2)), 0.0, 1.0, 1.0)
+            ProfileGrid(lambda xi, i: 1.0 - np.exp(-(xi**2)), 0.0, 1.0, 1.0)
     dist = re.search(r"\|xi - xi_star\| = (\S+)", str(info.value)).group(1)
     assert math.isfinite(float(dist))
     assert time.perf_counter() - t0 < 1.0
@@ -340,7 +340,7 @@ def _w_grid_rows(rows):
     tilts, lo, hi = (np.array(col) for col in zip(*rows))
 
     def slope(v):
-        return (wg.log_phi(v + 1e-5) - wg.log_phi(v - 1e-5)) / 2e-5
+        return (wg.log_phi(v + 1e-5) - wg.log_phi(v - 1e-5))[0] / 2e-5
 
     v_s = np.array([_bracket_root(lambda v: slope(v) - t, -1.0, 1.0) for t in tilts])
     return quadrature._tilted(wg.log_phi, tilts, wg.log_phi(v_s) - tilts * v_s), v_s, lo, hi
@@ -374,7 +374,7 @@ _BATCHES = {
         [(0.0, 1.0, 1.0), (0.8, 1.0, 1e12), (-1.2, 1e-4, 1e-3), (1.0, 1e-40, 1.0)]
     ),
     # a phase with a kink at xi_star: its ladder stops at its floor
-    "floor": lambda: (lambda xi, i=0: np.sqrt(np.abs(xi)), np.array([0.0]), 1e100, 1e200),
+    "floor": lambda: (lambda xi, i: np.sqrt(np.abs(xi)), np.array([0.0]), 1e100, 1e200),
 }
 
 
@@ -389,26 +389,29 @@ def test_batched_build_equals_one_row_builds(make):
     total = 0
     for i in range(k):
 
+        def c_one(xi, j):  # phase i alone, as the one phase of a k = 1 build
+            return c_fn(xi, j + i)
+
         def c_side(xi):
             return c_fn(xi, np.full(xi.shape, i))
 
         dc, w, c_low, n_evals = _row_by_row_grid(c_side, xi_s[i], eta_lo[i], eta_hi[i])
-        one = ProfileGrid(c_side, float(xi_s[i]), float(eta_lo[i]), float(eta_hi[i]))
-        assert one.dc.tolist() == dc.tolist() and one.w.tolist() == w.tolist(), i
-        assert one.c_low == c_low and one.n_evals == n_evals, i
         n = dc.size
         assert grids.dc[i, :n].tolist() == dc.tolist() and grids.w[i, :n].tolist() == w.tolist(), i
         assert not grids.dc[i, n:].any() and not grids.w[i, n:].any(), i
         assert grids.c_low[i, 0] == c_low, i
         total += n_evals
+        # a k = 1 build from a float xi_star, and the coarse grid of
+        # compute_D's error estimate, by the same build
+        for cls in (ProfileGrid, quadrature._CoarseProfile):
+            dc, w, c_low, n_evals = _row_by_row_grid(
+                c_side, xi_s[i], eta_lo[i], eta_hi[i], ratio=cls.RATIO
+            )
+            one = cls(c_one, float(xi_s[i]), float(eta_lo[i]), float(eta_hi[i]))
+            assert one.dc.shape == one.w.shape == (1, dc.size) and one.c_low.shape == (1, 1), i
+            assert one.dc[0].tolist() == dc.tolist() and one.w[0].tolist() == w.tolist(), i
+            assert one.c_low[0, 0] == c_low and one.n_evals == n_evals, i
     assert grids.n_evals == total
-    # the coarse grid of compute_D's error estimate, by the same build
-    coarse = quadrature._CoarseProfile(c_fn, xi_s, eta_lo, eta_hi)
-    dc, w, c_low, n_evals = _row_by_row_grid(
-        lambda xi: c_fn(xi, np.zeros(xi.shape, dtype=int)), xi_s[0], eta_lo[0], eta_hi[0],
-        ratio=quadrature._CoarseProfile.RATIO,
-    )
-    assert coarse.dc[0, : dc.size].tolist() == dc.tolist() and coarse.c_low[0, 0] == c_low
 
 
 def test_batched_build_covers_every_search_branch():
@@ -428,8 +431,8 @@ def test_batched_build_covers_every_search_branch():
     assert np.count_nonzero(grids.w[2]) > 2 * 15 * 80
     # a kink at xi_star: the inner edge, the first panel's width, sits one
     # x4 rung below the floor, and the ladder runs past 320 rungs
-    one = ProfileGrid(lambda xi: np.sqrt(np.abs(xi)), 0.0, 1e100, 1e200)
-    assert one.w[:15].sum() == pytest.approx(4.0 ** (quadrature._K_DOWN - 1), rel=1e-14)
+    one = ProfileGrid(lambda xi, i: np.sqrt(np.abs(xi)), 0.0, 1e100, 1e200)
+    assert one.w[0, :15].sum() == pytest.approx(4.0 ** (quadrature._K_DOWN - 1), rel=1e-14)
     assert one.w.size > 2 * 15 * 320
 
 
@@ -441,8 +444,9 @@ def test_log_L_float_call_reads_the_row_by_row_grid():
         v_s, A = quadrature._tilted_peak(phis, phis.deriv, np.array([u]))
         c_fn = quadrature._tilted(phis, np.array([u]), A)
         ref = ProfileGrid.__new__(ProfileGrid)
-        ref.dc, ref.w, ref.c_low, _ = _row_by_row_grid(lambda v: c_fn(v, 0), v_s[0], 1.0, 1.0)
-        assert log_L(u, phis) == -A[0] + ref.log_G(np.array([1.0]))[0], u
+        dc, w, c_low, _ = _row_by_row_grid(lambda v: c_fn(v, 0), v_s[0], 1.0, 1.0)
+        ref.dc, ref.w, ref.c_low = dc[None], w[None], np.array([[c_low]])
+        assert log_L(u, phis) == -A[0] + ref.log_G(np.ones((1, 1)))[0, 0], u
 
 
 def test_batched_build_of_no_phases_is_empty():
@@ -451,6 +455,21 @@ def test_batched_build_of_no_phases_is_empty():
     assert grids.n_evals == 0 and grids.c.size == 0
     assert grids.log_G(np.empty((0, 3))).shape == (0, 3)
     assert log_L(np.empty(0), PhiSpline(2, 64.0)).shape == (0,)
+
+
+@pytest.mark.parametrize("eta_lo", [1.0, 1e-13, 1e-20])
+def test_ratio_ladder_stays_finite_out_to_its_cap(eta_lo):
+    # a kink at xi_star puts the inner edge at the ladder floor (u0 near
+    # 1e-281), so the ladder runs past the 1,910 rungs at which 1.45^j
+    # alone overflows; G(eta) = int exp(-eta |xi|^(1/2)) dxi = 4 / eta^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = ProfileGrid(lambda xi, i: np.sqrt(np.abs(xi)), 0.0, eta_lo, 1e200)
+        etas = np.array([[eta_lo, 1.0, 1e3]])
+        got = grid.log_G(etas)[0]
+    assert np.isfinite(grid.w).all() and np.isfinite(grid.dc).all()
+    want = np.log(4.0 / etas[0] ** 2)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), got - want
 
 
 @pytest.mark.parametrize(
@@ -475,20 +494,20 @@ def test_profile_grid_matches_a_dense_grid_in_few_calls(make, zetas, etas, tol):
         A = f.f(xi_s) + zeta * xi_s
         calls = [0]
 
-        def c_fn(xi):
+        def c_fn(xi, i):
             calls[0] += 1
             return f.f(xi) + zeta * xi - A
 
         grid = ProfileGrid(c_fn, xi_s, etas[0], etas[-1])
         assert calls[0] <= 8, zeta
         # the linear-space sum against the log-sum-exp over the same nodes
-        lse = _logsumexp(np.log(grid.w) - np.multiply.outer(etas, grid.c))
-        assert np.max(np.abs(grid.log_G(etas) - lse)) <= 1e-13, zeta
+        lse = _logsumexp(np.log(grid.w[0]) - np.multiply.outer(etas, grid.c))
+        assert np.max(np.abs(grid.log_G(etas[None])[0] - lse)) <= 1e-13, zeta
         dense = Dense(c_fn, xi_s, etas[0], etas[-1])
-        assert np.max(np.abs(grid.log_G(etas) - dense.log_G(etas))) <= tol, zeta
+        assert np.max(np.abs(grid.log_G(etas[None]) - dense.log_G(etas[None]))) <= tol, zeta
         # the stiffest frequency of a wide range stays finite
         wide = ProfileGrid(c_fn, xi_s, 1e-4, 1e8)
-        assert np.isfinite(wide.log_G(np.array([1e8]))).all(), zeta
+        assert np.isfinite(wide.log_G(np.array([[1e8]]))).all(), zeta
 
 
 def test_compute_d_quadratic_closed_form():
@@ -529,6 +548,22 @@ def test_compute_d_raises_when_it_misses_its_tolerance():
         compute_D(f, 0.0, 1.0, QuadratureConfig(rel_tol=1e-15))
     _, err = compute_D(f, 0.0, 1.0, QuadratureConfig())
     assert err <= QuadratureConfig().rel_tol
+
+
+@pytest.mark.parametrize("m, zeta2", [(1, 1e20), (1, 1e30), (1, 1e40), (2, 1e20), (2, 1e60),
+                                      (2, 1e100)])
+def test_compute_d_is_within_its_claim_or_refuses_a_huge_zeta2(m, zeta2):
+    # the peak is found to about 1e-14, so a phase narrower than that is
+    # not resolved; D on the axis is 2 Gamma(1 + 1/(2m)) zeta2^(-1/(2m))
+    f = model_domain(m)
+    cfg = QuadratureConfig(rel_tol=1e-8)
+    want = math.log(2.0 * gamma(1.0 + 0.5 / m)) - math.log(zeta2) / (2 * m)
+    if zeta2 > 1e20:
+        with pytest.raises(QuadratureError, match="resolution of the peak"):
+            compute_D(f, 0.0, zeta2, cfg)
+    else:
+        lg, err = compute_D(f, 0.0, zeta2, cfg)
+        assert abs(math.expm1(lg - want)) <= err
 
 
 def test_compute_d_rejects_frequencies_outside_dual_cone():
@@ -863,6 +898,22 @@ def test_direct_pair_claims_cover_the_parabola_closed_forms(rel_tol):
         k_err = abs(K.value * 4.0 * math.pi**2 * d**3 - 1.0)
         s_err = abs(S.value * 8.0 * math.pi**2 * d**2 - 1.0)
         assert k_err <= K.err_estimate and s_err <= S.err_estimate, (x, y)
+
+
+_ITEM_8 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: at m >= 2 direct_pair's Szego value drops part of the outer tail",
+)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
+@pytest.mark.parametrize("m", [1, pytest.param(2, marks=_ITEM_8), pytest.param(3, marks=_ITEM_8)])
+def test_direct_pair_ratio_is_within_the_claims_on_the_model_axis(m, rel_tol):
+    # on x^(2m), S/K = y m/(m + 1) on the axis x = 0
+    y = 0.25
+    K, S = direct_pair(model_domain(m), BoundaryRelativePoint(0.0, y), QuadratureConfig(rel_tol))
+    gap = S.log_value - K.log_value - math.log(y * m / (m + 1))
+    assert abs(gap) <= K.err_estimate + S.err_estimate, gap
 
 
 def test_direct_pair_raises_on_a_missed_inner_row(monkeypatch):
