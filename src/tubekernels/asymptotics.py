@@ -223,21 +223,38 @@ def _phi_spline_cached(m: int, bucket: int) -> PhiSpline:
     return PhiSpline(m, float(2**bucket))
 
 
+# buckets _phi_spline_for tries from its caller's estimate; the estimates
+# in use need at most one past it
+_SPLINE_TRIES = 4
+
+
 def _phi_spline_for(m: int, u_max: float, v_max: float) -> PhiSpline:
     """The cached PhiSpline of the first power-of-two v_max >= 2^6 and the
     estimate v_max that ``_peaks_inside`` accepts at u_max, and so at every
-    smaller |u|: the truncation margin falls as u grows."""
-    bucket = max(6, int(math.ceil(math.log2(max(v_max, 1.0)))))
-    while True:
+    smaller |u|: the truncation margin falls as u grows.  DomainError
+    naming u_max unless it is finite and >= 0, or when none of
+    ``_SPLINE_TRIES`` buckets from the estimate's accepts it."""
+    if not (math.isfinite(u_max) and u_max >= 0):
+        raise DomainError(f"u_max must be finite and >= 0, got {u_max!r}")
+    start = max(6, int(math.ceil(math.log2(max(v_max, 1.0)))))
+    for bucket in range(start, start + _SPLINE_TRIES):
         phis = _phi_spline_cached(int(m), bucket)
         try:
             _peaks_inside(phis, np.array([u_max]))
             return phis
         except DomainError:
-            bucket += 1
+            pass
+    raise DomainError(
+        f"no PhiSpline up to v_max = 2^{bucket} holds u_max = {u_max!r} (estimate {v_max!r})"
+    )
 
 
 _PROBE_STEP = 0.05  # the probes' relative half-step in the rate variable
+
+
+def _check_probe_point(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 def phi_rate_probe(m: int, v: float = 40.0) -> tuple[float, float]:
@@ -245,7 +262,9 @@ def phi_rate_probe(m: int, v: float = 40.0) -> tuple[float, float]:
 
     The measured value is a centered difference of log phi at relative
     offset 5% in the rate variable; it converges to a as v grows.
+    DomainError unless v is finite and positive.
     """
+    _check_probe_point("v", v)
     m2 = 2 * m
     ex = m2 / (m2 - 1.0)
     z = v**ex
@@ -256,7 +275,9 @@ def phi_rate_probe(m: int, v: float = 40.0) -> tuple[float, float]:
 
 def L_rate_probe(m: int, u: float = 3.2) -> tuple[float, float]:
     """(measured, expected=1) growth rate of log L in the variable u^(2m),
-    a centered difference at relative offset 5%."""
+    a centered difference at relative offset 5%.  DomainError unless u is
+    finite and positive."""
+    _check_probe_point("u", u)
     m2 = 2 * m
     z = u**m2
     dz = _PROBE_STEP * z

@@ -16,6 +16,9 @@ L'(v) = t, ``_tilted`` moves the phase's minimum to 0, and
 c_fn(xi, i), k = 1 included, as rows (k, nodes), each step one call of the
 phase on all rows, so a caller with many phases builds their grids
 together: ``direct_pair`` per chunk of zetas and ``log_L`` per chunk of u.
+A grid's two edges come from one search: one x4 ladder brackets where each
+side of a phase reaches the inner level and the outer one, and finer rungs
+inside each bracket place the edge, in four calls of the phase a build.
 Smooth 1-D profiles are tabulated once per use, as Chebyshev tables sized
 by the tolerance, one size for all the rows of a table: log G in log
 frequency once per zeta in ``direct_pair``, and log P in log u once per
@@ -252,75 +255,76 @@ def log_adaptive_multi(
 # ---------------------------------------------------------------------------
 
 
-# the x4 ladder of the inner-edge search: exponents of its first rung past
+# the x4 ladder of the edge search: exponents of its first rung past
 # |xi - xi_star| = 1e60 and of its first rung at or below 1e-280
 _K_UP = math.ceil(math.log(1e60, 4.0))
 _K_DOWN = math.floor(math.log(1e-280, 4.0))
-# exponents of the first x4 block; the kernel evaluators' grids cross c_min
-# above its bottom rung, from 4^-6 at small y up to 4^2 at large |zeta|
-_K_FIRST = np.arange(-7, 3)
+# exponents of the first x4 block: the kernel evaluators' grids cross c_min
+# above its bottom rung (from 4^-6 at small y) and c_max at or below its
+# top rung (up to 4^10 at m = 1, rel_tol 1e-10)
+_K_FIRST = np.arange(-7, 11)
 # the 17 rungs 4^(j/16), j = 0..16, across one x4 step
 _FINE_RUNGS = 4.0 ** (np.arange(17) / 16)
 
 
 def _inner_edge(
-    c_rungs: Callable, c_min: np.ndarray, xi_star: np.ndarray
-) -> tuple[np.ndarray, int]:
+    c_rungs: Callable, c_min: np.ndarray, c_max: np.ndarray, xi_star: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
     """For each row r, the first rung u of the 4^(1/16) ladder through
-    u = 1 with c_r(u) >= c_min[r], and the number of points evaluated in
-    all, for phases c_r nondecreasing in u > 0.  ``c_rungs(rows, u, valid)``
-    gives c_rows[i](u[i, j]) for the rows (n,) at the rungs u, (n, M) or a
-    block (M,) shared by all rows, where ``valid[i, j]`` (everywhere when
-    it is None), and -inf elsewhere.
+    u = 1 with c_r(u) >= c_min[r], the first x4 rung 4^k, k >= _K_DOWN,
+    with c_r >= c_max[r], and the number of points evaluated in all, for
+    phases c_r nondecreasing in u > 0 and c_min < c_max.  ``c_rungs(rows,
+    u)`` gives c_rows[i](u[i, j]) for the rows (n,) at the rungs u, (n, M)
+    or a block (M,) shared by all rows.
 
-    A x4 ladder finds each row's crossing x4 bracket (lo, 4 lo]: one call on
-    the block 4^-7..4^2 across u = 1 for all rows, then, while needed, 8
-    rungs a call downward for every row still going down and upward for
-    every row still going up: rows that start together stay in step.  One
-    more call on the rungs lo 4^(j/16), 0 < j < 16, of all rows picks each
-    row's first that reaches c_min, or else 4 lo.  The ladder has seen lo
-    miss, unless it stopped at its floor; then lo is evaluated too.
-    QuadratureError names the ``xi_star`` of the first row whose ladder
-    passes 1e60 below c_min.
+    A x4 ladder brackets each row's c_min crossing in (lo, 4 lo] and finds
+    its first rung at c_max: one call on the block 4^-7..4^10 for all rows,
+    then, while needed, 8 rungs a call downward for every row whose lo lies
+    below the block, and upward for every row with no rung yet at c_min or
+    at c_max: rows that start together stay in step.  A downward chain ends
+    before any upward block runs and starts none, and an upward block sets
+    only the c_min brackets still open.  One more call on the rungs
+    lo 4^(j/16), j < 16, of all rows picks each row's first that reaches
+    c_min, or else 4 lo; the ladder has seen lo miss unless it stopped at
+    its floor.  QuadratureError names the ``xi_star`` of the first row
+    whose ladder passes 1e60 below c_min or c_max, and that level.
     """
     n = c_min.size
-    lo = np.empty(n)
-    floor = np.zeros(n, dtype=bool)
+    lo = np.full(n, np.nan)  # 4 lo, NaN while a row's c_min bracket is open
+    hi = np.full(n, np.inf)
     nev = 0
-    # (rows, their block's exponents, whether it goes up)
-    blocks = [(np.arange(n), _K_FIRST, False)]
+    # (rows, their block's exponents, -1 down, 0 first, 1 up); LIFO, so a
+    # downward chain ends before the upward block queued beside it starts
+    blocks = [(np.arange(n), _K_FIRST, 0)]
     while blocks:
-        rows, ks, up = blocks.pop()
+        rows, ks, way = blocks.pop()
         us = 4.0**ks
-        cs = c_rungs(rows, us, None)
+        cs = c_rungs(rows, us)
+        nev += cs.size
+        hi[rows] = np.minimum(hi[rows], np.where(cs >= c_max[rows, None], us, np.inf).min(axis=1))
         hit = cs >= c_min[rows, None]
-        nev += hit.size
-        found = hit.any(axis=1)
+        edge = np.isnan(lo[rows]) & hit.any(axis=1)
         # lower; the next block keeps this block's bottom rung
-        down = hit[:, 0] & (not up and ks[0] > _K_DOWN)
-        done = found & ~down
-        first = hit.argmax(axis=1)[done]
-        lo[rows[done]] = us[first]
-        if not up and ks[0] <= _K_DOWN:
-            floor[rows[done]] = first == 0
-        if down.any():
-            blocks.append((rows[down], np.arange(max(ks[0] - 8, _K_DOWN), ks[0] + 1), False))
-        if not found.all():
+        down = edge & hit[:, 0] & (way <= 0 and ks[0] > _K_DOWN)
+        edge &= ~down
+        lo[rows[edge]] = us[hit[edge].argmax(axis=1)]
+        more = (np.isnan(lo[rows]) & ~down) | (hi[rows] == np.inf)
+        if way >= 0 and more.any():
             if ks[-1] >= _K_UP:
-                i = found.argmin()
+                i = more.argmax()
+                level, c = ("c_min", c_min) if np.isnan(lo[rows[i]]) else ("c_max", c_max)
                 raise QuadratureError(
                     f"profile phase at xi_star = {float(xi_star[rows[i]])!r} stays below "
-                    f"{c_min[rows[i]]:.3e} out to |xi - xi_star| = {us[-1]:.3e} "
+                    f"{level} = {c[rows[i]]:.3e} out to |xi - xi_star| = {us[-1]:.3e} "
                     f"(last value {cs[i, -1]:.3e})"
                 )
-            blocks.append((rows[~found], np.arange(ks[-1] + 1, min(ks[-1] + 9, _K_UP + 1)), True))
+            blocks.append((rows[more], np.arange(ks[-1] + 1, min(ks[-1] + 9, _K_UP + 1)), 1))
+        if down.any():
+            blocks.append((rows[down], np.arange(max(ks[0] - 8, _K_DOWN), ks[0] + 1), -1))
     fine = (0.25 * lo)[:, None] * _FINE_RUNGS[:16]
-    # rung 0 is lo itself, seen to miss unless the ladder stopped at its floor
-    valid = floor[:, None] | (_FINE_RUNGS[:16] > 1.0)
-    hit = c_rungs(np.arange(n), fine, valid) >= c_min[:, None]
-    j = hit.argmax(axis=1)
-    u = np.where(hit.any(axis=1), fine[np.arange(n), j], lo)
-    return u, nev + np.count_nonzero(valid)
+    hit = c_rungs(np.arange(n), fine) >= c_min[:, None]
+    u = np.where(hit.any(axis=1), fine[np.arange(n), hit.argmax(axis=1)], lo)
+    return u, hi, nev + fine.size
 
 
 class ProfileGrid:
@@ -334,14 +338,12 @@ class ProfileGrid:
     c >= _TRUNCATION_DEPTH/eta_lo (truncated at the softest).  The two
     sides of every phase are rows of one build, and each step takes all
     rows in one ``c_fn`` call: the x4 blocks and fine rungs of
-    ``_inner_edge``, the 81-rung RATIO ladders (a row that misses c_max
-    there redoes its ladder at twice the length, in a call a round) and
-    every row's Kronrod nodes, so a build of any k usually makes four
-    ``c_fn`` calls.  A round keeps only each row's rung count; the panels
-    are then rebuilt from the same rung formula, which splits RATIO^j in
-    two factors so that it stays finite out to the 1e60 cap.  One Kronrod
-    rule per panel; G(eta) is a sum over the stored nodes in linear space,
-    each term scaled by exp(eta min c) so that none overflows.
+    ``_inner_edge``, whose x4 search also brackets each row's outer edge,
+    the RATIO rungs inside that bracket, and every row's Kronrod nodes, so
+    a build of any k usually makes four ``c_fn`` calls.  A rung splits
+    RATIO^j in two factors, so that it stays finite out to 4^_K_UP.  One
+    Kronrod rule per panel; G(eta) is a sum over the stored nodes in linear
+    space, each term scaled by exp(eta min c) so that none overflows.
 
     ``xi_star`` is an array (k,), a float being k = 1, and ``c_fn(xi, i)``
     gives phase i[j] at xi[j] for flat arrays; ``eta_lo`` and ``eta_hi``
@@ -367,13 +369,9 @@ class ProfileGrid:
         lims[0], lims[1] = self.C_SMALL / eta_hi, _TRUNCATION_DEPTH / eta_lo
         c_min, c_max = lims.repeat(2, axis=1)
 
-        def c_rungs(r, u, valid):
+        def c_rungs(r, u):
             xi = x0[r, None] + side[r, None] * u
-            if valid is None:
-                return c_fn(xi.ravel(), phase[r].repeat(xi.shape[1])).reshape(xi.shape)
-            cs = np.full(xi.shape, -np.inf)
-            cs[valid] = c_fn(xi[valid], phase[r[np.nonzero(valid)[0]]])
-            return cs
+            return c_fn(xi.ravel(), phase[r].repeat(xi.shape[1])).reshape(xi.shape)
 
         # rung j of a row, u0 RATIO^j: RATIO^j alone overflows past j_fin
         # (1,910 for 1.45), so the excess is a second factor, 1 up to j_fin
@@ -383,40 +381,22 @@ class ProfileGrid:
             j_lo = np.minimum(j, j_fin)
             return u0 * self.RATIO**j_lo * self.RATIO ** (j - j_lo)
 
-        u0, nev = _inner_edge(c_rungs, c_min, x0)
-        # RATIO ladders out to c_max, each stopping at its first rung past 1e60
-        n_cap = np.ceil((math.log(1e60) - np.log(u0)) / math.log(self.RATIO))
-        n_cap = np.maximum(n_cap, 1).astype(int)
-        rows = np.arange(2 * k)
-        n_rungs = np.zeros(2 * k, dtype=int)
-        n_guess = 80
-        while rows.size:
-            top = np.minimum(n_guess, n_cap[rows])
-            us = rungs(u0[rows, None], np.arange(top.max() + 1))
-            # a row capped below the others' length stops at its cap
-            valid = np.arange(us.shape[1]) <= top[:, None] if top.min() < top.max() else None
-            cs = c_rungs(rows, us, valid)
-            nev += us.size if valid is None else np.count_nonzero(valid)
-            hit = cs >= c_max[rows, None]
-            found = hit.any(axis=1)
-            if not found.all():
-                stuck = ~found & (n_guess >= n_cap[rows])
-                if stuck.any():
-                    i = stuck.argmax()
-                    raise QuadratureError(
-                        f"profile phase at xi_star = {float(x0[rows[i]])!r} stays below "
-                        f"c_max = {c_max[rows[i]]:.3e} out to |xi - xi_star| = "
-                        f"{us[i, top[i]]:.3e} (last value {cs[i, top[i]]:.3e})"
-                    )
-            n_rungs[rows] = hit.argmax(axis=1) + 1
-            rows = rows[~found]
-            n_guess *= 2
+        u0, hi4, nev = _inner_edge(c_rungs, c_min, c_max, x0)
+        # the RATIO rungs across the x4 bracket (hi4/4, hi4], from the last
+        # at or below hi4/4 (or u0): the rungs below it miss c_max, as hi4/4 did
+        j0 = np.floor((np.log(0.25 * hi4) - np.log(u0)) / math.log(self.RATIO)).clip(0)
+        j = j0[:, None].astype(int) + np.arange(math.ceil(math.log(4.0 * self.RATIO, self.RATIO)))
+        cs = c_rungs(np.arange(2 * k), rungs(u0[:, None], j))
+        nev += cs.size
+        # the rung after them lies past hi4, so it reaches c_max
+        hit = np.c_[cs >= c_max[:, None], np.ones(2 * k, dtype=bool)]
+        n_rungs = j[:, 0] + hit.argmax(axis=1) + 1
 
         # panels [0, u_0], [u_0, u_1], ... out to each row's last rung
         r, j = np.nonzero(np.arange(n_rungs.max(initial=0)) < n_rungs[:, None])
         b = rungs(u0[r], j)
         h, x = _kronrod_nodes(np.where(j > 0, np.roll(b, 1), 0.0), b)
-        c = c_rungs(r, x, None).ravel()
+        c = c_rungs(r, x).ravel()
         nev += c.size
 
         n_nodes = 15 * n_rungs.reshape(k, 2).sum(axis=1)
@@ -628,6 +608,12 @@ def direct_pair(
     eta rows (Bergman and Szego for each zeta) on shared t panels, reading
     all tables at once.  An inner row that ends above its 0.25 rel_tol
     budget raises QuadratureError naming its zeta.
+    The outer range comes from a scan of x2 rungs from zeta = +-0.5 out to
+    the first whose Bergman value lies ``_TRUNCATION_DEPTH`` below the best;
+    where the first rung already lies past it, the scan halves toward 0
+    instead, so that the initial panels next to a narrow peak on the axis
+    see it.  QuadratureError where y + x zeta - A is not positive: y below
+    the rounding of a tilted peak's offset A.
     ``err_estimate`` is the outer integral's relative error, plus
     0.35 rel_tol for the inner integrals and the truncation, plus the largest
     table tail (an absolute error of log G is a relative error of the
@@ -681,7 +667,13 @@ def direct_pair(
 
     def middles(zetas: np.ndarray) -> np.ndarray:
         xi_s, A = _tilted_peak(f.f, f.fprime, -zetas)
-        r = y + x * zetas - A  # >= y - f(x) > 0
+        r = y + x * zetas - A  # >= y - f(x) > 0, unless A's rounding exceeds it
+        if not np.all(r > 0):
+            i = np.argmin(r > 0)
+            raise QuadratureError(
+                f"y = {y!r} is below the rounding of the tilted peak at zeta = "
+                f"{float(zetas[i])!r}: y + x zeta - A = {float(r[i])!r}"
+            )
         out = np.empty((2, zetas.size))
         for j in range(0, zetas.size, _ZETA_CHUNK):
             c = slice(j, j + _ZETA_CHUNK)
@@ -693,18 +685,22 @@ def direct_pair(
     scan = [(0.0, v0)]
     for s in (+1.0, -1.0):
         lim = hi if s > 0 else -lo
-        z = 0.5
-        best = v0
+        z, step, best = 0.5, 0.0, v0
         while z < lim:
-            if z > 1e30:
-                raise QuadratureError(f"zeta scan found no decay by |zeta| = {z:.1e}")
+            if not 1e-30 < z < 1e30:
+                raise QuadratureError(f"zeta scan found no edge of the peak by |zeta| = {z:.1e}")
             zz = s * z
             v = middles(np.array([zz]))[0, 0]
             scan.append((zz, v))
             best = max(best, v)
-            if v < best - _TRUNCATION_DEPTH:
+            past = v < best - _TRUNCATION_DEPTH
+            if step == 0.0:
+                # a first rung past the depth means a peak narrower than it:
+                # halve toward the centre until a rung lies within the depth
+                step = 0.5 if past else 2.0
+            if past == (step > 1.0):  # out past the depth, or back within it
                 break
-            z *= 2.0
+            z *= step
         else:
             zz = s * lim * (1.0 - 1e-9)
             v = middles(np.array([zz]))[0, 0]

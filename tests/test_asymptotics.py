@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -134,6 +135,40 @@ def test_rate_probes_return_floats():
     for probe in (phi_rate_probe, L_rate_probe):
         measured, expected = probe(2)
         assert type(measured) is float and type(expected) is float
+
+
+@pytest.mark.parametrize(
+    "probe, arg",
+    [
+        (phi_rate_probe, -40.0),
+        (phi_rate_probe, 0.0),
+        (phi_rate_probe, math.nan),
+        (L_rate_probe, 0.0),
+        (L_rate_probe, -3.2),
+        (L_rate_probe, math.nan),
+        (L_rate_probe, math.inf),
+    ],
+)
+def test_rate_probes_reject_a_point_that_is_not_finite_and_positive(probe, arg):
+    # each was a ComplexWarning, ZeroDivisionError, ValueError or
+    # OverflowError before it was a named DomainError
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match=f"must be finite and positive, got {arg!r}$"):
+        probe(2, arg)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_phi_spline_for_rejects_a_bad_u_max_and_stops_climbing():
+    # a NaN u_max climbed buckets for seconds; now it is refused at once, and
+    # a u_max far past the estimate stops after _SPLINE_TRIES buckets
+    t0 = time.perf_counter()
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match=f"u_max must be finite and >= 0, got {bad!r}$"):
+            asymptotics._phi_spline_for(2, bad, 100.0)
+    assert time.perf_counter() - t0 < 0.1
+    last = 6 + asymptotics._SPLINE_TRIES - 1
+    with pytest.raises(DomainError, match=rf"up to v_max = 2\^{last} holds u_max = 1000000.0"):
+        asymptotics._phi_spline_for(2, 1e6, 1.0)
 
 
 def test_log_l_monotone_and_rate():
