@@ -252,9 +252,19 @@ def _phi_spline_for(m: int, u_max: float, v_max: float) -> PhiSpline:
 _PROBE_STEP = 0.05  # the probes' relative half-step in the rate variable
 
 
-def _check_probe_point(name: str, value: float) -> None:
+def _rate_variable(name: str, value: float, ex: float) -> float:
+    """value^ex, a probe's rate variable.  DomainError naming the point
+    unless it is finite and positive and the variable's upper step is
+    finite too."""
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be finite and positive, got {value!r}")
+    try:
+        z = value**ex
+    except OverflowError:
+        z = math.inf
+    if not math.isfinite((1.0 + _PROBE_STEP) * z):
+        raise DomainError(f"{name} = {value!r} is too large: {name}^{ex:g} overflows")
+    return z
 
 
 def phi_rate_probe(m: int, v: float = 40.0) -> tuple[float, float]:
@@ -262,12 +272,12 @@ def phi_rate_probe(m: int, v: float = 40.0) -> tuple[float, float]:
 
     The measured value is a centered difference of log phi at relative
     offset 5% in the rate variable; it converges to a as v grows.
-    DomainError unless v is finite and positive.
+    DomainError unless v is finite and positive and the rate variable,
+    5% up, is finite.
     """
-    _check_probe_point("v", v)
     m2 = 2 * m
     ex = m2 / (m2 - 1.0)
-    z = v**ex
+    z = _rate_variable("v", v, ex)
     dz = _PROBE_STEP * z
     lo, hi = log_phi(np.array([z - dz, z + dz]) ** (1.0 / ex), m)
     return float(hi - lo) / (2 * dz), growth_constant_a(m)
@@ -276,10 +286,9 @@ def phi_rate_probe(m: int, v: float = 40.0) -> tuple[float, float]:
 def L_rate_probe(m: int, u: float = 3.2) -> tuple[float, float]:
     """(measured, expected=1) growth rate of log L in the variable u^(2m),
     a centered difference at relative offset 5%.  DomainError unless u is
-    finite and positive."""
-    _check_probe_point("u", u)
+    finite and positive and the rate variable, 5% up, is finite."""
     m2 = 2 * m
-    z = u**m2
+    z = _rate_variable("u", u, m2)
     dz = _PROBE_STEP * z
     u_hi = (z + dz) ** (1.0 / m2)
     phis = _phi_spline_for(m, u_hi, m2 * u_hi ** (m2 - 1) * 1.3 + 60.0)

@@ -25,7 +25,11 @@ frequency once per zeta in ``direct_pair``, and log P in log u once per
 ``bergman_normalized`` call.  ``direct_pair`` works on the zetas of an
 outer integrand call in chunks of ``_ZETA_CHUNK``: one grid build, one
 table pass that samples the log G of the whole chunk, and one engine call
-that integrates the chunk's inner rows on shared panels.  The W-grid
+that integrates the chunk's inner rows on shared panels.  Its outer
+integral starts on the panels of a zeta scan centred on the outer peak at
+zeta* = -f'(x): each side halves toward zeta* to the peak's own width and
+doubles out to the truncation depth, both sides a step in one call, so the
+outer engine seldom bisects toward the peak.  The W-grid
 behind ``bergman_normalized``'s log P has uniform panels, so its
 exponential sum factors by panel: each tilt costs one exp per panel and
 one per Kronrod abscissa instead of one per node, with the same nodes and
@@ -584,6 +588,46 @@ class _CoarseProfile(ProfileGrid):
 _ZETA_CHUNK = 6
 
 
+# e-folds below the centre's value past which direct_pair's zeta scan halves
+# a rung toward the centre; of 0.5, 1, 2, 4 and 8, 2 took the fewest
+# evaluations over 18 fixed-tau points at rel_tol 1e-7 (8.73M, the others
+# 8.96M-9.70M)
+_PEAK_DROP = 2.0
+
+
+def _next_rung(us: list, vs: list, v0: float, end: float) -> float | None:
+    """The offset from the centre of one side's next rung in ``direct_pair``'s
+    zeta scan, or None when the side is done, from the offsets ``us`` and
+    Bergman values ``vs`` of the side's rungs so far, the centre's value
+    ``v0`` and the offset ``end`` of the side's cone-end rung.
+
+    The first rung sits at 0.5, or at ``end`` where that is nearer; a side
+    whose cone-end rung does not lie beyond the centre (a centre within
+    1e-9 of the cone's end) has none.  While the last rung lies more than
+    ``_PEAK_DROP`` below v0, the next halves toward the centre.  Then a
+    side whose first rung is neither at ``end`` nor past the depth doubles
+    outward from it until a rung lies ``_TRUNCATION_DEPTH`` below the
+    side's best (v0 included), or reaches ``end``.
+    """
+    if not us:
+        return min(0.5, end) if end > 0 else None
+    best = max(v0, max(vs))
+    if us[-1] <= us[0]:  # the first rung, or one halved below it
+        if vs[-1] < v0 - _PEAK_DROP:
+            u = 0.5 * us[-1]
+        elif us[0] == end or vs[0] < best - _TRUNCATION_DEPTH:
+            return None
+        else:
+            u = 2.0 * us[0]
+    elif us[-1] == end or vs[-1] < best - _TRUNCATION_DEPTH:
+        return None
+    else:
+        u = 2.0 * us[-1]
+    if not 1e-30 < u < 1e30:
+        raise QuadratureError(f"zeta scan found no edge of the peak by |zeta - zeta*| = {u:.1e}")
+    return min(u, end)
+
+
 def direct_pair(
     f: DefiningFunction, p: BoundaryRelativePoint, cfg: QuadratureConfig | None = None
 ) -> tuple[KernelValue, KernelValue]:
@@ -608,12 +652,21 @@ def direct_pair(
     eta rows (Bergman and Szego for each zeta) on shared t panels, reading
     all tables at once.  An inner row that ends above its 0.25 rel_tol
     budget raises QuadratureError naming its zeta.
-    The outer range comes from a scan of x2 rungs from zeta = +-0.5 out to
-    the first whose Bergman value lies ``_TRUNCATION_DEPTH`` below the best;
-    where the first rung already lies past it, the scan halves toward 0
-    instead, so that the initial panels next to a narrow peak on the axis
-    see it.  QuadratureError where y + x zeta - A is not positive: y below
-    the rounding of a tilted peak's offset A.
+    The outer panels run between the zetas of a scan centred on the outer
+    peak at zeta* = -f'(x), where r = y + x zeta - A is least; near the
+    boundary the peak is about (d f''(x))^(1/2) wide, d = y - f(x).  Each
+    side's rungs (``_next_rung``) start 0.5 from zeta*, or at the cone-end
+    rung where that is nearer, halve toward zeta* while one lies more than
+    ``_PEAK_DROP`` e-folds below the centre's Bergman value, and then, on a
+    side whose first rung is neither at the cone end nor past the depth,
+    double outward to the first whose Bergman value lies
+    ``_TRUNCATION_DEPTH`` below the side's best, or to the cone-end rung.
+    So the initial panels straddle the peak at its own width and the outer
+    engine has little left to bisect.  Each scan step is one ``middles``
+    call on the next rung of every side still open, and the panels are
+    trimmed to one rung past the last within the depth.  QuadratureError
+    where y + x zeta - A is not positive: y below the rounding of a tilted
+    peak's offset A.
     ``err_estimate`` is the outer integral's relative error, plus
     0.35 rel_tol for the inner integrals and the truncation, plus the largest
     table tail (an absolute error of log G is a relative error of the
@@ -681,30 +734,23 @@ def direct_pair(
         return out
 
     lo, hi = _cone_interval(f)
-    v0 = middles(np.zeros(1))[0, 0]
-    scan = [(0.0, v0)]
-    for s in (+1.0, -1.0):
-        lim = hi if s > 0 else -lo
-        z, step, best = 0.5, 0.0, v0
-        while z < lim:
-            if not 1e-30 < z < 1e30:
-                raise QuadratureError(f"zeta scan found no edge of the peak by |zeta| = {z:.1e}")
-            zz = s * z
-            v = middles(np.array([zz]))[0, 0]
-            scan.append((zz, v))
-            best = max(best, v)
-            past = v < best - _TRUNCATION_DEPTH
-            if step == 0.0:
-                # a first rung past the depth means a peak narrower than it:
-                # halve toward the centre until a rung lies within the depth
-                step = 0.5 if past else 2.0
-            if past == (step > 1.0):  # out past the depth, or back within it
-                break
-            z *= step
-        else:
-            zz = s * lim * (1.0 - 1e-9)
-            v = middles(np.array([zz]))[0, 0]
-            scan.append((zz, v))
+    zc = -float(f.fprime(x)) + 0.0  # + 0.0: on the axis the centre is 0.0, not -0.0
+    v0 = middles(np.array([zc]))[0, 0]
+    scan = [(zc, v0)]
+    # each side's cone-end rung, as an offset from zc, and its rungs so far
+    ends = {1.0: hi * (1.0 - 1e-9) - zc, -1.0: zc - lo * (1.0 - 1e-9)}
+    rungs = {s: ([], []) for s in ends}
+    while True:
+        # one step: the next rung of every side still open, in one call
+        step = [(s, _next_rung(*rungs[s], v0, end)) for s, end in ends.items()]
+        step = [(s, u) for s, u in step if u is not None]
+        if not step:
+            break
+        zs = np.array([zc + s * u for s, u in step])
+        for (s, u), z, v in zip(step, zs, middles(zs)[0]):
+            rungs[s][0].append(u)
+            rungs[s][1].append(v)
+            scan.append((z, v))
     scan.sort()
     zs = np.array([q[0] for q in scan])
     vals = np.array([q[1] for q in scan])

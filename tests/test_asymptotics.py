@@ -158,6 +158,15 @@ def test_rate_probes_reject_a_point_that_is_not_finite_and_positive(probe, arg):
     assert time.perf_counter() - t0 < 0.1
 
 
+@pytest.mark.parametrize(
+    "probe, arg, power", [(phi_rate_probe, 1e300, "v^1.33333"), (L_rate_probe, 1e100, "u^4")]
+)
+def test_rate_probes_name_a_point_whose_rate_variable_overflows(probe, arg, power):
+    # each ended in a bare OverflowError from v**ex or u**m2
+    with pytest.raises(DomainError, match=re.escape(f"= {arg!r} is too large: {power} overflows")):
+        probe(2, arg)
+
+
 def test_phi_spline_for_rejects_a_bad_u_max_and_stops_climbing():
     # a NaN u_max climbed buckets for seconds; now it is refused at once, and
     # a u_max far past the estimate stops after _SPLINE_TRIES buckets

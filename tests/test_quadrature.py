@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 from tubekernels import (
+    ApproachPath,
     BoundaryRelativePoint,
     DomainError,
     PhiSpline,
@@ -31,11 +32,13 @@ from tubekernels import (
     rational_domain,
 )
 from tubekernels import asymptotics, quadrature
+from tubekernels.experiments import path_points
 from tubekernels.quadrature import (
     WGK,
     XGK,
     ProfileGrid,
     _MAX_PANELS,
+    _PEAK_DROP,
     _TRUNCATION_DEPTH,
     _WGrid,
     _bracket_root,
@@ -974,41 +977,125 @@ def test_direct_pair_ratio_is_within_the_claims_on_the_model_axis(m, rel_tol):
     assert abs(gap) <= K.err_estimate + S.err_estimate, gap
 
 
+def _record_scan(monkeypatch) -> list[list[float]]:
+    """The zetas of each zeta-scan step of the direct_pair calls to come:
+    the scan's ``_tilted_peak`` calls carry at most 2 zetas, the outer
+    rule's 15 a panel."""
+    real = quadrature._tilted_peak
+    steps = []
+
+    def recorded(L, dL, t):
+        if np.size(t) <= 2:
+            steps.append([-float(z) for z in t])
+        return real(L, dL, t)
+
+    monkeypatch.setattr(quadrature, "_tilted_peak", recorded)
+    return steps
+
+
 @pytest.mark.parametrize("y", [3e-11, 1e-16, 1e-26])
 def test_direct_pair_finds_a_peak_narrower_than_its_first_zeta_rung(y, monkeypatch):
     # on x^2 at x = 0 the outer peak has width about y^(1/2); once the
     # scan's first rungs +-0.5 lie past the truncation depth, the scan halves
     # toward the centre, evaluating no zeta twice, and the pair meets its
     # closed forms (each was half of them)
-    real = quadrature._tilted_peak
-    scanned = []
-
-    def recorded(L, dL, t):
-        if np.size(t) == 1:  # the scan's calls; the outer rule's carry 15 a panel
-            scanned.append(-float(t[0]))
-        return real(L, dL, t)
-
-    monkeypatch.setattr(quadrature, "_tilted_peak", recorded)
+    steps = _record_scan(monkeypatch)
     K, S = direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
     assert abs(K.value * 4.0 * math.pi**2 * y**3 - 1.0) <= K.err_estimate
     assert abs(S.value * 8.0 * math.pi**2 * y**2 - 1.0) <= S.err_estimate
+    scanned = [z for step in steps for z in step]
     assert len(set(scanned)) == len(scanned) and 0 < min(abs(z) for z in scanned if z) < 0.5
 
 
+def _axis_drop(zeta, y):
+    # on x^2 at x = 0 the Bergman middle integrand is a constant times
+    # r^(-7/2), r = y + zeta^2/4: its drop in e-folds from zeta* = 0
+    return 3.5 * math.log1p(zeta * zeta / (4.0 * y))
+
+
 def test_direct_pair_keeps_its_scan_where_the_first_rung_is_within_the_depth(monkeypatch):
-    # at y = 1e-6 the rungs +-0.5 lie within the depth and +-1 past it: the
-    # scan doubles outward only, as it did before it could halve
-    real = quadrature._tilted_peak
-    scanned = []
+    # at y = 1e-6 the rungs +-0.5 lie within the depth and +-1 past it: each
+    # side halves toward the centre to its first rung within _PEAK_DROP, and
+    # doubles outward once, both sides in one call a step
+    y = 1e-6
+    assert _PEAK_DROP < _axis_drop(0.5, y) < _TRUNCATION_DEPTH < _axis_drop(1.0, y)
+    offsets = [0.5]
+    while _axis_drop(offsets[-1], y) > _PEAK_DROP:
+        offsets.append(0.5 * offsets[-1])
+    steps = _record_scan(monkeypatch)
+    direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
+    assert steps == [[0.0]] + [[u, -u] for u in offsets + [1.0]]
+    assert len(offsets) == 10
 
-    def recorded(L, dL, t):
-        if np.size(t) == 1:
-            scanned.append(-float(t[0]))
-        return real(L, dL, t)
 
-    monkeypatch.setattr(quadrature, "_tilted_peak", recorded)
-    direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 1e-6), QuadratureConfig(1e-8))
-    assert scanned == [0.0, 0.5, 1.0, -0.5, -1.0]
+def test_direct_pair_scans_each_step_in_one_middles_call(monkeypatch):
+    # at x = 1 on the linear-tailed domain, zeta* = -f'(1) = -0.964 lies
+    # within 0.5 of the cone's end -1: that side's first rung is the cone-end
+    # rung, and it halves from there; the other side halves from 0.5, then
+    # doubles out to its cone-end rung.  Each step is one call on the rungs
+    # of the sides still open, so the scan makes 1 + (the longer side's
+    # rungs) calls, and no zeta twice
+    f = blended_linear_domain(1)
+    x = 1.0
+    zc = -float(f.fprime(x))
+    steps = _record_scan(monkeypatch)
+    direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-3), QuadratureConfig(1e-8))
+    assert steps[0] == [zc]
+    above = [z - zc for step in steps[1:] for z in step if z > zc]
+    below = [zc - z for step in steps[1:] for z in step if z < zc]
+    assert zc - below[0] == -(1.0 - 1e-9) and zc + above[-1] == pytest.approx(1.0 - 1e-9)
+    assert below == pytest.approx([below[0] / 2**j for j in range(len(below))], rel=1e-12)
+    assert above[0] == 0.5 and len(set(above)) == len(above)
+    assert 1 < len(below) < len(above)
+    assert [len(step) for step in steps[1:]] == [2] * len(below) + [1] * (len(above) - len(below))
+
+
+def test_direct_pair_centres_its_scan_off_the_axis(monkeypatch):
+    # on x^4 at x = 0.3 the scan starts at zeta* = -f'(0.3) = -0.108 and
+    # places its rungs at zeta* +- 0.5 2^j, one of each side a step
+    f = model_domain(2)
+    x = 0.3
+    zc = -float(f.fprime(x))
+    steps = _record_scan(monkeypatch)
+    direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-4), QuadratureConfig(1e-8))
+    assert steps[0] == [zc] and zc == pytest.approx(-0.108, rel=1e-14)
+    for plus, minus in steps[1:]:
+        assert plus - zc == pytest.approx(zc - minus, rel=1e-12)
+        assert math.log2((plus - zc) / 0.5) == pytest.approx(round(math.log2((plus - zc) / 0.5)))
+    assert min(step[0] - zc for step in steps[1:]) < 0.5 / 4
+
+
+# log K and log S of direct_pair before its scan centred on zeta* (7800b06),
+# on blended_linear_domain(1) at y = f(x) + 1e-3, rel_tol 1e-8
+_BLENDED_REFERENCE = {
+    0.0: (17.046511209526713, 9.444611872958108),
+    1.0: (14.396552700019795, 6.795534002197256),
+    3.0: (8.30456921755157, 1.1022806649817127),
+    6.0: (5.875743987413546, -1.1391861898209283),
+}
+
+
+@pytest.mark.parametrize("x", list(_BLENDED_REFERENCE))
+def test_direct_pair_on_a_linear_tailed_domain_keeps_its_values(x):
+    # zeta* = -f'(x) runs from 0 to within 8e-11 of the cone's end -1; a scan
+    # that gave a side within 0.5 of the end no rung read log K = 13.837 at x = 1
+    f = blended_linear_domain(1)
+    K, S = direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-3), QuadratureConfig(1e-8))
+    k_ref, s_ref = _BLENDED_REFERENCE[x]
+    assert abs(K.log_value - k_ref) <= K.err_estimate
+    assert abs(S.log_value - s_ref) <= S.err_estimate
+
+
+def test_direct_pair_work_does_not_grow_toward_the_boundary():
+    # along fixed_tau tau = 0.8 on x^2 the scan's rungs straddle the outer
+    # peak at its own width, so the outer engine has nothing to bisect as
+    # rho falls (the scan centred on 0 cost 464k-564k evaluations here)
+    f = model_domain(1)
+    path = ApproachPath("fixed_tau", {"tau": 0.8}, 2.0 ** -np.arange(9, 15))
+    evals = [
+        direct_pair(f, p, QuadratureConfig(1e-7))[0].evaluations for p in path_points(f, path)
+    ]
+    assert max(evals) <= evals[0], evals
 
 
 def test_direct_pair_names_a_y_below_the_peak_rounding():
@@ -1018,19 +1105,29 @@ def test_direct_pair_names_a_y_below_the_peak_rounding():
         direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 1e-30), QuadratureConfig(1e-8))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 8: off the axis the zeta scan does not centre on the narrow "
-    "peak at zeta* = -f'(x)",
-)
 @pytest.mark.parametrize(
-    "x, y, rel_tol", [(0.25, 1 / 16 + 2.0**-40, 1e-7), (0.375, 9 / 64 + 2.0**-33, 1e-8)]
+    "x, y, rel_tol",
+    [
+        (0.25, 1 / 16 + 2.0**-40, 1e-7),
+        pytest.param(
+            0.375,
+            9 / 64 + 2.0**-33,
+            1e-8,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 8: r = y + x zeta - A loses digits to cancellation "
+                "near zeta*; r from the closed form (zeta/2 + x)^2 + d met the claim",
+            ),
+        ),
+    ],
 )
 def test_direct_pair_meets_the_closed_forms_near_the_boundary_off_the_axis(x, y, rel_tol):
-    # d = y - x^2 is exact here; at (0.25, 1/16 + 2^-40) K 4 pi^2 d^3 is 0.5
-    # (at rel_tol 1e-8 too, where the outer integral runs to its panel
-    # budget in about 20 s), and at (0.375, 9/64 + 2^-33) K's error is 2.6e-8
-    # against a 1.4e-8 claim
+    # d = y - x^2 is exact here.  At (0.25, 1/16 + 2^-40) zeta* = -0.5, and
+    # a scan centred on 0 put its rung -0.5 on the peak with both neighbours
+    # past the depth, so K 4 pi^2 d^3 was 0.5; centred on zeta*, K's error is
+    # 3.9e-8 against a 1.8e-7 claim, though the outer integral still runs to
+    # its panel budget (about 17 s).  At (0.375, 9/64 + 2^-33) K's error is
+    # 2.6e-8 against a 1.4e-8 claim with either scan
     K, S = direct_pair(model_domain(1), BoundaryRelativePoint(x, y), QuadratureConfig(rel_tol))
     d = y - x * x
     assert abs(K.value * 4.0 * math.pi**2 * d**3 - 1.0) <= K.err_estimate
