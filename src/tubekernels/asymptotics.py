@@ -26,6 +26,7 @@ from .quadrature import (
     ProfileGrid,
     QuadratureConfig,
     QuadratureError,
+    _PEAK_REACH,
     _TRUNCATION_DEPTH,
     _tilted,
     _tilted_peak,
@@ -96,9 +97,6 @@ def phase_q(m: int) -> LaplaceProblem:
 # ---------------------------------------------------------------------------
 
 
-_PHI_BLOCK = 128  # frequencies per log_G pass: a block of ~1.5 MB of terms
-
-
 def log_phi(v, m: int):
     """log phi(v) = log int exp(-w^(2m) + v w) dw, elementwise over v.
 
@@ -109,9 +107,10 @@ def log_phi(v, m: int):
         c(x) = x^(2m) - 2m x + (2m-1),
 
     convex with minimum 0 at x = 1, so one ``ProfileGrid`` spanning the
-    call's lambdas serves every v, read in blocks of frequencies.  For
-    |v| <= 1e-8 the value is log phi(0) = log 2 Gamma(1 + 1/(2m)), within
-    v^2/4 < 1e-16 of log phi(v).  A float gives a float.
+    call's lambdas serves every v in one ``log_G`` call, which bounds its
+    own memory.  For |v| <= 1e-8 the value is log phi(0) =
+    log 2 Gamma(1 + 1/(2m)), within v^2/4 < 1e-16 of log phi(v).  A float
+    gives a float.
 
     DomainError unless m is an integer >= 1 and every v is finite, and
     when lambda or log phi at some v is not finite.
@@ -139,10 +138,7 @@ def log_phi(v, m: int):
             grid = ProfileGrid(
                 lambda x, i: x**m2 - m2 * x + (m2 - 1), 1.0, lam.min(), lam.max()
             )
-            out[far] = lead + np.concatenate([
-                grid.log_G(lam[None, i : i + _PHI_BLOCK])[0]
-                for i in range(0, lam.size, _PHI_BLOCK)
-            ])
+            out[far] = lead + grid.log_G(lam[None, :])[0]
     out = out.reshape(v.shape)
     return out if v.ndim else float(out)
 
@@ -286,12 +282,20 @@ def phi_rate_probe(m: int, v: float = 40.0) -> tuple[float, float]:
 def L_rate_probe(m: int, u: float = 3.2) -> tuple[float, float]:
     """(measured, expected=1) growth rate of log L in the variable u^(2m),
     a centered difference at relative offset 5%.  DomainError unless u is
-    finite and positive and the rate variable, 5% up, is finite."""
+    finite and positive and the rate variable, 5% up, is finite, and naming
+    u when the spline's range, estimated from the peak of L's integrand near
+    v = 2m u^(2m-1), lies past ``_PEAK_REACH`` (from u near 6e9 at m = 2)."""
     m2 = 2 * m
     z = _rate_variable("u", u, m2)
     dz = _PROBE_STEP * z
     u_hi = (z + dz) ** (1.0 / m2)
-    phis = _phi_spline_for(m, u_hi, m2 * u_hi ** (m2 - 1) * 1.3 + 60.0)
+    v_max = m2 * u_hi ** (m2 - 1) * 1.3 + 60.0
+    if v_max > _PEAK_REACH:
+        raise DomainError(
+            f"u = {u!r} is too large: the peak search reaches |v| = 2^100, and "
+            f"the spline would span v up to {v_max:.3e}"
+        )
+    phis = _phi_spline_for(m, u_hi, v_max)
     us = np.array([(z - dz) ** (1.0 / m2), u_hi])
     # broadcast: the benchmark's set-up swaps log_L for a scalar constant
     lo, hi = np.broadcast_to(log_L(us, phis), us.shape)

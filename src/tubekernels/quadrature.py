@@ -19,17 +19,20 @@ together: ``direct_pair`` per chunk of zetas and ``log_L`` per chunk of u.
 A grid's two edges come from one search: one x4 ladder brackets where each
 side of a phase reaches the inner level and the outer one, and finer rungs
 inside each bracket place the edge, in four calls of the phase a build.
+``log_G`` sums its terms in blocks of at most ``_LOG_G_BLOCK``, so its
+memory does not grow with the rows and frequencies of a call, and callers
+hand it all of theirs at once.
 Smooth 1-D profiles are tabulated once per use, as Chebyshev tables sized
 by the tolerance, one size for all the rows of a table: log G in log
 frequency once per zeta in ``direct_pair``, and log P in log u once per
 ``bergman_normalized`` call.  ``direct_pair`` works on the zetas of an
-outer integrand call in chunks of ``_ZETA_CHUNK``: one grid build, one
-table pass that samples the log G of the whole chunk, and one engine call
-that integrates the chunk's inner rows on shared panels.  Its outer
-integral starts on the panels of a zeta scan centred on the outer peak at
-zeta* = -f'(x): each side halves toward zeta* to the peak's own width and
-doubles out to the truncation depth, both sides a step in one call, so the
-outer engine seldom bisects toward the peak.  The W-grid
+outer integrand call in chunks of ``_ZETA_CHUNK``, sized by speed: one
+grid build, one table pass that samples the log G of the whole chunk, and
+one engine call that integrates the chunk's inner rows on shared panels.
+Its outer integral starts on the panels of a zeta scan centred on the outer
+peak at zeta* = -f'(x): each side halves toward zeta* to the peak's own
+width and doubles out to the truncation depth, both sides a step in one
+call, so the outer engine seldom bisects toward the peak.  The W-grid
 behind ``bergman_normalized``'s log P has uniform panels, so its
 exponential sum factors by panel: each tilt costs one exp per panel and
 one per Kronrod abscissa instead of one per node, with the same nodes and
@@ -331,6 +334,13 @@ def _inner_edge(
     return u, hi, nev + fine.size
 
 
+# terms per block of ProfileGrid.log_G's exponential sums, 1 MB of doubles,
+# one block live at a time.  Against one block per call, blocks of 2^16
+# raised laplace_1d's scaled op_s_p50 by 6% (medians over seeds 21-26 on a
+# 2-core VM), and blocks of 2^17 left it level
+_LOG_G_BLOCK = 2**17
+
+
 class ProfileGrid:
     """Quadrature grids for G_i(eta) = int exp(-eta c_i(xi)) dxi of k phases
     c_i, each convex with minimum 0 at xi_star[i] and valid for every eta
@@ -424,13 +434,30 @@ class ProfileGrid:
         floored at -700: exp takes a slow path where its result underflows,
         and a term e^-700 w is below 1e-300 of its weight, under the
         round-off of any sum whose weights span less than 1e280.
+
+        The terms are summed in blocks of a slice of rows and a slice of
+        frequencies, at most ``_LOG_G_BLOCK`` terms a block (one frequency
+        a block where a row alone has more nodes), so memory does not grow
+        with k n; each (row, frequency) sum is the same sum over the row's
+        nodes in any block, so the result does not depend on the blocking.
         """
         eta = np.asarray(eta, dtype=float)
-        terms = -eta[:, :, None] * self.dc[:, None, :]
-        np.maximum(terms, -700.0, out=terms)
-        np.exp(terms, out=terms)
-        terms *= self.w[:, None, :]
-        return np.log(terms.sum(axis=-1)) - eta * self.c_low
+        k, n = eta.shape
+        nodes = max(self.dc.shape[1], 1)
+        cols = max(min(n, _LOG_G_BLOCK // nodes), 1)
+        rows = max(_LOG_G_BLOCK // (cols * nodes), 1)
+        out = np.empty((k, n))
+        for i in range(0, k, rows):
+            r = slice(i, i + rows)
+            for j in range(0, n, cols):
+                c = slice(j, j + cols)
+                terms = -eta[r, c, None] * self.dc[r, None, :]
+                np.maximum(terms, -700.0, out=terms)
+                np.exp(terms, out=terms)
+                terms *= self.w[r, None, :]
+                out[r, c] = terms.sum(axis=-1)
+                del terms  # before the next block is made
+        return np.log(out) - eta * self.c_low
 
 
 def _pick(cond, x, y):
@@ -496,6 +523,11 @@ def _first_failure(ok, *values) -> list[float]:
     """The values, as floats, at the first element where ``ok`` is false."""
     i = np.flatnonzero(np.logical_not(ok))[0]
     return [float(np.ravel(v)[i]) for v in values]
+
+
+# |v| out to which ``_tilted_peak`` finds a peak: from [-1, 1], the 100
+# doublings of ``_bracket_root`` end on [2^100 - 1, 2^101 - 1]
+_PEAK_REACH = 2.0**100
 
 
 def _tilted_peak(L: Callable, dL: Callable, t):
@@ -581,11 +613,15 @@ class _CoarseProfile(ProfileGrid):
     RATIO = ProfileGrid.RATIO ** 2
 
 
-# zetas per chunk of direct_pair's inner layer, sized by measured memory: a
-# round of 64 new log G samples over ~900 padded nodes (rel_tol 1e-10) takes
-# about 0.45 MB per zeta, and a call's traced peak is 2.5 MB at 6 zetas and
-# 3.3 MB at 8, against 0.5 MB unbatched; chunks past 6 gain little speed
-_ZETA_CHUNK = 6
+# zetas per chunk of direct_pair's inner layer, sized by speed: a chunk's
+# fixed cost (one grid build, one table pass, one inner engine call) sets
+# the pace, while log_G bounds its own terms.  Median fixed_tau_paths pass,
+# scaled, on a 2-core x86-64 VM: 3.73 s at 6 and 3.30 s at 16 (seeds
+# 11-14), 2.81 s at 40 (seeds 15-20), and 2.92 s at 24, 2.87 s at 32 and
+# 2.69 s at 48 (seeds 11-20).  The traced peak of the larger of
+# test_direct_pair_memory_stays_bounded's two calls is 1.32 MB at 6,
+# 1.86 MB at 32, 2.47 MB at 48, 2.88 MB at 56 and 3.29 MB at 64 (bound 3 MB)
+_ZETA_CHUNK = 48
 
 
 # e-folds below the centre's value past which direct_pair's zeta scan halves

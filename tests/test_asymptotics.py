@@ -167,6 +167,23 @@ def test_rate_probes_name_a_point_whose_rate_variable_overflows(probe, arg, powe
         probe(2, arg)
 
 
+@pytest.mark.parametrize("u", [1e10, 1e20, 1e50, 1e76, 1e77])
+def test_L_rate_probe_names_a_u_whose_peak_is_out_of_reach(u):
+    # from u = 1e10 the peak of L's integrand (v near 4 u^3 at m = 2) lay
+    # past the 100 doublings of the peak search, which raised a bare
+    # QuadratureError; from u = 1e50 the spline overflowed first
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match=re.escape(f"u = {u!r} is too large")):
+        L_rate_probe(2, u)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("u", [1e8, 1e9])
+def test_L_rate_probe_keeps_its_rate_below_the_reach(u):
+    measured, expected = L_rate_probe(2, u)
+    assert abs(measured - expected) <= 1e-12
+
+
 def test_phi_spline_for_rejects_a_bad_u_max_and_stops_climbing():
     # a NaN u_max climbed buckets for seconds; now it is refused at once, and
     # a u_max far past the estimate stops after _SPLINE_TRIES buckets

@@ -1174,3 +1174,76 @@ def test_direct_pair_memory_stays_bounded(make, y, rel_tol):
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
+
+
+def _rational_off_axis_point():
+    f = rational_domain(2)
+    path = ApproachPath("fixed_tau", {"tau": 0.8}, 2.0 ** -np.arange(9, 11))
+    return f, path_points(f, path)[-1]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (model_domain(1), BoundaryRelativePoint(0.0, 0.25)),
+        _rational_off_axis_point,
+        lambda: (mollify(model_domain(2), 0.1), BoundaryRelativePoint(0.0, 2.0**-10)),
+    ],
+    ids=["model-m1", "rational-m2-tau08", "mollified-m2"],
+)
+def test_direct_pair_does_not_depend_on_its_chunk(monkeypatch, case):
+    # the chunk sets how many zetas share one grid build, table and inner
+    # engine call, not what each zeta's inner integral is
+    f, p = case()
+    cfg = QuadratureConfig(1e-10)
+    new = direct_pair(f, p, cfg)
+    monkeypatch.setattr(quadrature, "_ZETA_CHUNK", 6)
+    old = direct_pair(f, p, cfg)
+    for a, b in zip(new, old):
+        assert abs(a.log_value - b.log_value) <= 1e-13 * abs(b.log_value), (a, b)
+        assert abs(a.value - b.value) <= 1e-13 * b.value, (a, b)
+
+
+def test_log_G_blocks_equal_one_block(monkeypatch):
+    # log_G sums its terms in blocks of rows and frequencies; each (row,
+    # frequency) sum is the same sum over the row's nodes in any block, so
+    # the blocks give one block's output bit for bit, in bounded memory
+    m2 = 4
+    phi_grid = ProfileGrid(lambda x, i: x**m2 - m2 * x + (m2 - 1), 1.0, 1e-3, 1e4)
+    f = model_domain(2)
+
+    def tilted_grids(k, eta_lo, eta_hi):
+        zetas = np.linspace(-0.9, 0.9, k)
+        xi_s, A = quadrature._tilted_peak(f.f, f.fprime, -zetas)
+        return ProfileGrid(quadrature._tilted(f.f, -zetas, A), xi_s, eta_lo, eta_hi)
+
+    cases = [
+        (phi_grid, np.geomspace(1e-3, 1e4, 5000)[None, :]),
+        (tilted_grids(40, 0.5, 2.0), np.geomspace(0.5, 2.0, 65)[None, :].repeat(40, 0)),
+        (tilted_grids(64, 1e-8, 1e16), np.geomspace(1e-8, 1e16, 64)[:, None]),
+    ]
+    block = quadrature._LOG_G_BLOCK
+    nodes = [grid.dc.shape[1] for grid, _ in cases]
+    # the 5,000 frequencies take several blocks of one row; the 40 rows of
+    # 65 frequencies take blocks of a few rows, the last one short; the 64
+    # rows of one frequency take two blocks
+    assert block // nodes[0] < 5000
+    assert 1 < block // (65 * nodes[1]) < 40 and 40 % (block // (65 * nodes[1]))
+    assert block // nodes[2] < 64
+    got = [grid.log_G(eta) for grid, eta in cases]
+    monkeypatch.setattr(quadrature, "_LOG_G_BLOCK", 2**62)
+    for (grid, eta), g in zip(cases, got):
+        assert np.array_equal(g, grid.log_G(eta)) and np.isfinite(g).all()
+    monkeypatch.undo()
+
+    # one block of all would take 31 MB and 119 MB
+    v = np.linspace(-300.0, 300.0, 5000)
+    grid, eta = cases[2][0], np.geomspace(1e-8, 1e16, 65)[None, :].repeat(64, 0)
+    for call, bound in ((lambda: asymptotics.log_phi(v, 2), 2e6), (lambda: grid.log_G(eta), 1.5e6)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
