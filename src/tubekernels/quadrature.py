@@ -29,10 +29,9 @@ frequency once per zeta in ``direct_pair``, and log P in log u once per
 outer integrand call in chunks of ``_ZETA_CHUNK``, sized by speed: one
 grid build, one table pass that samples the log G of the whole chunk, and
 one engine call that integrates the chunk's inner rows on shared panels.
-Its outer integral starts on the panels of a zeta scan centred on the outer
-peak at zeta* = -f'(x): each side halves toward zeta* to the peak's own
-width and doubles out to the truncation depth, both sides a step in one
-call, so the outer engine seldom bisects toward the peak.  The W-grid
+Its outer integral runs on a double-exponential map of the dual cone,
+centred on the outer peak at zeta* = -f'(x) and scaled to its width, so
+the tails decay double-exponentially and need no truncation.  The W-grid
 behind ``bergman_normalized``'s log P has uniform panels, so its
 exponential sum factors by panel: each tilt costs one exp per panel and
 one per Kronrod abscissa instead of one per node, with the same nodes and
@@ -210,8 +209,9 @@ def log_adaptive_multi(
 
     ``init_edges``, when given, overrides the uniform initial subdivision.
     Initial panels must straddle any feature narrower than a panel, or the
-    embedded error estimate can miss it entirely; callers that know where
-    their peaks are pass edges here.
+    embedded error estimate can miss it entirely.  No caller in the package
+    passes it, but the benchmark's tracer reads it from every call's bound
+    arguments to count refinements, so it stays.
     """
     if init_edges is not None:
         edges = np.asarray(init_edges, dtype=float)
@@ -624,44 +624,43 @@ class _CoarseProfile(ProfileGrid):
 _ZETA_CHUNK = 48
 
 
-# e-folds below the centre's value past which direct_pair's zeta scan halves
-# a rung toward the centre; of 0.5, 1, 2, 4 and 8, 2 took the fewest
-# evaluations over 18 fixed-tau points at rel_tol 1e-7 (8.73M, the others
-# 8.96M-9.70M)
+# e-folds below the centre's Bergman value within which direct_pair's
+# width search accepts a rung; of 0.5, 1, 2, 4 and 8, 2 took the fewest
+# evaluations over 18 fixed-tau points at rel_tol 1e-7 (2.91M, the others
+# 3.14M-5.57M)
 _PEAK_DROP = 2.0
 
+# s-range of direct_pair's outer map: |s| <= 3.5 reaches |z - z*| =
+# w sinh((pi/2) sinh 3.5) = 9.5e10 w, so on an infinite end an integrand
+# decaying like |zeta|^(-a) leaves about (9.5e10)^(1 - a) of its mass past
+# the range (relative, for w of order 1)
+_DE_REACH = 3.5
 
-def _next_rung(us: list, vs: list, v0: float, end: float) -> float | None:
-    """The offset from the centre of one side's next rung in ``direct_pair``'s
-    zeta scan, or None when the side is done, from the offsets ``us`` and
-    Bergman values ``vs`` of the side's rungs so far, the centre's value
-    ``v0`` and the offset ``end`` of the side's cone-end rung.
+# relative distance from a finite cone end within which direct_pair's outer
+# integrand counts as zero: vanishing like the distance, it holds ~1e-24 there
+_END_GAP = 1e-12
 
-    The first rung sits at 0.5, or at ``end`` where that is nearer; a side
-    whose cone-end rung does not lie beyond the centre (a centre within
-    1e-9 of the cone's end) has none.  While the last rung lies more than
-    ``_PEAK_DROP`` below v0, the next halves toward the centre.  Then a
-    side whose first rung is neither at ``end`` nor past the depth doubles
-    outward from it until a rung lies ``_TRUNCATION_DEPTH`` below the
-    side's best (v0 included), or reaches ``end``.
-    """
-    if not us:
-        return min(0.5, end) if end > 0 else None
-    best = max(v0, max(vs))
-    if us[-1] <= us[0]:  # the first rung, or one halved below it
-        if vs[-1] < v0 - _PEAK_DROP:
-            u = 0.5 * us[-1]
-        elif us[0] == end or vs[0] < best - _TRUNCATION_DEPTH:
-            return None
-        else:
-            u = 2.0 * us[0]
-    elif us[-1] == end or vs[-1] < best - _TRUNCATION_DEPTH:
-        return None
-    else:
-        u = 2.0 * us[-1]
-    if not 1e-30 < u < 1e30:
-        raise QuadratureError(f"zeta scan found no edge of the peak by |zeta - zeta*| = {u:.1e}")
-    return min(u, end)
+
+def _cone_map(lo: float, hi: float) -> tuple[Callable, Callable]:
+    """A map psi of the real line onto the cone (lo, hi), as z -> (psi(z),
+    log psi'(z)) for arrays z, and its inverse on floats: the identity where
+    both ends are infinite, lo + e^z or hi - e^-z where one is finite, and
+    (lo + hi)/2 + (hi - lo)/2 tanh z where both are, so that a power of the
+    distance to a finite end decays exponentially in z."""
+    if lo == -math.inf and hi == math.inf:
+        return (lambda z: (z, np.zeros_like(z))), (lambda zeta: zeta)
+    if hi == math.inf:
+        return (lambda z: (lo + np.exp(z), z)), (lambda zeta: math.log(zeta - lo))
+    if lo == -math.inf:
+        return (lambda z: (hi - np.exp(-z), -z)), (lambda zeta: -math.log(hi - zeta))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def psi(z):
+        # log sech^2 z = log 4 - 2|z| - 2 log(1 + e^(-2|z|)), finite for every z
+        a = np.abs(z)
+        return mid + half * np.tanh(z), math.log(4 * half) - 2 * (a + np.log1p(np.exp(-2 * a)))
+
+    return psi, (lambda zeta: math.atanh((zeta - mid) / half))
 
 
 def direct_pair(
@@ -688,28 +687,28 @@ def direct_pair(
     eta rows (Bergman and Szego for each zeta) on shared t panels, reading
     all tables at once.  An inner row that ends above its 0.25 rel_tol
     budget raises QuadratureError naming its zeta.
-    The outer panels run between the zetas of a scan centred on the outer
-    peak at zeta* = -f'(x), where r = y + x zeta - A is least; near the
-    boundary the peak is about (d f''(x))^(1/2) wide, d = y - f(x).  Each
-    side's rungs (``_next_rung``) start 0.5 from zeta*, or at the cone-end
-    rung where that is nearer, halve toward zeta* while one lies more than
-    ``_PEAK_DROP`` e-folds below the centre's Bergman value, and then, on a
-    side whose first rung is neither at the cone end nor past the depth,
-    double outward to the first whose Bergman value lies
-    ``_TRUNCATION_DEPTH`` below the side's best, or to the cone-end rung.
-    So the initial panels straddle the peak at its own width and the outer
-    engine has little left to bisect.  Each scan step is one ``middles``
-    call on the next rung of every side still open, and the panels are
-    trimmed to one rung past the last within the depth.  QuadratureError
-    where y + x zeta - A is not positive: y below the rounding of a tilted
-    peak's offset A.
+    The outer integral runs in s on a double-exponential map (Takahasi &
+    Mori, 1974): zeta = psi(z* + w sinh((pi/2) sinh s)), |s| <= _DE_REACH,
+    psi from ``_cone_map`` and z* = psi^-1(zeta*) at the outer peak zeta* =
+    -f'(x), where r = y + x zeta - A is least; near the boundary the peak is
+    about (d f''(x))^(1/2) wide, d = y - f(x).  The width w halves from 0.5,
+    both rungs psi(z* -+ w) of a step in one ``middles`` call, until none
+    lies more than ``_PEAK_DROP`` e-folds below the centre's Bergman value.
+    The integrand's algebraic decay in zeta, and its vanishing at a finite
+    cone end, become double-exponential in s, so both rows keep their tails
+    with no truncation depth in zeta (``_DE_REACH`` and ``_END_GAP`` bound
+    what is left out).  One ``log_adaptive_multi`` call integrates
+    middles(zeta(s)) + log zeta'(s) from 8 panels; where rounding noise in r
+    keeps it bisecting to its panel budget, its error estimate reports the
+    noise.  QuadratureError where y + x zeta - A is not positive: y below
+    the rounding of a tilted peak's offset A.
     ``err_estimate`` is the outer integral's relative error, plus
     0.35 rel_tol for the inner integrals and the truncation, plus the largest
     table tail (an absolute error of log G is a relative error of the
-    integrand).  ``evaluations`` sums, over every zeta (the scan's and the
-    outer rule's), its grid's phase points, its table's samples and the
-    rule points of the inner call that integrated it; the zetas of a chunk
-    share that call's panels, and each counts its rule points once.
+    integrand).  ``evaluations`` sums, over every zeta (the width search's
+    and the outer rule's), its grid's phase points, its table's samples and
+    the rule points of the inner call that integrated it; the zetas of a
+    chunk share that call's panels, and each counts its rule points once.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -770,39 +769,38 @@ def direct_pair(
         return out
 
     lo, hi = _cone_interval(f)
-    zc = -float(f.fprime(x)) + 0.0  # + 0.0: on the axis the centre is 0.0, not -0.0
+    psi, psi_inv = _cone_map(lo, hi)
+    # the outer integrand counts as zero within _END_GAP of a finite end (a
+    # centre on the end moves there) and past the identity map's reach
+    lo_c, hi_c = lo * (1.0 - _END_GAP), hi * (1.0 - _END_GAP)
+    zc = min(max(-float(f.fprime(x)), lo_c), hi_c) + 0.0  # + 0.0: 0.0 on the axis, not -0.0
+    w = 0.5
+    reach = w * math.sinh(0.5 * math.pi * math.sinh(_DE_REACH))
+    lo_c, hi_c = max(lo_c, zc - reach), min(hi_c, zc + reach)
+    z_star = psi_inv(zc)
     v0 = middles(np.array([zc]))[0, 0]
-    scan = [(zc, v0)]
-    # each side's cone-end rung, as an offset from zc, and its rungs so far
-    ends = {1.0: hi * (1.0 - 1e-9) - zc, -1.0: zc - lo * (1.0 - 1e-9)}
-    rungs = {s: ([], []) for s in ends}
     while True:
-        # one step: the next rung of every side still open, in one call
-        step = [(s, _next_rung(*rungs[s], v0, end)) for s, end in ends.items()]
-        step = [(s, u) for s, u in step if u is not None]
-        if not step:
+        # one step: both rungs that lie in the cone, in one call
+        zs = psi(z_star + np.array([-w, w]))[0]
+        zs = zs[(zs > lo_c) & (zs < hi_c)]
+        if not zs.size or np.all(middles(zs)[0] >= v0 - _PEAK_DROP):
             break
-        zs = np.array([zc + s * u for s, u in step])
-        for (s, u), z, v in zip(step, zs, middles(zs)[0]):
-            rungs[s][0].append(u)
-            rungs[s][1].append(v)
-            scan.append((z, v))
-    scan.sort()
-    zs = np.array([q[0] for q in scan])
-    vals = np.array([q[1] for q in scan])
-    peak = vals.max()
-    keep = np.nonzero(vals > peak - _TRUNCATION_DEPTH)[0]
-    ilo = max(keep[0] - 1, 0)
-    ihi = min(keep[-1] + 1, len(zs) - 1)
-    edges = zs[ilo : ihi + 1]
+        w *= 0.5
+        if w < 1e-30:
+            raise QuadratureError(f"outer width search found no edge of the peak by w = {w:.1e}")
 
-    lv, re, ne = log_adaptive_multi(
-        middles,
-        edges[0],
-        edges[-1],
-        rel_tol=cfg.rel_tol,
-        init_edges=edges,
-    )
+    def outer(s: np.ndarray) -> np.ndarray:
+        u = 0.5 * math.pi * np.sinh(s)
+        with np.errstate(over="ignore"):
+            zeta, log_dpsi = psi(z_star + w * np.sinh(u))
+        out = np.full((2, s.size), -np.inf)
+        live = (zeta > lo_c) & (zeta < hi_c)
+        if live.any():
+            log_dz = log_dpsi + math.log(0.5 * math.pi * w) + np.log(np.cosh(u) * np.cosh(s))
+            out[:, live] = middles(zeta[live]) + log_dz[live]
+        return out
+
+    lv, re, ne = log_adaptive_multi(outer, -_DE_REACH, _DE_REACH, rel_tol=cfg.rel_tol, init=8)
     achieved = float(np.max(re))
     if not (achieved <= 20.0 * cfg.rel_tol):
         raise QuadratureError(

@@ -18,6 +18,7 @@ from scipy.special import gamma
 from tubekernels import (
     ApproachPath,
     BoundaryRelativePoint,
+    DefiningFunction,
     DomainError,
     PhiSpline,
     QuadratureConfig,
@@ -265,16 +266,21 @@ def test_inner_edge_is_the_first_fine_rung_reaching_c_min(rows):
 
 
 def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
-    # every grid of this point crosses c_min and c_max within the first x4
-    # block, c_min below u = 1 at small |zeta| and above it at large |zeta|:
-    # a build of a chunk's phases makes two calls for the edges, one for the
+    # this point's 153 zetas (the width search's 3 and the outer rule's
+    # 150) have grids that cross c_min and c_max within the first x4 block,
+    # c_min below u = 1 at small |zeta| and above it at large |zeta|, save
+    # the double-exponential tails out to |zeta| = 4.4e10, whose edges lie
+    # up to two upward x4 blocks further: a build of a chunk's phases makes
+    # two calls for the edges (four for the tails' chunks), one for the
     # RATIO rungs and one for the nodes; so do log_L's chunks and the grid
     # of each _log_P
     builds = []  # per build: [c_fn calls, phases]
+    peaks = []  # per build: the largest |xi_star|
 
     class Counted(ProfileGrid):
         def __init__(self, c_fn, xi_star, *args, **kwargs):
             builds.append([0, np.size(xi_star)])
+            peaks.append(np.max(np.abs(xi_star)))
 
             def counted(*a):
                 builds[-1][0] += 1
@@ -286,9 +292,11 @@ def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
     monkeypatch.setattr(asymptotics, "ProfileGrid", Counted)
     cfg = QuadratureConfig(rel_tol=1e-7)
     direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 0.25), cfg)
-    assert sum(k for _, k in builds) > 300
+    assert sum(k for _, k in builds) >= 150
     assert max(k for _, k in builds) == quadrature._ZETA_CHUNK
-    assert max(n for n, _ in builds) <= 4
+    # on x^2 the tilted peak is xi_star = -zeta/2
+    assert max(n for (n, _), xi in zip(builds, peaks) if xi < 500.0) <= 4
+    assert max(n for n, _ in builds) <= 6 and max(peaks) < 2.5e10
     for m, u_max in ((1, 30.0), (3, 8.0)):
         # the spline's log_phi build is a build too, of k = 1
         phis = asymptotics._phi_spline_for(m, u_max, 2 * m * u_max ** (2 * m - 1) * 1.3 + 60.0)
@@ -944,7 +952,7 @@ def test_direct_pair_tabulates_log_G(monkeypatch):
     monkeypatch.setattr(quadrature, "_cheb_table", counted_table)
     cfg = QuadratureConfig(rel_tol=1e-7)
     direct_pair(model_domain(2), BoundaryRelativePoint(0.0, 0.25), cfg)
-    assert grid_rows[0] > 300 and sum(k for _, k, _ in tables) == grid_rows[0]
+    assert grid_rows[0] >= 150 and sum(k for _, k, _ in tables) == grid_rows[0]
     assert max(n for n, _, _ in tables) <= 3
     assert max(size for _, _, size in tables) <= 65
 
@@ -961,50 +969,64 @@ def test_direct_pair_claims_cover_the_parabola_closed_forms(rel_tol):
         assert k_err <= K.err_estimate and s_err <= S.err_estimate, (x, y)
 
 
-_ITEM_8 = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 8: at m >= 2 direct_pair's Szego value drops part of the outer tail",
-)
-
-
 @pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
-@pytest.mark.parametrize("m", [1, pytest.param(2, marks=_ITEM_8), pytest.param(3, marks=_ITEM_8)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_direct_pair_ratio_is_within_the_claims_on_the_model_axis(m, rel_tol):
-    # on x^(2m), S/K = y m/(m + 1) on the axis x = 0
+    # on x^(2m), S/K = y m/(m + 1) on the axis x = 0; the outer map keeps
+    # Szego's slowly decaying tail (a zeta scan cut at the truncation depth
+    # dropped it from m = 2 on)
     y = 0.25
     K, S = direct_pair(model_domain(m), BoundaryRelativePoint(0.0, y), QuadratureConfig(rel_tol))
     gap = S.log_value - K.log_value - math.log(y * m / (m + 1))
     assert abs(gap) <= K.err_estimate + S.err_estimate, gap
 
 
-def _record_scan(monkeypatch) -> list[list[float]]:
-    """The zetas of each zeta-scan step of the direct_pair calls to come:
-    the scan's ``_tilted_peak`` calls carry at most 2 zetas, the outer
-    rule's 15 a panel."""
+@pytest.mark.parametrize("m", [1, 3])
+def test_direct_pair_loses_nothing_past_its_de_reach(monkeypatch, m):
+    # |s| <= 3.5 reaches |zeta - zeta*| = 9.5e10 w, past which an outer
+    # integrand decaying like |zeta|^(-a) keeps about (9.5e10)^(1 - a) of
+    # its mass; s out to 4.0 (2e18 w) adds nothing that rel_tol sees
+    p, cfg = BoundaryRelativePoint(0.0, 0.25), QuadratureConfig(1e-10)
+    new = direct_pair(model_domain(m), p, cfg)
+    monkeypatch.setattr(quadrature, "_DE_REACH", 4.0)
+    wide = direct_pair(model_domain(m), p, cfg)
+    for a, b in zip(new, wide):
+        assert abs(a.log_value - b.log_value) < 0.1 * cfg.rel_tol, (a, b)
+
+
+def _record_zetas(monkeypatch) -> list[list[float]]:
+    """The zetas of each ``_tilted_peak`` call of the direct_pair calls to
+    come: the width search's calls carry 1 or 2 zetas, the outer rule's
+    15 a panel."""
     real = quadrature._tilted_peak
-    steps = []
+    calls = []
 
     def recorded(L, dL, t):
-        if np.size(t) <= 2:
-            steps.append([-float(z) for z in t])
+        calls.append([-float(z) for z in t])
         return real(L, dL, t)
 
     monkeypatch.setattr(quadrature, "_tilted_peak", recorded)
-    return steps
+    return calls
+
+
+def _width_steps(calls) -> list[list[float]]:
+    return [c for c in calls if len(c) <= 2]
 
 
 @pytest.mark.parametrize("y", [3e-11, 1e-16, 1e-26])
 def test_direct_pair_finds_a_peak_narrower_than_its_first_zeta_rung(y, monkeypatch):
-    # on x^2 at x = 0 the outer peak has width about y^(1/2); once the
-    # scan's first rungs +-0.5 lie past the truncation depth, the scan halves
-    # toward the centre, evaluating no zeta twice, and the pair meets its
-    # closed forms (each was half of them)
-    steps = _record_scan(monkeypatch)
+    # on x^2 at x = 0 the outer peak has width about y^(1/2); the width
+    # search halves from the rungs +-0.5, which lie past the truncation
+    # depth, no zeta is evaluated twice, and the pair meets its closed forms
+    # (a scan that did not halve found half of them)
+    calls = _record_zetas(monkeypatch)
     K, S = direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
     assert abs(K.value * 4.0 * math.pi**2 * y**3 - 1.0) <= K.err_estimate
     assert abs(S.value * 8.0 * math.pi**2 * y**2 - 1.0) <= S.err_estimate
-    scanned = [z for step in steps for z in step]
-    assert len(set(scanned)) == len(scanned) and 0 < min(abs(z) for z in scanned if z) < 0.5
+    zetas = [z for call in calls for z in call]
+    assert len(set(zetas)) == len(zetas)
+    searched = [z for step in _width_steps(calls) for z in step]
+    assert 0 < min(abs(z) for z in searched if z) < 0.5
 
 
 def _axis_drop(zeta, y):
@@ -1013,56 +1035,58 @@ def _axis_drop(zeta, y):
     return 3.5 * math.log1p(zeta * zeta / (4.0 * y))
 
 
-def test_direct_pair_keeps_its_scan_where_the_first_rung_is_within_the_depth(monkeypatch):
-    # at y = 1e-6 the rungs +-0.5 lie within the depth and +-1 past it: each
-    # side halves toward the centre to its first rung within _PEAK_DROP, and
-    # doubles outward once, both sides in one call a step
+def test_direct_pair_halves_its_width_until_both_rungs_are_near_the_centre(monkeypatch):
+    # the width search is [zeta*], then one call [zeta* - w, zeta* + w] a
+    # step, w halving from 0.5 until both rungs lie within _PEAK_DROP of
+    # the centre; at y = 1e-6 that takes ten steps, counted from the
+    # parabola's closed form r^(-7/2)
     y = 1e-6
-    assert _PEAK_DROP < _axis_drop(0.5, y) < _TRUNCATION_DEPTH < _axis_drop(1.0, y)
-    offsets = [0.5]
-    while _axis_drop(offsets[-1], y) > _PEAK_DROP:
-        offsets.append(0.5 * offsets[-1])
-    steps = _record_scan(monkeypatch)
+    widths = [0.5]
+    while _axis_drop(widths[-1], y) > _PEAK_DROP:
+        widths.append(0.5 * widths[-1])
+    calls = _record_zetas(monkeypatch)
     direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
-    assert steps == [[0.0]] + [[u, -u] for u in offsets + [1.0]]
-    assert len(offsets) == 10
+    assert _width_steps(calls) == [[0.0]] + [[-w, w] for w in widths]
+    assert len(widths) == 10
+    # then the outer rule: 8 panels of 15 zetas, 30 a refinement
+    assert len(calls[len(widths) + 1]) == 120
+    assert all(len(c) == 30 for c in calls[len(widths) + 2 :])
 
 
-def test_direct_pair_scans_each_step_in_one_middles_call(monkeypatch):
-    # at x = 1 on the linear-tailed domain, zeta* = -f'(1) = -0.964 lies
-    # within 0.5 of the cone's end -1: that side's first rung is the cone-end
-    # rung, and it halves from there; the other side halves from 0.5, then
-    # doubles out to its cone-end rung.  Each step is one call on the rungs
-    # of the sides still open, so the scan makes 1 + (the longer side's
-    # rungs) calls, and no zeta twice
-    f = blended_linear_domain(1)
-    x = 1.0
-    zc = -float(f.fprime(x))
-    steps = _record_scan(monkeypatch)
-    direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-3), QuadratureConfig(1e-8))
-    assert steps[0] == [zc]
-    above = [z - zc for step in steps[1:] for z in step if z > zc]
-    below = [zc - z for step in steps[1:] for z in step if z < zc]
-    assert zc - below[0] == -(1.0 - 1e-9) and zc + above[-1] == pytest.approx(1.0 - 1e-9)
-    assert below == pytest.approx([below[0] / 2**j for j in range(len(below))], rel=1e-12)
-    assert above[0] == 0.5 and len(set(above)) == len(above)
-    assert 1 < len(below) < len(above)
-    assert [len(step) for step in steps[1:]] == [2] * len(below) + [1] * (len(above) - len(below))
-
-
-def test_direct_pair_centres_its_scan_off_the_axis(monkeypatch):
-    # on x^4 at x = 0.3 the scan starts at zeta* = -f'(0.3) = -0.108 and
-    # places its rungs at zeta* +- 0.5 2^j, one of each side a step
+def test_direct_pair_centres_its_width_search_off_the_axis(monkeypatch):
+    # on x^4 at x = 0.3 the search starts at zeta* = -f'(0.3) = -0.108 and
+    # its rungs lie at zeta* -+ 0.5 2^-j, j = 0, 1, ..., one pair a step
     f = model_domain(2)
     x = 0.3
     zc = -float(f.fprime(x))
-    steps = _record_scan(monkeypatch)
+    calls = _record_zetas(monkeypatch)
     direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-4), QuadratureConfig(1e-8))
+    steps = _width_steps(calls)
     assert steps[0] == [zc] and zc == pytest.approx(-0.108, rel=1e-14)
-    for plus, minus in steps[1:]:
-        assert plus - zc == pytest.approx(zc - minus, rel=1e-12)
-        assert math.log2((plus - zc) / 0.5) == pytest.approx(round(math.log2((plus - zc) / 0.5)))
-    assert min(step[0] - zc for step in steps[1:]) < 0.5 / 4
+    assert len(steps) > 3
+    for j, (minus, plus) in enumerate(steps[1:]):
+        assert plus - zc == pytest.approx(0.5 / 2**j, rel=1e-12)
+        assert zc - minus == pytest.approx(0.5 / 2**j, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1.0, 6.0])
+def test_direct_pair_searches_its_width_in_z_on_a_finite_cone(x, monkeypatch):
+    # blended_linear_domain(1) has the cone (-1, 1), mapped from the real
+    # line by zeta = tanh z: the rungs lie at tanh(z* -+ w), z* = atanh(zeta*),
+    # w halving from 0.5, so a centre 0.036 (x = 1) or 8e-11 (x = 6) from
+    # the end -1 still gets rungs on both sides at a width of its own
+    f = blended_linear_domain(1)
+    zc = -float(f.fprime(x))
+    calls = _record_zetas(monkeypatch)
+    direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-3), QuadratureConfig(1e-8))
+    steps = _width_steps(calls)
+    assert steps[0] == [zc] and 1.0 + zc < (0.04 if x == 1.0 else 1e-10)
+    assert len(steps) > 1
+    for j, (minus, plus) in enumerate(steps[1:]):
+        assert -1.0 < minus < zc < plus < 1.0
+        w = 0.5 / 2**j
+        assert math.atanh(plus) - math.atanh(zc) == pytest.approx(w, rel=1e-6)
+        assert math.atanh(zc) - math.atanh(minus) == pytest.approx(w, rel=1e-6)
 
 
 # log K and log S of direct_pair before its scan centred on zeta* (7800b06),
@@ -1086,16 +1110,72 @@ def test_direct_pair_on_a_linear_tailed_domain_keeps_its_values(x):
     assert abs(S.log_value - s_ref) <= S.err_estimate
 
 
+def _half_linear(side):
+    """x^2 on one side of 0 and blended_linear_domain(1) on the side
+    ``side``, whose tail is linear: its dual cone is finite at one end."""
+    b = blended_linear_domain(1)
+
+    def pick(blended, parabola):
+        return lambda x: np.where(side * x > 0, blended(x), parabola(x))
+
+    return DefiningFunction(
+        1,
+        pick(b.f, np.square),
+        pick(b.fprime, lambda x: 2.0 * x),
+        pick(b.fsecond, lambda x: np.full_like(x, 2.0)),
+        pick(b.g, np.ones_like),
+        pick(b.gprime, np.zeros_like),
+        label=f"half-linear({side})",
+        tail_slopes=(1.0, math.inf) if side < 0 else (math.inf, 1.0),
+    )
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 0.25), (0.5, 0.3), (-0.5, 0.3)])
+def test_direct_pair_maps_a_cone_finite_at_one_end(x, y):
+    # the domain with the linear tail at -inf has the cone (-inf, 1), mapped
+    # by 1 - e^-z; its mirror image has (-1, inf), mapped by -1 + e^z, and
+    # the same kernel at (-x, y).  It lies between the parabola's domain
+    # and blended_linear_domain(1)'s, so its Bergman kernel lies between
+    # theirs
+    cfg = QuadratureConfig(1e-8)
+    K, S = direct_pair(_half_linear(-1), BoundaryRelativePoint(x, y), cfg)
+    K_m, S_m = direct_pair(_half_linear(1), BoundaryRelativePoint(-x, y), cfg)
+    assert abs(K.log_value - K_m.log_value) <= K.err_estimate + K_m.err_estimate
+    assert abs(S.log_value - S_m.log_value) <= S.err_estimate + S_m.err_estimate
+    p = BoundaryRelativePoint(x, y)
+    inside, _ = direct_pair(model_domain(1), p, cfg)
+    outside, _ = direct_pair(blended_linear_domain(1), p, cfg)
+    assert outside.value * (1.0 - outside.err_estimate) <= K.value * (1.0 + K.err_estimate)
+    assert K.value * (1.0 - K.err_estimate) <= inside.value * (1.0 + inside.err_estimate)
+
+
+def test_direct_pair_moves_a_centre_on_the_cone_end_inside_it():
+    # from about x = 9.3 on blended_linear_domain(1), f'(x) rounds to the
+    # tail slope 1, so zeta* = -f'(x) is the cone's end -1, where the tilted
+    # phase is flat and no grid finds an edge (a QuadratureError under the
+    # zeta scan); the centre moves _END_GAP inside the end, and the values
+    # at rel_tol 1e-8 and 1e-10 agree within their claims
+    f = blended_linear_domain(1)
+    p = BoundaryRelativePoint(10.0, float(f.f(10.0)) + 1e-3)
+    assert f.fprime(10.0) == 1.0
+    loose = direct_pair(f, p, QuadratureConfig(1e-8))
+    tight = direct_pair(f, p, QuadratureConfig(1e-10))
+    for a, b in zip(loose, tight):
+        assert abs(a.log_value - b.log_value) <= a.err_estimate + b.err_estimate
+
+
 def test_direct_pair_work_does_not_grow_toward_the_boundary():
-    # along fixed_tau tau = 0.8 on x^2 the scan's rungs straddle the outer
-    # peak at its own width, so the outer engine has nothing to bisect as
-    # rho falls (the scan centred on 0 cost 464k-564k evaluations here)
+    # along fixed_tau tau = 0.8 on x^2 the width search fits w to the outer
+    # peak as rho falls, so the outer rule's work stays within a factor 1.4
+    # of the path's first point: it alternates between about 150k and 190k
+    # evaluations with w's dyadic fit to the peak (a zeta scan centred on
+    # 0 cost 464k-564k here)
     f = model_domain(1)
     path = ApproachPath("fixed_tau", {"tau": 0.8}, 2.0 ** -np.arange(9, 15))
     evals = [
         direct_pair(f, p, QuadratureConfig(1e-7))[0].evaluations for p in path_points(f, path)
     ]
-    assert max(evals) <= evals[0], evals
+    assert max(evals) <= 1.4 * evals[0], evals
 
 
 def test_direct_pair_names_a_y_below_the_peak_rounding():
@@ -1106,28 +1186,19 @@ def test_direct_pair_names_a_y_below_the_peak_rounding():
 
 
 @pytest.mark.parametrize(
-    "x, y, rel_tol",
-    [
-        (0.25, 1 / 16 + 2.0**-40, 1e-7),
-        pytest.param(
-            0.375,
-            9 / 64 + 2.0**-33,
-            1e-8,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 8: r = y + x zeta - A loses digits to cancellation "
-                "near zeta*; r from the closed form (zeta/2 + x)^2 + d met the claim",
-            ),
-        ),
-    ],
+    "x, y, rel_tol", [(0.25, 1 / 16 + 2.0**-40, 1e-7), (0.375, 9 / 64 + 2.0**-33, 1e-8)]
 )
 def test_direct_pair_meets_the_closed_forms_near_the_boundary_off_the_axis(x, y, rel_tol):
     # d = y - x^2 is exact here.  At (0.25, 1/16 + 2^-40) zeta* = -0.5, and
     # a scan centred on 0 put its rung -0.5 on the peak with both neighbours
-    # past the depth, so K 4 pi^2 d^3 was 0.5; centred on zeta*, K's error is
-    # 3.9e-8 against a 1.8e-7 claim, though the outer integral still runs to
-    # its panel budget (about 17 s).  At (0.375, 9/64 + 2^-33) K's error is
-    # 2.6e-8 against a 1.4e-8 claim with either scan
+    # past the depth, so K 4 pi^2 d^3 was 0.5.  Near zeta*, r = y + x zeta - A
+    # subtracts terms near x^2 to leave about d, and its rounding noise keeps
+    # the outer engine bisecting to its panel budget at both points (about
+    # 45M evaluations, 10 s each).  The claims cover the errors because the
+    # engine's estimate reports that noise, not because the noise is gone:
+    # K's error is 5.9e-8 against a 1.8e-7 claim at the first point and
+    # 3.2e-9 against 4.4e-8 at the second (2.6e-8 against a 1.4e-8 claim
+    # before the double-exponential outer map)
     K, S = direct_pair(model_domain(1), BoundaryRelativePoint(x, y), QuadratureConfig(rel_tol))
     d = y - x * x
     assert abs(K.value * 4.0 * math.pi**2 * d**3 - 1.0) <= K.err_estimate
