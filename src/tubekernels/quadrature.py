@@ -268,8 +268,12 @@ _K_UP = math.ceil(math.log(1e60, 4.0))
 _K_DOWN = math.floor(math.log(1e-280, 4.0))
 # exponents of the first x4 block: the kernel evaluators' grids cross c_min
 # above its bottom rung (from 4^-6 at small y) and c_max at or below its
-# top rung (up to 4^10 at m = 1, rel_tol 1e-10)
+# top rung (up to 4^10 at m = 1, rel_tol 1e-10).  A row's block moves up
+# until its top rung reaches 4^_K_SCALE |xi_star|: power-like tails tilted
+# to a peak far out vary on the scale |xi_star| (direct_pair's reach 2.2e10
+# on x^2, with edges in 4^-3.2..4^6.2 |xi_star| at m = 1..3)
 _K_FIRST = np.arange(-7, 11)
+_K_SCALE = 7
 # the 17 rungs 4^(j/16), j = 0..16, across one x4 step
 _FINE_RUNGS = 4.0 ** (np.arange(17) / 16)
 
@@ -293,20 +297,25 @@ def _inner_edge(
     only the c_min brackets still open.  One more call on the rungs
     lo 4^(j/16), j < 16, of all rows picks each row's first that reaches
     c_min, or else 4 lo; the ladder has seen lo miss unless it stopped at
-    its floor.  QuadratureError names the ``xi_star`` of the first row
-    whose ladder passes 1e60 below c_min or c_max, and that level.
+    its floor.  A row's x4 rungs, floor and cap included, are the ladder's
+    times 4^shift, moving its first block up with |xi_star| (``_K_FIRST``).
+    QuadratureError names the ``xi_star`` of the first row whose ladder
+    passes 1e60 4^shift below c_min or c_max, and that level.
     """
     n = c_min.size
     lo = np.full(n, np.nan)  # 4 lo, NaN while a row's c_min bracket is open
     hi = np.full(n, np.inf)
     nev = 0
+    e = np.frexp(xi_star)[1]  # |xi_star| < 2^e; row r's x4 rungs are 4^k x4[r]
+    shift = np.maximum(((e + 1) >> 1) + (_K_SCALE - _K_FIRST[-1]), 0)
+    x4 = 4.0 ** np.minimum(shift, _K_UP - _K_FIRST[-1])
     # (rows, their block's exponents, -1 down, 0 first, 1 up); LIFO, so a
     # downward chain ends before the upward block queued beside it starts
     blocks = [(np.arange(n), _K_FIRST, 0)]
     while blocks:
         rows, ks, way = blocks.pop()
         us = 4.0**ks
-        cs = c_rungs(rows, us)
+        cs = c_rungs(rows, us * x4[rows, None])
         nev += cs.size
         hi[rows] = np.minimum(hi[rows], np.where(cs >= c_max[rows, None], us, np.inf).min(axis=1))
         hit = cs >= c_min[rows, None]
@@ -322,12 +331,13 @@ def _inner_edge(
                 level, c = ("c_min", c_min) if np.isnan(lo[rows[i]]) else ("c_max", c_max)
                 raise QuadratureError(
                     f"profile phase at xi_star = {float(xi_star[rows[i]])!r} stays below "
-                    f"{level} = {c[rows[i]]:.3e} out to |xi - xi_star| = {us[-1]:.3e} "
-                    f"(last value {cs[i, -1]:.3e})"
+                    f"{level} = {c[rows[i]]:.3e} out to |xi - xi_star| = "
+                    f"{us[-1] * x4[rows[i]]:.3e} (last value {cs[i, -1]:.3e})"
                 )
             blocks.append((rows[more], np.arange(ks[-1] + 1, min(ks[-1] + 9, _K_UP + 1)), 1))
         if down.any():
             blocks.append((rows[down], np.arange(max(ks[0] - 8, _K_DOWN), ks[0] + 1), -1))
+    lo, hi = lo * x4, hi * x4
     fine = (0.25 * lo)[:, None] * _FINE_RUNGS[:16]
     hit = c_rungs(np.arange(n), fine) >= c_min[:, None]
     u = np.where(hit.any(axis=1), fine[np.arange(n), hit.argmax(axis=1)], lo)
@@ -624,16 +634,14 @@ class _CoarseProfile(ProfileGrid):
 _ZETA_CHUNK = 48
 
 
-# e-folds below the centre's Bergman value within which direct_pair's
-# width search accepts a rung; of 0.5, 1, 2, 4 and 8, 2 took the fewest
-# evaluations over 18 fixed-tau points at rel_tol 1e-7 (2.91M, the others
-# 3.14M-5.57M)
+# e-folds below the centre's Bergman value within which direct_pair's width
+# search accepts a rung: 2 took the fewest evaluations over 18 fixed-tau
+# points at rel_tol 1e-7 (2.91M; 0.5, 1, 4 and 8 took 3.14M-5.57M)
 _PEAK_DROP = 2.0
 
-# s-range of direct_pair's outer map: |s| <= 3.5 reaches |z - z*| =
-# w sinh((pi/2) sinh 3.5) = 9.5e10 w, so on an infinite end an integrand
-# decaying like |zeta|^(-a) leaves about (9.5e10)^(1 - a) of its mass past
-# the range (relative, for w of order 1)
+# s-range of direct_pair's outer map: |s| <= 3.5 reaches |z - z*| = 9.5e10 w,
+# past which an integrand decaying like |zeta|^(-a) on an infinite end keeps
+# about (9.5e10)^(1 - a) of its mass (relative, for w of order 1)
 _DE_REACH = 3.5
 
 # relative distance from a finite cone end within which direct_pair's outer
@@ -674,41 +682,35 @@ def direct_pair(
     Both weights ride the same panels (the eta-integral rows share every
     profile grid), so the pair costs barely more than either alone.
 
-    The outer integrand is batched: E(zeta, .) is f tilted by -zeta, and one
-    elementwise ``_tilted_peak`` gives its peak xi_s and value for all of a
-    call's zetas (every initial panel in the first call, one split panel in
-    each later call).  The zetas then go through the inner layer in chunks
-    of at most ``_ZETA_CHUNK``.  One ``ProfileGrid`` build gives every zeta
-    of a chunk its own grid of the ``_tilted`` phase.  One ``_cheb_table``
-    pass tabulates log G(e^t / r) in t = log h for every zeta of the chunk
-    from those grids: one table of one size, grown until every row's tail
-    is at most rel_tol / 10, usually 17 or 65 samples a row.
-    One ``log_adaptive_multi`` call then integrates the chunk's 2k inner
-    eta rows (Bergman and Szego for each zeta) on shared t panels, reading
-    all tables at once.  An inner row that ends above its 0.25 rel_tol
-    budget raises QuadratureError naming its zeta.
+    The outer integrand is batched: one elementwise ``_tilted_peak`` gives
+    the peak xi_s and value A of E(zeta, .), f tilted by -zeta, at all of an
+    engine call's zetas, and the inner layer takes them in chunks of at most
+    ``_ZETA_CHUNK``: one ``ProfileGrid`` build of the chunk's ``_tilted``
+    phases, one ``_cheb_table`` pass of log G(e^t / r) in t = log h, grown
+    until every row's tail is at most rel_tol / 10 (usually 17 or 65
+    samples), and one ``log_adaptive_multi`` call on the chunk's 2k eta rows
+    (Bergman and Szego for each zeta) on shared t panels; a row that ends
+    above its 0.25 rel_tol budget raises QuadratureError naming its zeta.
     The outer integral runs in s on a double-exponential map (Takahasi &
-    Mori, 1974): zeta = psi(z* + w sinh((pi/2) sinh s)), |s| <= _DE_REACH,
+    Mori, 1974), zeta = psi(z* + w sinh((pi/2) sinh s)), |s| <= _DE_REACH,
     psi from ``_cone_map`` and z* = psi^-1(zeta*) at the outer peak zeta* =
-    -f'(x), where r = y + x zeta - A is least; near the boundary the peak is
-    about (d f''(x))^(1/2) wide, d = y - f(x).  The width w halves from 0.5,
-    both rungs psi(z* -+ w) of a step in one ``middles`` call, until none
-    lies more than ``_PEAK_DROP`` e-folds below the centre's Bergman value.
-    The integrand's algebraic decay in zeta, and its vanishing at a finite
-    cone end, become double-exponential in s, so both rows keep their tails
-    with no truncation depth in zeta (``_DE_REACH`` and ``_END_GAP`` bound
-    what is left out).  One ``log_adaptive_multi`` call integrates
-    middles(zeta(s)) + log zeta'(s) from 8 panels; where rounding noise in r
-    keeps it bisecting to its panel budget, its error estimate reports the
-    noise.  QuadratureError where y + x zeta - A is not positive: y below
-    the rounding of a tilted peak's offset A.
-    ``err_estimate`` is the outer integral's relative error, plus
-    0.35 rel_tol for the inner integrals and the truncation, plus the largest
-    table tail (an absolute error of log G is a relative error of the
-    integrand).  ``evaluations`` sums, over every zeta (the width search's
-    and the outer rule's), its grid's phase points, its table's samples and
-    the rule points of the inner call that integrated it; the zetas of a
-    chunk share that call's panels, and each counts its rule points once.
+    -f'(x), about (d f''(x))^(1/2) wide near the boundary, d = y - f(x).
+    The width w halves from 0.5, one ``middles`` call on psi(z* -+ w) a
+    step, until neither lies more than ``_PEAK_DROP`` e-folds below the
+    centre's Bergman value.  The map makes the integrand's algebraic tails,
+    and its vanishing at a finite cone end, double-exponential in s, so no
+    truncation depth in zeta is needed (``_DE_REACH`` and ``_END_GAP``
+    bound what is left out).  One ``log_adaptive_multi`` call integrates
+    middles(zeta(s)) + log zeta'(s) from 8 panels; where rounding noise in
+    r keeps it bisecting to its panel budget, its error estimate reports
+    the noise.  QuadratureError where y + x zeta - A is not positive: y
+    below the rounding of a tilted peak's offset A.
+    ``err_estimate`` is the outer integral's relative error, plus 0.35
+    rel_tol for the inner integrals and truncation, plus the largest table
+    tail (an absolute error of log G is relative in the integrand).
+    ``evaluations`` sums, over every zeta of the width search and the outer
+    rule, its grid's phase points, its table's samples and its inner call's
+    rule points, counted once per zeta where a chunk shares them.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -721,8 +723,7 @@ def direct_pair(
     h_hi = 1.55 * _TRUNCATION_DEPTH
     t_lo, t_hi = math.log(h_lo), math.log(h_hi)
     n_init_mid = int(np.ceil((t_hi - t_lo) / 0.8))
-    nev = [0]
-    tail_G = [0.0]
+    nev, tail_G = [0], [0.0]
 
     def inner(zetas: np.ndarray, xi_s: np.ndarray, A: np.ndarray, r: np.ndarray):
         # one profile grid build for the chunk, of the phases f tilted by -zeta
@@ -771,13 +772,13 @@ def direct_pair(
     lo, hi = _cone_interval(f)
     psi, psi_inv = _cone_map(lo, hi)
     # the outer integrand counts as zero within _END_GAP of a finite end (a
-    # centre on the end moves there) and past the identity map's reach
+    # centre on the end moves there) and, on a one-sided exp map's infinite
+    # end, past the zetas that the identity map reaches at its widest, w = 0.5
     lo_c, hi_c = lo * (1.0 - _END_GAP), hi * (1.0 - _END_GAP)
     zc = min(max(-float(f.fprime(x)), lo_c), hi_c) + 0.0  # + 0.0: 0.0 on the axis, not -0.0
-    w = 0.5
-    reach = w * math.sinh(0.5 * math.pi * math.sinh(_DE_REACH))
+    reach = 0.5 * math.sinh(0.5 * math.pi * math.sinh(_DE_REACH))
     lo_c, hi_c = max(lo_c, zc - reach), min(hi_c, zc + reach)
-    z_star = psi_inv(zc)
+    z_star, w = psi_inv(zc), 0.5
     v0 = middles(np.array([zc]))[0, 0]
     while True:
         # one step: both rungs that lie in the cone, in one call

@@ -265,22 +265,39 @@ def test_inner_edge_is_the_first_fine_rung_reaching_c_min(rows):
         assert hi[i] / 4.0 in mine
 
 
+@pytest.mark.parametrize("scale", [1e5, 2.2e10, 1e40])
+def test_inner_edge_moves_its_first_block_with_xi_star(scale):
+    # rows c(u) = (u/scale)^2 at a peak xi_star = -scale, a phase of
+    # power-like tails tilted far out: their first block, moved up with
+    # |xi_star|, holds both edges, and the edges are the ones found from
+    # the block of a peak at 0
+    c_min, c_max = np.array([1e-3, 0.5]), np.array([1e5, 1e4])
+    calls = []
+
+    def c_rungs(r, u):
+        calls.append(r.size)
+        return (np.broadcast_to(u, (r.size, np.shape(u)[-1])) / scale) ** 2
+
+    u, hi, n = _inner_edge(c_rungs, c_min, c_max, np.full(2, -scale))
+    assert len(calls) == 2
+    u0, hi0, n0 = _inner_edge(c_rungs, c_min, c_max, np.zeros(2))
+    assert u.tolist() == u0.tolist() and hi.tolist() == hi0.tolist()
+    assert len(calls) > 4 and n < n0
+
+
 def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
     # this point's 153 zetas (the width search's 3 and the outer rule's
-    # 150) have grids that cross c_min and c_max within the first x4 block,
-    # c_min below u = 1 at small |zeta| and above it at large |zeta|, save
-    # the double-exponential tails out to |zeta| = 4.4e10, whose edges lie
-    # up to two upward x4 blocks further: a build of a chunk's phases makes
-    # two calls for the edges (four for the tails' chunks), one for the
-    # RATIO rungs and one for the nodes; so do log_L's chunks and the grid
-    # of each _log_P
+    # 150) have grids that cross c_min and c_max within their first x4
+    # blocks, c_min below u = 1 at small |zeta| and above it at large
+    # |zeta|, out to the double-exponential tails' |zeta| = 4.4e10, whose
+    # blocks move up with |xi_star|: a build of a chunk's phases makes two
+    # calls for the edges, one for the RATIO rungs and one for the nodes;
+    # so do log_L's chunks and the grid of each _log_P
     builds = []  # per build: [c_fn calls, phases]
-    peaks = []  # per build: the largest |xi_star|
 
     class Counted(ProfileGrid):
         def __init__(self, c_fn, xi_star, *args, **kwargs):
             builds.append([0, np.size(xi_star)])
-            peaks.append(np.max(np.abs(xi_star)))
 
             def counted(*a):
                 builds[-1][0] += 1
@@ -294,9 +311,7 @@ def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
     direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 0.25), cfg)
     assert sum(k for _, k in builds) >= 150
     assert max(k for _, k in builds) == quadrature._ZETA_CHUNK
-    # on x^2 the tilted peak is xi_star = -zeta/2
-    assert max(n for (n, _), xi in zip(builds, peaks) if xi < 500.0) <= 4
-    assert max(n for n, _ in builds) <= 6 and max(peaks) < 2.5e10
+    assert max(n for n, _ in builds) <= 4
     for m, u_max in ((1, 30.0), (3, 8.0)):
         # the spline's log_phi build is a build too, of k = 1
         phis = asymptotics._phi_spline_for(m, u_max, 2 * m * u_max ** (2 * m - 1) * 1.3 + 60.0)
