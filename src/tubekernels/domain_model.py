@@ -347,11 +347,14 @@ def table_domain(
     *,
     label: str = "table",
 ) -> DefiningFunction:
-    """Domain from sampled (x, g, g') rows; g is frozen outside the table range.
+    """Domain from sampled (x, g, g') rows, continued C1 past the table ends.
 
-    The constant extension keeps the tails superlinear (x^(2m) times the
-    boundary value), so the dual cone is the full half-plane; the usual
-    class invariants are still validated on the represented grid.
+    Past an end x_e, g = g_e + g'_e l (1 - e^(-|x - x_e|/l)) sign(x - x_e),
+    l = g_e / (2 |g'_e|): g and g' meet the rows at the end, g' keeps its
+    sign and decays, so x g' <= 0 holds, and g falls from g_e toward
+    g_e / 2 (stays g_e where g'_e = 0), so the tails stay superlinear
+    (x^(2m) times that level): the dual cone is the full half-plane.  The
+    usual class invariants are validated on the represented grid.
     """
     xs = np.asarray(xs, dtype=float)
     gs = np.asarray(gs, dtype=float)
@@ -385,24 +388,32 @@ def table_domain(
             f"x g' = {float(inside[j] * gp_in[j])!r} at x={float(inside[j])!r}; "
             f"add rows there"
         )
-    glo, ghi = float(gs[0]), float(gs[-1])
+    # past the end x_e, with s = sign(x - x_e), k = 2 |g'_e| / g_e and
+    # e = e^(-k |x - x_e|): g = g_e + s g'_e (1 - e) / k, which is g_e + s
+    # sign(g'_e) (1 - e) g_e / 2, g' = g'_e e and g'' = -s k g'_e e
+    def tail(i, s):
+        g_e, gp_e = float(gs[i]), float(gps[i])
+        k = 2.0 * abs(gp_e) / g_e
+        return float(xs[i]), s, (
+            lambda d: g_e - 0.5 * g_e * s * np.sign(gp_e) * np.expm1(-k * d),
+            lambda d: gp_e * np.exp(-k * d),
+            lambda d: -s * k * gp_e * np.exp(-k * d),
+        )
 
-    def gv(x):
-        xc = np.clip(x, lo, hi)
-        out = np.asarray(spl(xc), dtype=float)
-        out[x < lo] = glo
-        out[x > hi] = ghi
-        return out
+    ends = [tail(0, -1.0), tail(-1, 1.0)]
 
-    def gpv(x):
-        out = np.asarray(dspl(np.clip(x, lo, hi)), dtype=float)
-        out[(x < lo) | (x > hi)] = 0.0
-        return out
+    def piecewise(inner, order):
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            out = np.asarray(inner(np.clip(x, lo, hi)), dtype=float)
+            for x_e, s, parts in ends:
+                past = s * (x - x_e) > 0
+                out[past] = parts[order](np.abs(x[past] - x_e))
+            return out
 
-    def gppv(x):
-        out = np.asarray(ddspl(np.clip(x, lo, hi)), dtype=float)
-        out[(x < lo) | (x > hi)] = 0.0
-        return out
+        return fn
+
+    gv, gpv, gppv = piecewise(spl, 0), piecewise(dspl, 1), piecewise(ddspl, 2)
 
     return DefiningFunction(
         m,

@@ -639,6 +639,17 @@ _ZETA_CHUNK = 48
 # points at rel_tol 1e-7 (2.91M; 0.5, 1, 4 and 8 took 3.14M-5.57M)
 _PEAK_DROP = 2.0
 
+# rungs w = 0.5 2^-j of direct_pair's width search, down to w = 1e-30
+_WIDTH_RUNGS = 99
+
+# rungs per middles call of direct_pair's width search, sized by speed: a
+# call's fixed cost (a root search, a grid build, a table pass and an inner
+# engine call) dominates, and fixed_tau_paths points take 4-11 rungs.  Median
+# of 24 in-process passes over the fixed_tau_paths points of seeds 11-14 on a
+# 2-core x86-64 VM: 0.84 s at 1, 0.68 s at 6, 0.69 s at 8, 0.70 s at 10 and
+# 12.  The first block, 2 _WIDTH_BLOCK + 1 zetas, fits in one _ZETA_CHUNK
+_WIDTH_BLOCK = 8
+
 # s-range of direct_pair's outer map: |s| <= 3.5 reaches |z - z*| = 9.5e10 w,
 # past which an integrand decaying like |zeta|^(-a) on an infinite end keeps
 # about (9.5e10)^(1 - a) of its mass (relative, for w of order 1)
@@ -695,22 +706,26 @@ def direct_pair(
     Mori, 1974), zeta = psi(z* + w sinh((pi/2) sinh s)), |s| <= _DE_REACH,
     psi from ``_cone_map`` and z* = psi^-1(zeta*) at the outer peak zeta* =
     -f'(x), about (d f''(x))^(1/2) wide near the boundary, d = y - f(x).
-    The width w halves from 0.5, one ``middles`` call on psi(z* -+ w) a
-    step, until neither lies more than ``_PEAK_DROP`` e-folds below the
-    centre's Bergman value.  The map makes the integrand's algebraic tails,
-    and its vanishing at a finite cone end, double-exponential in s, so no
-    truncation depth in zeta is needed (``_DE_REACH`` and ``_END_GAP``
-    bound what is left out).  One ``log_adaptive_multi`` call integrates
-    middles(zeta(s)) + log zeta'(s) from 8 panels; where rounding noise in
-    r keeps it bisecting to its panel budget, its error estimate reports
-    the noise.  QuadratureError where y + x zeta - A is not positive: y
-    below the rounding of a tilted peak's offset A.
+    The width w is the first rung 0.5 2^-j whose zetas psi(z* -+ w) in
+    the cone lie within ``_PEAK_DROP`` e-folds of the centre's Bergman
+    value (a rung with none in the cone passes), the rungs taken
+    ``_WIDTH_BLOCK`` a ``middles`` call, the centre on the first; no rung
+    passes by w = 1e-30 and QuadratureError is raised.  The map makes the
+    integrand's algebraic tails, and its vanishing at a finite cone end,
+    double-exponential in s, so no truncation depth in zeta is needed
+    (``_DE_REACH`` and ``_END_GAP`` bound what is left out).  One
+    ``log_adaptive_multi`` call integrates middles(zeta(s)) + log zeta'(s)
+    from 8 panels; where rounding noise in r keeps it bisecting to its panel
+    budget, its error estimate reports the noise.  QuadratureError where
+    y + x zeta - A is not positive: y below the rounding of a tilted peak's
+    offset A.
     ``err_estimate`` is the outer integral's relative error, plus 0.35
     rel_tol for the inner integrals and truncation, plus the largest table
     tail (an absolute error of log G is relative in the integrand).
-    ``evaluations`` sums, over every zeta of the width search and the outer
-    rule, its grid's phase points, its table's samples and its inner call's
-    rule points, counted once per zeta where a chunk shares them.
+    ``evaluations`` sums, over every zeta of the width search (its last
+    block's rungs past w included) and the outer rule, its grid's phase
+    points, its table's samples and its inner call's rule points, counted
+    once per zeta where a chunk shares them.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -778,17 +793,28 @@ def direct_pair(
     zc = min(max(-float(f.fprime(x)), lo_c), hi_c) + 0.0  # + 0.0: 0.0 on the axis, not -0.0
     reach = 0.5 * math.sinh(0.5 * math.pi * math.sinh(_DE_REACH))
     lo_c, hi_c = max(lo_c, zc - reach), min(hi_c, zc + reach)
-    z_star, w = psi_inv(zc), 0.5
-    v0 = middles(np.array([zc]))[0, 0]
-    while True:
-        # one step: both rungs that lie in the cone, in one call
-        zs = psi(z_star + np.array([-w, w]))[0]
-        zs = zs[(zs > lo_c) & (zs < hi_c)]
-        if not zs.size or np.all(middles(zs)[0] >= v0 - _PEAK_DROP):
+    z_star = psi_inv(zc)
+    for j in range(0, _WIDTH_RUNGS, _WIDTH_BLOCK):
+        # one block: the rungs psi(z* -+ 0.5 2^-i) that lie in the cone, in
+        # one call with the centre on the first; w is the first rung whose
+        # zetas all lie within _PEAK_DROP of the centre (none counts as all)
+        ws = 0.5 * 2.0 ** -np.arange(j, min(j + _WIDTH_BLOCK, _WIDTH_RUNGS))
+        zs = psi(z_star + np.column_stack([-ws, ws]).ravel())[0]
+        live = (zs > lo_c) & (zs < hi_c)
+        ask = np.concatenate([[] if j else [zc], zs[live]])
+        vals = middles(ask)[0] if ask.size else ask
+        if not j:
+            v0, vals = vals[0], vals[1:]
+        near = np.ones(zs.size, dtype=bool)
+        near[live] = vals >= v0 - _PEAK_DROP
+        near = near.reshape(-1, 2).all(axis=1)
+        if near.any():
+            w = float(ws[np.argmax(near)])
             break
-        w *= 0.5
-        if w < 1e-30:
-            raise QuadratureError(f"outer width search found no edge of the peak by w = {w:.1e}")
+    else:
+        raise QuadratureError(
+            f"outer width search found no edge of the peak by w = {0.5 * ws[-1]:.1e}"
+        )
 
     def outer(s: np.ndarray) -> np.ndarray:
         u = 0.5 * math.pi * np.sinh(s)

@@ -274,10 +274,6 @@ def test_mollify_and_damp_tails_keep_convexity_and_core(a, b, c, x1, delta, radi
             )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="outside the table g' is 0, so f' jumps by x^(2m) g' at each table end",
-)
 def test_table_domain_is_c1_across_its_ends():
     g, gp = _table_rows(1.0, 0.1, 0.0, 0.0)
     f = table_domain(_TABLE_XS, g, gp, 3)

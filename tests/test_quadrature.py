@@ -286,13 +286,13 @@ def test_inner_edge_moves_its_first_block_with_xi_star(scale):
 
 
 def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
-    # this point's 153 zetas (the width search's 3 and the outer rule's
-    # 150) have grids that cross c_min and c_max within their first x4
-    # blocks, c_min below u = 1 at small |zeta| and above it at large
-    # |zeta|, out to the double-exponential tails' |zeta| = 4.4e10, whose
-    # blocks move up with |xi_star|: a build of a chunk's phases makes two
-    # calls for the edges, one for the RATIO rungs and one for the nodes;
-    # so do log_L's chunks and the grid of each _log_P
+    # this point's 167 zetas (the width search's first block of 17 and the
+    # outer rule's 150) have grids that cross c_min and c_max within their
+    # first x4 blocks, c_min below u = 1 at small |zeta| and above it at
+    # large |zeta|, out to the double-exponential tails' |zeta| = 4.4e10,
+    # whose blocks move up with |xi_star|: a build of a chunk's phases makes
+    # two calls for the edges, one for the RATIO rungs and one for the
+    # nodes; so do log_L's chunks and the grid of each _log_P
     builds = []  # per build: [c_fn calls, phases]
 
     class Counted(ProfileGrid):
@@ -1011,8 +1011,10 @@ def test_direct_pair_loses_nothing_past_its_de_reach(monkeypatch, m):
 
 def _record_zetas(monkeypatch) -> list[list[float]]:
     """The zetas of each ``_tilted_peak`` call of the direct_pair calls to
-    come: the width search's calls carry 1 or 2 zetas, the outer rule's
-    15 a panel."""
+    come: the width search's calls carry at most 2 _WIDTH_BLOCK + 1 zetas,
+    the centre and the rungs of a block; the outer rule's first call 15 a
+    panel on 8 panels, fewer where a finite cone end cuts it, then 30 a
+    refinement."""
     real = quadrature._tilted_peak
     calls = []
 
@@ -1024,24 +1026,49 @@ def _record_zetas(monkeypatch) -> list[list[float]]:
     return calls
 
 
-def _width_steps(calls) -> list[list[float]]:
-    return [c for c in calls if len(c) <= 2]
+def _width_calls(calls) -> list[list[float]]:
+    """The width search's calls: those before the outer rule's first, the
+    first call of more than 2 _WIDTH_BLOCK + 1 zetas."""
+    block = quadrature._WIDTH_BLOCK
+    return calls[: next(i for i, c in enumerate(calls) if len(c) > 2 * block + 1)]
+
+
+def _rungs(calls) -> tuple[float, list[tuple[float, float]]]:
+    """The width search's centre and its (minus, plus) rungs in order, where
+    every rung lies in the cone: the first call is the centre and the block's
+    _WIDTH_BLOCK rungs, each later call the next block's."""
+    width, block = _width_calls(calls), quadrature._WIDTH_BLOCK
+    assert [len(c) for c in width] == [2 * block + 1] + [2 * block] * (len(width) - 1)
+    zetas = [z for c in width for z in c]
+    return zetas[0], list(zip(zetas[1::2], zetas[2::2]))
+
+
+def _axis_rungs(y) -> int:
+    """How many rungs 0.5 2^-j the width search takes on x^2 at (0, y): up
+    to the first within _PEAK_DROP of the centre, by the closed form."""
+    j = 0
+    while _axis_drop(0.5 / 2**j, y) > _PEAK_DROP:
+        j += 1
+    return j + 1
 
 
 @pytest.mark.parametrize("y", [3e-11, 1e-16, 1e-26])
 def test_direct_pair_finds_a_peak_narrower_than_its_first_zeta_rung(y, monkeypatch):
     # on x^2 at x = 0 the outer peak has width about y^(1/2); the width
-    # search halves from the rungs +-0.5, which lie past the truncation
-    # depth, no zeta is evaluated twice, and the pair meets its closed forms
-    # (a scan that did not halve found half of them)
+    # search's blocks run down from the rungs +-0.5, which lie past the
+    # truncation depth, to the block that holds the width, no zeta is
+    # evaluated twice, and the pair meets its closed forms (a scan that did
+    # not halve found half of them)
     calls = _record_zetas(monkeypatch)
     K, S = direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
     assert abs(K.value * 4.0 * math.pi**2 * y**3 - 1.0) <= K.err_estimate
     assert abs(S.value * 8.0 * math.pi**2 * y**2 - 1.0) <= S.err_estimate
     zetas = [z for call in calls for z in call]
     assert len(set(zetas)) == len(zetas)
-    searched = [z for step in _width_steps(calls) for z in step]
-    assert 0 < min(abs(z) for z in searched if z) < 0.5
+    zc, rungs = _rungs(calls)
+    assert zc == 0.0 and rungs == [(-0.5 / 2**j, 0.5 / 2**j) for j in range(len(rungs))]
+    n = _axis_rungs(y)
+    assert len(_width_calls(calls)) == -(-n // quadrature._WIDTH_BLOCK) > 2
 
 
 def _axis_drop(zeta, y):
@@ -1050,36 +1077,48 @@ def _axis_drop(zeta, y):
     return 3.5 * math.log1p(zeta * zeta / (4.0 * y))
 
 
+def _outer_nodes() -> np.ndarray:
+    # the s nodes of the outer rule's first call: 15 a panel on 8 panels
+    edges = np.linspace(-quadrature._DE_REACH, quadrature._DE_REACH, 9)
+    return quadrature._kronrod_nodes(edges[:-1], edges[1:])[1].ravel()
+
+
 def test_direct_pair_halves_its_width_until_both_rungs_are_near_the_centre(monkeypatch):
-    # the width search is [zeta*], then one call [zeta* - w, zeta* + w] a
-    # step, w halving from 0.5 until both rungs lie within _PEAK_DROP of
-    # the centre; at y = 1e-6 that takes ten steps, counted from the
-    # parabola's closed form r^(-7/2)
+    # the width search takes w = 0.5 2^-j, the first rung whose zetas
+    # zeta* -+ w both lie within _PEAK_DROP of the centre, in blocks of
+    # _WIDTH_BLOCK rungs a call, the centre on the first; at y = 1e-6 that
+    # is the tenth rung, counted from the parabola's closed form r^(-7/2),
+    # so the search takes two blocks and the outer rule maps with w
     y = 1e-6
-    widths = [0.5]
-    while _axis_drop(widths[-1], y) > _PEAK_DROP:
-        widths.append(0.5 * widths[-1])
+    n = _axis_rungs(y)
+    assert n == 10
+    block = quadrature._WIDTH_BLOCK
     calls = _record_zetas(monkeypatch)
     direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
-    assert _width_steps(calls) == [[0.0]] + [[-w, w] for w in widths]
-    assert len(widths) == 10
+    zc, rungs = _rungs(calls)
+    blocks = -(-n // block)
+    assert zc == 0.0 and len(_width_calls(calls)) == blocks
+    assert rungs == [(-0.5 / 2**j, 0.5 / 2**j) for j in range(blocks * block)]
     # then the outer rule: 8 panels of 15 zetas, 30 a refinement
-    assert len(calls[len(widths) + 1]) == 120
-    assert all(len(c) == 30 for c in calls[len(widths) + 2 :])
+    w = 0.5 / 2 ** (n - 1)
+    s = _outer_nodes()
+    assert calls[blocks] == pytest.approx(w * np.sinh(0.5 * math.pi * np.sinh(s)), rel=1e-14)
+    assert all(len(c) == 30 for c in calls[blocks + 1 :])
 
 
 def test_direct_pair_centres_its_width_search_off_the_axis(monkeypatch):
     # on x^4 at x = 0.3 the search starts at zeta* = -f'(0.3) = -0.108 and
-    # its rungs lie at zeta* -+ 0.5 2^-j, j = 0, 1, ..., one pair a step
+    # its rungs lie at zeta* -+ 0.5 2^-j, j = 0, 1, ..., in order, a block
+    # of them a call
     f = model_domain(2)
     x = 0.3
-    zc = -float(f.fprime(x))
+    zc_want = -float(f.fprime(x))
     calls = _record_zetas(monkeypatch)
     direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-4), QuadratureConfig(1e-8))
-    steps = _width_steps(calls)
-    assert steps[0] == [zc] and zc == pytest.approx(-0.108, rel=1e-14)
-    assert len(steps) > 3
-    for j, (minus, plus) in enumerate(steps[1:]):
+    zc, rungs = _rungs(calls)
+    assert zc == zc_want and zc == pytest.approx(-0.108, rel=1e-14)
+    assert len(rungs) >= quadrature._WIDTH_BLOCK
+    for j, (minus, plus) in enumerate(rungs):
         assert plus - zc == pytest.approx(0.5 / 2**j, rel=1e-12)
         assert zc - minus == pytest.approx(0.5 / 2**j, rel=1e-12)
 
@@ -1088,20 +1127,69 @@ def test_direct_pair_centres_its_width_search_off_the_axis(monkeypatch):
 def test_direct_pair_searches_its_width_in_z_on_a_finite_cone(x, monkeypatch):
     # blended_linear_domain(1) has the cone (-1, 1), mapped from the real
     # line by zeta = tanh z: the rungs lie at tanh(z* -+ w), z* = atanh(zeta*),
-    # w halving from 0.5, so a centre 0.036 (x = 1) or 8e-11 (x = 6) from
+    # w = 0.5 2^-j in order, so a centre 0.036 (x = 1) or 8e-11 (x = 6) from
     # the end -1 still gets rungs on both sides at a width of its own
     f = blended_linear_domain(1)
-    zc = -float(f.fprime(x))
+    zc_want = -float(f.fprime(x))
     calls = _record_zetas(monkeypatch)
     direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-3), QuadratureConfig(1e-8))
-    steps = _width_steps(calls)
-    assert steps[0] == [zc] and 1.0 + zc < (0.04 if x == 1.0 else 1e-10)
-    assert len(steps) > 1
-    for j, (minus, plus) in enumerate(steps[1:]):
+    zc, rungs = _rungs(calls)
+    assert zc == zc_want and 1.0 + zc < (0.04 if x == 1.0 else 1e-10)
+    assert len(rungs) >= quadrature._WIDTH_BLOCK
+    z_star = math.atanh(zc)
+    for j, (minus, plus) in enumerate(rungs):
         assert -1.0 < minus < zc < plus < 1.0
         w = 0.5 / 2**j
-        assert math.atanh(plus) - math.atanh(zc) == pytest.approx(w, rel=1e-6)
-        assert math.atanh(zc) - math.atanh(minus) == pytest.approx(w, rel=1e-6)
+        assert plus == pytest.approx(math.tanh(z_star + w), rel=1e-15)
+        assert minus == pytest.approx(math.tanh(z_star - w), rel=1e-15)
+
+
+def _near_boundary(f, x, d):
+    return f, BoundaryRelativePoint(x, float(f.f(x)) + d)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (model_domain(1), BoundaryRelativePoint(0.0, 1e-6)),
+        lambda: _near_boundary(model_domain(2), 0.3, 1e-4),
+        lambda: _near_boundary(blended_linear_domain(1), 6.0, 1e-3),
+        lambda: (mollify(model_domain(2), 0.1), BoundaryRelativePoint(0.0, 0.25)),
+    ],
+    ids=["model-m1-axis", "model-m2-off-axis", "blended-x6", "mollified-m2-j0"],
+)
+def test_direct_pair_width_does_not_depend_on_its_block(monkeypatch, case):
+    # the block sets how many rungs share one middles call, not which rung
+    # is w: the outer rule's first call maps the same zetas, and the values
+    # agree; on x^2 at (0, 1e-6) w is the tenth rung, so ceil(10 / B) calls
+    f, p = case()
+    cfg = QuadratureConfig(1e-8)
+    runs = {}
+    for block in (quadrature._WIDTH_BLOCK, 1, 3):
+        monkeypatch.setattr(quadrature, "_WIDTH_BLOCK", block)
+        calls = _record_zetas(monkeypatch)
+        runs[block] = direct_pair(f, p, cfg), _width_calls(calls), calls
+        monkeypatch.undo()
+    (K, S), width, calls = runs[quadrature._WIDTH_BLOCK]
+    for block in (1, 3):
+        (K_b, S_b), width_b, calls_b = runs[block]
+        assert calls_b[len(width_b)] == calls[len(width)]
+        for a, b in ((K, K_b), (S, S_b)):
+            assert abs(a.log_value - b.log_value) <= 1e-13 * abs(b.log_value), (a, b)
+        if p.y == 1e-6:
+            assert len(width_b) == -(-10 // block)
+
+
+def test_direct_pair_width_search_stops_at_its_floor(monkeypatch):
+    # with no rung able to pass, the search takes every rung 0.5 2^-j down
+    # to w = 1e-30, each zeta once, and names the width it stopped at
+    monkeypatch.setattr(quadrature, "_PEAK_DROP", -1.0)
+    calls = _record_zetas(monkeypatch)
+    with pytest.raises(QuadratureError, match=r"no edge of the peak by w = 7\.9e-31"):
+        direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 0.25), QuadratureConfig(1e-8))
+    zetas = [z for c in calls for z in c]
+    assert len(set(zetas)) == len(zetas) == 1 + 2 * quadrature._WIDTH_RUNGS
+    assert min(abs(z) for z in zetas if z) == 0.5 / 2 ** (quadrature._WIDTH_RUNGS - 1) > 1e-30
 
 
 # log K and log S of direct_pair before its scan centred on zeta* (7800b06),
