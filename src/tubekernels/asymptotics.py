@@ -219,30 +219,25 @@ def _phi_spline_cached(m: int, bucket: int) -> PhiSpline:
     return PhiSpline(m, float(2**bucket))
 
 
-# buckets _phi_spline_for tries from its caller's estimate; the estimates
-# in use need at most one past it
-_SPLINE_TRIES = 4
+def _spline_range(m: int, u: float) -> float:
+    """The v_max a PhiSpline needs for log L up to |u|: the integrand's
+    peak sits near v = 2m u^(2m-1), here taken at u + 1 with 30% and 60 to
+    spare."""
+    return 2 * m * (u + 1.0) ** (2 * m - 1) * 1.3 + 60.0
 
 
-def _phi_spline_for(m: int, u_max: float, v_max: float) -> PhiSpline:
-    """The cached PhiSpline of the first power-of-two v_max >= 2^6 and the
-    estimate v_max that ``_peaks_inside`` accepts at u_max, and so at every
-    smaller |u|: the truncation margin falls as u grows.  DomainError
-    naming u_max unless it is finite and >= 0, or when none of
-    ``_SPLINE_TRIES`` buckets from the estimate's accepts it."""
+def _phi_spline_for(m: int, u_max: float) -> PhiSpline:
+    """The cached PhiSpline whose v_max is the power of two (at least 2^6)
+    at or above ``_spline_range(m, u_max)``.  ``_peaks_inside`` checks it
+    once at u_max, and so at every smaller |u|: the truncation margin falls
+    as u grows.  DomainError naming u_max unless it is finite and >= 0, or
+    where that spline does not hold it."""
     if not (math.isfinite(u_max) and u_max >= 0):
         raise DomainError(f"u_max must be finite and >= 0, got {u_max!r}")
-    start = max(6, int(math.ceil(math.log2(max(v_max, 1.0)))))
-    for bucket in range(start, start + _SPLINE_TRIES):
-        phis = _phi_spline_cached(int(m), bucket)
-        try:
-            _peaks_inside(phis, np.array([u_max]))
-            return phis
-        except DomainError:
-            pass
-    raise DomainError(
-        f"no PhiSpline up to v_max = 2^{bucket} holds u_max = {u_max!r} (estimate {v_max!r})"
-    )
+    bucket = max(6, math.ceil(math.log2(_spline_range(m, u_max))))
+    phis = _phi_spline_cached(int(m), bucket)
+    _peaks_inside(phis, np.array([u_max]))
+    return phis
 
 
 _PROBE_STEP = 0.05  # the probes' relative half-step in the rate variable
@@ -283,19 +278,19 @@ def L_rate_probe(m: int, u: float = 3.2) -> tuple[float, float]:
     """(measured, expected=1) growth rate of log L in the variable u^(2m),
     a centered difference at relative offset 5%.  DomainError unless u is
     finite and positive and the rate variable, 5% up, is finite, and naming
-    u when the spline's range, estimated from the peak of L's integrand near
-    v = 2m u^(2m-1), lies past ``_PEAK_REACH`` (from u near 6e9 at m = 2)."""
+    u when the spline's range, ``_spline_range`` at the upper step, lies
+    past ``_PEAK_REACH`` (from u near 6e9 at m = 2)."""
     m2 = 2 * m
     z = _rate_variable("u", u, m2)
     dz = _PROBE_STEP * z
     u_hi = (z + dz) ** (1.0 / m2)
-    v_max = m2 * u_hi ** (m2 - 1) * 1.3 + 60.0
+    v_max = _spline_range(m, u_hi)
     if v_max > _PEAK_REACH:
         raise DomainError(
             f"u = {u!r} is too large: the peak search reaches |v| = 2^100, and "
             f"the spline would span v up to {v_max:.3e}"
         )
-    phis = _phi_spline_for(m, u_hi, v_max)
+    phis = _phi_spline_for(m, u_hi)
     us = np.array([(z - dz) ** (1.0 / m2), u_hi])
     # broadcast: the benchmark's set-up swaps log_L for a scalar constant
     lo, hi = np.broadcast_to(log_L(us, phis), us.shape)
@@ -327,7 +322,8 @@ def model_profile_pair(
     exp(-(1 - t^(2m)) s^(2m)), so the grid extent scales with the
     degenerating rate as tau drops and the work stays bounded.  Each call
     of the integrand passes all its s nodes to one ``log_L`` call, so one
-    root search serves them all.  DomainError unless m is an integer >= 1,
+    root search serves them all, on the spline ``_phi_spline_for`` sizes
+    for the largest u = t s_hi.  DomainError unless m is an integer >= 1,
     g0 is finite and positive and tau lies in (0, 1].
     """
     _check_order(m)
@@ -343,8 +339,7 @@ def model_profile_pair(
     t = e ** (1.0 / m2)
     eps = max(1.0 - e, 1e-12)  # s-decay rate 1 - t^(2m)
     s_hi = ((_TRUNCATION_DEPTH + 8.0) / eps) ** (1.0 / m2)
-    u_max = t * s_hi + 1.0
-    phis = _phi_spline_for(m, t * s_hi, m2 * u_max ** (m2 - 1) * 1.3 + 60.0)
+    phis = _phi_spline_for(m, t * s_hi)
 
     def rows(s):
         base = -(s**m2) + log_L(t * s, phis)
@@ -410,8 +405,7 @@ def predict(
     exponent = blowup_exponent(f.m, kind)  # validates kind
     m = f.m
     chart = chart or _default_chart(m)
-    g0 = float(f.g(0.0))
-    pair = model_profile_pair(m, g0, tau, chart)
+    pair = model_profile_pair(m, f.g0, tau, chart)
     c0 = math.exp(pair[0] if kind == "bergman" else pair[1])
     return ExpansionPrediction(
         kind=kind,

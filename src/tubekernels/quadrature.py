@@ -721,7 +721,8 @@ def direct_pair(
     offset A.
     ``err_estimate`` is the outer integral's relative error, plus 0.35
     rel_tol for the inner integrals and truncation, plus the largest table
-    tail (an absolute error of log G is relative in the integrand).
+    tail over the outer rule's zetas (an absolute error of log G is
+    relative in the integrand; the width search's tables never enter it).
     ``evaluations`` sums, over every zeta of the width search (its last
     block's rungs past w included) and the outer rule, its grid's phase
     points, its table's samples and its inner call's rule points, counted
@@ -827,6 +828,7 @@ def direct_pair(
             out[:, live] = middles(zeta[live]) + log_dz[live]
         return out
 
+    tail_G[0] = 0.0  # the width search's tables never enter the integral
     lv, re, ne = log_adaptive_multi(outer, -_DE_REACH, _DE_REACH, rel_tol=cfg.rel_tol, init=8)
     achieved = float(np.max(re))
     if not (achieved <= 20.0 * cfg.rel_tol):
@@ -1111,7 +1113,7 @@ def bergman_normalized(
     f.require_interior(p)
     m = f.m
     m2 = 2 * m
-    g0 = float(f.g(0.0))
+    g0 = f.g0
     scale = g0 ** (-1.0 / m2)
 
     def ghat(xhat):

@@ -32,6 +32,7 @@ from tubekernels import (
     predict,
     rational_domain,
 )
+from tubekernels.quadrature import _TRUNCATION_DEPTH
 
 # see test_quadrature.py; direct-quadrature value of K(0,1) for f = x^4
 K4_AXIS = 0.02175172310013568
@@ -184,17 +185,13 @@ def test_L_rate_probe_keeps_its_rate_below_the_reach(u):
     assert abs(measured - expected) <= 1e-12
 
 
-def test_phi_spline_for_rejects_a_bad_u_max_and_stops_climbing():
-    # a NaN u_max climbed buckets for seconds; now it is refused at once, and
-    # a u_max far past the estimate stops after _SPLINE_TRIES buckets
+def test_phi_spline_for_rejects_a_bad_u_max():
+    # a u_max that is not finite and >= 0 is refused before any spline is built
     t0 = time.perf_counter()
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(DomainError, match=f"u_max must be finite and >= 0, got {bad!r}$"):
-            asymptotics._phi_spline_for(2, bad, 100.0)
+            asymptotics._phi_spline_for(2, bad)
     assert time.perf_counter() - t0 < 0.1
-    last = 6 + asymptotics._SPLINE_TRIES - 1
-    with pytest.raises(DomainError, match=rf"up to v_max = 2\^{last} holds u_max = 1000000.0"):
-        asymptotics._phi_spline_for(2, 1e6, 1.0)
 
 
 def test_log_l_monotone_and_rate():
@@ -224,7 +221,7 @@ def test_log_L_is_elementwise():
 def test_log_L_memory_stays_bounded():
     # one ProfileGrid build per chunk of u: a call on 1,000 u peaks near
     # 2.4 MB traced, where one build of all of them would take 24 MB
-    phis = asymptotics._phi_spline_for(3, 3.0, 6 * 3.0**5 * 1.3 + 60.0)
+    phis = asymptotics._phi_spline_for(3, 3.0)
     us = np.linspace(0.0, 3.0, 1000)
     tracemalloc.start()
     try:
@@ -381,3 +378,16 @@ def test_L_rate_probe_sizes_its_spline_for_every_u(m):
     for u in np.arange(0.3, 4.0, 0.05).tolist() + [2.32]:
         measured, expected = L_rate_probe(m, u)
         assert math.isfinite(measured) and expected == 1.0
+
+
+def test_phi_spline_for_holds_every_model_profile_range_on_its_first_bucket():
+    # _phi_spline_for takes one bucket and never climbs: every u_max that
+    # model_profile_pair asks for, t s_hi at the end of its s-grid, must lie
+    # inside the spline its estimate picks
+    for m in range(1, 9):
+        chart = asymptotics._default_chart(m)
+        for tau in np.linspace(0.05, 1.0, 12).tolist():
+            e = float(chart.core_fraction_from_tau(tau))
+            s_hi = ((_TRUNCATION_DEPTH + 8.0) / max(1.0 - e, 1e-12)) ** (1.0 / (2 * m))
+            phis = asymptotics._phi_spline_for(m, e ** (1.0 / (2 * m)) * s_hi)
+            assert phis.m == m, (m, tau)

@@ -314,7 +314,7 @@ def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
     assert max(n for n, _ in builds) <= 4
     for m, u_max in ((1, 30.0), (3, 8.0)):
         # the spline's log_phi build is a build too, of k = 1
-        phis = asymptotics._phi_spline_for(m, u_max, 2 * m * u_max ** (2 * m - 1) * 1.3 + 60.0)
+        phis = asymptotics._phi_spline_for(m, u_max)
         builds.clear()
         log_L(np.linspace(0.0, u_max, 300), phis)
         assert len(builds) == 5 and max(k for _, k in builds) == asymptotics._L_CHUNK, m
@@ -1149,21 +1149,29 @@ def _near_boundary(f, x, d):
 
 
 @pytest.mark.parametrize(
-    "case",
+    "case, rel_tol",
     [
-        lambda: (model_domain(1), BoundaryRelativePoint(0.0, 1e-6)),
-        lambda: _near_boundary(model_domain(2), 0.3, 1e-4),
-        lambda: _near_boundary(blended_linear_domain(1), 6.0, 1e-3),
-        lambda: (mollify(model_domain(2), 0.1), BoundaryRelativePoint(0.0, 0.25)),
+        (lambda: (model_domain(1), BoundaryRelativePoint(0.0, 1e-6)), 1e-8),
+        (lambda: _near_boundary(model_domain(2), 0.3, 1e-4), 1e-8),
+        (lambda: _near_boundary(blended_linear_domain(1), 6.0, 1e-3), 1e-8),
+        (lambda: (mollify(model_domain(2), 0.1), BoundaryRelativePoint(0.0, 0.25)), 1e-8),
+        (
+            lambda: (
+                rational_domain(2),
+                BoundaryRelativePoint(0.020801049585227105, 0.00011260726143374602),
+            ),
+            1e-7,
+        ),
     ],
-    ids=["model-m1-axis", "model-m2-off-axis", "blended-x6", "mollified-m2-j0"],
+    ids=["model-m1-axis", "model-m2-off-axis", "blended-x6", "mollified-m2-j0", "rational-m2"],
 )
-def test_direct_pair_width_does_not_depend_on_its_block(monkeypatch, case):
+def test_direct_pair_width_does_not_depend_on_its_block(monkeypatch, case, rel_tol):
     # the block sets how many rungs share one middles call, not which rung
     # is w: the outer rule's first call maps the same zetas, and the values
-    # agree; on x^2 at (0, 1e-6) w is the tenth rung, so ceil(10 / B) calls
+    # and error claims agree (the rungs a block takes past w add no table
+    # tail); on x^2 at (0, 1e-6) w is the tenth rung, so ceil(10 / B) calls
     f, p = case()
-    cfg = QuadratureConfig(1e-8)
+    cfg = QuadratureConfig(rel_tol)
     runs = {}
     for block in (quadrature._WIDTH_BLOCK, 1, 3):
         monkeypatch.setattr(quadrature, "_WIDTH_BLOCK", block)
@@ -1176,6 +1184,7 @@ def test_direct_pair_width_does_not_depend_on_its_block(monkeypatch, case):
         assert calls_b[len(width_b)] == calls[len(width)]
         for a, b in ((K, K_b), (S, S_b)):
             assert abs(a.log_value - b.log_value) <= 1e-13 * abs(b.log_value), (a, b)
+            assert a.err_estimate == b.err_estimate, (a, b)
         if p.y == 1e-6:
             assert len(width_b) == -(-10 // block)
 
