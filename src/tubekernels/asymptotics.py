@@ -219,22 +219,33 @@ def _phi_spline_cached(m: int, bucket: int) -> PhiSpline:
     return PhiSpline(m, float(2**bucket))
 
 
-def _spline_range(m: int, u: float) -> float:
+def _spline_range(m: int, u: float, name: str, value: float) -> float:
     """The v_max a PhiSpline needs for log L up to |u|: the integrand's
     peak sits near v = 2m u^(2m-1), here taken at u + 1 with 30% and 60 to
-    spare."""
-    return 2 * m * (u + 1.0) ** (2 * m - 1) * 1.3 + 60.0
+    spare.  DomainError naming the point ``name`` = value where that lies
+    past ``_PEAK_REACH``, beyond which the peak search finds no peak."""
+    try:
+        v_max = 2 * m * (u + 1.0) ** (2 * m - 1) * 1.3 + 60.0
+    except OverflowError:
+        v_max = math.inf
+    if v_max > _PEAK_REACH:
+        raise DomainError(
+            f"{name} = {value!r} is too large: the peak search reaches |v| = 2^100, "
+            f"and the spline would span v up to {v_max:.3e}"
+        )
+    return v_max
 
 
 def _phi_spline_for(m: int, u_max: float) -> PhiSpline:
     """The cached PhiSpline whose v_max is the power of two (at least 2^6)
-    at or above ``_spline_range(m, u_max)``.  ``_peaks_inside`` checks it
+    at or above ``_spline_range`` at u_max.  ``_peaks_inside`` checks it
     once at u_max, and so at every smaller |u|: the truncation margin falls
-    as u grows.  DomainError naming u_max unless it is finite and >= 0, or
-    where that spline does not hold it."""
+    as u grows.  DomainError naming u_max unless it is finite and >= 0 and
+    its range lies within ``_PEAK_REACH`` (from u_max near 6e9 at m = 2),
+    or where that spline does not hold it."""
     if not (math.isfinite(u_max) and u_max >= 0):
         raise DomainError(f"u_max must be finite and >= 0, got {u_max!r}")
-    bucket = max(6, math.ceil(math.log2(_spline_range(m, u_max))))
+    bucket = max(6, math.ceil(math.log2(_spline_range(m, u_max, "u_max", u_max))))
     phis = _phi_spline_cached(int(m), bucket)
     _peaks_inside(phis, np.array([u_max]))
     return phis
@@ -284,12 +295,7 @@ def L_rate_probe(m: int, u: float = 3.2) -> tuple[float, float]:
     z = _rate_variable("u", u, m2)
     dz = _PROBE_STEP * z
     u_hi = (z + dz) ** (1.0 / m2)
-    v_max = _spline_range(m, u_hi)
-    if v_max > _PEAK_REACH:
-        raise DomainError(
-            f"u = {u!r} is too large: the peak search reaches |v| = 2^100, and "
-            f"the spline would span v up to {v_max:.3e}"
-        )
+    _spline_range(m, u_hi, "u", u)
     phis = _phi_spline_for(m, u_hi)
     us = np.array([(z - dz) ** (1.0 / m2), u_hi])
     # broadcast: the benchmark's set-up swaps log_L for a scalar constant

@@ -635,20 +635,13 @@ _ZETA_CHUNK = 48
 
 
 # e-folds below the centre's Bergman value within which direct_pair's width
-# search accepts a rung: 2 took the fewest evaluations over 18 fixed-tau
-# points at rel_tol 1e-7 (2.91M; 0.5, 1, 4 and 8 took 3.14M-5.57M)
+# search accepts a rung, read through the Bergman middle's law r^(-7/2): 2
+# took the fewest evaluations over 18 fixed-tau points at rel_tol 1e-7
+# (2.91M; 0.5, 1, 4 and 8 took 3.14M-5.57M)
 _PEAK_DROP = 2.0
 
 # rungs w = 0.5 2^-j of direct_pair's width search, down to w = 1e-30
 _WIDTH_RUNGS = 99
-
-# rungs per middles call of direct_pair's width search, sized by speed: a
-# call's fixed cost (a root search, a grid build, a table pass and an inner
-# engine call) dominates, and fixed_tau_paths points take 4-11 rungs.  Median
-# of 24 in-process passes over the fixed_tau_paths points of seeds 11-14 on a
-# 2-core x86-64 VM: 0.84 s at 1, 0.68 s at 6, 0.69 s at 8, 0.70 s at 10 and
-# 12.  The first block, 2 _WIDTH_BLOCK + 1 zetas, fits in one _ZETA_CHUNK
-_WIDTH_BLOCK = 8
 
 # s-range of direct_pair's outer map: |s| <= 3.5 reaches |z - z*| = 9.5e10 w,
 # past which an integrand decaying like |zeta|^(-a) on an infinite end keeps
@@ -706,13 +699,16 @@ def direct_pair(
     Mori, 1974), zeta = psi(z* + w sinh((pi/2) sinh s)), |s| <= _DE_REACH,
     psi from ``_cone_map`` and z* = psi^-1(zeta*) at the outer peak zeta* =
     -f'(x), about (d f''(x))^(1/2) wide near the boundary, d = y - f(x).
-    The width w is the first rung 0.5 2^-j whose zetas psi(z* -+ w) in
-    the cone lie within ``_PEAK_DROP`` e-folds of the centre's Bergman
-    value (a rung with none in the cone passes), the rungs taken
-    ``_WIDTH_BLOCK`` a ``middles`` call, the centre on the first; no rung
-    passes by w = 1e-30 and QuadratureError is raised.  The map makes the
-    integrand's algebraic tails, and its vanishing at a finite cone end,
-    double-exponential in s, so no truncation depth in zeta is needed
+    The width w is read from r = y + x zeta - A alone, r >= y - f(x): the
+    Bergman middle is, to leading order, a constant times r^(-7/2) (exactly
+    so on x^2), and w is the first rung 0.5 2^-j whose zetas psi(z* -+ w)
+    in the cone keep 3.5 log(r / r(zeta*)) within ``_PEAK_DROP`` e-folds (a
+    rung with none in the cone passes), from one ``_tilted_peak`` call on
+    the centre and every rung's zetas, with no grid, table or inner
+    integral; no rung passes by w = 1e-30 and QuadratureError is raised.
+    The map makes the integrand's algebraic tails, and its vanishing at a
+    finite cone end, double-exponential in s, so no truncation depth in
+    zeta is needed
     (``_DE_REACH`` and ``_END_GAP`` bound what is left out).  One
     ``log_adaptive_multi`` call integrates middles(zeta(s)) + log zeta'(s)
     from 8 panels; where rounding noise in r keeps it bisecting to its panel
@@ -722,11 +718,10 @@ def direct_pair(
     ``err_estimate`` is the outer integral's relative error, plus 0.35
     rel_tol for the inner integrals and truncation, plus the largest table
     tail over the outer rule's zetas (an absolute error of log G is
-    relative in the integrand; the width search's tables never enter it).
-    ``evaluations`` sums, over every zeta of the width search (its last
-    block's rungs past w included) and the outer rule, its grid's phase
-    points, its table's samples and its inner call's rule points, counted
-    once per zeta where a chunk shares them.
+    relative in the integrand).  ``evaluations`` sums, over the outer
+    rule's zetas, its grid's phase points, its table's samples and its
+    inner call's rule points, counted once per zeta where a chunk shares
+    them.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -770,7 +765,8 @@ def direct_pair(
         tail_G[0] = max(tail_G[0], float(tails.max()))
         return (lv.reshape(k, 2) - log_r[:, None]).T
 
-    def middles(zetas: np.ndarray) -> np.ndarray:
+    def peaks(zetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the peak xi_s and value A of f tilted by -zeta, and r = y + x zeta - A
         xi_s, A = _tilted_peak(f.f, f.fprime, -zetas)
         r = y + x * zetas - A  # >= y - f(x) > 0, unless A's rounding exceeds it
         if not np.all(r > 0):
@@ -779,6 +775,10 @@ def direct_pair(
                 f"y = {y!r} is below the rounding of the tilted peak at zeta = "
                 f"{float(zetas[i])!r}: y + x zeta - A = {float(r[i])!r}"
             )
+        return xi_s, A, r
+
+    def middles(zetas: np.ndarray) -> np.ndarray:
+        xi_s, A, r = peaks(zetas)
         out = np.empty((2, zetas.size))
         for j in range(0, zetas.size, _ZETA_CHUNK):
             c = slice(j, j + _ZETA_CHUNK)
@@ -795,27 +795,21 @@ def direct_pair(
     reach = 0.5 * math.sinh(0.5 * math.pi * math.sinh(_DE_REACH))
     lo_c, hi_c = max(lo_c, zc - reach), min(hi_c, zc + reach)
     z_star = psi_inv(zc)
-    for j in range(0, _WIDTH_RUNGS, _WIDTH_BLOCK):
-        # one block: the rungs psi(z* -+ 0.5 2^-i) that lie in the cone, in
-        # one call with the centre on the first; w is the first rung whose
-        # zetas all lie within _PEAK_DROP of the centre (none counts as all)
-        ws = 0.5 * 2.0 ** -np.arange(j, min(j + _WIDTH_BLOCK, _WIDTH_RUNGS))
-        zs = psi(z_star + np.column_stack([-ws, ws]).ravel())[0]
-        live = (zs > lo_c) & (zs < hi_c)
-        ask = np.concatenate([[] if j else [zc], zs[live]])
-        vals = middles(ask)[0] if ask.size else ask
-        if not j:
-            v0, vals = vals[0], vals[1:]
-        near = np.ones(zs.size, dtype=bool)
-        near[live] = vals >= v0 - _PEAK_DROP
-        near = near.reshape(-1, 2).all(axis=1)
-        if near.any():
-            w = float(ws[np.argmax(near)])
-            break
-    else:
+    # the rungs psi(z* -+ 0.5 2^-j) that lie in the cone, with the centre,
+    # in one peak search; a rung passes where its zetas all keep the Bergman
+    # middle's r^(-7/2) within _PEAK_DROP of the centre's (none counts as all)
+    ws = 0.5 * 2.0 ** -np.arange(_WIDTH_RUNGS)
+    zs = psi(z_star + np.column_stack([-ws, ws]).ravel())[0]
+    live = (zs > lo_c) & (zs < hi_c)
+    r = peaks(np.concatenate([[zc], zs[live]]))[2]
+    near = np.ones(zs.size, dtype=bool)
+    near[live] = 3.5 * np.log(r[1:] / r[0]) <= _PEAK_DROP
+    near = near.reshape(-1, 2).all(axis=1)
+    if not near.any():
         raise QuadratureError(
             f"outer width search found no edge of the peak by w = {0.5 * ws[-1]:.1e}"
         )
+    w = float(ws[np.argmax(near)])
 
     def outer(s: np.ndarray) -> np.ndarray:
         u = 0.5 * math.pi * np.sinh(s)
@@ -828,7 +822,6 @@ def direct_pair(
             out[:, live] = middles(zeta[live]) + log_dz[live]
         return out
 
-    tail_G[0] = 0.0  # the width search's tables never enter the integral
     lv, re, ne = log_adaptive_multi(outer, -_DE_REACH, _DE_REACH, rel_tol=cfg.rel_tol, init=8)
     achieved = float(np.max(re))
     if not (achieved <= 20.0 * cfg.rel_tol):

@@ -194,6 +194,17 @@ def test_phi_spline_for_rejects_a_bad_u_max():
     assert time.perf_counter() - t0 < 0.1
 
 
+@pytest.mark.parametrize("u_max", [1e40, 1e200])
+def test_phi_spline_for_names_a_u_max_past_the_peak_reach(u_max):
+    # a u_max whose range lies past the peak search's reach is refused by
+    # name before any spline is built or any root is searched, also where
+    # the range itself overflows (1e200)
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match=re.escape(f"u_max = {u_max!r} is too large")):
+        asymptotics._phi_spline_for(2, u_max)
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_log_l_monotone_and_rate():
     sp = PhiSpline(2, 400.0)
     vals = [log_L(u, sp) for u in (1.5, 2.0, 2.5, 3.0)]

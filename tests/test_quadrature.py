@@ -286,8 +286,8 @@ def test_inner_edge_moves_its_first_block_with_xi_star(scale):
 
 
 def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
-    # this point's 167 zetas (the width search's first block of 17 and the
-    # outer rule's 150) have grids that cross c_min and c_max within their
+    # this point's 150 zetas, all the outer rule's (the width search builds
+    # no grid), have grids that cross c_min and c_max within their
     # first x4 blocks, c_min below u = 1 at small |zeta| and above it at
     # large |zeta|, out to the double-exponential tails' |zeta| = 4.4e10,
     # whose blocks move up with |xi_star|: a build of a chunk's phases makes
@@ -984,12 +984,15 @@ def test_direct_pair_claims_cover_the_parabola_closed_forms(rel_tol):
         assert k_err <= K.err_estimate and s_err <= S.err_estimate, (x, y)
 
 
-@pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "m, rel_tol",
+    [(m, rel_tol) for m in (1, 2, 3, 4) for rel_tol in (1e-9, 1e-11)] + [(6, 1e-9), (8, 1e-9)],
+)
 def test_direct_pair_ratio_is_within_the_claims_on_the_model_axis(m, rel_tol):
     # on x^(2m), S/K = y m/(m + 1) on the axis x = 0; the outer map keeps
     # Szego's slowly decaying tail (a zeta scan cut at the truncation depth
-    # dropped it from m = 2 on)
+    # dropped it from m = 2 on); at m = 6 and 8 the law r^(-7/2) that sets
+    # the width is only the leading order of the Bergman middle
     y = 0.25
     K, S = direct_pair(model_domain(m), BoundaryRelativePoint(0.0, y), QuadratureConfig(rel_tol))
     gap = S.log_value - K.log_value - math.log(y * m / (m + 1))
@@ -1011,10 +1014,9 @@ def test_direct_pair_loses_nothing_past_its_de_reach(monkeypatch, m):
 
 def _record_zetas(monkeypatch) -> list[list[float]]:
     """The zetas of each ``_tilted_peak`` call of the direct_pair calls to
-    come: the width search's calls carry at most 2 _WIDTH_BLOCK + 1 zetas,
-    the centre and the rungs of a block; the outer rule's first call 15 a
-    panel on 8 panels, fewer where a finite cone end cuts it, then 30 a
-    refinement."""
+    come: the first is the width search's, the centre and then the rungs'
+    zetas that lie in the cone; then the outer rule's first, 15 a panel on 8
+    panels, fewer where a finite cone end cuts it, then 30 a refinement."""
     real = quadrature._tilted_peak
     calls = []
 
@@ -1026,21 +1028,13 @@ def _record_zetas(monkeypatch) -> list[list[float]]:
     return calls
 
 
-def _width_calls(calls) -> list[list[float]]:
-    """The width search's calls: those before the outer rule's first, the
-    first call of more than 2 _WIDTH_BLOCK + 1 zetas."""
-    block = quadrature._WIDTH_BLOCK
-    return calls[: next(i for i, c in enumerate(calls) if len(c) > 2 * block + 1)]
-
-
 def _rungs(calls) -> tuple[float, list[tuple[float, float]]]:
     """The width search's centre and its (minus, plus) rungs in order, where
-    every rung lies in the cone: the first call is the centre and the block's
-    _WIDTH_BLOCK rungs, each later call the next block's."""
-    width, block = _width_calls(calls), quadrature._WIDTH_BLOCK
-    assert [len(c) for c in width] == [2 * block + 1] + [2 * block] * (len(width) - 1)
-    zetas = [z for c in width for z in c]
-    return zetas[0], list(zip(zetas[1::2], zetas[2::2]))
+    every rung lies in the cone: the first call holds the centre and both
+    zetas of all ``_WIDTH_RUNGS`` rungs."""
+    width = calls[0]
+    assert len(width) == 1 + 2 * quadrature._WIDTH_RUNGS
+    return width[0], list(zip(width[1::2], width[2::2]))
 
 
 def _axis_rungs(y) -> int:
@@ -1055,20 +1049,21 @@ def _axis_rungs(y) -> int:
 @pytest.mark.parametrize("y", [3e-11, 1e-16, 1e-26])
 def test_direct_pair_finds_a_peak_narrower_than_its_first_zeta_rung(y, monkeypatch):
     # on x^2 at x = 0 the outer peak has width about y^(1/2); the width
-    # search's blocks run down from the rungs +-0.5, which lie past the
-    # truncation depth, to the block that holds the width, no zeta is
-    # evaluated twice, and the pair meets its closed forms (a scan that did
-    # not halve found half of them)
+    # search reads every rung from the rungs +-0.5, which lie past the
+    # truncation depth, down to 1e-30, the outer rule evaluates no zeta
+    # twice, and the pair meets its closed forms (a scan that did not halve
+    # found half of them)
     calls = _record_zetas(monkeypatch)
     K, S = direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
     assert abs(K.value * 4.0 * math.pi**2 * y**3 - 1.0) <= K.err_estimate
     assert abs(S.value * 8.0 * math.pi**2 * y**2 - 1.0) <= S.err_estimate
-    zetas = [z for call in calls for z in call]
+    zetas = [z for call in calls[1:] for z in call]
     assert len(set(zetas)) == len(zetas)
     zc, rungs = _rungs(calls)
     assert zc == 0.0 and rungs == [(-0.5 / 2**j, 0.5 / 2**j) for j in range(len(rungs))]
-    n = _axis_rungs(y)
-    assert len(_width_calls(calls)) == -(-n // quadrature._WIDTH_BLOCK) > 2
+    # the outer rule maps with the rung the closed form picks
+    w = 0.5 / 2 ** (_axis_rungs(y) - 1)
+    assert calls[1] == pytest.approx(w * np.sinh(0.5 * math.pi * np.sinh(_outer_nodes())), rel=1e-14)
 
 
 def _axis_drop(zeta, y):
@@ -1085,31 +1080,29 @@ def _outer_nodes() -> np.ndarray:
 
 def test_direct_pair_halves_its_width_until_both_rungs_are_near_the_centre(monkeypatch):
     # the width search takes w = 0.5 2^-j, the first rung whose zetas
-    # zeta* -+ w both lie within _PEAK_DROP of the centre, in blocks of
-    # _WIDTH_BLOCK rungs a call, the centre on the first; at y = 1e-6 that
-    # is the tenth rung, counted from the parabola's closed form r^(-7/2),
-    # so the search takes two blocks and the outer rule maps with w
+    # zeta* -+ w both keep r^(-7/2) within _PEAK_DROP of the centre's, from
+    # one peak search on the centre and every rung; at y = 1e-6 that is the
+    # tenth rung, counted from the parabola's closed form r^(-7/2), and the
+    # outer rule maps with w
     y = 1e-6
     n = _axis_rungs(y)
     assert n == 10
-    block = quadrature._WIDTH_BLOCK
     calls = _record_zetas(monkeypatch)
     direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
     zc, rungs = _rungs(calls)
-    blocks = -(-n // block)
-    assert zc == 0.0 and len(_width_calls(calls)) == blocks
-    assert rungs == [(-0.5 / 2**j, 0.5 / 2**j) for j in range(blocks * block)]
+    assert zc == 0.0
+    assert rungs == [(-0.5 / 2**j, 0.5 / 2**j) for j in range(quadrature._WIDTH_RUNGS)]
     # then the outer rule: 8 panels of 15 zetas, 30 a refinement
     w = 0.5 / 2 ** (n - 1)
     s = _outer_nodes()
-    assert calls[blocks] == pytest.approx(w * np.sinh(0.5 * math.pi * np.sinh(s)), rel=1e-14)
-    assert all(len(c) == 30 for c in calls[blocks + 1 :])
+    assert calls[1] == pytest.approx(w * np.sinh(0.5 * math.pi * np.sinh(s)), rel=1e-14)
+    assert all(len(c) == 30 for c in calls[2:])
 
 
 def test_direct_pair_centres_its_width_search_off_the_axis(monkeypatch):
     # on x^4 at x = 0.3 the search starts at zeta* = -f'(0.3) = -0.108 and
-    # its rungs lie at zeta* -+ 0.5 2^-j, j = 0, 1, ..., in order, a block
-    # of them a call
+    # its rungs lie at zeta* -+ 0.5 2^-j, j = 0, 1, ..., in order; the tiny
+    # ones round onto zeta*
     f = model_domain(2)
     x = 0.3
     zc_want = -float(f.fprime(x))
@@ -1117,10 +1110,9 @@ def test_direct_pair_centres_its_width_search_off_the_axis(monkeypatch):
     direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-4), QuadratureConfig(1e-8))
     zc, rungs = _rungs(calls)
     assert zc == zc_want and zc == pytest.approx(-0.108, rel=1e-14)
-    assert len(rungs) >= quadrature._WIDTH_BLOCK
     for j, (minus, plus) in enumerate(rungs):
-        assert plus - zc == pytest.approx(0.5 / 2**j, rel=1e-12)
-        assert zc - minus == pytest.approx(0.5 / 2**j, rel=1e-12)
+        assert plus == zc + 0.5 / 2**j and minus == zc - 0.5 / 2**j
+    assert rungs[-1] == (zc, zc)
 
 
 @pytest.mark.parametrize("x", [1.0, 6.0])
@@ -1135,13 +1127,13 @@ def test_direct_pair_searches_its_width_in_z_on_a_finite_cone(x, monkeypatch):
     direct_pair(f, BoundaryRelativePoint(x, float(f.f(x)) + 1e-3), QuadratureConfig(1e-8))
     zc, rungs = _rungs(calls)
     assert zc == zc_want and 1.0 + zc < (0.04 if x == 1.0 else 1e-10)
-    assert len(rungs) >= quadrature._WIDTH_BLOCK
     z_star = math.atanh(zc)
     for j, (minus, plus) in enumerate(rungs):
-        assert -1.0 < minus < zc < plus < 1.0
+        assert -1.0 < minus <= zc <= plus < 1.0
         w = 0.5 / 2**j
         assert plus == pytest.approx(math.tanh(z_star + w), rel=1e-15)
         assert minus == pytest.approx(math.tanh(z_star - w), rel=1e-15)
+    assert rungs[0][0] < zc < rungs[0][1]
 
 
 def _near_boundary(f, x, d):
@@ -1165,32 +1157,37 @@ def _near_boundary(f, x, d):
     ],
     ids=["model-m1-axis", "model-m2-off-axis", "blended-x6", "mollified-m2-j0", "rational-m2"],
 )
-def test_direct_pair_width_does_not_depend_on_its_block(monkeypatch, case, rel_tol):
-    # the block sets how many rungs share one middles call, not which rung
-    # is w: the outer rule's first call maps the same zetas, and the values
-    # and error claims agree (the rungs a block takes past w add no table
-    # tail); on x^2 at (0, 1e-6) w is the tenth rung, so ceil(10 / B) calls
+def test_direct_pair_width_search_builds_no_table(monkeypatch, case, rel_tol):
+    # the width search reads r alone: its one peak search is followed by
+    # the outer rule's first, with no ProfileGrid build and no log G table
+    # between them
+    events = []
+    real_peak, real_table = quadrature._tilted_peak, quadrature._cheb_table
+
+    class Logged(ProfileGrid):
+        def __init__(self, *args, **kwargs):
+            events.append("grid")
+            super().__init__(*args, **kwargs)
+
+    def peak(L, dL, t):
+        events.append("peak")
+        return real_peak(L, dL, t)
+
+    def table(*args):
+        events.append("table")
+        return real_table(*args)
+
+    monkeypatch.setattr(quadrature, "ProfileGrid", Logged)
+    monkeypatch.setattr(quadrature, "_tilted_peak", peak)
+    monkeypatch.setattr(quadrature, "_cheb_table", table)
     f, p = case()
-    cfg = QuadratureConfig(rel_tol)
-    runs = {}
-    for block in (quadrature._WIDTH_BLOCK, 1, 3):
-        monkeypatch.setattr(quadrature, "_WIDTH_BLOCK", block)
-        calls = _record_zetas(monkeypatch)
-        runs[block] = direct_pair(f, p, cfg), _width_calls(calls), calls
-        monkeypatch.undo()
-    (K, S), width, calls = runs[quadrature._WIDTH_BLOCK]
-    for block in (1, 3):
-        (K_b, S_b), width_b, calls_b = runs[block]
-        assert calls_b[len(width_b)] == calls[len(width)]
-        for a, b in ((K, K_b), (S, S_b)):
-            assert abs(a.log_value - b.log_value) <= 1e-13 * abs(b.log_value), (a, b)
-            assert a.err_estimate == b.err_estimate, (a, b)
-        if p.y == 1e-6:
-            assert len(width_b) == -(-10 // block)
+    K, S = direct_pair(f, p, QuadratureConfig(rel_tol))
+    assert math.isfinite(K.log_value) and math.isfinite(S.log_value)
+    assert events[:3] == ["peak", "peak", "grid"] and "table" in events
 
 
 def test_direct_pair_width_search_stops_at_its_floor(monkeypatch):
-    # with no rung able to pass, the search takes every rung 0.5 2^-j down
+    # with no rung able to pass, the search reads every rung 0.5 2^-j down
     # to w = 1e-30, each zeta once, and names the width it stopped at
     monkeypatch.setattr(quadrature, "_PEAK_DROP", -1.0)
     calls = _record_zetas(monkeypatch)
