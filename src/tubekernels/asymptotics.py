@@ -17,10 +17,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .blowup import BlowupChart, _check_tau
-from .domain_model import DefiningFunction, DomainError, _check_order
+from .domain_model import DefiningFunction, DomainError, _check_order, _not_a_knot
 from .experiments import blowup_exponent
 from .quadrature import (
     ProfileGrid,
@@ -146,11 +145,14 @@ def log_phi(v, m: int):
 class PhiSpline:
     """Cubic-spline cache of log phi on [0, v_max] with even extension.
 
-    1600 nodes, quadratically clustered near 0 where log phi curves hardest;
-    beyond v_max the spline extrapolates its end cubic, which ``log_L``
-    refuses to read.  DomainError unless m is
-    an integer >= 1 and v_max is finite and positive.
+    1600 nodes v_max (k/1599)^2, quadratically clustered near 0 where log
+    phi curves hardest, so the piece that holds |v| is read off in closed
+    form; beyond v_max the spline extrapolates its end cubic, which
+    ``log_L`` refuses to read.  DomainError unless m is an integer >= 1 and
+    v_max is finite and positive.
     """
+
+    _PIECES = 1599
 
     def __init__(self, m: int, v_max: float):
         _check_order(m)
@@ -158,17 +160,26 @@ class PhiSpline:
             raise DomainError(f"v_max must be finite and positive, got {v_max!r}")
         self.m = m
         self.v_max = float(v_max)
-        u = np.linspace(0.0, 1.0, 1600)
+        u = np.linspace(0.0, 1.0, self._PIECES + 1)
         vg = self.v_max * u**2
-        self._sp = CubicSpline(vg, log_phi(vg, m))
+        self._sp = _not_a_knot(vg, log_phi(vg, m))
         self._dsp = self._sp.derivative()
 
+    def _piece(self, a):
+        """The piece that holds a = |v|: a node's neighbour within rounding
+        of it, the end piece past v_max and at inf or NaN (which ``fmin``
+        keeps from reaching the integer cast)."""
+        k = self._PIECES
+        return np.fmin(k * np.sqrt(a / self.v_max), k - 1.0).astype(np.intp)
+
     def __call__(self, v):
-        return self._sp(np.abs(v))
+        a = np.abs(v)
+        return self._sp.read(a, self._piece(a))
 
     def deriv(self, v):
         v = np.asarray(v, dtype=float)
-        return np.sign(v) * self._dsp(np.abs(v))
+        a = np.abs(v)
+        return np.sign(v) * self._dsp.read(a, self._piece(a))
 
 
 # u per ProfileGrid build of log_L, sized by measured memory: a call on

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .domain_model import (
     BoundaryRelativePoint,
     DefiningFunction,
     DomainError,
     _check_order,
+    _Cubic,
+    _not_a_knot,
     _smooth_step,
 )
 from .quadrature import _bracket_root
@@ -65,15 +66,15 @@ class _GlueLayer(NamedTuple):
 
     start: float
     width: float
-    slope: CubicSpline
-    area: PPoly
+    slope: _Cubic
+    area: _Cubic
 
     def t(self, u):
         return np.clip((u - self.start) / self.width, 0.0, 1.0)
 
 
 def _glue_layer(start: float, width: float, t: np.ndarray, slope: np.ndarray) -> _GlueLayer:
-    spline = CubicSpline(t, slope)
+    spline = _not_a_knot(t, slope)
     return _GlueLayer(start, width, spline, spline.antiderivative())
 
 

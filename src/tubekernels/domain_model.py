@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 __all__ = [
     "DomainError",
@@ -228,6 +227,116 @@ def _g_from_f(m: int, fv: Callable, fpv: Callable, core: float, g_core: Callable
 
 
 # ---------------------------------------------------------------------------
+# piecewise cubics
+# ---------------------------------------------------------------------------
+
+
+class _Cubic:
+    """Piecewise polynomial with coefficients c[j, i] of (v - x[i])^(k-1-j)
+    on [x[i], x[i+1]], k = c.shape[0]; trailing axes of c are columns.  The
+    end pieces extrapolate."""
+
+    def __init__(self, c: np.ndarray, x: np.ndarray):
+        self.c = c
+        self.x = x
+
+    def _cols(self, a):
+        """a with one axis per column of c, to broadcast against its rows."""
+        if self.c.ndim == 2:
+            return a
+        return np.reshape(a, np.shape(a) + (1,) * (self.c.ndim - 2))
+
+    def _per_row(self, k: int) -> np.ndarray:
+        """k, k - 1, ..., 1 shaped to broadcast against a c of k rows."""
+        return np.arange(k, 0.0, -1.0).reshape((k,) + (1,) * (self.c.ndim - 1))
+
+    def __call__(self, v):
+        # searching the inner nodes puts v below x[1] on the first piece and
+        # v at or past x[-2] (and NaN) on the last
+        v = np.asarray(v, dtype=float)
+        return self.read(v, np.searchsorted(self.x[1:-1], v, side="right"))
+
+    def read(self, v, i):
+        """The polynomial of piece i at v, by Horner, one row of c gathered
+        at a time (a gather of all of c[:, i] holds k rows at once)."""
+        d = self._cols(v - self.x[i])
+        out = self.c[0][i]
+        for row in self.c[1:]:
+            out *= d
+            out += row[i]
+        return out
+
+    def derivative(self) -> _Cubic:
+        return _Cubic(self.c[:-1] * self._per_row(self.c.shape[0] - 1), self.x)
+
+    def antiderivative(self, n: int = 1) -> _Cubic:
+        """The n-th antiderivative, zero with its first n - 1 derivatives at
+        x[0]: a piece's constant term sums the earlier pieces' rises."""
+        h = self._cols(np.diff(self.x))
+        c = self.c
+        for _ in range(n):
+            c = np.concatenate([c / self._per_row(c.shape[0]), np.zeros_like(c[:1])])
+            # each piece's rise across itself, from a zero constant term
+            rise = c[0] * h
+            for row in c[1:-1]:
+                rise += row
+                rise *= h
+            c[-1, 1:] = np.cumsum(rise[:-1], axis=0)
+        return _Cubic(c, self.x)
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray) -> _Cubic:
+    """The cubic Hermite interpolant of values y and slopes dy at the nodes
+    x, with columns along y's trailing axes."""
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / h
+    t = (dy[:-1] + dy[1:] - 2.0 * slope) / h
+    return _Cubic(np.stack([t / h, (slope - dy[:-1]) / h - t, dy[:-1], y[:-1]]), x)
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> _Cubic:
+    """The not-a-knot cubic spline through (x, y), at least 4 nodes.
+
+    Its node slopes solve a tridiagonal system (de Boor, A Practical Guide
+    to Splines, ch. IV) whose first and last rows make the third derivative
+    continuous across x[1] and x[-2].  One Thomas sweep over Python floats
+    eliminates the matrix once; each column of y reuses it.
+    """
+    h = np.diff(x)
+    hr = h.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / hr
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    rhs = np.concatenate(
+        [
+            [((hr[0] + 2.0 * d0) * hr[1] * slope[0] + hr[0] ** 2 * slope[1]) / d0],
+            3.0 * (hr[1:] * slope[:-1] + hr[:-1] * slope[1:]),
+            [(hr[-1] ** 2 * slope[-2] + (2.0 * d1 + hr[-1]) * hr[-2] * slope[-1]) / d1],
+        ]
+    )
+    # row i: lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+    lower = np.append(h[1:], d1).tolist()
+    diag = np.concatenate([h[1:2], 2.0 * (h[:-1] + h[1:]), h[-2:-1]]).tolist()
+    upper = np.insert(h[:-1], 0, d0).tolist()
+    p = diag[0]
+    pivots, factors = [p], []
+    for a, b, c in zip(lower, diag[1:], upper):
+        w = a / p
+        p = b - w * c
+        factors.append(w)
+        pivots.append(p)
+    back = list(zip(upper[::-1], pivots[-2::-1]))
+    cols = rhs.reshape(len(x), -1).T
+    dy = np.empty_like(cols)
+    for col, r in zip(dy, cols.tolist()):
+        s = r[0]
+        fwd = [s] + [s := rj - w * s for w, rj in zip(factors, r[1:])]
+        s /= pivots[-1]
+        out = [s] + [s := (rj - c * s) / p for (c, p), rj in zip(back, fwd[-2::-1])]
+        col[:] = out[::-1]
+    return _hermite(x, y, dy.T.reshape(y.shape))
+
+
+# ---------------------------------------------------------------------------
 # built-in domains
 # ---------------------------------------------------------------------------
 
@@ -300,7 +409,7 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
         t = np.tanh(n * x ** (n - 1) / s)
         return (1.0 - t * t) * n * (n - 1) * x ** (n - 2)
 
-    F = CubicHermiteSpline(grid, fp_half(grid), fpp_half(grid)).antiderivative()
+    F = _hermite(grid, fp_half(grid), fpp_half(grid)).antiderivative()
 
     # series region: the spline antiderivative carries roundoff-scale
     # negatives near 0, so tiny |x| goes through the expansion of g instead
@@ -371,7 +480,7 @@ def table_domain(
             f"x g'(x) <= 0 violated at table row x={float(xs[i])!r}: "
             f"x g' = {float(xs[i] * gps[i])!r}"
         )
-    spl = CubicHermiteSpline(xs, gs, gps)
+    spl = _hermite(xs, gs, gps)
     dspl = spl.derivative()
     ddspl = dspl.derivative()
     lo, hi = float(xs[0]), float(xs[-1])
@@ -496,7 +605,7 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
         )
     )
     bumps = np.column_stack([_bump(nodes, d, xs_split), _bump(nodes, xs_split, 1.0)])
-    over_s2 = CubicSpline(nodes, bumps / nodes[:, None] ** 2)
+    over_s2 = _not_a_knot(nodes, bumps / nodes[:, None] ** 2)
     I1, I2 = over_s2.antiderivative()(1.0)
     J1, J2 = over_s2.antiderivative(2)(1.0)
 
@@ -519,7 +628,7 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
             f"|x^2 g~''| < {bound:.4g}"
         )
 
-    sp2 = PPoly(over_s2.c @ np.array([-c1, c2]), nodes)
+    sp2 = _Cubic(over_s2.c @ np.array([-c1, c2]), nodes)
     sp1 = sp2.antiderivative()  # zero at delta
     sp0 = sp1.antiderivative()
 
@@ -615,7 +724,7 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
         return _smooth_step((r2 - s) / (r2 - r1))
 
     s_nodes = np.linspace(r1, r2, 4001)
-    sp2 = CubicSpline(s_nodes, f.fsecond(s_nodes) * theta(s_nodes))
+    sp2 = _not_a_knot(s_nodes, f.fsecond(s_nodes) * theta(s_nodes))
     sp1 = sp2.antiderivative()
     sp0 = sp1.antiderivative()
     f_r1 = f.f(r1)

@@ -6,6 +6,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,27 @@ def test_phi_spline_tracks_the_function():
     sp = PhiSpline(2, 30.0)
     for v in (0.0, 0.37, 3.1, 12.0, 29.0):
         assert math.isclose(float(sp(v)), log_phi(v, 2), rel_tol=0, abs_tol=1e-6)
+
+
+def test_phi_spline_reads_the_piece_that_holds_v():
+    # the closed-form piece is searchsorted's, or its neighbour within a few
+    # ulps of the node between them, where both read the same value
+    sp = PhiSpline(2, 400.0)
+    x = sp._sp.x
+    rng = np.random.default_rng(3)
+    v = np.concatenate([x, rng.uniform(0.0, 1.2 * sp.v_max, 10**5 - x.size)])
+    got = sp._piece(v)
+    ref = np.clip(np.searchsorted(x, v, side="right") - 1, 0, x.size - 2)
+    assert np.all(np.abs(got - ref) <= 1)
+    off = got != ref
+    node = x[np.maximum(got, ref)[off]]
+    assert np.all(np.abs(v[off] - node) <= 4 * np.spacing(node))
+    assert np.all(np.abs(sp(v) - sp._sp(v)) <= 4 * np.spacing(np.abs(sp._sp(v))))
+    # inf, NaN and a huge |v| read the end piece without a cast warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp._piece(np.array([math.inf, math.nan, 1e300])).tolist() == [1598] * 3
+        assert sp._piece(math.inf) == 1598
 
 
 def test_log_phi_is_elementwise_and_even():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from tubekernels import (
     BoundaryRelativePoint,
@@ -20,6 +21,8 @@ from tubekernels import (
     rational_domain,
     table_domain,
 )
+from tubekernels.asymptotics import log_phi
+from tubekernels.domain_model import _bump, _hermite, _not_a_knot, _smooth_step
 from tubekernels.quadrature import _cone_interval
 
 
@@ -341,3 +344,59 @@ def test_constructed_domains_stay_convex(x, m):
     for f in domains:
         assert float(f.fsecond(x)) >= -1e-12
         assert float(f.f(x)) >= 0.0
+
+
+def _spline_cases():
+    """(x, y, dy) on the node sets the package builds its splines on; dy is
+    None for a not-a-knot spline, the slopes for a Hermite one."""
+    x = 400.0 * np.linspace(0.0, 1.0, 1600) ** 2  # PhiSpline(2, 400)
+    yield x, log_phi(x, 2), None
+    t = np.linspace(0.0, 1.0, 2001)  # a BlowupChart glue layer
+    yield t, 0.5 * (1.0 - _smooth_step(t)), None
+    d, split = 0.1, 0.2 / 1.1  # mollify(f, 0.1): two columns
+    nodes = np.unique(
+        np.concatenate(
+            [np.linspace(d, 1.0, 6001), np.linspace(d, split, 1500), np.linspace(split, 1.0, 1500)]
+        )
+    )
+    bumps = np.column_stack([_bump(nodes, d, split), _bump(nodes, split, 1.0)])
+    yield nodes, bumps / nodes[:, None] ** 2, None
+    f = rational_domain(2)
+    s = np.linspace(0.55, 1.2, 4001)  # damp_tails(f, 0.5)
+    yield s, f.fsecond(s) * _smooth_step((1.2 - s) / 0.65), None
+    xs = np.linspace(-3.0, 3.0, 121)  # a table_domain table
+    yield xs, f.g(xs), f.gprime(xs)
+
+
+@pytest.mark.parametrize(
+    "case", list(_spline_cases()), ids=["phi-spline", "chart", "mollify", "damp-tails", "table"]
+)
+def test_piecewise_cubics_match_scipy(case):
+    x, y, dy = case
+    got = _not_a_knot(x, y) if dy is None else _hermite(x, y, dy)
+    ref = CubicSpline(x, y) if dy is None else CubicHermiteSpline(x, y, dy)
+    # the nodes, points between them, and reads half an end piece past both ends
+    v = np.concatenate(
+        [
+            [x[0] - 0.5 * (x[1] - x[0])],
+            x,
+            np.random.default_rng(7).uniform(x[0], x[-1], 2000),
+            [x[-1] + 0.5 * (x[-1] - x[-2])],
+        ]
+    )
+    eps = np.finfo(float).eps
+    for n, (a, b) in enumerate(
+        [
+            (got, ref),
+            (got.derivative(), ref.derivative()),
+            (got.antiderivative(), ref.antiderivative()),
+            (got.antiderivative(2), ref.antiderivative(2)),
+        ]
+    ):
+        want = b(v)
+        # an antiderivative's constant terms are running sums over the
+        # pieces, whose rounding grows like the root of their number
+        ulps = 4.0 if n < 2 else 4.0 * math.sqrt(x.size)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(a(v) - want) <= ulps * eps * scale), n
+        assert np.shape(a(x[3] + 0.3 * (x[4] - x[3]))) == y.shape[1:]

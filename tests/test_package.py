@@ -167,9 +167,9 @@ def test_no_unread_private_attributes():
     assert unread == []
 
 
-def test_scipy_is_imported_only_for_interpolation():
-    # every integral is the package's own quadrature: nothing imports
-    # scipy.integrate, or scipy whole, through which it could be reached
+def test_src_imports_no_scipy():
+    # every integral is the package's own quadrature and every piecewise
+    # cubic is domain_model._Cubic: no module imports scipy or any part of it
     src = ROOT / "src" / "tubekernels"
     seen = []
     for path in sorted(src.glob("*.py")):
@@ -179,7 +179,21 @@ def test_scipy_is_imported_only_for_interpolation():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 seen.append((path.name, node.module))
     scipy = [(name, mod) for name, mod in seen if mod.split(".")[0] == "scipy"]
-    assert scipy and all(mod == "scipy.interpolate" for _, mod in scipy), scipy
+    assert scipy == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy's import alone takes longer than a laplace_1d pass
+    code = (
+        "import sys, tubekernels, tubekernels.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # the raises main does not map to an exit code, each deliberate
