@@ -24,6 +24,7 @@ from .domain_model import (
     _check_order,
     _Cubic,
     _not_a_knot,
+    _not_a_knot_area,
     _smooth_step,
 )
 from .quadrature import _bracket_root
@@ -72,9 +73,20 @@ class _GlueLayer(NamedTuple):
     def t(self, u):
         return np.clip((u - self.start) / self.width, 0.0, 1.0)
 
+    def t_of_rise(self, rise):
+        """The t at which 0.5 t + area(t) = rise, elementwise."""
+        return _bracket_root(lambda t: 0.5 * t + self.area(t) - rise, np.zeros_like(rise), 1.0)
 
-def _glue_layer(start: float, width: float, t: np.ndarray, slope: np.ndarray) -> _GlueLayer:
-    spline = _not_a_knot(t, slope)
+
+# a glue layer's unit nodes t, its smooth ramp in t, and the weights whose dot
+# product with a layer's data is the area under its spline on [0, 1]
+_T = np.linspace(0.0, 1.0, 2001)
+_STEP = _smooth_step(_T)
+_AREA = _not_a_knot_area(_T)
+
+
+def _glue_layer(start: float, width: float, slope: np.ndarray) -> _GlueLayer:
+    spline = _not_a_knot(_T, slope)
     return _GlueLayer(start, width, spline, spline.antiderivative())
 
 
@@ -91,10 +103,18 @@ class BlowupChart:
 
     On [1/3, q], chi is the line of slope 1/2 through (1/3, 1/3) plus the
     area that each glue layer's spline of chi' - 1/2 adds.  The single free
-    width w is solved on those same splines so that chi(q) = 2/3
-    (continuity of the closed-form outer piece).  chi' >= 1/2 everywhere by
-    construction.  The glue layers ramp with the C-infinity step
-    ``_smooth_step``.
+    width w is solved so that chi(q) = 2/3 (continuity of the closed-form
+    outer piece) on the layers' area functional: the area under a spline
+    on the layers' fixed nodes is one dot product with its data
+    (``_not_a_knot_area``), so each step of the search evaluates the up
+    layer's data once and builds no spline; the up layer's spline is built
+    once, at the solved w.  chi' >= 1/2 everywhere by construction.  The
+    glue layers ramp with the C-infinity step ``_smooth_step``.
+
+    The up layer's data is taken at e = 1 - u = 3^(-2m) + w (1 - t), and
+    ``tau_from_core_fraction`` and ``core_fraction_from_tau`` read that layer
+    and the corridor in e, so they hold where w is below the spacing of
+    doubles near u = 1 (from m = 9) and are continuous in e through m = 17.
     """
 
     def __init__(self, m: int):
@@ -103,42 +123,41 @@ class BlowupChart:
         n = 2 * self.m
         self._n = n
         self.p = 1.0 / 3.0
-        self.q = 1.0 - 3.0**-n
+        self.e0 = 3.0**-n  # the core fraction 1 - q
+        self.q = 1.0 - self.e0
         if not self.q < 1.0:  # from m = 18, 3^(-2m) < 2^-54 and q rounds to 1
             raise DomainError(f"BlowupChart needs m <= 17: at m = {m}, q = 1 - 3^(-2m) is 1")
         # the area both layers must add above the slope-1/2 line on [p, q]
-        budget = 0.5 * 3.0**-n
-        t = np.linspace(0.0, 1.0, 2001)
-        step = _smooth_step(t)
+        budget = 0.5 * self.e0
         # the down layer's spline in t does not depend on w
-        down = _glue_layer(self.p, 1.0, t, 0.5 * (1.0 - step))
+        down = _glue_layer(self.p, 1.0, 0.5 * (1.0 - _STEP))
         down_area = float(down.area(1.0))
 
-        def up_layer(w: float) -> _GlueLayer:
-            u = (self.q - w) + w * t
-            return _glue_layer(self.q - w, w, t, (self._outer_slope(u) - 0.5) * step)
+        def up_slope(w: float) -> np.ndarray:
+            return (self._outer_slope(self.e0 + w * (1.0 - _T)) - 0.5) * _STEP
 
         # the up-layer's endpoint slope must already exceed 1/2
-        u_half = 1.0 - float(self.m) ** (-n / (n - 1.0))
-        w_cap = min(0.9 * (self.q - u_half), (self.q - self.p) / 3.0)
+        e_half = float(self.m) ** (-n / (n - 1.0))
+        w_cap = min(0.9 * (e_half - self.e0), (self.q - self.p) / 3.0)
 
         def excess(s: float) -> float:
             w = math.exp(s) * w_cap
-            return w * (down_area + float(up_layer(w).area(1.0))) - budget
+            return w * (down_area + float(_AREA @ up_slope(w))) - budget
 
         if excess(0.0) <= 0.0:
             raise RuntimeError("chi corridor construction failed (internal error)")
         # solved for s = log(w / w_cap), so the root's absolute stop in s is
         # a relative stop in w however small w is against the cap
         self.w = w = math.exp(_bracket_root(excess, math.log(1e-12), 0.0)) * w_cap
-        self._layers = (down._replace(width=w), up_layer(w))
+        self._layers = (down._replace(width=w), _glue_layer(self.q - w, w, up_slope(w)))
         # piece anchors
         self.v_lo = self.p + w * (0.5 + down_area)  # chi(p + w)
         self.v_hi = self.v_lo + 0.5 * ((self.q - w) - (self.p + w))  # chi(q - w)
         self.chart_id = f"chi[m={self.m},w={self.w:.12e}]"
 
-    def _outer_slope(self, u):
-        return (1.0 / self._n) * (1.0 - u) ** (1.0 / self._n - 1.0)
+    def _outer_slope(self, e):
+        """The outer piece's chi' at u = 1 - e."""
+        return (1.0 / self._n) * e ** (1.0 / self._n - 1.0)
 
     # -- forward map ---------------------------------------------------------
 
@@ -160,7 +179,7 @@ class BlowupChart:
         low, high = u_arr <= self.p, u_arr >= self.q
         out[low] = 1.0
         with np.errstate(divide="ignore"):
-            out[high] = self._outer_slope(u_arr[high])
+            out[high] = self._outer_slope(1.0 - u_arr[high])
         return out if np.ndim(u) else float(out[0])
 
     # -- inverse map -----------------------------------------------------------
@@ -171,10 +190,7 @@ class BlowupChart:
         # each layer's range of chi runs from its anchor chi(start) to the next
         for layer, lo, hi in zip(self._layers, (self.p, self.v_hi), (self.v_lo, 2.0 / 3.0)):
             inside = (v_arr > lo) & (v_arr < hi)
-            rise = (v_arr[inside] - lo) / layer.width
-            t = _bracket_root(
-                lambda t: 0.5 * t + layer.area(t) - rise, np.zeros_like(rise), 1.0
-            )
+            t = layer.t_of_rise((v_arr[inside] - lo) / layer.width)
             out[inside] = layer.start + layer.width * t
         low, high = v_arr <= self.p, v_arr >= 2.0 / 3.0
         out[low] = v_arr[low]
@@ -184,19 +200,31 @@ class BlowupChart:
     # -- numerically stable bridges used by the coordinate maps ---------------
 
     def tau_from_core_fraction(self, e: float) -> float:
-        """tau from e = f(x)/y without ever forming 1 - e near e = 0."""
+        """tau = chi(1 - e) from e = f(x)/y.  The outer piece, the up layer
+        and the corridor are read in e itself, never through 1 - e."""
         if not (0.0 <= e < 1.0):
             raise DomainError(f"core fraction must lie in [0, 1), got {e!r}")
-        if e <= 3.0**-self._n:
+        if e <= self.e0:
             return 1.0 - e ** (1.0 / self._n)
-        return float(self.chi(1.0 - e))
+        if 1.0 - e <= self.p + self.w:  # the down layer and below
+            return float(self.chi(1.0 - e))
+        # e - e0 = w (1 - t) in the up layer, and past w in the corridor (t = 0)
+        d = e - self.e0
+        t = max(1.0 - d / self.w, 0.0)
+        return self.v_hi + 0.5 * (self.w - d) + self.w * float(self._layers[1].area(t))
 
     def core_fraction_from_tau(self, tau: float) -> float:
-        """Inverse bridge: e = 1 - chi^(-1)(tau), stable for tau near 1."""
+        """Inverse bridge: e = 1 - chi^(-1)(tau), read in e from the
+        corridor up, so stable for tau near 1."""
         _check_tau(tau)
         if tau >= 2.0 / 3.0:
             return (1.0 - tau) ** self._n
-        return 1.0 - float(self.chi_inverse(tau))
+        if tau <= self.v_lo:
+            return 1.0 - float(self.chi_inverse(tau))
+        if tau <= self.v_hi:  # the corridor
+            return self.e0 + self.w + 2.0 * (self.v_hi - tau)
+        t = self._layers[1].t_of_rise(np.array((tau - self.v_hi) / self.w))
+        return self.e0 + self.w * (1.0 - float(t))
 
 
 def to_polar(

@@ -294,13 +294,37 @@ def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray) -> _Cubic:
     return _Cubic(np.stack([t / h, (slope - dy[:-1]) / h - t, dy[:-1], y[:-1]]), x)
 
 
+def _not_a_knot_lu(x: np.ndarray) -> tuple[list, list, list]:
+    """The not-a-knot slope system on the nodes x, eliminated once.
+
+    Row i of the system (de Boor, A Practical Guide to Splines, ch. IV)
+    reads lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]; its
+    first and last rows make the third derivative continuous across x[1]
+    and x[-2].  One Thomas sweep over Python floats factors it as L U, L
+    unit lower bidiagonal with ``factors`` below the diagonal and U upper
+    bidiagonal with ``pivots`` on it and ``upper`` above; returned as
+    (upper, pivots, factors).
+    """
+    h = np.diff(x)
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = np.append(h[1:], d1).tolist()
+    diag = np.concatenate([h[1:2], 2.0 * (h[:-1] + h[1:]), h[-2:-1]]).tolist()
+    upper = np.insert(h[:-1], 0, d0).tolist()
+    p = diag[0]
+    pivots, factors = [p], []
+    for a, b, c in zip(lower, diag[1:], upper):
+        w = a / p
+        p = b - w * c
+        factors.append(w)
+        pivots.append(p)
+    return upper, pivots, factors
+
+
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> _Cubic:
     """The not-a-knot cubic spline through (x, y), at least 4 nodes.
 
-    Its node slopes solve a tridiagonal system (de Boor, A Practical Guide
-    to Splines, ch. IV) whose first and last rows make the third derivative
-    continuous across x[1] and x[-2].  One Thomas sweep over Python floats
-    eliminates the matrix once; each column of y reuses it.
+    Its node slopes solve ``_not_a_knot_lu``'s system; each column of y
+    reuses the one elimination.
     """
     h = np.diff(x)
     hr = h.reshape((-1,) + (1,) * (y.ndim - 1))
@@ -313,17 +337,7 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> _Cubic:
             [(hr[-1] ** 2 * slope[-2] + (2.0 * d1 + hr[-1]) * hr[-2] * slope[-1]) / d1],
         ]
     )
-    # row i: lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
-    lower = np.append(h[1:], d1).tolist()
-    diag = np.concatenate([h[1:2], 2.0 * (h[:-1] + h[1:]), h[-2:-1]]).tolist()
-    upper = np.insert(h[:-1], 0, d0).tolist()
-    p = diag[0]
-    pivots, factors = [p], []
-    for a, b, c in zip(lower, diag[1:], upper):
-        w = a / p
-        p = b - w * c
-        factors.append(w)
-        pivots.append(p)
+    upper, pivots, factors = _not_a_knot_lu(x)
     back = list(zip(upper[::-1], pivots[-2::-1]))
     cols = rhs.reshape(len(x), -1).T
     dy = np.empty_like(cols)
@@ -334,6 +348,39 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> _Cubic:
         out = [s] + [s := (rj - c * s) / p for (c, p), rj in zip(back, fwd[-2::-1])]
         col[:] = out[::-1]
     return _hermite(x, y, dy.T.reshape(y.shape))
+
+
+def _not_a_knot_area(x: np.ndarray) -> np.ndarray:
+    """Weights a on the nodes x with a @ y the integral over [x[0], x[-1]]
+    of the not-a-knot spline through (x, y).
+
+    A Hermite piece of width h integrates to h (y0 + y1) / 2 + h^2 (s0 - s1)
+    / 12, so the integral is the trapezoid sum plus c . s / 12, with
+    c[i] = h[i]^2 - h[i-1]^2 (h[-1] = h[n] = 0).  The slopes are s = M^-1 R y
+    for ``_not_a_knot``'s system M and its map R from y to the right-hand
+    side, so a is the trapezoid's weights plus R^T M^-T c / 12: one sweep
+    through the transposed factors, exact on any nodes.
+    """
+    h = np.diff(x)
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    c = np.diff(np.concatenate([[0.0], h * h, [0.0]])).tolist()
+    upper, pivots, factors = _not_a_knot_lu(x)
+    # M^T = U^T L^T: U^T z = c forwards, then L^T g = z backwards
+    z = c[0] / pivots[0]
+    zs = [z] + [z := (cj - u * z) / p for cj, u, p in zip(c[1:], upper, pivots[1:])]
+    g = zs[-1]
+    gs = [g] + [g := zj - w * g for zj, w in zip(zs[-2::-1], factors[::-1])]
+    g = np.array(gs[::-1])
+    # R^T: the transpose of the right-hand side's rows, slope by slope
+    r = np.zeros_like(h)
+    r[:-1] += 3.0 * h[1:] * g[1:-1]
+    r[1:] += 3.0 * h[:-1] * g[1:-1]
+    r[:2] += np.array([(h[0] + 2.0 * d0) * h[1], h[0] ** 2]) * (g[0] / d0)
+    r[-2:] += np.array([h[-1] ** 2, (2.0 * d1 + h[-1]) * h[-2]]) * (g[-1] / d1)
+    # D^T for slope = diff(y) / h, then the trapezoid's weights
+    r = np.diff(np.concatenate([[0.0], r / h, [0.0]]))
+    half = np.concatenate([[0.0], 0.5 * h, [0.0]])
+    return half[:-1] + half[1:] - r / 12.0
 
 
 # ---------------------------------------------------------------------------

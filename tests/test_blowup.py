@@ -20,6 +20,7 @@ from tubekernels import (
     table_domain,
     to_polar,
 )
+from tubekernels import blowup
 
 _CHARTS = {m: BlowupChart(m) for m in (1, 2, 3, 4)}
 
@@ -175,8 +176,39 @@ def test_chart_rejects_an_order_whose_q_rounds_to_one(m):
         BlowupChart(m)
 
 
-@pytest.mark.xfail(strict=True, reason="from m = 9 the glue layer (w = 3.6e-16 at m = 9) "
-                   "is finer than the spacing of doubles near u = 1")
+@pytest.mark.xfail(strict=True, reason="chi(q) reads the closed-form outer piece at the "
+                   "rounded q, and 1 - q misses 3^(-2m) by 1.5e-8 relative at m = 9 (0.85 at "
+                   "m = 17), so chi(q) - 2/3 = -2.7e-10 there; no glue layer in u can remove it")
 def test_chi_meets_two_thirds_at_q_at_order_9():
     chart = BlowupChart(9)
     assert abs(chart.chi(chart.q) - 2.0 / 3.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "m, w", [(1, 8.0830015197413507e-02), (2, 1.8858300917915889e-03), (3, 3.4063626194363482e-05)]
+)
+def test_chart_width_is_the_root_searched_spline_width(m, w):
+    # the widths the search found when every step built the up layer's spline
+    assert _CHARTS[m].w == w
+
+
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_chart_builds_two_splines(m, monkeypatch):
+    # the width is solved on the area functional: one spline per glue layer
+    calls = []
+    build = blowup._not_a_knot
+    monkeypatch.setattr(blowup, "_not_a_knot", lambda x, y: calls.append(1) or build(x, y))
+    BlowupChart(m)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("m", range(1, 18))
+def test_tau_is_continuous_and_monotone_in_e_at_q(m):
+    # the up layer and the corridor are read in e, not through u = 1 - e,
+    # whose rounding holds none of the up layer from m = 9
+    chart = BlowupChart(m)
+    e0 = chart.e0
+    assert abs(chart.tau_from_core_fraction(math.nextafter(e0, 1.0))
+               - chart.tau_from_core_fraction(e0)) <= 1e-15
+    tau = [chart.tau_from_core_fraction(float(e)) for e in np.geomspace(e0 / 4, 4 * e0, 801)]
+    assert np.all(np.diff(tau) <= 0.0)

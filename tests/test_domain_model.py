@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from tubekernels import (
+    BlowupChart,
     BoundaryRelativePoint,
     DefiningFunction,
     DomainError,
@@ -22,7 +23,13 @@ from tubekernels import (
     table_domain,
 )
 from tubekernels.asymptotics import log_phi
-from tubekernels.domain_model import _bump, _hermite, _not_a_knot, _smooth_step
+from tubekernels.domain_model import (
+    _bump,
+    _hermite,
+    _not_a_knot,
+    _not_a_knot_area,
+    _smooth_step,
+)
 from tubekernels.quadrature import _cone_interval
 
 
@@ -400,3 +407,22 @@ def test_piecewise_cubics_match_scipy(case):
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(a(v) - want) <= ulps * eps * scale), n
         assert np.shape(a(x[3] + 0.3 * (x[4] - x[3]))) == y.shape[1:]
+
+
+def _area_cases():
+    """(x, y) on a glue layer's 2,001 nodes, and on uneven nodes."""
+    t = np.linspace(0.0, 1.0, 2001)
+    yield t, np.sin(3.0 * t)
+    chart = BlowupChart(2)  # its up layer's data, chi' - 1/2 in e = 1 - u
+    yield t, (chart._outer_slope(chart.e0 + chart.w * (1.0 - t)) - 0.5) * _smooth_step(t)
+    yield t, np.random.default_rng(11).standard_normal(t.size)
+    x = np.sort(np.random.default_rng(12).uniform(-1.0, 2.0, 60))
+    yield x, np.sin(3.0 * x)
+
+
+@pytest.mark.parametrize("case", list(_area_cases()), ids=["sin", "up-layer", "random", "uneven"])
+def test_not_a_knot_area_is_the_spline_integral(case):
+    x, y = case
+    a = _not_a_knot_area(x)
+    want = _not_a_knot(x, y).antiderivative()(x[-1])
+    assert abs(a @ y - want) <= 4.0 * np.finfo(float).eps * np.sum(np.abs(a * y))
