@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,7 +68,10 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureConfig:
     """The relative tolerance of all evaluators; the truncation depth and
-    the engine's panel budget are module constants, not settings."""
+    the engine's panel budget are module constants, not settings.  The
+    tolerance alone also picks ``direct_pair``'s profile-grid rule: 15
+    Gauss-Legendre nodes a panel at RATIO 2.5 from rel_tol 1e-7 up, the
+    Kronrod rule at RATIO 1.45 below."""
 
     rel_tol: float = 1e-8
 
@@ -351,6 +354,46 @@ def _inner_edge(
 _LOG_G_BLOCK = 2**17
 
 
+class _PanelRule(NamedTuple):
+    """A ``ProfileGrid``'s panel rule: nodes and weights on [-1, 1], and
+    RATIO, the factor by which each panel's outer end lies past the one
+    before it."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    ratio: float
+
+
+# the rule of every grid but direct_pair's at loose tolerances
+_KRONROD_RULE = _PanelRule(XGK, WGK, 1.45)
+# the density-halved grid behind compute_D's error estimate
+_COARSE_RULE = _KRONROD_RULE._replace(ratio=_KRONROD_RULE.ratio**2)
+# Gauss-Legendre 15, exact to degree 29 where the Kronrod rule is exact to
+# 23, so it holds the same accuracy on wider panels: direct_pair's inner
+# grids from rel_tol _GAUSS_FROM up.  The values of
+# np.polynomial.legendre.leggauss(15), written out: importing
+# numpy.polynomial added 10 ms and 0.6 MB to every start
+_GAUSS_RULE = _PanelRule(
+    np.array([
+        -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+        -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+        -0.20119409399743451, 0.0,
+        0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+        0.7244177313601701, 0.8482065834104272, 0.9372733924007058,
+        0.9879925180204854,
+    ]),
+    np.array([
+        0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+        0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+        0.1984314853271116, 0.2025782419255613,
+        0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+        0.13957067792615444, 0.10715922046717141, 0.0703660474881084,
+        0.030753241996117203,
+    ]),
+    2.5,
+)
+
+
 class ProfileGrid:
     """Quadrature grids for G_i(eta) = int exp(-eta c_i(xi)) dxi of k phases
     c_i, each convex with minimum 0 at xi_star[i] and valid for every eta
@@ -359,15 +402,20 @@ class ProfileGrid:
     On each side of a phase one panel runs from xi_star to the inner edge,
     the first 4^(1/16) rung with c >= c_small/eta_hi (flat at the stiffest
     frequency); panels then grow by RATIO out to the first rung with
-    c >= _TRUNCATION_DEPTH/eta_lo (truncated at the softest).  The two
-    sides of every phase are rows of one build, and each step takes all
-    rows in one ``c_fn`` call: the x4 blocks and fine rungs of
-    ``_inner_edge``, whose x4 search also brackets each row's outer edge,
-    the RATIO rungs inside that bracket, and every row's Kronrod nodes, so
-    a build of any k usually makes four ``c_fn`` calls.  A rung splits
-    RATIO^j in two factors, so that it stays finite out to 4^_K_UP.  One
-    Kronrod rule per panel; G(eta) is a sum over the stored nodes in linear
-    space, each term scaled by exp(eta min c) so that none overflows.
+    c >= _TRUNCATION_DEPTH/eta_lo (truncated at the softest).  ``rule``,
+    a ``_PanelRule``, gives every panel its nodes and weights and the grid
+    its RATIO: by default Kronrod's 15 nodes at RATIO 1.45
+    (``_KRONROD_RULE``); ``compute_D``'s error estimate builds the same
+    nodes at 1.45^2 and ``direct_pair`` from rel_tol 1e-7 up 15
+    Gauss-Legendre nodes at 2.5.  The two sides of every phase are rows of
+    one build, and each step takes all rows in one ``c_fn`` call: the x4
+    blocks and fine rungs of ``_inner_edge``, whose x4 search also
+    brackets each row's outer edge, the ceil(log_RATIO(4 RATIO)) RATIO
+    rungs inside that bracket (5 at 1.45, 3 at 2.5), and every row's
+    nodes, so a build of any k usually makes four ``c_fn`` calls.  A rung
+    splits RATIO^j in two factors, so that it stays finite out to
+    4^_K_UP.  G(eta) is a sum over the stored nodes in linear space, each
+    term scaled by exp(eta min c) so that none overflows.
 
     ``xi_star`` is an array (k,), a float being k = 1, and ``c_fn(xi, i)``
     gives phase i[j] at xi[j] for flat arrays; ``eta_lo`` and ``eta_hi``
@@ -378,10 +426,9 @@ class ProfileGrid:
     number of points evaluated.
     """
 
-    RATIO = 1.45
     C_SMALL = 0.03
 
-    def __init__(self, c_fn, xi_star, eta_lo, eta_hi):
+    def __init__(self, c_fn, xi_star, eta_lo, eta_hi, rule: _PanelRule = _KRONROD_RULE):
         xi_star = np.array(xi_star, dtype=float, ndmin=1)
         k = xi_star.size
         # row 2i is phase i's side xi < xi_star, row 2i + 1 its side xi > xi_star
@@ -398,18 +445,20 @@ class ProfileGrid:
             return c_fn(xi.ravel(), phase[r].repeat(xi.shape[1])).reshape(xi.shape)
 
         # rung j of a row, u0 RATIO^j: RATIO^j alone overflows past j_fin
-        # (1,910 for 1.45), so the excess is a second factor, 1 up to j_fin
-        j_fin = math.floor(math.log(np.finfo(float).max) / math.log(self.RATIO))
+        # (1,910 for 1.45, 774 for 2.5), so the excess is a second factor,
+        # 1 up to j_fin
+        ratio = rule.ratio
+        j_fin = math.floor(math.log(np.finfo(float).max) / math.log(ratio))
 
         def rungs(u0, j):
             j_lo = np.minimum(j, j_fin)
-            return u0 * self.RATIO**j_lo * self.RATIO ** (j - j_lo)
+            return u0 * ratio**j_lo * ratio ** (j - j_lo)
 
         u0, hi4, nev = _inner_edge(c_rungs, c_min, c_max, x0)
         # the RATIO rungs across the x4 bracket (hi4/4, hi4], from the last
         # at or below hi4/4 (or u0): the rungs below it miss c_max, as hi4/4 did
-        j0 = np.floor((np.log(0.25 * hi4) - np.log(u0)) / math.log(self.RATIO)).clip(0)
-        j = j0[:, None].astype(int) + np.arange(math.ceil(math.log(4.0 * self.RATIO, self.RATIO)))
+        j0 = np.floor((np.log(0.25 * hi4) - np.log(u0)) / math.log(ratio)).clip(0)
+        j = j0[:, None].astype(int) + np.arange(math.ceil(math.log(4.0 * ratio, ratio)))
         cs = c_rungs(np.arange(2 * k), rungs(u0[:, None], j))
         nev += cs.size
         # the rung after them lies past hi4, so it reaches c_max
@@ -419,11 +468,12 @@ class ProfileGrid:
         # panels [0, u_0], [u_0, u_1], ... out to each row's last rung
         r, j = np.nonzero(np.arange(n_rungs.max(initial=0)) < n_rungs[:, None])
         b = rungs(u0[r], j)
-        h, x = _kronrod_nodes(np.where(j > 0, np.roll(b, 1), 0.0), b)
-        c = c_rungs(r, x).ravel()
+        a = np.where(j > 0, np.roll(b, 1), 0.0)
+        h = 0.5 * (b - a)
+        c = c_rungs(r, 0.5 * (a + b)[:, None] + h[:, None] * rule.nodes).ravel()
         nev += c.size
 
-        n_nodes = 15 * n_rungs.reshape(k, 2).sum(axis=1)
+        n_nodes = rule.nodes.size * n_rungs.reshape(k, 2).sum(axis=1)
         nodes = np.arange(n_nodes.max(initial=0)) < n_nodes[:, None]
         self.dc = np.full(nodes.shape, np.inf)
         self.dc[nodes] = c
@@ -431,7 +481,7 @@ class ProfileGrid:
         self.dc -= self.c_low
         self.dc[~nodes] = 0.0
         self.w = np.zeros(nodes.shape)
-        self.w[nodes] = (h[:, None] * WGK).ravel()
+        self.w[nodes] = (h[:, None] * rule.weights).ravel()
         self.c = c
         self.n_evals = int(nev)
 
@@ -609,7 +659,7 @@ def compute_D(
     lg = float(grid.log_G(eta)[0, 0])
 
     # density-halved grid for an honest error measurement
-    lg2 = float(_CoarseProfile(c, xi_s, zeta2, zeta2).log_G(eta)[0, 0])
+    lg2 = float(ProfileGrid(c, xi_s, zeta2, zeta2, rule=_COARSE_RULE).log_G(eta)[0, 0])
     err = abs(math.expm1(lg2 - lg)) + 1e-14
     if not (err <= cfg.rel_tol):
         raise QuadratureError(
@@ -617,10 +667,6 @@ def compute_D(
             f"{err:.3e} (requested {cfg.rel_tol:.1e})"
         )
     return -zeta2 * A + lg, err
-
-
-class _CoarseProfile(ProfileGrid):
-    RATIO = ProfileGrid.RATIO ** 2
 
 
 # zetas per chunk of direct_pair's inner layer, sized by speed: a chunk's
@@ -633,6 +679,12 @@ class _CoarseProfile(ProfileGrid):
 # 1.86 MB at 32, 2.47 MB at 48, 2.88 MB at 56 and 3.29 MB at 64 (bound 3 MB)
 _ZETA_CHUNK = 48
 
+
+# the smallest rel_tol at which direct_pair's inner grids take _GAUSS_RULE:
+# their measured error on the mollified model (direct_pair's docstring),
+# up to 3.8e-9, is 4% of 1e-7 but 38% of 1e-8, more than the inner
+# layer's fixed 0.35 rel_tol budget absorbs
+_GAUSS_FROM = 1e-7
 
 # e-folds below the centre's Bergman value within which direct_pair's width
 # search accepts a rung, read through the Bergman middle's law r^(-7/2): 2
@@ -695,6 +747,16 @@ def direct_pair(
     samples), and one ``log_adaptive_multi`` call on the chunk's 2k eta rows
     (Bergman and Szego for each zeta) on shared t panels; a row that ends
     above its 0.25 rel_tol budget raises QuadratureError naming its zeta.
+    The grids' rule follows the tolerance: from rel_tol ``_GAUSS_FROM``
+    (1e-7) up, 15 Gauss-Legendre nodes a panel at RATIO 2.5
+    (``_GAUSS_RULE``), below it the Kronrod rule at 1.45 of every other
+    grid.  The Gauss grids' error is measured, not estimated: on the
+    mollified m = 2 model, whose spline knots the panels fall on, the
+    Bergman values at rel_tol 1e-7 lie within 6.0e-10 of rel_tol 1e-12
+    references (the Kronrod grids' within 1.7e-10), and within 3.8e-9 at
+    RATIO 1.8-2.5 (the worst of 21 points), 4% of 1e-7, inside the 0.35
+    rel_tol budget below; on x^2, x^4 and the rational m = 2 domain the
+    two rules' values differ by less than 1e-13.
     The outer integral runs in s on a double-exponential map (Takahasi &
     Mori, 1974), zeta = psi(z* + w sinh((pi/2) sinh s)), |s| <= _DE_REACH,
     psi from ``_cone_map`` and z* = psi^-1(zeta*) at the outer peak zeta* =
@@ -716,12 +778,12 @@ def direct_pair(
     y + x zeta - A is not positive: y below the rounding of a tilted peak's
     offset A.
     ``err_estimate`` is the outer integral's relative error, plus 0.35
-    rel_tol for the inner integrals and truncation, plus the largest table
-    tail over the outer rule's zetas (an absolute error of log G is
-    relative in the integrand).  ``evaluations`` sums, over the outer
-    rule's zetas, its grid's phase points, its table's samples and its
-    inner call's rule points, counted once per zeta where a chunk shares
-    them.
+    rel_tol for the inner integrals, grids and truncation, plus the
+    largest table tail over the outer rule's zetas (an absolute error of
+    log G is relative in the integrand).  ``evaluations`` sums, over the
+    outer rule's zetas, its grid's phase points, its table's samples and
+    its inner call's rule points, counted once per zeta where a chunk
+    shares them.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -736,9 +798,11 @@ def direct_pair(
     n_init_mid = int(np.ceil((t_hi - t_lo) / 0.8))
     nev, tail_G = [0], [0.0]
 
+    rule = _GAUSS_RULE if cfg.rel_tol >= _GAUSS_FROM else _KRONROD_RULE
+
     def inner(zetas: np.ndarray, xi_s: np.ndarray, A: np.ndarray, r: np.ndarray):
         # one profile grid build for the chunk, of the phases f tilted by -zeta
-        grids = ProfileGrid(_tilted(f.f, -zetas, A), xi_s, h_lo / r, h_hi / r)
+        grids = ProfileGrid(_tilted(f.f, -zetas, A), xi_s, h_lo / r, h_hi / r, rule=rule)
         k = zetas.size
 
         # log G(e^t / r) is smooth in t: tabulate it once for each zeta

@@ -17,16 +17,19 @@ from scipy.special import gamma
 
 from tubekernels import (
     ApproachPath,
+    BlowupChart,
     BoundaryRelativePoint,
     DefiningFunction,
     DomainError,
     PhiSpline,
+    PolarPoint,
     QuadratureConfig,
     QuadratureError,
     bergman_normalized,
     blended_linear_domain,
     compute_D,
     direct_pair,
+    from_polar,
     log_L,
     model_domain,
     mollify,
@@ -38,9 +41,13 @@ from tubekernels.quadrature import (
     WGK,
     XGK,
     ProfileGrid,
+    _COARSE_RULE,
+    _GAUSS_RULE,
+    _KRONROD_RULE,
     _MAX_PANELS,
     _PEAK_DROP,
     _TRUNCATION_DEPTH,
+    _PanelRule,
     _WGrid,
     _bracket_root,
     _cheb_read,
@@ -326,10 +333,11 @@ def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
     assert len(builds) == 3 and max(n for n, _ in builds) <= 4
 
 
-def _row_by_row_grid(c_side, xi_star, eta_lo, eta_hi, ratio=ProfileGrid.RATIO):
+def _row_by_row_grid(c_side, xi_star, eta_lo, eta_hi, rule=_KRONROD_RULE):
     """(dc, w, c_low, n_evals) of one phase's grid, built side by side and
     rung by rung as the one-grid build did: the reference the batched
     build must equal bit for bit."""
+    ratio = rule.ratio
     c_min = ProfileGrid.C_SMALL / eta_hi
     c_max = _TRUNCATION_DEPTH / eta_lo
     c_parts, w_parts, nev = [], [], 0
@@ -367,9 +375,9 @@ def _row_by_row_grid(c_side, xi_star, eta_lo, eta_hi, ratio=ProfileGrid.RATIO):
             n_guess *= 2
         edges = np.concatenate(([0.0], us[: idx[0] + 1]))
         h = 0.5 * (edges[1:] - edges[:-1])
-        x = 0.5 * (edges[:-1] + edges[1:])[:, None] + h[:, None] * XGK
+        x = 0.5 * (edges[:-1] + edges[1:])[:, None] + h[:, None] * rule.nodes
         c_parts.append(c(x.ravel()))
-        w_parts.append((h[:, None] * WGK).ravel())
+        w_parts.append((h[:, None] * rule.weights).ravel())
         nev += c_parts[-1].size
     c_all = np.concatenate(c_parts)
     return c_all - c_all.min(), np.concatenate(w_parts), c_all.min(), nev
@@ -467,15 +475,17 @@ def test_batched_build_equals_one_row_builds(make):
         assert not grids.dc[i, n:].any() and not grids.w[i, n:].any(), i
         assert grids.c_low[i, 0] == c_low, i
         total += n_evals
-        # a k = 1 build from a float xi_star, and the coarse grid of
-        # compute_D's error estimate, by the same build; each evaluates no
-        # more points than the rung-by-rung search did
-        for cls in (ProfileGrid, quadrature._CoarseProfile):
+        # a k = 1 build from a float xi_star, with each rule: the default,
+        # the coarse grid of compute_D's error estimate and direct_pair's
+        # Gauss rule, by the same build; each evaluates no more points than
+        # the rung-by-rung search did
+        for rule in (_KRONROD_RULE, _COARSE_RULE, _GAUSS_RULE):
             dc, w, c_low, n_evals = _row_by_row_grid(
-                c_side, xi_s[i], eta_lo[i], eta_hi[i], ratio=cls.RATIO
+                c_side, xi_s[i], eta_lo[i], eta_hi[i], rule=rule
             )
             counted, sizes = _counted(c_one)
-            one = cls(counted, float(xi_s[i]), float(eta_lo[i]), float(eta_hi[i]))
+            args = (counted, float(xi_s[i]), float(eta_lo[i]), float(eta_hi[i]))
+            one = ProfileGrid(*args, rule=rule)
             assert one.dc.shape == one.w.shape == (1, dc.size) and one.c_low.shape == (1, 1), i
             assert one.dc[0].tolist() == dc.tolist() and one.w[0].tolist() == w.tolist(), i
             assert one.c_low[0, 0] == c_low, i
@@ -568,9 +578,7 @@ def test_ratio_ladder_stays_finite_out_to_its_cap(eta_lo):
     ids=["model-m1", "model-m2", "rational-m2", "mollified-m2"],
 )
 def test_profile_grid_matches_a_dense_grid_in_few_calls(make, zetas, etas, tol):
-    class Dense(ProfileGrid):
-        RATIO = 1.1
-
+    dense_rule = _PanelRule(XGK, WGK, 1.1)
     f = make()
     etas = np.geomspace(*etas, 40)
     for zeta in zetas:
@@ -587,7 +595,7 @@ def test_profile_grid_matches_a_dense_grid_in_few_calls(make, zetas, etas, tol):
         # the linear-space sum against the log-sum-exp over the same nodes
         lse = _logsumexp(np.log(grid.w[0]) - np.multiply.outer(etas, grid.c))
         assert np.max(np.abs(grid.log_G(etas[None])[0] - lse)) <= 1e-13, zeta
-        dense = Dense(c_fn, xi_s, etas[0], etas[-1])
+        dense = ProfileGrid(c_fn, xi_s, etas[0], etas[-1], rule=dense_rule)
         assert np.max(np.abs(grid.log_G(etas[None]) - dense.log_G(etas[None]))) <= tol, zeta
         # the stiffest frequency of a wide range stays finite
         wide = ProfileGrid(c_fn, xi_s, 1e-4, 1e8)
@@ -982,6 +990,108 @@ def test_direct_pair_claims_cover_the_parabola_closed_forms(rel_tol):
         k_err = abs(K.value * 4.0 * math.pi**2 * d**3 - 1.0)
         s_err = abs(S.value * 8.0 * math.pi**2 * d**2 - 1.0)
         assert k_err <= K.err_estimate and s_err <= S.err_estimate, (x, y)
+
+
+def test_gauss_rule_integrates_polynomials_to_degree_29():
+    # the rule's literals are numpy's 15 Gauss-Legendre nodes and weights,
+    # exact to degree 2 * 15 - 1 and no further
+    nodes, weights, _ = _GAUSS_RULE
+    want = np.polynomial.legendre.leggauss(15)
+    assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+    for k in range(31):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        miss = abs(np.sum(weights * nodes**k) - exact)
+        assert (miss <= 1e-15) == (k <= 29), (k, miss)
+
+
+@pytest.mark.parametrize(
+    "make, where",
+    [
+        (lambda: model_domain(1), 0.3),
+        (lambda: model_domain(1), 1.0),
+        (lambda: model_domain(2), 0.3),
+        (lambda: model_domain(2), 1.0),
+        (lambda: rational_domain(2), 0.3),
+        (lambda: rational_domain(2), 1.0),
+        (lambda: mollify(model_domain(2), 0.1), (0.0, 2.0**-10)),
+        (lambda: mollify(model_domain(2), 0.1), (0.03, 0.9)),
+    ],
+    ids=[
+        "model-m1-tau0.3", "model-m1-tau1", "model-m2-tau0.3", "model-m2-tau1",
+        "rational-m2-tau0.3", "rational-m2-tau1", "mollified-m2-axis", "mollified-m2-far",
+    ],
+)
+def test_direct_pair_gauss_grids_keep_their_claims(make, where):
+    # at rel_tol 1e-7 the inner grids take the Gauss rule; against the
+    # closed forms on x^2 and the Kronrod grids at rel_tol 1e-10 elsewhere,
+    # both claims hold, and the mollified Bergman value, whose grid error
+    # moves with how panels fall on the spline's knots, stays well inside
+    # the inner layer's budget.  A float ``where`` is a tau at rho = 2^-9
+    f = make()
+    if isinstance(where, tuple):
+        p = BoundaryRelativePoint(*where)
+    else:
+        p = from_polar(f, BlowupChart(f.m), PolarPoint(tau=where, rho=2.0**-9, branch=1))
+    rel_tol = 1e-7
+    assert rel_tol >= quadrature._GAUSS_FROM
+    K, S = direct_pair(f, p, QuadratureConfig(rel_tol))
+    if f.m == 1:
+        d = p.y - p.x**2
+        K_ref, S_ref = -math.log(4.0 * math.pi**2 * d**3), -math.log(8.0 * math.pi**2 * d**2)
+    else:
+        K_ref, S_ref = (kv.log_value for kv in direct_pair(f, p, QuadratureConfig(1e-10)))
+    k_err, s_err = abs(math.expm1(K.log_value - K_ref)), abs(math.expm1(S.log_value - S_ref))
+    assert k_err <= K.err_estimate and s_err <= S.err_estimate, (k_err, s_err)
+    if f.is_mollified:
+        assert k_err <= 0.05 * rel_tol, k_err
+
+
+def test_direct_pair_work_shrinks_with_the_tolerance():
+    # from rel_tol 1e-7 up the inner grids take the Gauss rule on wider
+    # panels: 68,700 evaluations at 1e-4 against 314,400 at 1e-10 (119,040
+    # with the Kronrod rule at every tolerance)
+    f, p = model_domain(1), BoundaryRelativePoint(0.0, 0.25)
+    loose = direct_pair(f, p, QuadratureConfig(1e-4))[0].evaluations
+    tight = direct_pair(f, p, QuadratureConfig(1e-10))[0].evaluations
+    assert 3 * loose <= tight, (loose, tight)
+
+
+# (rel_tol, domain): direct_pair's (Bergman, Szego) (log_value,
+# err_estimate) pairs and evaluations at (0, 2^-10), as the Kronrod rule at
+# every tolerance gave them
+_TIGHT_PAIRS = {
+    (1e-8, "model-m2"): (
+        (13.500617212407922, 5.936965215141713e-09),
+        (6.163680297974352, 4.569888596870375e-09),
+        198120,
+    ),
+    (1e-10, "model-m2"): (
+        (13.500617212407958, 4.943884632965063e-11),
+        (6.163680298688833, 4.2808004899224105e-11),
+        348690,
+    ),
+    (1e-8, "mollified-m2"): (
+        (13.494524824179704, 5.930703179188807e-09),
+        (6.153159396173704, 4.767639982355815e-09),
+        198210,
+    ),
+    (1e-10, "mollified-m2"): (
+        (13.49452482405693, 9.476299335482925e-11),
+        (6.153159396742131, 1.1575828702326415e-10),
+        491010,
+    ),
+}
+
+
+@pytest.mark.parametrize("rel_tol, domain", list(_TIGHT_PAIRS), ids=lambda v: str(v))
+def test_direct_pair_below_the_gauss_tolerance_keeps_its_values(rel_tol, domain):
+    # below _GAUSS_FROM every inner grid keeps the Kronrod rule, bit for bit
+    assert rel_tol < quadrature._GAUSS_FROM
+    f = model_domain(2) if domain == "model-m2" else mollify(model_domain(2), 0.1)
+    K, S = direct_pair(f, BoundaryRelativePoint(0.0, 2.0**-10), QuadratureConfig(rel_tol))
+    k_want, s_want, evaluations = _TIGHT_PAIRS[rel_tol, domain]
+    assert (K.log_value, K.err_estimate) == k_want and (S.log_value, S.err_estimate) == s_want
+    assert K.evaluations == S.evaluations == evaluations
 
 
 @pytest.mark.parametrize(
