@@ -206,23 +206,44 @@ def _f_from_g(m: int, g: Callable, gp: Callable, gpp: Callable):
     return fv, fpv, fppv
 
 
+def _on_abs(lo: float, core, mid: Callable, hi: float | None = None, tail=None,
+            odd: bool = False) -> Callable:
+    """The accessor x -> core(x) on |x| <= lo, mid(|x|) on lo < |x| < hi and
+    tail(|x|) on |x| >= hi; NaN goes to mid, and without ``hi`` mid takes
+    all of |x| > lo.  ``core`` and ``tail`` may be constants, written with
+    no gather of |x|.  Where ``odd`` is set, sign(x) multiplies mid and the
+    tail after their read, but a zero tail stays +0.0 on both sides."""
+
+    def fn(x):
+        s = np.abs(x)
+        out = np.empty_like(s)
+        a = s <= lo
+        out[a] = core(x[a]) if callable(core) else core
+        if hi is None:
+            b = ~a
+        else:
+            c = s >= hi
+            b = ~(a | c)
+            if callable(tail):
+                out[c] = tail(s[c]) * np.sign(x[c]) if odd else tail(s[c])
+            elif odd and tail != 0.0:
+                out[c] = tail * np.sign(x[c])
+            else:
+                out[c] = tail
+        out[b] = mid(s[b]) * np.sign(x[b]) if odd else mid(s[b])
+        return out
+
+    return fn
+
+
 def _g_from_f(m: int, fv: Callable, fpv: Callable, core: float, g_core: Callable,
               gp_core: Callable):
     """(g, g') of g = f / x^(2m): ``g_core``, ``gp_core`` on |x| <= core, and
     f / x^(2m), (x f' - 2m f) / x^(2m+1) from f and f' outside it."""
     n = 2 * int(m)
-
-    def piece(x, inner, outer):
-        s = np.abs(x)
-        out = np.empty_like(s)
-        a = s <= core
-        out[a] = inner(x[a])
-        out[~a] = outer(s[~a], np.sign(x[~a]))
-        return out
-
     return (
-        lambda x: piece(x, g_core, lambda s, _: fv(s) / s**n),
-        lambda x: piece(x, gp_core, lambda s, sg: (s * fpv(s) - n * fv(s)) / s ** (n + 1) * sg),
+        _on_abs(core, g_core, lambda s: fv(s) / s**n),
+        _on_abs(core, gp_core, lambda s: (s * fpv(s) - n * fv(s)) / s ** (n + 1), odd=True),
     )
 
 
@@ -269,19 +290,17 @@ class _Cubic:
     def derivative(self) -> _Cubic:
         return _Cubic(self.c[:-1] * self._per_row(self.c.shape[0] - 1), self.x)
 
-    def antiderivative(self, n: int = 1) -> _Cubic:
-        """The n-th antiderivative, zero with its first n - 1 derivatives at
-        x[0]: a piece's constant term sums the earlier pieces' rises."""
+    def antiderivative(self) -> _Cubic:
+        """The antiderivative zero at x[0]: a piece's constant term sums the
+        earlier pieces' rises."""
         h = self._cols(np.diff(self.x))
-        c = self.c
-        for _ in range(n):
-            c = np.concatenate([c / self._per_row(c.shape[0]), np.zeros_like(c[:1])])
-            # each piece's rise across itself, from a zero constant term
-            rise = c[0] * h
-            for row in c[1:-1]:
-                rise += row
-                rise *= h
-            c[-1, 1:] = np.cumsum(rise[:-1], axis=0)
+        c = np.concatenate([self.c / self._per_row(self.c.shape[0]), np.zeros_like(self.c[:1])])
+        # each piece's rise across itself, from a zero constant term
+        rise = c[0] * h
+        for row in c[1:-1]:
+            rise += row
+            rise *= h
+        c[-1, 1:] = np.cumsum(rise[:-1], axis=0)
         return _Cubic(c, self.x)
 
 
@@ -653,8 +672,9 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
     )
     bumps = np.column_stack([_bump(nodes, d, xs_split), _bump(nodes, xs_split, 1.0)])
     over_s2 = _not_a_knot(nodes, bumps / nodes[:, None] ** 2)
-    I1, I2 = over_s2.antiderivative()(1.0)
-    J1, J2 = over_s2.antiderivative(2)(1.0)
+    once = over_s2.antiderivative()
+    I1, I2 = once(1.0)
+    J1, J2 = once.antiderivative()(1.0)
 
     # g~'' = (-c1 B1 + c2 B2)/s^2 with: slope zero at 1, value 0.9 g0 at 1
     # [ -I1  I2 ] [c1]   [ -g'(delta)                         ]
@@ -681,37 +701,10 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
 
     g_end = g_d + gp_d * (1.0 - d) + float(sp0(1.0))
 
-    def gv(x):
-        s = np.abs(x)
-        out = np.empty_like(s)
-        inner = s <= d
-        outer = s >= 1.0
-        midm = ~(inner | outer)
-        out[inner] = f.g(x[inner])
-        out[outer] = g_end
-        sm = s[midm]
-        out[midm] = g_d + gp_d * (sm - d) + sp0(sm)
-        return out
-
-    def gpv(x):
-        s = np.abs(x)
-        out = np.empty_like(s)
-        inner = s <= d
-        outer = s >= 1.0
-        midm = ~(inner | outer)
-        out[inner] = f.gprime(x[inner])
-        out[outer] = 0.0
-        out[midm] = (gp_d + sp1(s[midm])) * np.sign(x[midm])
-        return out
-
-    def gppv(x):
-        # on the core the parent's f'' stands in for the one built from g~''
-        s = np.abs(x)
-        out = np.zeros_like(s)
-        midm = (s > d) & (s < 1.0)
-        out[midm] = sp2(s[midm])
-        return out
-
+    gv = _on_abs(d, f.g, lambda s: g_d + gp_d * (s - d) + sp0(s), 1.0, g_end)
+    gpv = _on_abs(d, f.gprime, lambda s: gp_d + sp1(s), 1.0, 0.0, odd=True)
+    # on the core the parent's f'' stands in for the one built from g~''
+    gppv = _on_abs(d, 0.0, sp2, 1.0, 0.0)
     fv, fpv, fppv_blend = _f_from_g(f.m, gv, gpv, gppv)
 
     def fppv(x):
@@ -779,36 +772,10 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
     slope = fp_r1 + float(sp1(r2))
     f_r2 = f_r1 + fp_r1 * (r2 - r1) + float(sp0(r2))
 
-    def fv(x):
-        s = np.abs(x)
-        out = np.empty_like(s)
-        a = s <= r1
-        c = s >= r2
-        b = ~(a | c)
-        out[a] = f.f(x[a])
-        out[b] = f_r1 + fp_r1 * (s[b] - r1) + sp0(s[b])
-        out[c] = f_r2 + slope * (s[c] - r2)
-        return out
-
-    def fpv(x):
-        s = np.abs(x)
-        out = np.empty_like(s)
-        a = s <= r1
-        c = s >= r2
-        b = ~(a | c)
-        out[a] = f.fprime(x[a])
-        out[b] = np.sign(x[b]) * (fp_r1 + sp1(s[b]))
-        out[c] = np.sign(x[c]) * slope
-        return out
-
-    def fppv(x):
-        s = np.abs(x)
-        out = np.zeros_like(s)
-        a = s <= r1
-        b = (s > r1) & (s < r2)
-        out[a] = f.fsecond(x[a])
-        out[b] = sp2(s[b])
-        return out
+    fv = _on_abs(r1, f.f, lambda s: f_r1 + fp_r1 * (s - r1) + sp0(s), r2,
+                 lambda s: f_r2 + slope * (s - r2))
+    fpv = _on_abs(r1, f.fprime, lambda s: fp_r1 + sp1(s), r2, slope, odd=True)
+    fppv = _on_abs(r1, f.fsecond, sp2, r2, 0.0)
 
     return DefiningFunction(
         f.m,

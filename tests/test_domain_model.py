@@ -315,6 +315,44 @@ def test_damp_tails_exact_core_and_linear_tail():
     assert fd.m == f.m
 
 
+def _blended_breaks(m, slope):
+    """blended_linear_domain's series edge and saturation point."""
+    n = 2 * m
+    c_series = n**3 / (3.0 * slope * slope * (3 * n - 2))
+    return (1e-8 / c_series) ** (1.0 / (2 * n - 2)), (21.5 * slope / n) ** (1.0 / (n - 1))
+
+
+@pytest.mark.parametrize(
+    "make, breaks",
+    [
+        (lambda: mollify(model_domain(2), 0.1), [0.1, 2.0 * 0.1 / 1.1, 1.0]),
+        (lambda: damp_tails(blended_linear_domain(2), 0.5), [0.55, 1.2, *_blended_breaks(2, 1.0)]),
+        (lambda: mollify(damp_tails(model_domain(2), 0.5), 0.1), [0.1, 2.0 * 0.1 / 1.1, 0.55, 1.0, 1.2]),
+        (lambda: blended_linear_domain(2), list(_blended_breaks(2, 1.0))),
+    ],
+    ids=["mollify", "damp_tails", "damp|mollify", "blended-linear"],
+)
+def test_constructed_domains_are_exactly_even_and_nan_stays_nan(make, breaks):
+    # every piece is read at |x| and signed where odd, so each accessor has
+    # its parity exactly on both sides of every breakpoint.  A mollified f
+    # and f' are x^(2m) g~ and x^(2m-1) (...) through numpy's power, whose
+    # value at -x can differ from the one at x in the last two bits
+    f = make()
+    b = np.array(breaks)
+    x = np.concatenate(
+        [b, np.nextafter(b, 0.0), np.nextafter(b, np.inf), [0.0],
+         np.geomspace(1e-9, 30.0, 2000 - 3 * b.size - 1)]
+    )
+    for name, sign in (("f", 1.0), ("fprime", -1.0), ("fsecond", 1.0), ("g", 1.0), ("gprime", -1.0)):
+        acc = getattr(f, name)
+        left, right = acc(-x), sign * acc(x)
+        if f.is_mollified and name in ("f", "fprime"):
+            assert np.all(np.abs(left - right) <= 2.0 * np.spacing(np.abs(right))), name
+        else:
+            assert np.all(left == right), name
+        assert math.isnan(acc(math.nan)), name
+
+
 def test_mollify_and_damp_tails_reject_asymmetric_g():
     # g = 1/(1 + x^2 (1 + tanh(x)/2)) is not even, while both constructions
     # mirror the x > 0 side onto x < 0
@@ -397,7 +435,7 @@ def test_piecewise_cubics_match_scipy(case):
             (got, ref),
             (got.derivative(), ref.derivative()),
             (got.antiderivative(), ref.antiderivative()),
-            (got.antiderivative(2), ref.antiderivative(2)),
+            (got.antiderivative().antiderivative(), ref.antiderivative(2)),
         ]
     ):
         want = b(v)
