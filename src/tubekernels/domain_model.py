@@ -238,12 +238,15 @@ def _on_abs(lo: float, core, mid: Callable, hi: float | None = None, tail=None,
 
 def _g_from_f(m: int, fv: Callable, fpv: Callable, core: float, g_core: Callable,
               gp_core: Callable):
-    """(g, g') of g = f / x^(2m): ``g_core``, ``gp_core`` on |x| <= core, and
-    f / x^(2m), (x f' - 2m f) / x^(2m+1) from f and f' outside it."""
+    """(g, g') of g = f / x^(2m): ``g_core``, ``gp_core`` on |x| <= core,
+    f / x^(2m), (x f' - 2m f) / x^(2m+1) from f and f' outside it, and 0 at
+    |x| = inf, their limit for an f with linear tails (there the quotients
+    read inf / inf)."""
     n = 2 * int(m)
     return (
-        _on_abs(core, g_core, lambda s: fv(s) / s**n),
-        _on_abs(core, gp_core, lambda s: (s * fpv(s) - n * fv(s)) / s ** (n + 1), odd=True),
+        _on_abs(core, g_core, lambda s: fv(s) / s**n, math.inf, 0.0),
+        _on_abs(core, gp_core, lambda s: (s * fpv(s) - n * fv(s)) / s ** (n + 1),
+                math.inf, 0.0, odd=True),
     )
 
 

@@ -290,6 +290,71 @@ def test_model_profile_pair_reads_log_L_once_per_integrand_call(monkeypatch):
     assert events[1::2] == [("log_L", n) for _, n in events[::2]]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_model_profile_pair_work_does_not_grow_as_tau_drops(m, monkeypatch):
+    # the s-integrand keeps one shape in sigma = s (1 - e)^(1/2m), so the
+    # s-integral starts on as many panels at tau = 0.05, the strictly
+    # pseudoconvex side, as at tau = 1, and refines none at rel_tol 1e-9
+    real_log_L = asymptotics.log_L
+    points = []
+
+    def counted(u, phis):
+        points[-1] += u.size
+        return real_log_L(u, phis)
+
+    monkeypatch.setattr(asymptotics, "log_L", counted)
+    for tau in (0.05, 1.0):
+        points.append(0)
+        model_profile_pair(m, 1.0, tau)
+    assert points[0] == points[1] == 15 * asymptotics._s_panels(m)
+
+
+# (log Phi_bergman, log Phi_szego) at rel_tol 1e-11, from a start on max(16, 4 s_hi) panels
+PAIR_REFERENCE = {
+    (2, 0.05): (7.075295690759274, 3.3841925212104558),
+    (2, 0.3): (1.5302750546541883, -0.37597957251265424),
+    (3, 0.05): (7.983500944869668, 4.292923190638817),
+    (3, 0.3): (2.391752571367166, 0.48939116272075944),
+}
+
+
+def test_model_profile_pair_meets_closed_forms_and_references():
+    # at m = 1, Phi_B = 1/(4 pi^2 (1 - e)^3) and Phi_S = 1/(8 pi^2 (1 - e)^2)
+    # with e the chart's core fraction at tau
+    chart = asymptotics._default_chart(1)
+    for tau in (0.05, 0.1, 0.5, 1.0):
+        e = float(chart.core_fraction_from_tau(tau))
+        lk, ls = model_profile_pair(1, 1.0, tau)
+        assert abs(math.expm1(lk + math.log(4 * math.pi**2 * (1 - e) ** 3))) <= 1e-9, tau
+        assert abs(math.expm1(ls + math.log(8 * math.pi**2 * (1 - e) ** 2))) <= 1e-9, tau
+    for (m, tau), ref in PAIR_REFERENCE.items():
+        got = model_profile_pair(m, 1.0, tau)
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-10, (m, tau)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_peaks_inside_on_a_float_equals_the_array_call(m):
+    # _phi_spline_for checks its u_max on a float, which takes the root
+    # search's scalar path; it must give the one-element array's v_s and A
+    # bit for bit, and raise the same errors
+    phis = PhiSpline(m, 64.0)
+    top = float(phis.deriv(phis.v_max))
+    for u in (0.0, 1e-9, 0.1 * top, 0.2 * top, 0.3 * top):
+        v1, A1 = asymptotics._peaks_inside(phis, u)
+        v2, A2 = asymptotics._peaks_inside(phis, np.array([u]))
+        assert np.array_equal(np.array([v1, A1]).view(np.int64),
+                              np.concatenate([v2, A2]).view(np.int64)), u
+    # past v_max's slope, and inside it with a margin under the truncation depth
+    for u, text in ((1.01 * top, "peaks past v_max"), (math.nan, "peaks past v_max"),
+                    (0.9 * top, "reads phi past v_max")):
+        msgs = []
+        for arg in (u, np.array([u])):
+            with pytest.raises(DomainError, match=text) as err:
+                asymptotics._peaks_inside(phis, arg)
+            msgs.append(str(err.value))
+        assert msgs[0] == msgs[1], u
+
+
 def test_phi_rate_probe_hits_growth_constant():
     measured, expected = phi_rate_probe(2)
     assert math.isclose(expected, growth_constant_a(2), rel_tol=1e-14)

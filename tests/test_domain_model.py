@@ -353,6 +353,22 @@ def test_constructed_domains_are_exactly_even_and_nan_stays_nan(make, breaks):
         assert math.isnan(acc(math.nan)), name
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: damp_tails(model_domain(2), 0.5), lambda: blended_linear_domain(2)],
+    ids=["damp_tails", "blended_linear"],
+)
+def test_g_built_from_f_reads_zero_at_infinity(make):
+    # g = f / x^(2m) and g' of an f with linear tails fall to 0; at +-inf
+    # their quotients read inf / inf, so the accessors write the limit, with
+    # no warning (any warning fails the suite)
+    f = make()
+    x = np.array([-math.inf, math.inf])
+    for name in ("g", "gprime"):
+        got = getattr(f, name)(x)
+        assert got.tolist() == [0.0, 0.0], name
+        assert abs(getattr(f, name)(1e30)) < 1e-50, name
+
+
 def test_mollify_and_damp_tails_reject_asymmetric_g():
     # g = 1/(1 + x^2 (1 + tanh(x)/2)) is not even, while both constructions
     # mirror the x > 0 side onto x < 0

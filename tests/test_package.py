@@ -300,3 +300,19 @@ def test_demo_help_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_profile_vs_kernel_demo_agrees_end_to_end():
+    # a short run of the demo: the kernel's extrapolated c0 against model_phi
+    # on the m = 2 model, two tau and six rho, in under a second
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["--taus", "1.0", "0.55", "--n-points", "6", "--rel-tol", "1e-5"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "profile_vs_kernel.py"), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # a row reads tau, c0, Phi, rel gap and Phi tau^3
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    gaps = [float(r[3]) for r in rows if len(r) == 5 and r[0] in ("1.000", "0.550")]
+    assert len(gaps) == 2 and max(gaps) < 1e-6, proc.stdout
