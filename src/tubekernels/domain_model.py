@@ -54,6 +54,11 @@ class DefiningFunction:
     are the exact limits of f(x)/|x| on the (x -> -inf, x -> +inf) branches,
     with ``math.inf`` for superlinear growth; both must be positive.  They
     fix the dual cone: zeta1/zeta2 ranges over (-slope(+inf), slope(-inf)).
+    ``is_even`` declares f(-x) = f(x), so g(-x) = g(x) too, for every x;
+    the constructors set it, and validation checks f and g against their
+    mirrors on the sample grid and asks an even f for one tail slope.  On
+    the axis x = 0 of an even f, ``direct_pair``'s outer integrand is even
+    and it integrates half of it.
     """
 
     def __init__(
@@ -69,6 +74,7 @@ class DefiningFunction:
         full_theorem_class: bool = True,
         tail_slopes: tuple[float, float],
         is_mollified: bool = False,
+        is_even: bool = False,
     ):
         _check_order(m)
         self.m = int(m)
@@ -84,6 +90,7 @@ class DefiningFunction:
             raise DomainError(f"tail slopes must be positive, got ({neg!r}, {pos!r})")
         self.tail_slopes = (neg, pos)
         self.is_mollified = bool(is_mollified)
+        self.is_even = bool(is_even)
         g0 = float(self._g(np.asarray([0.0]))[0])
         if not (math.isfinite(g0) and g0 > 0):
             raise DomainError(f"g(0) must be positive and finite, got {g0!r}")
@@ -167,6 +174,9 @@ class DefiningFunction:
         if not np.allclose(lhs, rhs, rtol=1e-6, atol=1e-12):
             raise DomainError("f and x^(2m) g(x) disagree on the sample grid")
 
+        if self.is_even:
+            self._check_even(xs, f, g)
+
         if self.full_theorem_class:
             i = _xg_violation(xs, g, gp)
             if i is not None:
@@ -175,8 +185,29 @@ class DefiningFunction:
                     f"x g' = {float(xs[i] * gp[i])!r}"
                 )
 
+    def _check_even(self, xs: np.ndarray, f: np.ndarray, g: np.ndarray) -> None:
+        """DomainError unless f and g, read on ``_SAMPLE_XS``, equal their
+        mirrors to 1e-12 relative and the tail slopes are one slope."""
+        if self.tail_slopes[0] != self.tail_slopes[1]:
+            raise DomainError(
+                f"f is declared even, but its tail slopes {self.tail_slopes!r} differ"
+            )
+        # _SAMPLE_XS holds 0, then the positive points, then their mirrors
+        n = (xs.size - 1) // 2
+        for name, v in (("f", f), ("g", g)):
+            pos, neg = v[1 : n + 1], v[n + 1 :]
+            bad = ~(np.abs(neg - pos) <= 1e-12 * np.abs(pos))
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise DomainError(
+                    f"{name} is declared even, but {name}({float(xs[n + 1 + i])!r}) = "
+                    f"{float(neg[i])!r} differs from {name}({float(xs[1 + i])!r}) = "
+                    f"{float(pos[i])!r}"
+                )
 
-# the points at which DefiningFunction checks its invariants
+
+# the points at which DefiningFunction checks its invariants: 0, then 400
+# positive points, then their mirrors in the same order
 _SAMPLE_XS = np.concatenate(
     [[0.0], np.geomspace(1e-8, 12.0, 400), -np.geomspace(1e-8, 12.0, 400)]
 )
@@ -424,6 +455,7 @@ def model_domain(m: int, g0: float = 1.0) -> DefiningFunction:
         lambda x: np.zeros_like(x),
         label=f"model(m={int(m)},g0={g0:g})",
         tail_slopes=(math.inf, math.inf),
+        is_even=True,
     )
 
 
@@ -451,6 +483,7 @@ def rational_domain(m: int) -> DefiningFunction:
         gp,
         label=f"rational(m={int(m)})",
         tail_slopes=(math.inf, math.inf),
+        is_even=True,
     )
 
 
@@ -514,6 +547,7 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
         ),
         label=f"blended-linear(m={int(m)},slope={s:g})",
         tail_slopes=(s, s),
+        is_even=True,
     )
 
 
@@ -593,14 +627,32 @@ def table_domain(
 
     gv, gpv, gppv = piecewise(spl, 0), piecewise(dspl, 1), piecewise(ddspl, 2)
 
-    return DefiningFunction(
+    out = DefiningFunction(
         m,
         *_f_from_g(m, gv, gpv, gppv),
         gv,
         gpv,
         label=label,
         tail_slopes=(math.inf, math.inf),
+        is_even=False,
     )
+    # the sample grid has passed f; f'' >= 0 on every interval too, read on
+    # its own piece at both ends and 7 points between, so that a row's f''
+    # counts on each side of it
+    piece = np.arange(xs.size - 1).repeat(9)
+    v = (xs[:-1, None] + np.diff(xs)[:, None] * np.linspace(0.0, 1.0, 9)).ravel()
+    on_piece = [lambda x, s=s: s.read(x, piece) for s in (spl, dspl, ddspl)]
+    fpp = _f_from_g(m, *on_piece)[2](v)
+    bad = fpp < -1e-9 * (1.0 + np.abs(fpp))
+    if np.any(bad):
+        j = int(np.argmin(np.where(bad, fpp, np.inf)))
+        k = piece[j]
+        raise DomainError(
+            f"the cubic Hermite interpolant of the table makes f concave on "
+            f"[{float(xs[k])!r}, {float(xs[k + 1])!r}]: f'' = {float(fpp[j])!r} at "
+            f"x={float(v[j])!r}; add rows there"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +779,7 @@ def mollify(f: DefiningFunction, delta: float) -> DefiningFunction:
         full_theorem_class=f.full_theorem_class,
         tail_slopes=(math.inf, math.inf),
         is_mollified=True,
+        is_even=f.is_even,
     )
 
     # post-conditions of the construction itself
@@ -789,4 +842,5 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
         label=f"linear-tails({f.label},r={r:g})",
         full_theorem_class=False,
         tail_slopes=(slope, slope),
+        is_even=f.is_even,
     )

@@ -31,7 +31,8 @@ grid build, one table pass that samples the log G of the whole chunk, and
 one engine call that integrates the chunk's inner rows on shared panels.
 Its outer integral runs on a double-exponential map of the dual cone,
 centred on the outer peak at zeta* = -f'(x) and scaled to its width, so
-the tails decay double-exponentially and need no truncation.  The W-grid
+the tails decay double-exponentially and need no truncation; on the axis
+of an even domain it takes the half line and doubles it.  The W-grid
 behind ``bergman_normalized``'s log P has uniform panels, so its
 exponential sum factors by panel: each tilt costs one exp per panel and
 one per Kronrod abscissa instead of one per node, with the same nodes and
@@ -774,16 +775,22 @@ def direct_pair(
     (``_DE_REACH`` and ``_END_GAP`` bound what is left out).  One
     ``log_adaptive_multi`` call integrates middles(zeta(s)) + log zeta'(s)
     from 8 panels; where rounding noise in r keeps it bisecting to its panel
-    budget, its error estimate reports the noise.  QuadratureError where
-    y + x zeta - A is not positive: y below the rounding of a tilted peak's
-    offset A.
+    budget, its error estimate reports the noise.  On the axis x = 0 of a
+    domain whose ``is_even`` is set, zeta -> -zeta mirrors A, r and every
+    tilted grid, so the integrand is even in s: the call takes s in
+    [0, _DE_REACH] from 4 panels, the right half of the 8 with the same
+    nodes and widths, and the integral is twice its value.  The width
+    search, the inner layer and the error budget are the same either way.
+    QuadratureError where y + x zeta - A is not positive: y below the
+    rounding of a tilted peak's offset A.
     ``err_estimate`` is the outer integral's relative error, plus 0.35
     rel_tol for the inner integrals, grids and truncation, plus the
     largest table tail over the outer rule's zetas (an absolute error of
     log G is relative in the integrand).  ``evaluations`` sums, over the
     outer rule's zetas, its grid's phase points, its table's samples and
     its inner call's rule points, counted once per zeta where a chunk
-    shares them.
+    shares them; a folded call counts only the zetas of its half line,
+    about half the full line's, and the width search counts nothing.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -886,7 +893,13 @@ def direct_pair(
             out[:, live] = middles(zeta[live]) + log_dz[live]
         return out
 
-    lv, re, ne = log_adaptive_multi(outer, -_DE_REACH, _DE_REACH, rel_tol=cfg.rel_tol, init=8)
+    if x == 0.0 and f.is_even:
+        # zeta -> -zeta mirrors the tilted phases, so the integrand is even
+        # in s: the right half of the 8 panels, twice
+        lv, re, ne = log_adaptive_multi(outer, 0.0, _DE_REACH, rel_tol=cfg.rel_tol, init=4)
+        lv = lv + math.log(2.0)
+    else:
+        lv, re, ne = log_adaptive_multi(outer, -_DE_REACH, _DE_REACH, rel_tol=cfg.rel_tol, init=8)
     achieved = float(np.max(re))
     if not (achieved <= 20.0 * cfg.rel_tol):
         raise QuadratureError(

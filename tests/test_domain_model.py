@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,6 +339,7 @@ def test_constructed_domains_are_exactly_even_and_nan_stays_nan(make, breaks):
     # and f' are x^(2m) g~ and x^(2m-1) (...) through numpy's power, whose
     # value at -x can differ from the one at x in the last two bits
     f = make()
+    assert f.is_even
     b = np.array(breaks)
     x = np.concatenate(
         [b, np.nextafter(b, 0.0), np.nextafter(b, np.inf), [0.0],
@@ -369,17 +371,83 @@ def test_g_built_from_f_reads_zero_at_infinity(make):
         assert abs(getattr(f, name)(1e30)) < 1e-50, name
 
 
-def test_mollify_and_damp_tails_reject_asymmetric_g():
-    # g = 1/(1 + x^2 (1 + tanh(x)/2)) is not even, while both constructions
-    # mirror the x > 0 side onto x < 0
+def _asymmetric_table():
+    """The table domain of g = 1/(1 + x^2 (1 + tanh(x)/2)), which is not
+    even, at m = 2."""
     xs = np.linspace(-3.0, 3.0, 601)
     q = 1.0 + xs**2 * (1.0 + 0.5 * np.tanh(xs))
     dq = 2.0 * xs * (1.0 + 0.5 * np.tanh(xs)) + 0.5 * xs**2 / np.cosh(xs) ** 2
-    f = table_domain(xs, 1.0 / q, -dq / q**2, 2)
+    return table_domain(xs, 1.0 / q, -dq / q**2, 2)
+
+
+def test_mollify_and_damp_tails_reject_asymmetric_g():
+    # both constructions mirror the x > 0 side onto x < 0
+    f = _asymmetric_table()
     with pytest.raises(DomainError, match="asymmetric"):
         mollify(f, 0.1)
     with pytest.raises(DomainError, match="asymmetric"):
         damp_tails(f, 0.5)
+
+
+@pytest.mark.parametrize(
+    "make, even",
+    [
+        (lambda: model_domain(3), True),
+        (lambda: rational_domain(2), True),
+        (lambda: blended_linear_domain(1), True),
+        (lambda: mollify(model_domain(2), 0.1), True),
+        (lambda: damp_tails(rational_domain(2), 0.5), True),
+        (lambda: table_domain(_TABLE_XS, *_table_rows(1.0, 0.1, 0.0, 0.0), 3), False),
+        (lambda: mollify(table_domain(_TABLE_XS, *_table_rows(1.0, 0.1, 0.0, 0.0), 3), 0.1), False),
+    ],
+    ids=["model", "rational", "blended-linear", "mollify", "damp_tails", "table", "mollify|table"],
+)
+def test_constructors_declare_is_even(make, even):
+    # a table is not declared even, even where its rows are; mollify and
+    # damp_tails keep their parent's declaration
+    assert make().is_even is even
+
+
+def _rebuilt(f, **changes):
+    """f's accessors under a new DefiningFunction, with ``changes`` to its
+    keyword arguments."""
+    kwargs = dict(label=f.label, tail_slopes=f.tail_slopes, is_even=f.is_even)
+    kwargs.update(changes)
+    return DefiningFunction(f.m, f._f, f._fp, f._fpp, f._g, f._gp, **kwargs)
+
+
+def test_declared_even_f_must_equal_its_mirror():
+    # the asymmetric table's f, declared even, differs from its mirror at
+    # some x of the sample grid, and the error names x and -x
+    f = _asymmetric_table()
+    assert not f.is_even
+    with pytest.raises(DomainError) as info:
+        _rebuilt(f, is_even=True)
+    found = re.fullmatch(
+        r"f is declared even, but f\((-[\d.e-]+)\) = \S+ differs from f\(([\d.e-]+)\) = \S+",
+        str(info.value),
+    )
+    assert found, str(info.value)
+    assert -float(found[1]) == float(found[2]) > 0.0
+    # an even f with two tail slopes is refused too
+    parabola = model_domain(1)
+    with pytest.raises(DomainError, match="declared even, but its tail slopes"):
+        _rebuilt(parabola, tail_slopes=(math.inf, 100.0))
+    assert not _rebuilt(parabola, tail_slopes=(math.inf, 100.0), is_even=False).is_even
+
+
+def test_table_domain_rejects_an_interpolant_concave_between_rows():
+    # a draw of test_mollify_and_damp_tails_keep_convexity_and_core: the
+    # rows of g = 1/q pass, but at m = 3 the cubic Hermite interpolant's
+    # f'' is -0.186 at the table's first row x = -3 and stays negative on
+    # the intervals after it
+    g, gp = _table_rows(1.9375, 0.0, 0.9375, 1.0)
+    with pytest.raises(DomainError) as info:
+        table_domain(_TABLE_XS, g, gp, 3)
+    msg = str(info.value)
+    lo, hi = (float(x) for x in _TABLE_XS[:2])
+    assert f"makes f concave on [{lo!r}, {hi!r}]" in msg and msg.endswith("add rows there"), msg
+    assert "f'' = -0.18577" in msg and "x=-3.0;" in msg, msg
 
 
 def test_contains_and_require_interior():

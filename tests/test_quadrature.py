@@ -28,6 +28,7 @@ from tubekernels import (
     bergman_normalized,
     blended_linear_domain,
     compute_D,
+    damp_tails,
     direct_pair,
     from_polar,
     log_L,
@@ -65,6 +66,19 @@ S4_AXIS = 0.014501148723162648  # S(0, 1), f = x^4
 K4_OFF = 0.04943513323543007  # K(0.4, 0.9)
 S4_OFF = 0.0257664688504766  # S(0.4, 0.9)
 D4_ORACLE = 1.7959267415781637  # D(0.3, 1.1), f = x^4
+
+
+def _full_line(f: DefiningFunction) -> DefiningFunction:
+    """f rebuilt with ``is_even`` False, so that ``direct_pair`` integrates
+    the whole outer line on the axis too, as on a domain that is not even."""
+    return DefiningFunction(
+        f.m, f._f, f._fp, f._fpp, f._g, f._gp,
+        label=f.label,
+        full_theorem_class=f.full_theorem_class,
+        tail_slopes=f.tail_slopes,
+        is_mollified=f.is_mollified,
+        is_even=False,
+    )
 
 
 def test_config_validation():
@@ -293,8 +307,8 @@ def test_inner_edge_moves_its_first_block_with_xi_star(scale):
 
 
 def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
-    # this point's 150 zetas, all the outer rule's (the width search builds
-    # no grid), have grids that cross c_min and c_max within their
+    # this point's 150 zetas, all the full outer line's (the width search
+    # builds no grid), have grids that cross c_min and c_max within their
     # first x4 blocks, c_min below u = 1 at small |zeta| and above it at
     # large |zeta|, out to the double-exponential tails' |zeta| = 4.4e10,
     # whose blocks move up with |xi_star|: a build of a chunk's phases makes
@@ -315,7 +329,7 @@ def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
     monkeypatch.setattr(quadrature, "ProfileGrid", Counted)
     monkeypatch.setattr(asymptotics, "ProfileGrid", Counted)
     cfg = QuadratureConfig(rel_tol=1e-7)
-    direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 0.25), cfg)
+    direct_pair(_full_line(model_domain(1)), BoundaryRelativePoint(0.0, 0.25), cfg)
     assert sum(k for _, k in builds) >= 150
     assert max(k for _, k in builds) == quadrature._ZETA_CHUNK
     assert max(n for n, _ in builds) <= 4
@@ -974,7 +988,7 @@ def test_direct_pair_tabulates_log_G(monkeypatch):
     monkeypatch.setattr(quadrature, "ProfileGrid", Counted)
     monkeypatch.setattr(quadrature, "_cheb_table", counted_table)
     cfg = QuadratureConfig(rel_tol=1e-7)
-    direct_pair(model_domain(2), BoundaryRelativePoint(0.0, 0.25), cfg)
+    direct_pair(_full_line(model_domain(2)), BoundaryRelativePoint(0.0, 0.25), cfg)
     assert grid_rows[0] >= 150 and sum(k for _, k, _ in tables) == grid_rows[0]
     assert max(n for n, _, _ in tables) <= 3
     assert max(size for _, _, size in tables) <= 65
@@ -1048,8 +1062,9 @@ def test_direct_pair_gauss_grids_keep_their_claims(make, where):
 
 def test_direct_pair_work_shrinks_with_the_tolerance():
     # from rel_tol 1e-7 up the inner grids take the Gauss rule on wider
-    # panels: 68,700 evaluations at 1e-4 against 314,400 at 1e-10 (119,040
-    # with the Kronrod rule at every tolerance)
+    # panels: on the folded axis line 34,350 evaluations at 1e-4 against
+    # 157,200 at 1e-10 (68,700 and 314,400 on the full line, and 119,040 at
+    # 1e-4 with the Kronrod rule at every tolerance)
     f, p = model_domain(1), BoundaryRelativePoint(0.0, 0.25)
     loose = direct_pair(f, p, QuadratureConfig(1e-4))[0].evaluations
     tight = direct_pair(f, p, QuadratureConfig(1e-10))[0].evaluations
@@ -1057,8 +1072,8 @@ def test_direct_pair_work_shrinks_with_the_tolerance():
 
 
 # (rel_tol, domain): direct_pair's (Bergman, Szego) (log_value,
-# err_estimate) pairs and evaluations at (0, 2^-10), as the Kronrod rule at
-# every tolerance gave them
+# err_estimate) pairs and evaluations at (0, 2^-10) on the full outer line,
+# as the Kronrod rule at every tolerance gave them
 _TIGHT_PAIRS = {
     (1e-8, "model-m2"): (
         (13.500617212407922, 5.936965215141713e-09),
@@ -1088,7 +1103,8 @@ def test_direct_pair_below_the_gauss_tolerance_keeps_its_values(rel_tol, domain)
     # below _GAUSS_FROM every inner grid keeps the Kronrod rule, bit for bit
     assert rel_tol < quadrature._GAUSS_FROM
     f = model_domain(2) if domain == "model-m2" else mollify(model_domain(2), 0.1)
-    K, S = direct_pair(f, BoundaryRelativePoint(0.0, 2.0**-10), QuadratureConfig(rel_tol))
+    p = BoundaryRelativePoint(0.0, 2.0**-10)
+    K, S = direct_pair(_full_line(f), p, QuadratureConfig(rel_tol))
     k_want, s_want, evaluations = _TIGHT_PAIRS[rel_tol, domain]
     assert (K.log_value, K.err_estimate) == k_want and (S.log_value, S.err_estimate) == s_want
     assert K.evaluations == S.evaluations == evaluations
@@ -1120,6 +1136,66 @@ def test_direct_pair_loses_nothing_past_its_de_reach(monkeypatch, m):
     wide = direct_pair(model_domain(m), p, cfg)
     for a, b in zip(new, wide):
         assert abs(a.log_value - b.log_value) < 0.1 * cfg.rel_tol, (a, b)
+
+
+_EVEN_DOMAINS = {
+    "model-m1": lambda: model_domain(1),
+    "model-m2": lambda: model_domain(2),
+    "model-m3": lambda: model_domain(3),
+    "model-m4": lambda: model_domain(4),
+    "rational-m2": lambda: rational_domain(2),
+    "blended-linear-m1": lambda: blended_linear_domain(1),
+    "mollified-m2": lambda: mollify(model_domain(2), 0.1),
+    "linear-tails-m2": lambda: damp_tails(model_domain(2), 0.5),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-8, 1e-10])
+@pytest.mark.parametrize("name", list(_EVEN_DOMAINS))
+def test_direct_pair_folds_the_outer_line_on_the_axis_of_an_even_domain(
+    name, rel_tol, monkeypatch
+):
+    # on the axis of an even f the outer integrand is even in s, so the
+    # outer rule takes s in [0, _DE_REACH] from 4 panels and doubles it.
+    # The folded pair and the full line's agree within their claims and
+    # both meet the closed forms of x^(2m) on the axis.  The full line
+    # refines a panel and its mirror in two rounds and may stop between
+    # them; counted with that last mirror, its outer zetas are at least
+    # twice the folded call's, and its evaluations at least 1/0.55 times
+    real = quadrature.log_adaptive_multi
+    outer = []  # (a, init, rule points) of each outer call
+
+    def recorded(logf, a, b, **kwargs):
+        out = real(logf, a, b, **kwargs)
+        if b == quadrature._DE_REACH:
+            outer.append((a, kwargs["init"], out[2]))
+        return out
+
+    monkeypatch.setattr(quadrature, "log_adaptive_multi", recorded)
+    f = _EVEN_DOMAINS[name]()
+    assert f.is_even
+    full = _full_line(f)
+    cfg = QuadratureConfig(rel_tol)
+    for y in (0.25, 2.0**-10):
+        p = BoundaryRelativePoint(0.0, y)
+        outer.clear()
+        folded, whole = direct_pair(f, p, cfg), direct_pair(full, p, cfg)
+        (a_fold, init_fold, n_fold), (a_full, init_full, n_full) = outer
+        assert (a_fold, init_fold, a_full, init_full) == (0.0, 4, -quadrature._DE_REACH, 8)
+        for a, b in zip(folded, whole):
+            assert abs(a.log_value - b.log_value) <= a.err_estimate + b.err_estimate, (y, a, b)
+        if f.label.startswith("model"):
+            m = f.m
+            for K, S in (folded, whole):
+                gap = S.log_value - K.log_value - math.log(y * m / (m + 1))
+                assert abs(gap) <= K.err_estimate + S.err_estimate, (y, gap)
+                if m == 1:
+                    assert abs(K.value * 4.0 * math.pi**2 * y**3 - 1.0) <= K.err_estimate
+                    assert abs(S.value * 8.0 * math.pi**2 * y**2 - 1.0) <= S.err_estimate
+        # 8 panels and 30 points a refinement: an odd count leaves a mirror out
+        paired = n_full + 30 * ((n_full - 120) // 30 % 2)
+        assert 2 * n_fold <= paired, (y, n_fold, n_full)
+        assert folded[0].evaluations <= 0.55 * whole[0].evaluations * paired / n_full, y
 
 
 def _record_zetas(monkeypatch) -> list[list[float]]:
@@ -1162,9 +1238,10 @@ def test_direct_pair_finds_a_peak_narrower_than_its_first_zeta_rung(y, monkeypat
     # search reads every rung from the rungs +-0.5, which lie past the
     # truncation depth, down to 1e-30, the outer rule evaluates no zeta
     # twice, and the pair meets its closed forms (a scan that did not halve
-    # found half of them)
+    # found half of them); the outer rule runs on the full line
     calls = _record_zetas(monkeypatch)
-    K, S = direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
+    f = _full_line(model_domain(1))
+    K, S = direct_pair(f, BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
     assert abs(K.value * 4.0 * math.pi**2 * y**3 - 1.0) <= K.err_estimate
     assert abs(S.value * 8.0 * math.pi**2 * y**2 - 1.0) <= S.err_estimate
     zetas = [z for call in calls[1:] for z in call]
@@ -1193,12 +1270,13 @@ def test_direct_pair_halves_its_width_until_both_rungs_are_near_the_centre(monke
     # zeta* -+ w both keep r^(-7/2) within _PEAK_DROP of the centre's, from
     # one peak search on the centre and every rung; at y = 1e-6 that is the
     # tenth rung, counted from the parabola's closed form r^(-7/2), and the
-    # outer rule maps with w
+    # outer rule, here on the full line, maps with w
     y = 1e-6
     n = _axis_rungs(y)
     assert n == 10
     calls = _record_zetas(monkeypatch)
-    direct_pair(model_domain(1), BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
+    f = _full_line(model_domain(1))
+    direct_pair(f, BoundaryRelativePoint(0.0, y), QuadratureConfig(1e-8))
     zc, rungs = _rungs(calls)
     assert zc == 0.0
     assert rungs == [(-0.5 / 2**j, 0.5 / 2**j) for j in range(quadrature._WIDTH_RUNGS)]
