@@ -181,6 +181,15 @@ class PhiSpline:
         a = np.abs(v)
         return np.sign(v) * self._dsp.read(a, self._piece(a))
 
+    def deriv2(self, v):
+        """The spline's second derivative, even in v: the derivative
+        2 c0 d + c1 of ``deriv``'s piece c0 d^2 + c1 d + c2, d = |v| - its
+        node, read on the same piece, so no third spline is stored."""
+        a = np.abs(np.asarray(v, dtype=float))
+        i = self._piece(a)
+        c = self._dsp.c
+        return 2.0 * c[0][i] * (a - self._dsp.x[i]) + c[1][i]
+
 
 # u per ProfileGrid build of log_L, sized by measured memory: a call on
 # 1,000 u at m = 3 peaks at 2.4 MB traced with builds of 64 u, 4.6 MB with
@@ -193,7 +202,8 @@ def log_L(u, phis: PhiSpline):
 
     The integrand is exp(-(L(v) - |u| v)) with L = log phi: array in, array
     out, one element per u, one elementwise ``_tilted_peak`` finds every
-    peak v_s (where d log phi/dv = |u|) and its offset; then one
+    peak v_s (where d log phi/dv = |u|) and its offset, by Newton steps on
+    the spline's exact L'' (``_peaks_inside``); then one
     ``ProfileGrid`` build per chunk of ``_L_CHUNK`` u integrates their
     ``_tilted`` phases, each on its own peak-centered grid.  A float gives
     a float.  DomainError naming v_max where the grid would read past it
@@ -212,14 +222,22 @@ def log_L(u, phis: PhiSpline):
 
 
 def _peaks_inside(phis: PhiSpline, u):
-    """``_tilted_peak`` of |u| on phis, a flat array or a float (the float
-    takes ``_bracket_root``'s scalar path), or DomainError naming u and
-    v_max for a peak past v_max or a phase there under the truncation depth."""
+    """``_tilted_peak`` of |u| on phis, a flat array or a float, or
+    DomainError naming u and v_max for a peak past v_max or a phase there
+    under the truncation depth.  The search takes Newton steps on the
+    spline's L' and L'' (``PhiSpline.deriv2``) from max(u / L''(0),
+    2m u^(2m-1)), capped at v_max, which lies at or left of the peak (on
+    it at m = 1): L' stays below its tangent L''(0) v at 0 and below
+    (v / 2m)^(1/(2m-1)), the mode of the tilted density whose mean L' is.
+    A call takes about 3.4 steps in the benchmark's profile pass, where
+    bisection to 1e-14 took about 55."""
     ok = u <= phis.deriv(phis.v_max)  # False for a NaN u
     if not np.all(ok):
         u_bad = float(np.ravel(u)[np.argmin(ok)])
         raise DomainError(f"log_L: u = {u_bad!r} peaks past v_max = {phis.v_max!r}")
-    v_s, A = _tilted_peak(phis, phis.deriv, u)
+    m2 = 2 * phis.m
+    v0 = np.minimum(phis.v_max, np.maximum(u / phis.deriv2(0.0), m2 * u ** (m2 - 1)))
+    v_s, A = _tilted_peak(phis, phis.deriv, u, phis.deriv2, v0)
     margin = phis(phis.v_max) - u * phis.v_max - A
     if np.any(margin < _TRUNCATION_DEPTH):
         u_bad = float(np.ravel(u)[np.argmin(margin)])

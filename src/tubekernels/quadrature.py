@@ -11,11 +11,15 @@ as an exponential sum over its nodes, each term scaled by the phase minimum,
 which is what makes the double and triple integrals tractable.  D, the
 kernel pair's E, L and P are one tilted-Laplace integral int exp(-(L(v) -
 t v)) dv of a convex L, taken one way: ``_tilted_peak`` finds the peak
-L'(v) = t, ``_tilted`` moves the phase's minimum to 0, and
-``ProfileGrid.log_G`` sums it.  A ``ProfileGrid`` build serves k phases
-c_fn(xi, i), k = 1 included, as rows (k, nodes), each step one call of the
-phase on all rows, so a caller with many phases builds their grids
-together: ``direct_pair`` per chunk of zetas and ``log_L`` per chunk of u.
+L'(v) = t (where L'' is exact, for f of a domain and log phi's spline,
+by safeguarded Newton steps on the local power law of L' from a start on
+the phase's own power law; by ``_bracket_root`` from [-1, 1] elsewhere
+and for any element the steps do not settle), ``_tilted`` moves the
+phase's minimum to 0, and ``ProfileGrid.log_G`` sums it.  A
+``ProfileGrid`` build serves k phases c_fn(xi, i), k = 1 included, as
+rows (k, nodes), each step one call of the phase on all rows, so a caller
+with many phases builds their grids together: ``direct_pair`` per chunk
+of zetas and ``log_L`` per chunk of u.
 A grid's two edges come from one search: one x4 ladder brackets where each
 side of a phase reaches the inner level and the outer one, and finer rungs
 inside each bracket place the edge, in four calls of the phase a build.
@@ -587,20 +591,88 @@ def _first_failure(ok, *values) -> list[float]:
 
 
 # |v| out to which ``_tilted_peak`` finds a peak: from [-1, 1], the 100
-# doublings of ``_bracket_root`` end on [2^100 - 1, 2^101 - 1]
+# doublings of ``_bracket_root`` end on [2^100 - 1, 2^101 - 1]; the Newton
+# path keeps its iterates inside +-2^100 and leaves a peak past it to that
+# search, so both reach the same peaks
 _PEAK_REACH = 2.0**100
 
+# the Newton path's stop, a step of at most this much of the iterate, and
+# its steps before an element falls back to ``_bracket_root``
+_NEWTON_TOL = 1e-14
+_NEWTON_STEPS = 12
 
-def _tilted_peak(L: Callable, dL: Callable, t):
+
+def _tilted_peak(L: Callable, dL: Callable, t, d2L: Callable | None = None, v0=None):
     """Peak v of the tilted phase L(v) - t v of a convex L, where
-    L'(v) = t, and its value A = L(v) - t v there.
+    L'(v) = t, and its value A = L(v) - t v there; elementwise for an array
+    ``t``, on floats for a float.
 
-    One ``_bracket_root`` search on dL(v) - t from [-1, 1]: elementwise for
-    an array ``t``, on floats for a float.
+    Without ``d2L``, one ``_bracket_root`` search on dL(v) - t from [-1, 1].
+    With the exact second derivative ``d2L``, Newton steps safeguarded by
+    bisection (``rtsafe``, Press et al., Numerical Recipes, 3rd ed., 9.4)
+    from the start ``v0``, each in the variable s = v |v|^(p - 1) of the
+    local power law L' = c |v|^p sign(v) through the iterate, p = v L''/L':
+    the step solves that law for t, v' = v (t / L'(v))^(1/p), exact on a
+    pure power, quadratic at the peak, and at a flat point of order 2m,
+    where L'' vanishes, the step in s = v |v|^(2m - 2).  Each step narrows
+    the element's sign bracket, bounded by +-``_PEAK_REACH``; a step that
+    leaves it, or that has no exponent p > 0 (a zero L''), bisects it
+    instead, once both its ends are read.  An element is done when a step
+    moves it by at most ``_NEWTON_TOL`` of itself; an element not done in
+    ``_NEWTON_STEPS`` steps, or whose rejected step finds its bracket still
+    open, or whose start lies outside the reach, takes the ``_bracket_root``
+    search alone, so a peak past the reach raises the error it raises
+    there.  Each element takes the steps it would take alone, and done
+    elements are not read again.
     """
-    one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-    v = _bracket_root(lambda v: dL(v) - t, -one, one)
+    if d2L is None:
+        one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+        v = _bracket_root(lambda v: dL(v) - t, -one, one)
+        return v, L(v) - t * v
+    tt = np.array(t, dtype=float, ndmin=1)
+    v = np.array(np.broadcast_to(v0, tt.shape), dtype=float)
+    lo, hi = np.full(tt.shape, -_PEAK_REACH), np.full(tt.shape, _PEAK_REACH)
+    live = np.abs(v) < _PEAK_REACH  # False for a NaN start
+    done = np.zeros(tt.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        i = np.flatnonzero(live)
+        if not i.size:
+            break
+        vi, ti = v[i], tt[i]
+        d = dL(vi)
+        lo[i] = a = np.where(d < ti, vi, lo[i])
+        hi[i] = b = np.where(d > ti, vi, hi[i])
+        # a zero L' or L'' gives an exponent or ratio of 0, inf or NaN,
+        # rejected below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            p = vi * d2L(vi) / d
+            q = ti / d
+            new = vi * np.sign(q) * np.abs(q) ** (1.0 / p)
+            small = np.abs(new - vi) <= _NEWTON_TOL * np.abs(new)
+        good = (p > 0) & (new >= a) & (new <= b)
+        conv = (d == ti) | (good & small)
+        inside = conv | (good & (new > a) & (new < b))
+        closed = (a > -_PEAK_REACH) & (b < _PEAK_REACH)
+        v[i] = np.where(inside, np.where(d == ti, vi, new), 0.5 * (a + b))
+        done[i] = conv
+        live[i] = ~conv & (inside | closed)
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        v[rest] = _bracket_root(lambda x: dL(x) - tt[rest], -np.ones(rest.size), np.ones(rest.size))
+    if not isinstance(t, np.ndarray):
+        v = float(v[0])
     return v, L(v) - t * v
+
+
+def _power_law_peak(f: DefiningFunction, t):
+    """``_tilted_peak`` of f at the tilts t by its Newton path, from the
+    peak sign(t) (|t| / (2m g0))^(1/(2m-1)) of the model g0 x^(2m), which is
+    exact on the model and leaves one step at rounding level."""
+    n = 2 * f.m
+    # an overflowing start lies past the reach, which the fallback handles
+    with np.errstate(over="ignore"):
+        v0 = np.sign(t) * (np.abs(t) / (n * f.g0)) ** (1.0 / (n - 1))
+    return _tilted_peak(f.f, f.fprime, t, f.fsecond, v0)
 
 
 def _tilted(L: Callable, t, A) -> Callable:
@@ -634,10 +706,12 @@ def compute_D(
     difference reported.  QuadratureError when that error exceeds
     ``cfg.rel_tol``.
 
-    QuadratureError too for a zeta2 past the peak's resolution: xi_s is
-    found to about 1e-14, and once zeta2 times the tilted phase's dip
-    below 0 exceeds ``ProfileGrid.C_SMALL`` (on the model domains from
-    zeta2 near 3e27 at m = 1 and 3e56 at m = 2) the first panel is not flat.
+    QuadratureError too for a zeta2 past the peak's resolution: once
+    zeta2 times the tilted phase's dip below 0, the rounding of the peak
+    xi_s and of its offset A, exceeds ``ProfileGrid.C_SMALL`` (on x^2 and
+    x^4 at zeta1/zeta2 = 0.3 already at zeta2 = 1e20) the first panel is
+    not flat.  On the axis zeta1 = 0 the peak search (``_power_law_peak``)
+    starts on the exact peak 0 with A = 0, so no dip arises there.
     """
     cfg = cfg or QuadratureConfig()
     if not (zeta2 > 0):
@@ -648,7 +722,7 @@ def compute_D(
         raise DomainError(
             f"zeta1/zeta2 = {zeta!r} outside the dual cone ({lo!r}, {hi!r})"
         )
-    xi_s, A = _tilted_peak(f.f, f.fprime, -zeta)
+    xi_s, A = _power_law_peak(f, -zeta)
     c = _tilted(f.f, -zeta, A)
     grid, eta = ProfileGrid(c, xi_s, zeta2, zeta2), np.array([[zeta2]])
     dip = -zeta2 * float(grid.c_low[0, 0])
@@ -741,7 +815,10 @@ def direct_pair(
 
     The outer integrand is batched: one elementwise ``_tilted_peak`` gives
     the peak xi_s and value A of E(zeta, .), f tilted by -zeta, at all of an
-    engine call's zetas, and the inner layer takes them in chunks of at most
+    engine call's zetas (by Newton steps from the model's peak,
+    ``_power_law_peak``: about 2.5 calls of f' and f'' a search on the
+    fixed-tau points of the benchmark, where bisection to 1e-14 took about
+    55 of f'), and the inner layer takes them in chunks of at most
     ``_ZETA_CHUNK``: one ``ProfileGrid`` build of the chunk's ``_tilted``
     phases, one ``_cheb_table`` pass of log G(e^t / r) in t = log h, grown
     until every row's tail is at most rel_tol / 10 (usually 17 or 65
@@ -838,7 +915,7 @@ def direct_pair(
 
     def peaks(zetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # the peak xi_s and value A of f tilted by -zeta, and r = y + x zeta - A
-        xi_s, A = _tilted_peak(f.f, f.fprime, -zetas)
+        xi_s, A = _power_law_peak(f, -zetas)
         r = y + x * zetas - A  # >= y - f(x) > 0, unless A's rounding exceeds it
         if not np.all(r > 0):
             i = np.argmin(r > 0)

@@ -184,6 +184,25 @@ def test_table_domain_reproduces_sampled_profile():
     assert f.label == "resampled"
 
 
+def test_table_domain_f_second_jumps_at_its_rows():
+    # g is a C1 cubic Hermite interpolant, so g'' and f'' are only piecewise
+    # continuous: for g = 1/(1 + x^2) on 241 rows in [-3, 3] at m = 3, f''
+    # jumps by 2.0e-5 (1.6e-6 relative) across the row x = 1.1 (in floats
+    # 1.1000000000000005), and a read at the row takes the right-hand piece
+    xs = np.linspace(-3.0, 3.0, 241)
+    f = table_domain(xs, 1.0 / (1.0 + xs**2), -2.0 * xs / (1.0 + xs**2) ** 2, 3)
+    row = xs[164]
+    assert row == pytest.approx(1.1, abs=1e-15)
+    at, left, right = f.fsecond(np.array([row, np.nextafter(row, 0.0), np.nextafter(row, 3.0)]))
+    assert abs(at - right) <= 1e-13 * at
+    jump = (left - at) / at
+    assert 1.5e-6 < jump < 1.8e-6, jump
+    # at the mirrored row a read takes the piece on its right, the mirror
+    # of the piece on the left of x = 1.1
+    assert xs[76] == pytest.approx(-1.1, abs=1e-15)
+    assert f.fsecond(xs[76]) == pytest.approx(left, rel=1e-12)
+
+
 def test_table_domain_validation():
     with pytest.raises(DomainError):
         table_domain([1.0, 2.0], [1.0, 0.9], [0.0, -0.1], 2)  # no x=0 bracket
@@ -369,6 +388,63 @@ def test_g_built_from_f_reads_zero_at_infinity(make):
         got = getattr(f, name)(x)
         assert got.tolist() == [0.0, 0.0], name
         assert abs(getattr(f, name)(1e30)) < 1e-50, name
+
+
+@pytest.mark.parametrize(
+    "make, fpp_limit",
+    [
+        (lambda: rational_domain(2), 2.0),
+        (lambda: rational_domain(3), math.inf),
+        (lambda: mollify(model_domain(1), 0.1), None),
+        (lambda: mollify(model_domain(2), 0.1), math.inf),
+        (lambda: mollify(rational_domain(2), 0.1), math.inf),
+    ],
+    ids=["rational-m2", "rational-m3", "mollified-m1", "mollified-m2", "mollified-rational-m2"],
+)
+def test_superlinear_accessors_read_their_limits_at_infinity(make, fpp_limit):
+    # f = x^(2m) g with g tending to 0 (rational) or to a constant g_end
+    # (mollified): at +-inf the closed forms read inf * 0 or inf / inf, so
+    # the accessors write the limits, with no warning: f = inf, f' = +-inf,
+    # g' = 0 and f'' its limit, 2 where f tends to x^2 (x^4 / (1 + x^2)
+    # at m = 2, and 2 g_end on the mollified x^2), inf otherwise.  Finite
+    # points read as they do without the infinite ones beside them
+    f = make()
+    ends = np.array([-math.inf, math.inf])
+    g_end = float(f.g(2.0))
+    if fpp_limit is None:
+        fpp_limit = 2.0 * g_end
+    want = {
+        "f": [math.inf, math.inf],
+        "fprime": [-math.inf, math.inf],
+        "fsecond": [fpp_limit, fpp_limit],
+        "g": [g_end, g_end] if f.is_mollified else [0.0, 0.0],
+        "gprime": [0.0, 0.0],
+    }
+    xs = np.concatenate([-np.geomspace(1e-6, 1e6, 50), [0.0], np.geomspace(1e-6, 1e6, 50)])
+    for name, limit in want.items():
+        acc = getattr(f, name)
+        assert acc(ends).tolist() == limit, name
+        assert [acc(-math.inf), acc(math.inf)] == limit, name
+        mixed = acc(np.concatenate([ends, xs]))
+        assert np.array_equal(mixed[2:], acc(xs)), name
+    # the limits continue the finite values
+    assert f.fsecond(1e6) == pytest.approx(fpp_limit, rel=1e-6) if math.isfinite(fpp_limit) else (
+        f.fsecond(1e6) > 1e10
+    )
+
+
+def test_rational_domain_keeps_its_closed_forms_at_finite_points():
+    # the limits at +-inf leave every finite value of the closed forms
+    # (x^4 / (1 + x^2) and its derivatives at m = 2) bit for bit
+    f = rational_domain(2)
+    x = np.concatenate([-np.geomspace(1e-8, 1e8, 200), [0.0], np.geomspace(1e-8, 1e8, 200)])
+    g = 1.0 / (1.0 + x * x)
+    gp = -2.0 * x / (1.0 + x * x) ** 2
+    gpp = (6.0 * x * x - 2.0) / (1.0 + x * x) ** 3
+    assert np.array_equal(f.g(x), g) and np.array_equal(f.gprime(x), gp)
+    assert np.array_equal(f.f(x), x**4 * g)
+    assert np.array_equal(f.fprime(x), x**3 * (4 * g + x * gp))
+    assert np.array_equal(f.fsecond(x), x**2 * (12 * g + 8.0 * x * gp + x * x * gpp))
 
 
 def _asymmetric_table():

@@ -35,6 +35,7 @@ from tubekernels import (
     model_domain,
     mollify,
     rational_domain,
+    table_domain,
 )
 from tubekernels import asymptotics, quadrature
 from tubekernels.experiments import path_points
@@ -546,10 +547,10 @@ def test_batched_build_covers_every_search_branch(monkeypatch):
 
 def test_log_L_float_call_reads_the_row_by_row_grid():
     # a float u is a batch of one: no padding, so log_L's value is the one
-    # of a single grid built row by row, bit for bit
+    # of a single grid built row by row, bit for bit, around log_L's peak
     phis = PhiSpline(2, 400.0)
     for u in (0.0, 0.4, 2.7, 3.2):
-        v_s, A = quadrature._tilted_peak(phis, phis.deriv, np.array([u]))
+        v_s, A = asymptotics._peaks_inside(phis, np.array([u]))
         c_fn = quadrature._tilted(phis, np.array([u]), A)
         ref = ProfileGrid.__new__(ProfileGrid)
         dc, w, c_low, _ = _row_by_row_grid(lambda v: c_fn(v, 0), v_s[0], 1.0, 1.0)
@@ -616,6 +617,157 @@ def test_profile_grid_matches_a_dense_grid_in_few_calls(make, zetas, etas, tol):
         assert np.isfinite(wide.log_G(np.array([[1e8]]))).all(), zeta
 
 
+def _table_m3() -> DefiningFunction:
+    """The table domain of g = 1/(1 + x^2) on 241 rows in [-3, 3], m = 3."""
+    xs = np.linspace(-3.0, 3.0, 241)
+    return table_domain(xs, 1.0 / (1.0 + xs**2), -2.0 * xs / (1.0 + xs**2) ** 2, 3)
+
+
+_PEAK_DOMAINS = {
+    "model-m1": lambda: model_domain(1),
+    "model-m2": lambda: model_domain(2),
+    "model-m3": lambda: model_domain(3),
+    "model-m4": lambda: model_domain(4),
+    "rational-m2": lambda: rational_domain(2),
+    "mollified-m2": lambda: mollify(model_domain(2), 0.1),
+    "blended-linear-m1": lambda: blended_linear_domain(1),
+    "table-m3": _table_m3,
+}
+
+
+def _bracket_calls(monkeypatch) -> list[int]:
+    """The sizes of the ``_bracket_root`` calls to come in ``quadrature``."""
+    sizes = []
+    real = quadrature._bracket_root
+
+    def counted(fn, a, b):
+        sizes.append(np.size(a))
+        return real(fn, a, b)
+
+    monkeypatch.setattr(quadrature, "_bracket_root", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", list(_PEAK_DOMAINS))
+def test_newton_peaks_agree_with_the_bisection(name):
+    # the power-law Newton path finds every peak f'(v) = -zeta that
+    # _bracket_root finds, within the bisection's own stop, over zetas
+    # from 1e-8 to 1e10 in the cone, a finite cone's to 1e-12 of its ends
+    f = _PEAK_DOMAINS[name]()
+    lo, hi = quadrature._cone_interval(f)
+    z = np.concatenate([np.linspace(-3.0, 3.0, 121), np.geomspace(1e-8, 1e10, 73)])
+    ends = np.array([lo, hi]) * (1 - 1e-12)
+    z = np.concatenate([z, -z, ends[np.isfinite(ends)]])
+    z = z[(z >= ends[0]) & (z <= ends[1])]
+    v, A = quadrature._power_law_peak(f, -z)
+    ref = _bracket_root(lambda xi: f.fprime(xi) + z, -np.ones(z.size), np.ones(z.size))
+    assert np.all(np.abs(v - ref) <= 1e-14 * (1.0 + np.abs(v))), np.max(np.abs(v - ref))
+    assert np.array_equal(A, f.f(v) + z * v)
+    # a float tilt takes the same steps as its element of an array
+    for j in (0, z.size // 3, z.size - 1):
+        one = quadrature._power_law_peak(f, -float(z[j]))
+        assert isinstance(one[0], float) and one == (v[j], A[j]), j
+
+
+def test_newton_peaks_on_fixed_tau_points_take_few_steps(monkeypatch):
+    # at the first point of each fixed_tau_paths path (tau = 0.8, rho =
+    # 2^-9, rel_tol 1e-7) a peak search takes at most 6 Newton steps a call
+    # on average, each one call of f' on the elements not yet done, and no
+    # element falls back to the bisection
+    steps = []
+    real = quadrature._tilted_peak
+
+    def counted(L, dL, t, *args):
+        n = [0]
+
+        def dL_counted(v):
+            n[0] += 1
+            return dL(v)
+
+        out = real(L, dL_counted, t, *args)
+        steps.append(n[0])
+        return out
+
+    monkeypatch.setattr(quadrature, "_tilted_peak", counted)
+    fallback = _bracket_calls(monkeypatch)
+    path = ApproachPath("fixed_tau", {"tau": 0.8}, [2.0**-9, 2.0**-10])
+    for f in (model_domain(1), model_domain(2), rational_domain(2)):
+        steps.clear()
+        direct_pair(f, path_points(f, path)[0], QuadratureConfig(1e-7))
+        assert len(steps) >= 2 and sum(steps) / len(steps) <= 6.0, (f.label, steps)
+    assert fallback == []
+
+
+def test_newton_peaks_fall_back_elementwise_near_a_linear_slope(monkeypatch):
+    # blended_linear_domain(1) has f' = tanh(2 v), whose peaks at tilts
+    # within 1e-12 of the slope 1 lie near |v| = 7.1 and past 9 for the
+    # last float below 1, where f'' = 8 e^(-4 |v|) and a Newton step from
+    # the start 0.5 moves about 1/4: those elements, and only those, take
+    # _bracket_root after the Newton steps
+    f = blended_linear_domain(1)
+    fallback = _bracket_calls(monkeypatch)
+    t = np.array([0.3, 1.0 - 1e-12, -0.7, -(1.0 - 1e-12), np.nextafter(1.0, 0.0)])
+    v, _ = quadrature._power_law_peak(f, t)
+    assert fallback == [3]
+    ref = _bracket_root(lambda xi: f.fprime(xi) - t, -np.ones(t.size), np.ones(t.size))
+    assert np.all(np.abs(v - ref) <= 1e-14 * (1.0 + np.abs(v)))
+    assert 7.0 < v[1] < 7.2 and -7.2 < v[3] < -7.0 and v[4] > 9.0
+
+
+def test_newton_step_bisects_where_the_second_derivative_vanishes(monkeypatch):
+    # L' = min(sinh v, 10) is flat past asinh(10), so L'' = 0 there.  From
+    # v0 = 1/2 the local power law through the start underestimates the
+    # growth of sinh, so the first step overshoots onto the flat part and
+    # closes the sign bracket; the next has no exponent (L'' = 0) and
+    # bisects the bracket instead, and the steps after it converge on
+    # asinh(9) with no fallback
+    fallback = _bracket_calls(monkeypatch)
+    v_seen = []
+
+    def dL(v):
+        v_seen.append(float(v[0]))
+        return np.minimum(np.sinh(v), 10.0)
+
+    def d2L(v):
+        return np.where(np.sinh(v) < 10.0, np.cosh(v), 0.0)
+
+    v, _ = quadrature._tilted_peak(lambda v: v, dL, np.array([9.0]), d2L, np.array([0.5]))
+    assert fallback == []
+    assert abs(v[0] - math.asinh(9.0)) <= 1e-15 * math.asinh(9.0)
+    assert np.sinh(v_seen[1]) > 10.0 and v_seen[2] == 0.5 * (0.5 + v_seen[1])
+
+
+def test_newton_peaks_keep_the_reach(monkeypatch):
+    # the Newton path reaches what the bisection reaches: a peak past
+    # 2^100 goes to _bracket_root, which finds it out to 2^101 - 1 and
+    # raises past that, as it did alone
+    f = model_domain(1)
+    fallback = _bracket_calls(monkeypatch)
+    v, _ = quadrature._power_law_peak(f, np.array([2.0**100, 3.0 * 2.0**100]))
+    assert v[0] == 2.0**99 and v[1] == pytest.approx(1.5 * 2.0**100, rel=1e-14)
+    assert fallback == [1]
+    with pytest.raises(QuadratureError, match="no sign change"):
+        quadrature._power_law_peak(f, np.array([1.0, 2.0**103]))
+    with pytest.raises(QuadratureError, match="no sign change"):
+        quadrature._power_law_peak(model_domain(2), -(2.0**310))
+
+
+@pytest.mark.parametrize("m, bucket", [(1, 6), (1, 10), (2, 9), (2, 12), (3, 9), (3, 14)])
+def test_log_L_peaks_agree_with_the_bisection(m, bucket):
+    # log_L's Newton search from the right of the peak finds the peaks of
+    # log phi tilted by u that _bracket_root finds on the spline, at every u
+    # up to where the spline holds log_L (u = 0 peaks at 0 exactly, where
+    # the bisection reads the spline's slope at rounding level)
+    phis = PhiSpline(m, 2.0**bucket)
+    u_max = ((phis.v_max - 60.0) / (2.6 * m)) ** (1.0 / (2 * m - 1)) - 1.0
+    u = np.geomspace(1e-6, u_max, 300)
+    v, A = asymptotics._peaks_inside(phis, u)
+    ref = _bracket_root(lambda v: phis.deriv(v) - u, -np.ones(u.size), np.ones(u.size))
+    assert np.all(np.abs(v - ref) <= 1e-14 * (1.0 + np.abs(v))), np.max(np.abs(v - ref))
+    assert np.array_equal(A, phis(v) - u * v)
+    assert asymptotics._peaks_inside(phis, 0.0)[0] == 0.0
+
+
 def test_compute_d_quadratic_closed_form():
     f = model_domain(1)
     for z1 in (-1.0, 0.0, 2.0):
@@ -659,17 +811,18 @@ def test_compute_d_raises_when_it_misses_its_tolerance():
 @pytest.mark.parametrize("m, zeta2", [(1, 1e20), (1, 1e30), (1, 1e40), (2, 1e20), (2, 1e60),
                                       (2, 1e100)])
 def test_compute_d_is_within_its_claim_or_refuses_a_huge_zeta2(m, zeta2):
-    # the peak is found to about 1e-14, so a phase narrower than that is
-    # not resolved; D on the axis is 2 Gamma(1 + 1/(2m)) zeta2^(-1/(2m))
+    # D on the axis is 2 Gamma(1 + 1/(2m)) zeta2^(-1/(2m)); there the peak
+    # search starts on the exact peak 0, so the phase is resolved at every
+    # zeta2.  Off the axis the rounding of the peak's offset A leaves a dip
+    # below 0 that a huge zeta2 magnifies past the first panel's flatness
     f = model_domain(m)
     cfg = QuadratureConfig(rel_tol=1e-8)
     want = math.log(2.0 * gamma(1.0 + 0.5 / m)) - math.log(zeta2) / (2 * m)
+    lg, err = compute_D(f, 0.0, zeta2, cfg)
+    assert abs(math.expm1(lg - want)) <= err
     if zeta2 > 1e20:
         with pytest.raises(QuadratureError, match="resolution of the peak"):
-            compute_D(f, 0.0, zeta2, cfg)
-    else:
-        lg, err = compute_D(f, 0.0, zeta2, cfg)
-        assert abs(math.expm1(lg - want)) <= err
+            compute_D(f, 0.3 * zeta2, zeta2, cfg)
 
 
 def test_compute_d_rejects_frequencies_outside_dual_cone():
@@ -1073,26 +1226,28 @@ def test_direct_pair_work_shrinks_with_the_tolerance():
 
 # (rel_tol, domain): direct_pair's (Bergman, Szego) (log_value,
 # err_estimate) pairs and evaluations at (0, 2^-10) on the full outer line,
-# as the Kronrod rule at every tolerance gave them
+# as the Kronrod rule at every tolerance gave them; recorded again when the
+# peak search took its Newton path, which moved log K by 3.6e-15 at most,
+# err_estimate by 1.1e-5 relative at most and evaluations not at all
 _TIGHT_PAIRS = {
     (1e-8, "model-m2"): (
-        (13.500617212407922, 5.936965215141713e-09),
-        (6.163680297974352, 4.569888596870375e-09),
+        (13.500617212407922, 5.9369651164251055e-09),
+        (6.163680297974352, 4.5698884973245056e-09),
         198120,
     ),
     (1e-10, "model-m2"): (
-        (13.500617212407958, 4.943884632965063e-11),
-        (6.163680298688833, 4.2808004899224105e-11),
+        (13.500617212407958, 4.9438807081531996e-11),
+        (6.163680298688833, 4.2808062167051294e-11),
         348690,
     ),
     (1e-8, "mollified-m2"): (
-        (13.494524824179704, 5.930703179188807e-09),
-        (6.153159396173704, 4.767639982355815e-09),
+        (13.494524824179704, 5.930704095876171e-09),
+        (6.153159396173704, 4.767639293631851e-09),
         198210,
     ),
     (1e-10, "mollified-m2"): (
-        (13.49452482405693, 9.476299335482925e-11),
-        (6.153159396742131, 1.1575828702326415e-10),
+        (13.494524824056926, 9.476199154529134e-11),
+        (6.153159396742131, 1.1575839947353481e-10),
         491010,
     ),
 }
@@ -1206,9 +1361,9 @@ def _record_zetas(monkeypatch) -> list[list[float]]:
     real = quadrature._tilted_peak
     calls = []
 
-    def recorded(L, dL, t):
+    def recorded(L, dL, t, *args):
         calls.append([-float(z) for z in t])
-        return real(L, dL, t)
+        return real(L, dL, t, *args)
 
     monkeypatch.setattr(quadrature, "_tilted_peak", recorded)
     return calls
@@ -1357,9 +1512,9 @@ def test_direct_pair_width_search_builds_no_table(monkeypatch, case, rel_tol):
             events.append("grid")
             super().__init__(*args, **kwargs)
 
-    def peak(L, dL, t):
+    def peak(L, dL, t, *args):
         events.append("peak")
-        return real_peak(L, dL, t)
+        return real_peak(L, dL, t, *args)
 
     def table(*args):
         events.append("table")
@@ -1476,10 +1631,18 @@ def test_direct_pair_work_does_not_grow_toward_the_boundary():
 
 
 def test_direct_pair_names_a_y_below_the_peak_rounding():
-    # at y = 1e-30 the tilted peak's offset A carries more rounding than y,
-    # so r = y + x zeta - A is not positive; no log of it is taken
-    with pytest.raises(QuadratureError, match=r"y = 1e-30 .* zeta = 0\.0"):
-        direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 1e-30), QuadratureConfig(1e-8))
+    # one float above the boundary at x = 0.3 on x^2, y - f(x) = 1.4e-17 is
+    # below the rounding of r = y + x zeta - A, which subtracts terms near
+    # 0.09, so r is not positive near zeta* = -0.6; no log of it is taken.
+    # (On the axis the peak search is exact on x^2: zeta = 0 peaks at 0
+    # and A = 0, so the pair meets its closed forms even at y = 1e-30)
+    f = model_domain(1)
+    y = float(np.nextafter(f.f(0.3), 1.0))
+    with pytest.raises(QuadratureError, match=r"y = 0\.09000000000000001 .* zeta = -0\.59"):
+        direct_pair(f, BoundaryRelativePoint(0.3, y), QuadratureConfig(1e-8))
+    K, S = direct_pair(f, BoundaryRelativePoint(0.0, 1e-30), QuadratureConfig(1e-8))
+    assert abs(K.value * 4.0 * math.pi**2 * 1e-90 - 1.0) <= K.err_estimate
+    assert abs(S.value * 8.0 * math.pi**2 * 1e-60 - 1.0) <= S.err_estimate
 
 
 @pytest.mark.parametrize(
