@@ -242,7 +242,7 @@ def _at_infinity(fn: Callable, neg: float, pos: float) -> Callable:
     where a closed form reads inf * 0 or inf / inf; a call with no infinite
     x is fn's alone, so every finite value is fn's."""
 
-    def out(x):
+    def limited(x):
         big = np.isinf(x)
         if not big.any():
             return fn(x)
@@ -251,7 +251,7 @@ def _at_infinity(fn: Callable, neg: float, pos: float) -> Callable:
         out[big] = np.where(x[big] > 0, pos, neg)
         return out
 
-    return out
+    return limited
 
 
 def _on_abs(lo: float, core, mid: Callable, hi: float | None = None, tail=None,
