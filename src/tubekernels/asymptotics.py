@@ -202,8 +202,8 @@ def log_L(u, phis: PhiSpline):
 
     The integrand is exp(-(L(v) - |u| v)) with L = log phi: array in, array
     out, one element per u, one elementwise ``_tilted_peak`` finds every
-    peak v_s (where d log phi/dv = |u|) and its offset, by Newton steps on
-    the spline's exact L'' (``_peaks_inside``); then one
+    peak v_s (where d log phi/dv = |u|) and its offset, by ``_bracket_root``'s
+    Newton steps on the spline's exact L'' (``_peaks_inside``); then one
     ``ProfileGrid`` build per chunk of ``_L_CHUNK`` u integrates their
     ``_tilted`` phases, each on its own peak-centered grid.  A float gives
     a float.  DomainError naming v_max where the grid would read past it
@@ -224,8 +224,8 @@ def log_L(u, phis: PhiSpline):
 def _peaks_inside(phis: PhiSpline, u):
     """``_tilted_peak`` of |u| on phis, a flat array or a float, or
     DomainError naming u and v_max for a peak past v_max or a phase there
-    under the truncation depth.  The search takes Newton steps on the
-    spline's L' and L'' (``PhiSpline.deriv2``) from max(u / L''(0),
+    under the truncation depth.  ``_bracket_root`` takes Newton steps on
+    the spline's L' and L'' (``PhiSpline.deriv2``) from max(u / L''(0),
     2m u^(2m-1)), capped at v_max, which lies at or left of the peak (on
     it at m = 1): L' stays below its tangent L''(0) v at 0 and below
     (v / 2m)^(1/(2m-1)), the mode of the tilted density whose mean L' is.

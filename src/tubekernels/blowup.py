@@ -75,7 +75,7 @@ class _GlueLayer(NamedTuple):
 
     def t_of_rise(self, rise):
         """The t at which 0.5 t + area(t) = rise, elementwise."""
-        return _bracket_root(lambda t: 0.5 * t + self.area(t) - rise, np.zeros_like(rise), 1.0)
+        return _bracket_root(lambda t: 0.5 * t + self.area(t), rise, 0.0, 1.0)
 
 
 # a glue layer's unit nodes t, its smooth ramp in t, and the weights whose dot
@@ -140,15 +140,15 @@ class BlowupChart:
         e_half = float(self.m) ** (-n / (n - 1.0))
         w_cap = min(0.9 * (e_half - self.e0), (self.q - self.p) / 3.0)
 
-        def excess(s: float) -> float:
-            w = math.exp(s) * w_cap
-            return w * (down_area + float(_AREA @ up_slope(w))) - budget
+        def lift(s):
+            w = np.exp(s) * w_cap
+            return w * (down_area + _AREA @ up_slope(w))
 
-        if excess(0.0) <= 0.0:
+        if lift(0.0) <= budget:
             raise RuntimeError("chi corridor construction failed (internal error)")
         # solved for s = log(w / w_cap), so the root's absolute stop in s is
         # a relative stop in w however small w is against the cap
-        self.w = w = math.exp(_bracket_root(excess, math.log(1e-12), 0.0)) * w_cap
+        self.w = w = math.exp(_bracket_root(lift, budget, math.log(1e-12), 0.0)) * w_cap
         self._layers = (down._replace(width=w), _glue_layer(self.q - w, w, up_slope(w)))
         # piece anchors
         self.v_lo = self.p + w * (0.5 + down_area)  # chi(p + w)
@@ -248,13 +248,14 @@ def from_polar(
     """Inverse chart: solve f(x) = rho * (1 - chi^(-1)(tau)) on the branch.
 
     f is convex with minimum 0 at the origin, so t -> f(branch t) is
-    nondecreasing in t >= 0 on either branch, and a monotone bracket search
-    on t >= 0 finds x = branch t, also where f is not even.
+    nondecreasing in t >= 0 on either branch, and Newton steps from the
+    model's root (target / g0)^(1/2m) find x = branch t, also where f is not even.
     """
     if chart.m != f.m:
         raise DomainError(f"chart is for m={chart.m}, domain has m={f.m}")
     target = q.rho * chart.core_fraction_from_tau(q.tau)
     if target == 0.0:
         return BoundaryRelativePoint(x=0.0, y=q.rho)
-    t = _bracket_root(lambda t: float(f.f(q.branch * t)) - target, 0.0, 1.0)
-    return BoundaryRelativePoint(x=q.branch * t, y=q.rho)
+    b, t0 = q.branch, (target / f.g0) ** (1.0 / (2 * f.m))
+    t = _bracket_root(lambda t: f.f(b * t), target, t0, t0, lambda t: b * f.fprime(b * t))
+    return BoundaryRelativePoint(x=b * t, y=q.rho)

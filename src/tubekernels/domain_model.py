@@ -654,12 +654,20 @@ def table_domain(
         return fn
 
     gv, gpv, gppv = piecewise(spl, 0), piecewise(dspl, 1), piecewise(ddspl, 2)
+    fv, fpv, fppv = _f_from_g(m, gv, gpv, gppv)
+    # at +-inf f' reads inf * 0, and a flat end row's tail (k = 0) -0 * inf:
+    # the accessors write the limits, g_e + s sign(g'_e) g_e / 2 for g, twice
+    # that for f'' where f tends to g x^2 (m = 1)
+    g_neg, g_pos = gs[[0, -1]] * (1.0 + 0.5 * np.array([-1.0, 1.0]) * np.sign(gps[[0, -1]]))
+    fpp_inf = (2.0 * g_neg, 2.0 * g_pos) if int(m) == 1 else (math.inf, math.inf)
 
     out = DefiningFunction(
         m,
-        *_f_from_g(m, gv, gpv, gppv),
-        gv,
-        gpv,
+        _at_infinity(fv, math.inf, math.inf),
+        _at_infinity(fpv, -math.inf, math.inf),
+        _at_infinity(fppv, *fpp_inf),
+        _at_infinity(gv, g_neg, g_pos),
+        _at_infinity(gpv, 0.0, 0.0),
         label=label,
         tail_slopes=(math.inf, math.inf),
         is_even=False,
@@ -831,22 +839,23 @@ def damp_tails(f: DefiningFunction, radius: float) -> DefiningFunction:
     integration from 0) and falls smoothly to zero by 2.4 * radius, after
     which the function continues as an exact straight line.  Convexity is
     inherited; the dual cone is known in closed form.  The core is f itself
-    on both sides; both tails are built from x > 0, so f must be even on
-    |x| <= 1.1 * radius.
+    on both sides; both tails are built from x > 0, so f must be even, and
+    f' odd, on |x| <= 1.1 * radius.
     """
     r = float(radius)
     if not (r > 0 and math.isfinite(r)):
         raise DomainError(f"radius must be positive, got {radius!r}")
     r1, r2 = 1.1 * r, 2.4 * r
     core = np.linspace(0.0, r1, 257)
-    f_pos, f_neg = f.f(core), f.f(-core)
-    gap = np.abs(f_neg - f_pos) - 1e-9 * np.abs(f_pos)
-    if np.any(gap > 0):
-        i = int(np.argmax(gap))
-        raise DomainError(
-            f"damp_tails needs f even on |x| <= {r1:g}: f(-{core[i]:g}) = "
-            f"{f_neg[i]:.10g} vs f({core[i]:g}) = {f_pos[i]:.10g} (asymmetric g)"
-        )
+    for name, fn, mirror in (("f", f.f, 1.0), ("f'", f.fprime, -1.0)):
+        pos, neg = fn(core), fn(-core)
+        gap = np.abs(mirror * neg - pos) - 1e-9 * np.abs(pos)
+        if np.any(gap > 0):
+            i = int(np.argmax(gap))
+            raise DomainError(
+                f"damp_tails needs f even on |x| <= {r1:g}: {name}(-{core[i]:g}) = "
+                f"{neg[i]:.10g} vs {name}({core[i]:g}) = {pos[i]:.10g} (asymmetric g)"
+            )
 
     def theta(s):
         return _smooth_step((r2 - s) / (r2 - r1))

@@ -266,9 +266,9 @@ def limit_c0(values, rho_grid, m: int, kind: str) -> tuple[float, float]:
 
 def _nearest_boundary_distance(f: DefiningFunction, px: float, py: float) -> float:
     """Euclidean distance from an interior point to the curve y = f(x)."""
-    psi = lambda t: (t - px) + (float(f.f(t)) - py) * float(f.fprime(t))
+    psi = lambda t: (t - px) + (f.f(t) - py) * f.fprime(t)
     w = max(1e-3, 0.1 * (1.0 + abs(px)))
-    t = _bracket_root(psi, px - w, px + w)
+    t = _bracket_root(psi, 0.0, px - w, px + w)
     return math.hypot(t - px, float(f.f(t)) - py)
 
 

@@ -10,12 +10,12 @@ samples the convex phase once and serves every frequency in a declared range
 as an exponential sum over its nodes, each term scaled by the phase minimum,
 which is what makes the double and triple integrals tractable.  D, the
 kernel pair's E, L and P are one tilted-Laplace integral int exp(-(L(v) -
-t v)) dv of a convex L, taken one way: ``_tilted_peak`` finds the peak
-L'(v) = t (where L'' is exact, for f of a domain and log phi's spline,
-by safeguarded Newton steps on the local power law of L' from a start on
-the phase's own power law; by ``_bracket_root`` from [-1, 1] elsewhere
-and for any element the steps do not settle), ``_tilted`` moves the
-phase's minimum to 0, and ``ProfileGrid.log_G`` sums it.  A
+t v)) dv of a convex L, taken one way: the peak L'(v) = t is a root of
+the package's one root search, ``_bracket_root``, by safeguarded Newton
+steps on the local power law of L' where L'' is exact (``_tilted_peak``,
+for f of a domain and log phi's spline, from a start on the phase's own
+power law) and by bisection where it is not (``_log_P``), ``_tilted``
+moves the phase's minimum to 0, and ``ProfileGrid.log_G`` sums it.  A
 ``ProfileGrid`` build serves k phases c_fn(xi, i), k = 1 included, as
 rows (k, nodes), each step one call of the phase on all rows, so a caller
 with many phases builds their grids together: ``direct_pair`` per chunk
@@ -525,142 +525,106 @@ class ProfileGrid:
         return np.log(out) - eta * self.c_low
 
 
-def _pick(cond, x, y):
-    return x if cond else y
-
-
-def _bracket_root(fn: Callable, a, b):
-    """Root of a nondecreasing ``fn``, searched outward from [a, b].
-
-    While an end has the wrong sign the bracket widens past it by a doubling
-    step, the other end moving to the last point that kept its sign; then
-    bisection runs until b - a <= 1e-14 (1 + |a| + |b|).  Both phases are
-    capped; at a cap, or without a sign change, QuadratureError names the
-    bracket and the values of ``fn`` there.
-
-    Floats ``a`` and ``b`` give a float, and ``fn`` is called with floats.
-    Arrays ``a`` and ``b`` solve elementwise, ``fn`` mapping an array of
-    their shape to one of values: each element takes exactly the steps it
-    would take alone, and the error names the first failing element.
-    """
-    # isinstance, not np.ndim, which costs more than a scalar halving
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-        pick, some, every = np.where, np.any, np.all
-    else:
-        a, b = float(a), float(b)
-        pick, some, every = _pick, bool, bool
-    fa, fb = fn(a), fn(b)
-    step = b - a
-    for _ in range(100):
-        left, right = fa > 0, fb < 0  # left wins where both hold
-        if not some(left | right):
-            break
-        x = pick(left, a - step, pick(right, b + step, a))
-        fx = fn(x)
-        a, fa, b, fb = pick(
-            left, (x, fx, a, fa), pick(right, (b, fb, x, fx), (a, fa, b, fb))
-        )
-        step = pick(left | right, 2.0 * step, step)
-    ok = (fa <= 0) & (fb >= 0)
-    if not every(ok):
-        a, b, fa, fb = _first_failure(ok, a, b, fa, fb)
-        raise QuadratureError(
-            f"root search found no sign change on [{a!r}, {b!r}]: "
-            f"values {fa!r}, {fb!r}"
-        )
-    for _ in range(200):
-        done = b - a <= 1e-14 * (1.0 + abs(a) + abs(b))
-        if every(done):
-            return 0.5 * (a + b)
-        mid = 0.5 * (a + b)
-        up = fn(mid) > 0
-        # a moves unless up or done, b only if up and not done (up > done);
-        # a scalar is never done here, so both picks read up alone
-        a, b = pick(up | done, a, mid), pick(up > done, mid, b)
-    a, b, fa, fb = _first_failure(done, a, b, fn(a), fn(b))
-    raise QuadratureError(
-        f"root search did not converge on [{a!r}, {b!r}]: values {fa!r}, {fb!r}"
-    )
-
-
-def _first_failure(ok, *values) -> list[float]:
-    """The values, as floats, at the first element where ``ok`` is false."""
-    i = np.flatnonzero(np.logical_not(ok))[0]
-    return [float(np.ravel(v)[i]) for v in values]
-
-
-# |v| out to which ``_tilted_peak`` finds a peak: from [-1, 1], the 100
-# doublings of ``_bracket_root`` end on [2^100 - 1, 2^101 - 1]; the Newton
-# path keeps its iterates inside +-2^100 and leaves a peak past it to that
-# search, so both reach the same peaks
+# |x| out to which ``_bracket_root`` takes a Newton step or starts, so that
+# every search reaches what 100 widenings from [-1, 1] reach, 2^101 - 1
 _PEAK_REACH = 2.0**100
 
-# the Newton path's stop, a step of at most this much of the iterate, and
-# its steps before an element falls back to ``_bracket_root``
+# the Newton step's stop, a step of at most this much of the point
 _NEWTON_TOL = 1e-14
-_NEWTON_STEPS = 12
 
 
-def _tilted_peak(L: Callable, dL: Callable, t, d2L: Callable | None = None, v0=None):
-    """Peak v of the tilted phase L(v) - t v of a convex L, where
-    L'(v) = t, and its value A = L(v) - t v there; elementwise for an array
-    ``t``, on floats for a float.
+def _bracket_root(g: Callable, target, a, b, dg: Callable | None = None):
+    """Root of g(x) = target for a nondecreasing ``g``, elementwise over the
+    broadcast of target, a and b; floats give a float.
 
-    Without ``d2L``, one ``_bracket_root`` search on dL(v) - t from [-1, 1].
-    With the exact second derivative ``d2L``, Newton steps safeguarded by
-    bisection (``rtsafe``, Press et al., Numerical Recipes, 3rd ed., 9.4)
-    from the start ``v0``, each in the variable s = v |v|^(p - 1) of the
-    local power law L' = c |v|^p sign(v) through the iterate, p = v L''/L':
-    the step solves that law for t, v' = v (t / L'(v))^(1/p), exact on a
-    pure power, quadratic at the peak, and at a flat point of order 2m,
-    where L'' vanishes, the step in s = v |v|^(2m - 2).  Each step narrows
-    the element's sign bracket, bounded by +-``_PEAK_REACH``; a step that
-    leaves it, or that has no exponent p > 0 (a zero L''), bisects it
-    instead, once both its ends are read.  An element is done when a step
-    moves it by at most ``_NEWTON_TOL`` of itself; an element not done in
-    ``_NEWTON_STEPS`` steps, or whose rejected step finds its bracket still
-    open, or whose start lies outside the reach, takes the ``_bracket_root``
-    search alone, so a peak past the reach raises the error it raises
-    there.  Each element takes the steps it would take alone, and done
-    elements are not read again.
+    Each round reads one point of each open element; lo and hi are the last
+    points read with g <= target and with g > target.  Given the exact
+    derivative ``dg``, the point is the Newton step on the local power law
+    g = c |x|^p sign(x), p = x g'/g: x (target / g(x))^(1/p), exact on a
+    pure power, quadratic at the root, and at a flat point of order p the
+    step in x |x|^(p - 1) (``rtsafe``, Press et al., Numerical Recipes, 3rd
+    ed., 9.4), taken only inside [lo, hi] and within +-``_PEAK_REACH``; a
+    point where g = target is its own step.  Otherwise the point bisects a
+    closed bracket, or widens an open one past its read end by a step that
+    doubles, b - a at first (1 where a = b).  An element is done at a step
+    of at most ``_NEWTON_TOL`` of the point, or at a bracket at most 1e-14
+    (1 + |lo| + |hi|) wide, which gives its midpoint.  The first read is a,
+    then b where a < b and g(a) <= target; a or b past the reach, or NaN,
+    starts from [-1, 1].  QuadratureError after 100 widenings of an element
+    or 300 rounds.  ``g`` and ``dg`` map points to values and see the open
+    elements only, so each element takes the steps it would take alone.
     """
-    if d2L is None:
-        one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-        v = _bracket_root(lambda v: dL(v) - t, -one, one)
-        return v, L(v) - t * v
-    tt = np.array(t, dtype=float, ndmin=1)
-    v = np.array(np.broadcast_to(v0, tt.shape), dtype=float)
-    lo, hi = np.full(tt.shape, -_PEAK_REACH), np.full(tt.shape, _PEAK_REACH)
-    live = np.abs(v) < _PEAK_REACH  # False for a NaN start
-    done = np.zeros(tt.shape, dtype=bool)
-    for _ in range(_NEWTON_STEPS):
-        i = np.flatnonzero(live)
+    t, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (target, a, b)))
+    shape = t.shape
+    t, a, b = t.ravel(), a.ravel(), b.ravel()
+    near = (np.abs(a) < _PEAK_REACH) & (np.abs(b) < _PEAK_REACH)  # False at NaN
+    if not near.all():
+        a, b = np.where(near, a, -1.0), np.where(near, b, 1.0)
+    x, step, wide = np.array(b), b - a, np.zeros(t.size, dtype=int)
+    lo, hi = np.full(t.size, -np.inf), np.full(t.size, np.inf)
+    j = np.flatnonzero(a < b)
+    if j.size:  # where g(a) > target the bracket widens past a at once
+        wide[j] = up = g(a[j]) > t[j]
+        lo[j], hi[j] = np.where(up, -np.inf, a[j]), np.where(up, a[j], np.inf)
+        x[j] = np.where(up, a[j] - step[j], b[j])
+        step[j] *= 1.0 + up
+    i = np.arange(t.size)
+    for _ in range(300):
         if not i.size:
-            break
-        vi, ti = v[i], tt[i]
-        d = dL(vi)
-        lo[i] = a = np.where(d < ti, vi, lo[i])
-        hi[i] = b = np.where(d > ti, vi, hi[i])
-        # a zero L' or L'' gives an exponent or ratio of 0, inf or NaN,
-        # rejected below
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p = vi * d2L(vi) / d
-            q = ti / d
-            new = vi * np.sign(q) * np.abs(q) ** (1.0 / p)
-            small = np.abs(new - vi) <= _NEWTON_TOL * np.abs(new)
-        good = (p > 0) & (new >= a) & (new <= b)
-        conv = (d == ti) | (good & small)
-        inside = conv | (good & (new > a) & (new < b))
-        closed = (a > -_PEAK_REACH) & (b < _PEAK_REACH)
-        v[i] = np.where(inside, np.where(d == ti, vi, new), 0.5 * (a + b))
-        done[i] = conv
-        live[i] = ~conv & (inside | closed)
-    rest = np.flatnonzero(~done)
-    if rest.size:
-        v[rest] = _bracket_root(lambda x: dL(x) - tt[rest], -np.ones(rest.size), np.ones(rest.size))
-    if not isinstance(t, np.ndarray):
-        v = float(v[0])
+            return x.reshape(shape) if shape else float(x[0])
+        xi, ti = x[i], t[i]
+        gi = g(xi)
+        up = gi > ti
+        a, b = np.where(up, lo[i], xi), np.where(up, xi, hi[i])
+        if dg is None:
+            (ok, done), new = np.zeros((2, i.size), dtype=bool), np.empty(i.size)
+        else:
+            # a zero g or g' gives an exponent or ratio of 0, inf or NaN
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                p = xi * dg(xi) / gi
+                q = ti / gi
+                new = xi * np.sign(q) * np.abs(q) ** (1.0 / p)
+                small = np.abs(new - xi) <= _NEWTON_TOL * np.abs(new)
+            ok = (p > 0) & (new >= a) & (new <= b) & (np.abs(new) < _PEAK_REACH)
+            hit = gi == ti
+            done = hit | (ok & small)
+            ok = done | (ok & (new > a) & (new < b))
+            new = np.where(hit, xi, new)
+        if not ok.all():
+            r = np.flatnonzero(~ok)
+            ar, br = a[r], b[r]
+            closed = (ar > -np.inf) & (br < np.inf)
+            new[r] = 0.5 * (ar + br)
+            done[r] = closed & (br - ar <= 1e-14 * (1.0 + np.abs(ar) + np.abs(br)))
+            if not closed.all():
+                o = r[~closed]
+                k = i[o]
+                wide[k] += 1
+                if wide[k].max() > 100:
+                    # lo or hi, not yet moved this round, holds the point before x
+                    e = k[np.argmax(wide[k])]
+                    ends = np.where(np.isinf([lo[e], hi[e]]), x[e], [lo[e], hi[e]])
+                    raise QuadratureError(_search_failure("found no sign change", g, ends, t[e]))
+                s = np.where(step[k] > 0, step[k], 1.0)
+                new[o] = np.where(up[o], b[o] - s, a[o] + s)
+                step[k] = 2.0 * s
+        lo[i], hi[i], x[i] = a, b, new
+        i = i[~done]
+    raise QuadratureError(_search_failure("did not converge", g, [lo[i[0]], hi[i[0]]], t[i[0]]))
+
+
+def _search_failure(what: str, g: Callable, ends, target) -> str:
+    """A root search's failure, naming its two points and g - target there."""
+    with np.errstate(all="ignore"):
+        a, b, fa, fb = (float(v) for v in (*ends, *(g(np.asarray(ends)) - target)))
+    return f"root search {what} on [{a!r}, {b!r}]: values {fa!r}, {fb!r}"
+
+
+def _tilted_peak(L: Callable, dL: Callable, t, d2L: Callable, v0):
+    """Peak v of the tilted phase L(v) - t v of a convex L, where L'(v) = t,
+    and A = L(v) - t v there, by ``_bracket_root``'s Newton steps on L'
+    with the exact L'' from ``v0``; elementwise, or floats for a float."""
+    v = _bracket_root(dL, t, v0, v0, d2L)
     return v, L(v) - t * v
 
 
@@ -669,7 +633,7 @@ def _power_law_peak(f: DefiningFunction, t):
     peak sign(t) (|t| / (2m g0))^(1/(2m-1)) of the model g0 x^(2m), which is
     exact on the model and leaves one step at rounding level."""
     n = 2 * f.m
-    # an overflowing start lies past the reach, which the fallback handles
+    # an overflowing start lies past the reach: the search starts from [-1, 1]
     with np.errstate(over="ignore"):
         v0 = np.sign(t) * (np.abs(t) / (n * f.g0)) ** (1.0 / (n - 1))
     return _tilted_peak(f.f, f.fprime, t, f.fsecond, v0)
@@ -815,11 +779,11 @@ def direct_pair(
 
     The outer integrand is batched: one elementwise ``_tilted_peak`` gives
     the peak xi_s and value A of E(zeta, .), f tilted by -zeta, at all of an
-    engine call's zetas (by Newton steps from the model's peak,
-    ``_power_law_peak``: about 2.5 calls of f' and f'' a search on the
-    fixed-tau points of the benchmark, where bisection to 1e-14 took about
-    55 of f'), and the inner layer takes them in chunks of at most
-    ``_ZETA_CHUNK``: one ``ProfileGrid`` build of the chunk's ``_tilted``
+    engine call's zetas (by ``_bracket_root``'s Newton steps from the
+    model's peak, ``_power_law_peak``: about 2.5 calls of f' and f'' a
+    search on the fixed-tau points of the benchmark, where bisection to
+    1e-14 took about 55 of f'), and the inner layer takes them in chunks
+    of at most ``_ZETA_CHUNK``: one ``ProfileGrid`` build of the chunk's ``_tilted``
     phases, one ``_cheb_table`` pass of log G(e^t / r) in t = log h, grown
     until every row's tail is at most rel_tol / 10 (usually 17 or 65
     samples), and one ``log_adaptive_multi`` call on the chunk's 2k eta rows
@@ -1211,10 +1175,11 @@ def _log_P(ghat, u: float, tilt: float, m: int) -> tuple[float, int]:
 
     def slope(v):
         # both sides in one call: rows of log_phi do not see each other
-        lp = wg.log_phi(np.array([v + 1e-5, v - 1e-5]))
-        return float(lp[0] - lp[1]) / 2e-5
+        lp = wg.log_phi(np.concatenate([v + 1e-5, v - 1e-5]))
+        return (lp[: v.size] - lp[v.size :]) / 2e-5
 
-    v_star, A = _tilted_peak(wg.log_phi, slope, tilt) if tilt else (0.0, wg.log_phi(0.0))
+    v_star = _bracket_root(slope, tilt, -1.0, 1.0) if tilt else 0.0
+    A = wg.log_phi(v_star) - tilt * v_star
     pg = ProfileGrid(_tilted(wg.log_phi, tilt, A), v_star, 1.0, 1.0)
     return float(pg.log_G(np.ones((1, 1)))[0, 0] - A[0]), wg.n + pg.n_evals
 

@@ -102,6 +102,27 @@ def test_polar_roundtrip_both_ways():
         assert q.branch == branch or tau == 1.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: model_domain(1), lambda: model_domain(2), lambda: rational_domain(2)],
+    ids=["model-m1", "model-m2", "rational-m2"],
+)
+def test_from_polar_meets_its_level_to_rounding(make):
+    # from_polar's Newton steps on f solve f(x) = rho (1 - chi^-1(tau)) to
+    # the rounding of f, relative to the level, on both branches: a stop on
+    # the width of a bracket in x would leave 1e-12 of it at x near 0.02
+    f = make()
+    chart = _CHARTS[f.m]
+    for tau in (0.3, 0.5, 0.8):
+        for k in range(9, 15):
+            for branch in (-1, 1):
+                q = PolarPoint(tau, 2.0**-k, branch)
+                p = from_polar(f, chart, q)
+                level = q.rho * chart.core_fraction_from_tau(tau)
+                assert p.x * branch > 0.0 and p.y == q.rho
+                assert abs(f.f(p.x) / level - 1.0) <= 1e-15, (tau, k, branch)
+
+
 def test_from_polar_axis():
     f = model_domain(3)
     chart = _CHARTS[3]

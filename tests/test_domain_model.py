@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
@@ -268,6 +268,9 @@ def _is_c1_across(f, points):
     st.floats(0.02, 0.2),
     st.floats(0.1, 1.2),
 )
+# f is even to 6.7e-10 on damp_tails' core but f'(-r1) + f'(r1) = 2.8e-8,
+# which would put a jump of 5.0e-8 in f' at x = -1.065625
+@example(1.0, 0.0, 0.125, 1.0625, 0.125, 0.96875)
 def test_mollify_and_damp_tails_keep_convexity_and_core(a, b, c, x1, delta, radius):
     # g = 1/(1 + a x^2 + b x^4), made asymmetric from x = -x1 outward when
     # c > 0.  table_domain, mollify and damp_tails each raise DomainError or
@@ -482,6 +485,56 @@ def test_constructors_declare_is_even(make, even):
     # a table is not declared even, even where its rows are; mollify and
     # damp_tails keep their parent's declaration
     assert make().is_even is even
+
+
+def _flat_end_table():
+    """The table domain at m = 2 of the mollified m = 2 model's g on 241 rows
+    in [-3, 3], flat past |x| = 1, so its end rows have g' = 0."""
+    xs = np.linspace(-3.0, 3.0, 241)
+    g = mollify(model_domain(2), 0.1)
+    return table_domain(xs, g.g(xs), g.gprime(xs), 2)
+
+
+@pytest.mark.parametrize(
+    "make, g_end, fpp_end",
+    [
+        # g = 1/(1 + x^2): each tail falls from g(3) = 0.1 to half of it
+        (lambda: table_domain(_TABLE_XS, *_table_rows(1.0, 0.0, 0.0, 0.0), 3), 0.05, math.inf),
+        (_flat_end_table, None, math.inf),
+        # g = 1 - x^2 / 100 at m = 1: f tends to g_end x^2, f'' to 2 g_end
+        (
+            lambda: table_domain(_TABLE_XS, 1.0 - 0.01 * _TABLE_XS**2, -0.02 * _TABLE_XS, 1),
+            0.455,
+            0.91,
+        ),
+    ],
+    ids=["decaying-m3", "flat-ends-m2", "decaying-m1"],
+)
+def test_table_domain_reads_its_limits_at_infinity(make, g_end, fpp_end):
+    # at +-inf f' = x^(2m-1) (2m g + x g') reads inf * 0, and past a flat
+    # end row (g' = 0, tail rate 0) the tail reads -0 * inf: every accessor
+    # writes its limit, with no warning, and finite points read as they do
+    # without the infinite ones beside them
+    f = make()
+    if g_end is None:  # the flat end rows keep g at its row value
+        g_end = float(f.g(3.0))
+    ends = np.array([-math.inf, math.inf])
+    want = {
+        "f": [math.inf, math.inf],
+        "fprime": [-math.inf, math.inf],
+        "fsecond": [fpp_end, fpp_end],
+        "g": [g_end, g_end],
+        "gprime": [0.0, 0.0],
+    }
+    xs = np.concatenate([-np.geomspace(1e-6, 1e6, 50), [0.0], np.geomspace(1e-6, 1e6, 50)])
+    for name, limit in want.items():
+        acc = getattr(f, name)
+        assert acc(ends).tolist() == pytest.approx(limit, rel=1e-15), name
+        assert np.array_equal(acc(np.concatenate([ends, xs]))[2:], acc(xs)), name
+        # the limits continue the finite values
+        assert acc(1e12) == pytest.approx(limit[1], rel=1e-6) if math.isfinite(limit[1]) else (
+            acc(1e12) > 1e11
+        ), name
 
 
 def _rebuilt(f, **changes):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gamma
 
 from tubekernels import (
@@ -186,7 +187,7 @@ def test_adaptive_stops_at_its_panel_width_floor():
 def test_search_loops_are_capped():
     t0 = time.perf_counter()
     with pytest.raises(QuadratureError):
-        _bracket_root(lambda x: 1.0, -1.0, 1.0)
+        _bracket_root(np.ones_like, 0.0, -1.0, 1.0)
     with pytest.raises(QuadratureError):
         ProfileGrid(lambda xi, i: 1.0 - np.exp(-(xi**2)), 0.0, 0.01, 0.01)
     # the phase saturates between c_min and c_max; the search stops at a
@@ -197,15 +198,20 @@ def test_search_loops_are_capped():
     dist = re.search(r"\|xi - xi_star\| = (\S+)", str(info.value)).group(1)
     assert math.isfinite(float(dist))
     assert time.perf_counter() - t0 < 1.0
-    root = _bracket_root(lambda x: x**3 - 2.0, -1.0, 1.0)
+    root = _bracket_root(lambda x: x**3, 2.0, -1.0, 1.0)
     assert math.isclose(root, 2.0 ** (1 / 3), rel_tol=1e-14)
+    # a derivative 1e12 times too steep makes Newton steps of about 1e-12
+    # of the point toward the root, never small enough to stop: the search
+    # gives up after 300 rounds, naming its bracket, still open above
+    with pytest.raises(QuadratureError, match=r"did not converge on \[1\.0\d*, inf\]: values -0\.9"):
+        _bracket_root(lambda x: x, 2.0, 1.0, 1.0, lambda x: np.full_like(x, 1e12))
 
 
 def test_bracket_root_is_elementwise():
-    # 200 monotone cubics whose roots lie left or right of their brackets,
-    # 50 with roots inside, 20 with roots on the first midpoint (where fn is
-    # exactly 0) and 10 with brackets already converged: one array call must
-    # take, element by element, a scalar call's steps
+    # g = x + x^3 at 200 targets whose roots lie left or right of their
+    # brackets, 50 with roots inside, 20 on the first midpoint (where g is
+    # exactly the target) and 10 with brackets already converged: one array
+    # call must take, element by element, a float call's steps
     rng = np.random.default_rng(20)
     n = 200
     a = rng.uniform(-1.0, 0.0, n + 80)
@@ -220,31 +226,60 @@ def test_bracket_root_is_elementwise():
             a[-10:],
         ]
     )
-    slopes = rng.uniform(0.1, 10.0, roots.size)
 
-    def cubic(x, r, k):
-        d = x - r
-        return k * d + d * d * d
+    def cubic(x):
+        return x + x * x * x
 
-    got = _bracket_root(lambda x: cubic(x, roots, slopes), a, b)
+    targets = cubic(roots)
+    got = _bracket_root(cubic, targets, a, b)
     seen = set()
 
-    def scalar_fn(x, r, k):
+    def recorded(x):
         seen.add(type(x))
-        return cubic(x, r, k)
+        return cubic(x)
 
     for i in range(roots.size):
-        r, k = float(roots[i]), float(slopes[i])
-        one = _bracket_root(lambda x: scalar_fn(x, r, k), float(a[i]), float(b[i]))
+        one = _bracket_root(recorded, float(targets[i]), float(a[i]), float(b[i]))
         assert type(one) is float
         assert one == got[i], i
-    assert seen == {float}
+    # g is always read on an array, one element a float call
+    assert seen == {np.ndarray}
     assert np.max(np.abs(got - roots)) < 1e-12
 
-    # one element without a sign change fails the whole call, by name
-    const = np.array([0.0, 1.0, 0.0])
-    with pytest.raises(QuadratureError, match=r"no sign change on \[.*\]: values 1.0, 1.0"):
-        _bracket_root(lambda x: np.where(const > 0, 1.0, x - 0.5), -np.ones(3), np.ones(3))
+    # one element without a sign change fails the whole call, by name: the
+    # last two points of its 100 widenings from [-1, 1] and g - target there
+    with pytest.raises(
+        QuadratureError,
+        match=r"no sign change on \[1.2676506002282294e\+30, 2.535301200456459e\+30\]: "
+        r"values -1.0, -1.0",
+    ):
+        _bracket_root(np.tanh, np.array([0.0, 2.0, 0.0]), -1.0, 1.0)
+
+
+def test_bracket_root_keeps_the_last_points_on_each_side():
+    # lo is the last point read with g <= target and hi the last with g >
+    # target: on a flat stretch of g at the target the bisection keeps
+    # raising lo and ends at the stretch's right end, and a Newton search
+    # stops on the first point of the stretch it reads
+    def g(x):
+        return np.clip(x, -0.5, 0.5) + np.maximum(np.abs(x) - 2.0, 0.0) * np.sign(x)
+
+    v = _bracket_root(g, 0.5, -1.0, 1.5)
+    assert abs(v - 2.0) <= 1e-13
+    reads = []
+
+    def g_read(x):
+        reads.extend(x.tolist())
+        return g(x)
+
+    def dg(x):
+        return np.where((np.abs(x) < 0.5) | (np.abs(x) > 2.0), 1.0, 0.0)
+
+    assert _bracket_root(g_read, 0.5, 1.25, 1.25, dg) == 1.25 and reads == [1.25]
+    # a start past the reach, or NaN, searches from [-1, 1]
+    reads.clear()
+    w = _bracket_root(g_read, np.array([0.25, 0.25]), np.array([2.0**101, np.nan]), 2.0**101, dg)
+    assert np.array_equal(w, [0.25, 0.25]) and reads[:2] == [-1.0, -1.0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,10 +433,16 @@ def _row_by_row_grid(c_side, xi_star, eta_lo, eta_hi, rule=_KRONROD_RULE):
     return c_all - c_all.min(), np.concatenate(w_parts), c_all.min(), nev
 
 
+def _bisected_peak(f, t):
+    """Peaks v of f tilted by t, bisected on f' from [-1, 1], and A = f(v) - t v."""
+    v = _bracket_root(f.fprime, t, -1.0, 1.0)
+    return v, f.f(v) - t * v
+
+
 def _tilted_rows(f, rows):
     """Peaks and offsets of f tilted by -zeta for rows of (zeta, eta_lo, eta_hi)."""
     zetas, lo, hi = (np.array(col) for col in zip(*rows))
-    xi_s, A = quadrature._tilted_peak(f.f, f.fprime, -zetas)
+    xi_s, A = _bisected_peak(f, -zetas)
     return quadrature._tilted(f.f, -zetas, A), xi_s, lo, hi
 
 
@@ -411,9 +452,9 @@ def _w_grid_rows(rows):
     tilts, lo, hi = (np.array(col) for col in zip(*rows))
 
     def slope(v):
-        return (wg.log_phi(v + 1e-5) - wg.log_phi(v - 1e-5))[0] / 2e-5
+        return (wg.log_phi(v + 1e-5) - wg.log_phi(v - 1e-5)) / 2e-5
 
-    v_s = np.array([_bracket_root(lambda v: slope(v) - t, -1.0, 1.0) for t in tilts])
+    v_s = _bracket_root(slope, tilts, -1.0, 1.0)
     return quadrature._tilted(wg.log_phi, tilts, wg.log_phi(v_s) - tilts * v_s), v_s, lo, hi
 
 
@@ -597,8 +638,7 @@ def test_profile_grid_matches_a_dense_grid_in_few_calls(make, zetas, etas, tol):
     f = make()
     etas = np.geomspace(*etas, 40)
     for zeta in zetas:
-        xi_s = _bracket_root(lambda xi: f.fprime(xi) + zeta, -1.0, 1.0)
-        A = f.f(xi_s) + zeta * xi_s
+        xi_s, A = _bisected_peak(f, -zeta)
         calls = [0]
 
         def c_fn(xi, i):
@@ -635,33 +675,68 @@ _PEAK_DOMAINS = {
 }
 
 
-def _bracket_calls(monkeypatch) -> list[int]:
-    """The sizes of the ``_bracket_root`` calls to come in ``quadrature``."""
-    sizes = []
+def _bracket_calls(monkeypatch) -> list[list[np.ndarray]]:
+    """The points read by each ``_bracket_root`` call to come in
+    ``quadrature``, one array a call of g."""
+    calls = []
     real = quadrature._bracket_root
 
-    def counted(fn, a, b):
-        sizes.append(np.size(a))
-        return real(fn, a, b)
+    def counted(g, target, a, b, dg=None):
+        reads = []
+        calls.append(reads)
+
+        def g_read(x):
+            reads.append(np.array(x))
+            return g(x)
+
+        return real(g_read, target, a, b, dg)
 
     monkeypatch.setattr(quadrature, "_bracket_root", counted)
-    return sizes
+    return calls
+
+
+def _brentq_roots(g, t) -> np.ndarray:
+    """Roots of g(v) = t for a nondecreasing g, each by scipy's brentq on a
+    bracket widened from [-1, 1] by doubling: a reference that shares no
+    code with ``_bracket_root``."""
+    out = []
+    for ti in np.ravel(t):
+
+        def fn(v, ti=ti):
+            return float(g(np.array([v]))[0]) - ti
+
+        a, b = -1.0, 1.0
+        while fn(a) > 0:
+            a *= 2.0
+        while fn(b) < 0:
+            b *= 2.0
+        out.append(brentq(fn, a, b, xtol=1e-300, rtol=1e-15, maxiter=2000))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("name", list(_PEAK_DOMAINS))
 def test_newton_peaks_agree_with_the_bisection(name):
-    # the power-law Newton path finds every peak f'(v) = -zeta that
-    # _bracket_root finds, within the bisection's own stop, over zetas
-    # from 1e-8 to 1e10 in the cone, a finite cone's to 1e-12 of its ends
+    # the power-law Newton path finds every peak f'(v) = -zeta that brentq
+    # finds, within the bisection's own stop, over zetas from 1e-8 to 1e10
+    # in the cone, a finite cone's to 1e-12 of its ends.  There, on
+    # blended_linear_domain(1), f' = tanh(2 v) is flat to rounding and the
+    # two searches stop on different points of the same flat stretch: their
+    # slopes f'(v) + zeta and offsets A are compared instead
     f = _PEAK_DOMAINS[name]()
     lo, hi = quadrature._cone_interval(f)
-    z = np.concatenate([np.linspace(-3.0, 3.0, 121), np.geomspace(1e-8, 1e10, 73)])
+    z = np.linspace(-3.0, 3.0, 121)
+    z = np.concatenate([z, np.geomspace(1e-8, 1e10, 73)])
     ends = np.array([lo, hi]) * (1 - 1e-12)
     z = np.concatenate([z, -z, ends[np.isfinite(ends)]])
     z = z[(z >= ends[0]) & (z <= ends[1])]
     v, A = quadrature._power_law_peak(f, -z)
-    ref = _bracket_root(lambda xi: f.fprime(xi) + z, -np.ones(z.size), np.ones(z.size))
-    assert np.all(np.abs(v - ref) <= 1e-14 * (1.0 + np.abs(v))), np.max(np.abs(v - ref))
+    ref = _brentq_roots(f.fprime, -z)
+    flat = np.isin(z, ends) if name == "blended-linear-m1" else np.zeros(z.size, bool)
+    assert flat.sum() == (2 if name == "blended-linear-m1" else 0)
+    gap = np.abs(v - ref)[~flat]
+    assert np.all(gap <= 1e-14 * (1.0 + np.abs(v[~flat]))), np.max(gap)
+    assert np.all(np.abs(f.fprime(v) + z)[flat] <= np.abs(f.fprime(ref) + z)[flat])
+    assert np.all(np.abs(A - (f.f(ref) + z * ref)) <= 1e-14 * (1.0 + np.abs(A)))
     assert np.array_equal(A, f.f(v) + z * v)
     # a float tilt takes the same steps as its element of an array
     for j in (0, z.size // 3, z.size - 1):
@@ -672,8 +747,8 @@ def test_newton_peaks_agree_with_the_bisection(name):
 def test_newton_peaks_on_fixed_tau_points_take_few_steps(monkeypatch):
     # at the first point of each fixed_tau_paths path (tau = 0.8, rho =
     # 2^-9, rel_tol 1e-7) a peak search takes at most 6 Newton steps a call
-    # on average, each one call of f' on the elements not yet done, and no
-    # element falls back to the bisection
+    # on average, each one call of f' on the elements not yet done, and
+    # reads no point past the reach
     steps = []
     real = quadrature._tilted_peak
 
@@ -689,39 +764,49 @@ def test_newton_peaks_on_fixed_tau_points_take_few_steps(monkeypatch):
         return out
 
     monkeypatch.setattr(quadrature, "_tilted_peak", counted)
-    fallback = _bracket_calls(monkeypatch)
+    calls = _bracket_calls(monkeypatch)
     path = ApproachPath("fixed_tau", {"tau": 0.8}, [2.0**-9, 2.0**-10])
     for f in (model_domain(1), model_domain(2), rational_domain(2)):
         steps.clear()
         direct_pair(f, path_points(f, path)[0], QuadratureConfig(1e-7))
         assert len(steps) >= 2 and sum(steps) / len(steps) <= 6.0, (f.label, steps)
-    assert fallback == []
+    reads = np.concatenate([x for c in calls for x in c])
+    assert np.max(np.abs(reads)) < quadrature._PEAK_REACH
 
 
-def test_newton_peaks_fall_back_elementwise_near_a_linear_slope(monkeypatch):
+def test_newton_peaks_walk_out_elementwise_near_a_linear_slope(monkeypatch):
     # blended_linear_domain(1) has f' = tanh(2 v), whose peaks at tilts
     # within 1e-12 of the slope 1 lie near |v| = 7.1 and past 9 for the
     # last float below 1, where f'' = 8 e^(-4 |v|) and a Newton step from
-    # the start 0.5 moves about 1/4: those elements, and only those, take
-    # _bracket_root after the Newton steps
+    # the start 0.5 moves about 1/4: those elements take about 30 steps
+    # inside the reach, the others a few, each in the array call the steps
+    # it takes alone; their slopes match brentq's peaks
     f = blended_linear_domain(1)
-    fallback = _bracket_calls(monkeypatch)
+    calls = _bracket_calls(monkeypatch)
     t = np.array([0.3, 1.0 - 1e-12, -0.7, -(1.0 - 1e-12), np.nextafter(1.0, 0.0)])
-    v, _ = quadrature._power_law_peak(f, t)
-    assert fallback == [3]
-    ref = _bracket_root(lambda xi: f.fprime(xi) - t, -np.ones(t.size), np.ones(t.size))
-    assert np.all(np.abs(v - ref) <= 1e-14 * (1.0 + np.abs(v)))
+    v, A = quadrature._power_law_peak(f, t)
+    rounds = len(calls[0])
+    assert np.max(np.abs(np.concatenate(calls[0]))) < 10.0
+    steps = []
+    for j in range(t.size):
+        calls.clear()
+        assert quadrature._power_law_peak(f, float(t[j])) == (v[j], A[j])
+        steps.append(len(calls[0]))
+    assert rounds == max(steps)
+    assert max(steps[0], steps[2]) <= 6 and min(steps[1], steps[3], steps[4]) >= 25
+    ref = _brentq_roots(f.fprime, t)
+    assert np.all(np.abs(f.fprime(v) - t) <= np.abs(f.fprime(ref) - t))
+    assert np.all(np.abs(A - (f.f(ref) - t * ref)) <= 1e-14 * (1.0 + np.abs(A)))
     assert 7.0 < v[1] < 7.2 and -7.2 < v[3] < -7.0 and v[4] > 9.0
 
 
-def test_newton_step_bisects_where_the_second_derivative_vanishes(monkeypatch):
+def test_newton_step_bisects_where_the_second_derivative_vanishes():
     # L' = min(sinh v, 10) is flat past asinh(10), so L'' = 0 there.  From
     # v0 = 1/2 the local power law through the start underestimates the
     # growth of sinh, so the first step overshoots onto the flat part and
     # closes the sign bracket; the next has no exponent (L'' = 0) and
     # bisects the bracket instead, and the steps after it converge on
-    # asinh(9) with no fallback
-    fallback = _bracket_calls(monkeypatch)
+    # asinh(9), ten reads in all
     v_seen = []
 
     def dL(v):
@@ -732,20 +817,21 @@ def test_newton_step_bisects_where_the_second_derivative_vanishes(monkeypatch):
         return np.where(np.sinh(v) < 10.0, np.cosh(v), 0.0)
 
     v, _ = quadrature._tilted_peak(lambda v: v, dL, np.array([9.0]), d2L, np.array([0.5]))
-    assert fallback == []
     assert abs(v[0] - math.asinh(9.0)) <= 1e-15 * math.asinh(9.0)
     assert np.sinh(v_seen[1]) > 10.0 and v_seen[2] == 0.5 * (0.5 + v_seen[1])
+    assert len(v_seen) <= 10
 
 
 def test_newton_peaks_keep_the_reach(monkeypatch):
-    # the Newton path reaches what the bisection reaches: a peak past
-    # 2^100 goes to _bracket_root, which finds it out to 2^101 - 1 and
-    # raises past that, as it did alone
+    # the Newton steps reach what the bisection reaches: a start past 2^100
+    # searches from [-1, 1], where a peak past the reach, which no step may
+    # take, is bracketed by widening out to 2^101 - 1 and bisected, in the
+    # one search of the call; past that it raises, as the bisection alone did
     f = model_domain(1)
-    fallback = _bracket_calls(monkeypatch)
+    calls = _bracket_calls(monkeypatch)
     v, _ = quadrature._power_law_peak(f, np.array([2.0**100, 3.0 * 2.0**100]))
     assert v[0] == 2.0**99 and v[1] == pytest.approx(1.5 * 2.0**100, rel=1e-14)
-    assert fallback == [1]
+    assert len(calls) == 1 and np.max(np.concatenate(calls[0])) == 2.0**101 - 1
     with pytest.raises(QuadratureError, match="no sign change"):
         quadrature._power_law_peak(f, np.array([1.0, 2.0**103]))
     with pytest.raises(QuadratureError, match="no sign change"):
@@ -755,14 +841,13 @@ def test_newton_peaks_keep_the_reach(monkeypatch):
 @pytest.mark.parametrize("m, bucket", [(1, 6), (1, 10), (2, 9), (2, 12), (3, 9), (3, 14)])
 def test_log_L_peaks_agree_with_the_bisection(m, bucket):
     # log_L's Newton search from the right of the peak finds the peaks of
-    # log phi tilted by u that _bracket_root finds on the spline, at every u
-    # up to where the spline holds log_L (u = 0 peaks at 0 exactly, where
-    # the bisection reads the spline's slope at rounding level)
+    # log phi tilted by u that brentq finds on the spline, at every u up to
+    # where the spline holds log_L (u = 0 peaks at 0 exactly)
     phis = PhiSpline(m, 2.0**bucket)
     u_max = ((phis.v_max - 60.0) / (2.6 * m)) ** (1.0 / (2 * m - 1)) - 1.0
     u = np.geomspace(1e-6, u_max, 300)
     v, A = asymptotics._peaks_inside(phis, u)
-    ref = _bracket_root(lambda v: phis.deriv(v) - u, -np.ones(u.size), np.ones(u.size))
+    ref = _brentq_roots(phis.deriv, u)
     assert np.all(np.abs(v - ref) <= 1e-14 * (1.0 + np.abs(v))), np.max(np.abs(v - ref))
     assert np.array_equal(A, phis(v) - u * v)
     assert asymptotics._peaks_inside(phis, 0.0)[0] == 0.0
@@ -1745,7 +1830,7 @@ def test_log_G_blocks_equal_one_block(monkeypatch):
 
     def tilted_grids(k, eta_lo, eta_hi):
         zetas = np.linspace(-0.9, 0.9, k)
-        xi_s, A = quadrature._tilted_peak(f.f, f.fprime, -zetas)
+        xi_s, A = _bisected_peak(f, -zetas)
         return ProfileGrid(quadrature._tilted(f.f, -zetas, A), xi_s, eta_lo, eta_hi)
 
     cases = [
