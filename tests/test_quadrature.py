@@ -379,8 +379,10 @@ def test_direct_pair_grids_find_their_inner_edges_in_two_calls(monkeypatch):
     builds.clear()
     _, ghat = _mollified_w_grid(0.5, 60.0)
     for tilt in (0.0, 0.8, -3.0):
-        _log_P(ghat, 2.0, tilt, 2)
-    assert len(builds) == 3 and max(n for n, _ in builds) <= 4
+        _log_P(ghat, np.array([2.0]), np.array([tilt]), 2)
+    # and one build of all three u's phases, stacked
+    _log_P(ghat, np.full(3, 2.0), np.array([0.0, 0.8, -3.0]), 2)
+    assert [k for _, k in builds] == [1, 1, 1, 3] and max(n for n, _ in builds) <= 4
 
 
 def _row_by_row_grid(c_side, xi_star, eta_lo, eta_hi, rule=_KRONROD_RULE):
@@ -451,11 +453,14 @@ def _w_grid_rows(rows):
     wg, _ = _mollified_w_grid(0.5, 60.0)
     tilts, lo, hi = (np.array(col) for col in zip(*rows))
 
+    def L(v):
+        return wg.log_phi(v, np.zeros(v.size, dtype=int))
+
     def slope(v):
-        return (wg.log_phi(v + 1e-5) - wg.log_phi(v - 1e-5)) / 2e-5
+        return (L(v + 1e-5) - L(v - 1e-5)) / 2e-5
 
     v_s = _bracket_root(slope, tilts, -1.0, 1.0)
-    return quadrature._tilted(wg.log_phi, tilts, wg.log_phi(v_s) - tilts * v_s), v_s, lo, hi
+    return quadrature._tilted(L, tilts, L(v_s) - tilts * v_s), v_s, lo, hi
 
 
 # (zeta or tilt, eta_lo, eta_hi): both edges reached from the first x4
@@ -910,6 +915,26 @@ def test_compute_d_is_within_its_claim_or_refuses_a_huge_zeta2(m, zeta2):
             compute_D(f, 0.3 * zeta2, zeta2, cfg)
 
 
+def test_compute_d_claims_no_error_below_its_rounding():
+    # off the axis each exponent zeta2 (f(xi) + zeta xi - A) rounds by about
+    # eps zeta2 (|f(xi_s)| + |zeta xi_s|) near the peak xi_s: an absolute
+    # error of log D, so a relative error of D, that the claim must carry
+    f, eps = model_domain(2), np.finfo(float).eps
+    for zeta2 in (1e6, 1e8):
+        zeta = 0.7
+        xi_s = -((zeta / 4.0) ** (1.0 / 3.0))
+        rounding = eps * zeta2 * (xi_s**4 + abs(zeta * xi_s))
+        _, err = compute_D(f, zeta * zeta2, zeta2, QuadratureConfig(rel_tol=1e-6))
+        assert err >= rounding, (zeta2, err, rounding)
+    # about 1e-8 at zeta2 = 1e8, 2e4 e-folds at 1e20: past rel_tol 1e-8
+    for zeta2 in (1e8, 1e20):
+        with pytest.raises(QuadratureError, match="measured rel err"):
+            compute_D(f, 0.7 * zeta2, zeta2, QuadratureConfig(rel_tol=1e-8))
+    # on the axis the peak is 0 exactly, and nothing rounds at any zeta2
+    _, err = compute_D(f, 0.0, 1e20, QuadratureConfig(rel_tol=1e-8))
+    assert err <= 1e-8
+
+
 def test_compute_d_rejects_frequencies_outside_dual_cone():
     f = blended_linear_domain(2, slope=1.0)
     lg, _ = compute_D(f, 0.5, 1.0)  # |zeta1/zeta2| < 1 is fine
@@ -998,10 +1023,11 @@ def test_log_P_with_a_flat_ghat_is_log_L(m):
     # with ghat = 1, phi(v, X) = phi(v) for every X, so the W-grid's log P
     # and the spline's log L are the same tilted integral
     phis = PhiSpline(m, 256.0)
-    for u, tilt in ((1.0, 0.0), (3.0, 0.5), (0.5, -1.5), (2.0, 1.2)):
-        got, _ = _log_P(np.ones_like, u, tilt, m)
+    u, tilts = np.array([1.0, 3.0, 0.5, 2.0]), np.array([0.0, 0.5, -1.5, 1.2])
+    got, _ = _log_P(np.ones_like, u, tilts, m)
+    for lp, tilt in zip(got, tilts):
         want = log_L(tilt, phis)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        assert abs(lp - want) <= 1e-10 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("y", [2.0**-2, 2.0**-8])
@@ -1015,7 +1041,8 @@ def test_bergman_normalized_recovers_direct_kernel_on_the_axis(y):
 
 
 def _mollified_w_grid(X, v_max):
-    """The W-grid of _log_P on the mollified m = 2 model, with its ghat."""
+    """The W-grid of _log_P on the mollified m = 2 model, with its ghat: one
+    row for a float X and v_max, a row each for arrays."""
     f = mollify(model_domain(2), 0.1)
     g0 = float(f.g(0.0))
 
@@ -1027,37 +1054,58 @@ def _mollified_w_grid(X, v_max):
 
 @pytest.mark.parametrize("X, v_max", [(1.0, 56.0), (0.2, 600.0)])
 def test_w_grid_log_phi_matches_the_dense_sum(X, v_max):
-    wg, ghat = _mollified_w_grid(X, v_max)
-    # the dense sum over the grid's nodes c_p + h x_k with weights h w_k
-    nodes = (wg.c[:, None] + wg.h * XGK).ravel()
-    a = np.log(wg.h * np.tile(WGK, wg.c.size)) - ghat(X * nodes) * nodes**4
+    # both rows in one stacked grid, the first padded with empty panels
+    wg, ghat = _mollified_w_grid(np.array([1.0, 0.2]), np.array([56.0, 600.0]))
+    row = [1.0, 0.2].index(X)
+    # the dense sum over the row's nodes c_p + h x_k with weights h w_k
+    n_pan = np.count_nonzero(wg.A[row] > -np.inf)
+    c, h = wg.c[row, :n_pan], wg.h[row]
+    nodes = (c[:, None] + h * XGK).ravel()
+    a = np.log(h * np.tile(WGK, c.size)) - ghat(X * nodes) * nodes**4
     v = np.linspace(-v_max, v_max, 401)
     want = _logsumexp(a[None, :] + v[:, None] * nodes[None, :])
-    got = wg.log_phi(v)
+    got = wg.log_phi(v, np.full(v.size, row))
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
-    assert wg.n == nodes.size
+    # the row is the one-row grid's, and n counts real nodes, not padding
+    one, _ = _mollified_w_grid(X, v_max)
+    assert one.n == nodes.size and np.array_equal(one.c[0], c) and one.h[0] == h
+    n_pans = np.count_nonzero(wg.A > -np.inf, axis=1)
+    assert wg.n == 15 * n_pans.sum() and n_pans[0] < n_pans[1] == wg.c.shape[1]
 
 
 def test_w_grid_log_phi_is_finite_and_monotone_at_extreme_tilts():
-    # the profile grids of _log_P probe tilts up to ~1e12 on their ladders
-    wg, _ = _mollified_w_grid(1.0, 56.0)
+    # the profile grids of _log_P probe tilts up to ~1e12 on their ladders;
+    # row 0 is padded with empty panels to row 1's
+    wg, _ = _mollified_w_grid(np.array([1.0, 0.2]), np.array([56.0, 600.0]))
     ladder = 10.0 ** np.arange(0, 61)
     assert 1e12 in ladder and 1e60 in ladder
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for side in (1.0, -1.0):
-            lp = wg.log_phi(side * ladder)
-            assert np.all(np.isfinite(lp))
-            assert np.all(np.diff(lp) >= 0.0)
+        for row in (0, 1):
+            for side in (1.0, -1.0):
+                lp = wg.log_phi(side * ladder, np.full(ladder.size, row))
+                assert np.all(np.isfinite(lp))
+                assert np.all(np.diff(lp) >= 0.0)
 
 
 def test_w_grid_rows_do_not_see_each_other():
-    wg, _ = _mollified_w_grid(1.0, 56.0)
-    v = np.random.default_rng(5).uniform(-60.0, 60.0, 37)
-    rows = wg.log_phi(v)
-    singles = np.array([wg.log_phi(v[i : i + 1])[0] for i in range(v.size)])
+    # a stacked grid of two rows, the first padded: a tilt's value is the
+    # same read alone, among other tilts in any order, and on a grid of
+    # its row alone
+    X, v_max = np.array([1.0, 0.2]), np.array([56.0, 600.0])
+    wg, _ = _mollified_w_grid(X, v_max)
+    rng = np.random.default_rng(5)
+    v = rng.uniform(-60.0, 60.0, 37)
+    i = rng.integers(0, 2, v.size)
+    rows = wg.log_phi(v, i)
+    singles = np.array([wg.log_phi(v[j : j + 1], i[j : j + 1])[0] for j in range(v.size)])
     assert np.array_equal(rows, singles)
-    assert np.array_equal(wg.log_phi(v[:2]), rows[:2])
+    assert np.array_equal(wg.log_phi(v[:2], i[:2]), rows[:2])
+    assert np.array_equal(wg.log_phi(v[::-1], i[::-1]), rows[::-1])
+    for r in (0, 1):
+        one, _ = _mollified_w_grid(X[r], v_max[r])
+        on_r = i == r
+        assert np.array_equal(one.log_phi(v[on_r], np.zeros(on_r.sum(), dtype=int)), rows[on_r])
 
 
 def test_cheb_table_tail_bounds_its_error_and_no_point_repeats():
@@ -1151,25 +1199,24 @@ def test_log_P_table_matches_direct_log_P(x, y, t_lo, tol):
     def ghat(xhat):
         return f.g(g0 ** (-1.0 / m2) * np.asarray(xhat, dtype=float)) / g0
 
-    def log_P(t):
-        u = math.exp(t)
+    def log_P(ts):
+        u = np.exp(ts)
         return _log_P(ghat, u, g0 ** (1.0 / m2) * x * u, m)[0]
 
     t_hi = math.log(((_TRUNCATION_DEPTH + 13.0) / y) ** (1.0 / m2))
-    table, (tail,) = _cheb_table(
-        lambda ts: np.array([[log_P(t) for t in ts]]), t_lo, t_hi, tol
-    )
+    table, (tail,) = _cheb_table(lambda ts: log_P(ts)[None, :], t_lo, t_hi, tol)
     assert tail <= tol
+    # each point a call of its own, against the table of stacked calls
     for t in np.random.default_rng(11).uniform(t_lo, t_hi, 12):
         got = _cheb_read(table, t_lo, t_hi, np.array([t]))[0, 0]
-        assert abs(got - log_P(t)) <= 1e-11, t
+        assert abs(got - log_P(np.array([t]))[0]) <= 1e-11, t
 
 
 def test_bergman_normalized_tabulates_log_P(monkeypatch):
-    calls = [0]
+    calls = [0]  # u points
 
     def counted(*args):
-        calls[0] += 1
+        calls[0] += np.size(args[1])
         return _log_P(*args)
 
     monkeypatch.setattr(quadrature, "_log_P", counted)
@@ -1182,10 +1229,10 @@ def test_bergman_normalized_tabulates_log_P(monkeypatch):
 def test_bergman_normalized_stops_its_table_on_the_noise_plateau(monkeypatch):
     # log P's coefficients level off near 2e-13; at 1e-13 the table stops
     # there, as at 1e-12, and claims the plateau instead of running to 513
-    calls = [0]
+    calls = [0]  # u points
 
     def counted(*args):
-        calls[0] += 1
+        calls[0] += np.size(args[1])
         return _log_P(*args)
 
     monkeypatch.setattr(quadrature, "_log_P", counted)
@@ -1195,6 +1242,51 @@ def test_bergman_normalized_stops_its_table_on_the_noise_plateau(monkeypatch):
     assert calls[0] <= 257
     loose = bergman_normalized(f, p, QuadratureConfig(rel_tol=1e-12))
     assert abs(tight.value / loose.value - 1.0) <= tight.err_estimate
+
+
+@pytest.mark.parametrize("x", [0.0, 0.03])
+def test_log_P_on_an_array_of_u_equals_its_per_u_calls(x):
+    # one stacked call against one call per u: bit for bit on the axis,
+    # where every tilt is 0 and every row shares one geometry, the number
+    # of points evaluated included; off the axis, with zero, positive and
+    # negative tilts on rows of unequal widths, within 1e-14
+    _, ghat = _mollified_w_grid(1.0, 56.0)
+    g0 = float(mollify(model_domain(2), 0.1).g(0.0))
+    u = np.exp(np.linspace(-3.0, 2.8, 40))
+    tilt = g0**0.25 * x * u
+    tilt[1::3] *= -1.0
+    tilt[::4] = 0.0
+    got, n = _log_P(ghat, u, tilt, 2)
+    singles = [_log_P(ghat, u[j : j + 1], tilt[j : j + 1], 2) for j in range(u.size)]
+    want = np.array([lp[0] for lp, _ in singles])
+    assert n == sum(ne for _, ne in singles)
+    if x == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_bergman_normalized_reruns_are_identical():
+    f = mollify(model_domain(2), 0.1)
+    p = BoundaryRelativePoint(0.0, 2.0**-10)
+    cfg = QuadratureConfig(rel_tol=1e-10)
+    assert bergman_normalized(f, p, cfg) == bergman_normalized(f, p, cfg)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+def test_bergman_normalized_memory_stays_bounded(rel_tol):
+    # the table fills its levels in chunks of _U_CHUNK u, each one stacked
+    # W-grid and one profile grid whose phase sums run in blocks of
+    # _W_BLOCK terms: one call's peak allocation stays at 3 MB, where a
+    # chunk of a whole level of 128 u took 10.7 MB at 1e-12
+    f = mollify(model_domain(2), 0.1)
+    tracemalloc.start()
+    try:
+        bergman_normalized(f, BoundaryRelativePoint(0.0, 2.0**-10), QuadratureConfig(rel_tol))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_direct_pair_tabulates_log_G(monkeypatch):
