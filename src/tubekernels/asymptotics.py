@@ -19,7 +19,13 @@ from typing import Callable
 import numpy as np
 
 from .blowup import BlowupChart, _check_tau
-from .domain_model import DefiningFunction, DomainError, _check_order, _not_a_knot
+from .domain_model import (
+    DefiningFunction,
+    DomainError,
+    _check_order,
+    _int_pow,
+    _not_a_knot,
+)
 from .experiments import blowup_exponent
 from .quadrature import (
     ProfileGrid,
@@ -127,7 +133,7 @@ def log_phi(v, m: int):
         w_s = (np.abs(flat[far]) / m2) ** (1.0 / (m2 - 1))
         # an overflowing lambda (c - min c) is an exponent log_G floors anyway
         with np.errstate(over="ignore"):
-            lam = w_s**m2
+            lam = _int_pow(w_s, m2)
             lead = np.log(w_s) + (m2 - 1) * lam
             big = ~np.isfinite(lead)
             if big.any():
@@ -135,7 +141,7 @@ def log_phi(v, m: int):
                     f"log phi overflows at v = {float(flat[far][big.argmax()])!r}"
                 )
             grid = ProfileGrid(
-                lambda x, i: x**m2 - m2 * x + (m2 - 1), 1.0, lam.min(), lam.max()
+                lambda x, i: _int_pow(x, m2) - m2 * x + (m2 - 1), 1.0, lam.min(), lam.max()
             )
             out[far] = lead + grid.log_G(lam[None, :])[0]
     out = out.reshape(v.shape)
@@ -397,7 +403,7 @@ def model_profile_pair(
     phis = _phi_spline_for(m, t * s_hi)
 
     def rows(s):
-        base = -(s**m2) + log_L(t * s, phis)
+        base = -_int_pow(s, m2) + log_L(t * s, phis)
         with np.errstate(divide="ignore"):
             ls = np.log(s)
         return np.vstack([base + (2 * m2 + 1) * ls, base + (m2 + 1) * ls])

@@ -4,6 +4,15 @@ A domain here is the tube R^2 + i*omega_f with omega_f = {(x, y): y > f(x)}
 and f(x) = x^(2m) g(x), g(0) > 0.  The origin is a weakly pseudoconvex
 boundary point of type 2m; everything downstream (kernels, blow-up charts,
 asymptotics) consumes a :class:`DefiningFunction` built here.
+
+Array integer powers are products, through ``_int_pow``: every phase the
+evaluators sum reads x^(2m) on both sides of a peak, and numpy 2.4's
+``power`` computes x**n (n >= 3) on an array with negative entries by
+scalar libm ``pow``, about 60 ns a point on a 2-core x86-64 VM, against
+3 ns on positive entries and 0.8 ns for ``np.square(np.square(x))``
+(1,600 points).  Squaring first makes even powers exactly even and odd
+ones exactly odd, so mirrored reads agree bit for bit.  Powers of Python
+floats stay ``**``.
 """
 
 from __future__ import annotations
@@ -30,6 +39,38 @@ __all__ = [
 class DomainError(ValueError):
     """Input outside the represented class: bad parameters, exterior points,
     or a requested construction that cannot satisfy its own constraints."""
+
+
+def _int_pow(x, n: int) -> np.ndarray:
+    """x**n elementwise for an integer n >= 0, as a product of squares.
+
+    The bits of n are read from the lowest: a set bit multiplies the
+    current square into the product, and the square is squared.  So x^n is
+    (x^2)^(n/2) for even n and x (x^2)^((n-1)/2) for odd n: even powers are
+    even and odd powers odd bit for bit, -0.0 included.  n = 0
+    gives ones (NaN too) and inf and NaN propagate as under ``pow``.  Only
+    powers x^(2^k) <= x^n in magnitude are formed, so a product overflows
+    or underflows only where x^n does.  A product of n factors in any order
+    is within gamma_(n-1) = (n - 1) u / (1 - (n - 1) u) relative of x^n,
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Lemma 3.1): at most 3.2e-15 from ``np.power`` at n = 34 on 400,000
+    random points, 1.6e-15 at n = 16.
+    """
+    x = np.asarray(x, dtype=float)
+    if n < 2:
+        return np.ones_like(x) if n == 0 else x.copy()
+    # one new array for n = 2..5: later squares and products are in place
+    odd = x if n & 1 else None
+    sq = x * x
+    n >>= 1
+    while n > 1:
+        if n & 1:
+            odd = sq.copy() if odd is None else odd * sq
+        sq *= sq
+        n >>= 1
+    if odd is not None:
+        sq *= odd
+    return sq
 
 
 def _check_order(m) -> None:
@@ -170,7 +211,7 @@ class DefiningFunction:
         # structural consistency f = x^(2m) g on a moderate window
         mid = np.abs(xs) <= 3.0
         lhs = f[mid]
-        rhs = xs[mid] ** (2 * self.m) * g[mid]
+        rhs = _int_pow(xs[mid], 2 * self.m) * g[mid]
         if not np.allclose(lhs, rhs, rtol=1e-6, atol=1e-12):
             raise DomainError("f and x^(2m) g(x) disagree on the sample grid")
 
@@ -226,13 +267,15 @@ def _f_from_g(m: int, g: Callable, gp: Callable, gpp: Callable):
     n = 2 * int(m)
 
     def fv(x):
-        return x**n * g(x)
+        return _int_pow(x, n) * g(x)
 
     def fpv(x):
-        return x ** (n - 1) * (n * g(x) + x * gp(x))
+        return _int_pow(x, n - 1) * (n * g(x) + x * gp(x))
 
     def fppv(x):
-        return x ** (n - 2) * (n * (n - 1) * g(x) + 2.0 * n * x * gp(x) + x * x * gpp(x))
+        return _int_pow(x, n - 2) * (
+            n * (n - 1) * g(x) + 2.0 * n * x * gp(x) + x * x * gpp(x)
+        )
 
     return fv, fpv, fppv
 
@@ -292,8 +335,8 @@ def _g_from_f(m: int, fv: Callable, fpv: Callable, core: float, g_core: Callable
     read inf / inf)."""
     n = 2 * int(m)
     return (
-        _on_abs(core, g_core, lambda s: fv(s) / s**n, math.inf, 0.0),
-        _on_abs(core, gp_core, lambda s: (s * fpv(s) - n * fv(s)) / s ** (n + 1),
+        _on_abs(core, g_core, lambda s: fv(s) / _int_pow(s, n), math.inf, 0.0),
+        _on_abs(core, gp_core, lambda s: (s * fpv(s) - n * fv(s)) / _int_pow(s, n + 1),
                 math.inf, 0.0, odd=True),
     )
 
@@ -465,9 +508,9 @@ def model_domain(m: int, g0: float = 1.0) -> DefiningFunction:
     n = 2 * int(m)
     return DefiningFunction(
         m,
-        lambda x: g0 * x**n,
-        lambda x: n * g0 * x ** (n - 1),
-        lambda x: n * (n - 1) * g0 * x ** (n - 2),
+        lambda x: g0 * _int_pow(x, n),
+        lambda x: n * g0 * _int_pow(x, n - 1),
+        lambda x: n * (n - 1) * g0 * _int_pow(x, n - 2),
         lambda x: np.full_like(x, g0),
         lambda x: np.zeros_like(x),
         label=f"model(m={int(m)},g0={g0:g})",
@@ -491,7 +534,7 @@ def rational_domain(m: int) -> DefiningFunction:
         return -2.0 * x / (1.0 + x * x) ** 2
 
     def gpp(x):
-        return (6.0 * x * x - 2.0) / (1.0 + x * x) ** 3
+        return (6.0 * x * x - 2.0) / _int_pow(1.0 + x * x, 3)
 
     fv, fpv, fppv = _f_from_g(m, g, gp, gpp)
     # f tends to x^(2m-2), so f'' to 2 at m = 2 and to inf above
@@ -527,11 +570,11 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
     grid = np.linspace(0.0, x_sat, 4001)
 
     def fp_half(x):
-        return s * np.tanh(n * x ** (n - 1) / s)
+        return s * np.tanh(n * _int_pow(x, n - 1) / s)
 
     def fpp_half(x):
-        t = np.tanh(n * x ** (n - 1) / s)
-        return (1.0 - t * t) * n * (n - 1) * x ** (n - 2)
+        t = np.tanh(n * _int_pow(x, n - 1) / s)
+        return (1.0 - t * t) * n * (n - 1) * _int_pow(x, n - 2)
 
     F = _hermite(grid, fp_half(grid), fpp_half(grid)).antiderivative()
 
@@ -545,7 +588,7 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
         out = np.empty_like(ax)
         small = ax < x_series
         xs = ax[small]
-        out[small] = xs**n * (1.0 - c_series * xs ** (2 * n - 2))
+        out[small] = _int_pow(xs, n) * (1.0 - c_series * _int_pow(xs, 2 * n - 2))
         xb = ax[~small]
         inner = np.minimum(xb, x_sat)
         out[~small] = F(inner) + s * np.maximum(xb - x_sat, 0.0)
@@ -564,8 +607,8 @@ def blended_linear_domain(m: int, slope: float = 1.0) -> DefiningFunction:
         fppv,
         *_g_from_f(
             m, fv, fpv, x_series,
-            lambda x: 1.0 - c_series * np.abs(x) ** (2 * n - 2),
-            lambda x: -(2 * n - 2) * c_series * np.abs(x) ** (2 * n - 3) * np.sign(x),
+            lambda x: 1.0 - c_series * _int_pow(x, 2 * n - 2),
+            lambda x: -(2 * n - 2) * c_series * _int_pow(x, 2 * n - 3),
         ),
         label=f"blended-linear(m={int(m)},slope={s:g})",
         tail_slopes=(s, s),

@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError
+from .domain_model import BoundaryRelativePoint, DefiningFunction, DomainError, _int_pow
 
 __all__ = [
     "QuadratureError",
@@ -729,11 +729,11 @@ def compute_D(
 # zetas per chunk of direct_pair's inner layer, sized by speed: a chunk's
 # fixed cost (one grid build, one table pass, one inner engine call) sets
 # the pace, while log_G bounds its own terms.  Median fixed_tau_paths pass,
-# scaled, on a 2-core x86-64 VM: 3.73 s at 6 and 3.30 s at 16 (seeds
-# 11-14), 2.81 s at 40 (seeds 15-20), and 2.92 s at 24, 2.87 s at 32 and
-# 2.69 s at 48 (seeds 11-20).  The traced peak of the larger of
-# test_direct_pair_memory_stays_bounded's two calls is 1.32 MB at 6,
-# 1.86 MB at 32, 2.47 MB at 48, 2.88 MB at 56 and 3.29 MB at 64 (bound 3 MB)
+# scaled, on a 2-core x86-64 VM (seeds 11-20): 0.363 s at 16, 0.323 s at
+# 24, 0.304 s at 32, 0.277 s at 40, 0.286 s at 48 and 0.282 s at 64.  The
+# traced peak of the larger of test_direct_pair_memory_stays_bounded's two
+# calls is 1.32 MB at 6, 1.79 MB at 32, 2.49 MB at 48, 2.83 MB at 56 and
+# 3.03 MB at 64 (bound 3 MB)
 _ZETA_CHUNK = 48
 
 
@@ -986,15 +986,16 @@ _W_DROP = 45.0
 # 15) at a build, and the tilts x panels of log_phi's panel sums, so that
 # neither grows with the rows of a chunk or the points of a call.  With
 # chunks of 32 u, bergman_normalized on the mollified m = 2 model at
-# (0, 2^-10), rel_tol 1e-10 took 75 ms at 2^13, 63 ms at 2^14 and 64 ms
-# at 2^15 and 2^16 (medians of 7 calls on a 2-core x86-64 VM), with
-# tracemalloc peaks of 1.7, 2.0, 3.1 and 4.5 MB at rel_tol 1e-12
+# (0, 2^-10), rel_tol 1e-10 took 62 ms at 2^13, 57 ms at 2^14, 56 ms at
+# 2^15 and 59 ms at 2^16 (medians over 8 rounds of the median of 7 calls
+# on a 2-core x86-64 VM), with tracemalloc peaks of 1.5, 1.9, 3.2 and
+# 4.7 MB at rel_tol 1e-12
 _W_BLOCK = 2**14
 
 # u per chunk of bergman_normalized's log P table fill: one stacked _WGrid,
 # one ProfileGrid build and one log_G call a chunk.  At the point above
-# (blocks of 2^14), 16 u took 74 ms, 24 64 ms, 32 63 ms and 64 62 ms, with
-# peaks at rel_tol 1e-12 of 1.5, 1.8, 2.0 and 3.3 MB: from 32 up a chunk
+# (blocks of 2^14), 16 u took 60 ms, 24 58 ms, 32 57 ms and 64 57 ms, with
+# peaks at rel_tol 1e-12 of 1.6, 1.8, 1.9 and 3.0 MB: from 32 up a chunk
 # holds all of a 1e-10 table's first three levels (17, 16 and 32 u)
 _U_CHUNK = 32
 
@@ -1068,7 +1069,8 @@ class _WGrid:
         for i in range(0, k, step):
             r = slice(i, i + step)
             nodes = self.c[r, :, None] + self.h[r, None, None] * XGK
-            q = ghat((X[r, None, None] * nodes).ravel()).reshape(nodes.shape) * nodes**m2
+            q = _int_pow(nodes, m2)
+            q *= ghat((X[r, None, None] * nodes).ravel()).reshape(nodes.shape)
             a = np.log(self.h[r, None, None] * WGK) - q
             A = a.max(axis=2)
             self.E[r] = np.exp(np.maximum(a - A[..., None], -700.0))

@@ -27,6 +27,7 @@ from tubekernels.asymptotics import log_phi
 from tubekernels.domain_model import (
     _bump,
     _hermite,
+    _int_pow,
     _not_a_knot,
     _not_a_knot_area,
     _smooth_step,
@@ -356,10 +357,9 @@ def _blended_breaks(m, slope):
     ids=["mollify", "damp_tails", "damp|mollify", "blended-linear"],
 )
 def test_constructed_domains_are_exactly_even_and_nan_stays_nan(make, breaks):
-    # every piece is read at |x| and signed where odd, so each accessor has
-    # its parity exactly on both sides of every breakpoint.  A mollified f
-    # and f' are x^(2m) g~ and x^(2m-1) (...) through numpy's power, whose
-    # value at -x can differ from the one at x in the last two bits
+    # every piece is read at |x| and signed where odd, and integer powers
+    # are products of squares, so each accessor has its parity exactly on
+    # both sides of every breakpoint
     f = make()
     assert f.is_even
     b = np.array(breaks)
@@ -370,10 +370,7 @@ def test_constructed_domains_are_exactly_even_and_nan_stays_nan(make, breaks):
     for name, sign in (("f", 1.0), ("fprime", -1.0), ("fsecond", 1.0), ("g", 1.0), ("gprime", -1.0)):
         acc = getattr(f, name)
         left, right = acc(-x), sign * acc(x)
-        if f.is_mollified and name in ("f", "fprime"):
-            assert np.all(np.abs(left - right) <= 2.0 * np.spacing(np.abs(right))), name
-        else:
-            assert np.all(left == right), name
+        assert np.all(left == right), name
         assert math.isnan(acc(math.nan)), name
 
 
@@ -436,18 +433,66 @@ def test_superlinear_accessors_read_their_limits_at_infinity(make, fpp_limit):
     )
 
 
+@pytest.mark.parametrize("n", range(35))
+def test_int_pow_is_numpy_power_to_a_product_s_rounding(n):
+    # signed values, +-0, tiny and subnormal values, values near overflow
+    # (1e77^4 is finite, 1e77^5 is not), +-inf and NaN: the same inf, zero,
+    # NaN and sign pattern as np.power, and elsewhere within gamma_(n-1) of
+    # a product of n factors plus np.power's own last bit
+    rng = np.random.default_rng(39)
+    tiny = [1e-300, 5e-324, 1e-20, 1e-160, 0.9, 1.0, 1.1]
+    big = [1e77, 1e300, math.inf]
+    x = np.concatenate(
+        [rng.standard_normal(400) * 4.0, [0.0, -0.0, math.nan], tiny, big, np.negative(tiny + big)]
+    )
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = _int_pow(x, n), np.power(x, n)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    special = ~np.isfinite(want) | (want == 0.0) | ~np.isfinite(got) | (got == 0.0)
+    assert np.array_equal(got[special], want[special], equal_nan=True)
+    normal = ~special & (np.abs(want) >= np.finfo(float).tiny)
+    u = 2.0**-53
+    bound = (n - 1) * u / (1.0 - (n - 1) * u) + 2.0 * u if n > 1 else 0.0
+    rel = np.abs(got[normal] - want[normal]) / np.abs(want[normal])
+    assert rel.max(initial=0.0) <= bound, (rel.max(), bound)
+    # below the smallest normal both are rounded products of subnormals
+    sub = ~special & ~normal
+    assert np.all(np.abs(got[sub] - want[sub]) <= 2.0 * 5e-324)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda m=m: model_domain(m, 1.7) for m in range(1, 9)]
+    + [lambda: rational_domain(2), lambda: rational_domain(3), lambda: blended_linear_domain(1),
+       lambda: mollify(model_domain(2), 0.1)],
+    ids=[f"model-m{m}" for m in range(1, 9)] + ["rational-m2", "rational-m3", "blended-m1", "mollified-m2"],
+)
+def test_accessors_keep_their_parity_bit_for_bit(make):
+    # _int_pow squares first, so x^(2m) g, x^(2m-1) (...) and x^(2m-2) (...)
+    # read at -x are the reads at x, negated where odd, in every bit
+    f = make()
+    rng = np.random.default_rng(7)
+    x = np.concatenate([np.geomspace(1e-9, 30.0, 600), rng.uniform(0.0, 3.0, 400)])
+    for name, sign in (("f", 1.0), ("fprime", -1.0), ("fsecond", 1.0)):
+        acc = getattr(f, name)
+        left, right = acc(-x), sign * acc(x)
+        assert np.array_equal(left.view(np.int64), right.view(np.int64)), name
+
+
 def test_rational_domain_keeps_its_closed_forms_at_finite_points():
     # the limits at +-inf leave every finite value of the closed forms
-    # (x^4 / (1 + x^2) and its derivatives at m = 2) bit for bit
+    # (x^4 / (1 + x^2) and its derivatives at m = 2) bit for bit; their
+    # powers are the products of squares ``_int_pow`` forms
     f = rational_domain(2)
     x = np.concatenate([-np.geomspace(1e-8, 1e8, 200), [0.0], np.geomspace(1e-8, 1e8, 200)])
-    g = 1.0 / (1.0 + x * x)
-    gp = -2.0 * x / (1.0 + x * x) ** 2
-    gpp = (6.0 * x * x - 2.0) / (1.0 + x * x) ** 3
+    x2, q = x * x, 1.0 + x * x
+    g = 1.0 / q
+    gp = -2.0 * x / q**2
+    gpp = (6.0 * x * x - 2.0) / ((q * q) * q)
     assert np.array_equal(f.g(x), g) and np.array_equal(f.gprime(x), gp)
-    assert np.array_equal(f.f(x), x**4 * g)
-    assert np.array_equal(f.fprime(x), x**3 * (4 * g + x * gp))
-    assert np.array_equal(f.fsecond(x), x**2 * (12 * g + 8.0 * x * gp + x * x * gpp))
+    assert np.array_equal(f.f(x), (x2 * x2) * g)
+    assert np.array_equal(f.fprime(x), (x2 * x) * (4 * g + x * gp))
+    assert np.array_equal(f.fsecond(x), x2 * (12 * g + 8.0 * x * gp + x * x * gpp))
 
 
 def _asymmetric_table():

@@ -1405,26 +1405,28 @@ def test_direct_pair_work_shrinks_with_the_tolerance():
 # err_estimate) pairs and evaluations at (0, 2^-10) on the full outer line,
 # as the Kronrod rule at every tolerance gave them; recorded again when the
 # peak search took its Newton path, which moved log K by 3.6e-15 at most,
-# err_estimate by 1.1e-5 relative at most and evaluations not at all
+# err_estimate by 1.1e-5 relative at most and evaluations not at all, and
+# again when integer powers became products of squares (``_int_pow``),
+# which moved err_estimate by 6.4e-6 relative at most and nothing else
 _TIGHT_PAIRS = {
     (1e-8, "model-m2"): (
-        (13.500617212407922, 5.9369651164251055e-09),
-        (6.163680297974352, 4.5698884973245056e-09),
+        (13.500617212407922, 5.936964643584837e-09),
+        (6.163680297974352, 4.569888378973113e-09),
         198120,
     ),
     (1e-10, "model-m2"): (
-        (13.500617212407958, 4.9438807081531996e-11),
-        (6.163680298688833, 4.2808062167051294e-11),
+        (13.500617212407958, 4.9438874085226256e-11),
+        (6.163680298688833, 4.280833522353542e-11),
         348690,
     ),
     (1e-8, "mollified-m2"): (
-        (13.494524824179704, 5.930704095876171e-09),
-        (6.153159396173704, 4.767639293631851e-09),
+        (13.494524824179704, 5.9307041276975045e-09),
+        (6.153159396173704, 4.767639627718843e-09),
         198210,
     ),
     (1e-10, "mollified-m2"): (
-        (13.494524824056926, 9.476199154529134e-11),
-        (6.153159396742131, 1.1575839947353481e-10),
+        (13.494524824056926, 9.476250517821787e-11),
+        (6.153159396742131, 1.1575866287235354e-10),
         491010,
     ),
 }
