@@ -74,8 +74,9 @@ class _GlueLayer(NamedTuple):
         return np.clip((u - self.start) / self.width, 0.0, 1.0)
 
     def t_of_rise(self, rise):
-        """The t at which 0.5 t + area(t) = rise, elementwise."""
-        return _bracket_root(lambda t: 0.5 * t + self.area(t), rise, 0.0, 1.0)
+        """The t at which 0.5 t + area(t) = rise, elementwise (Newton steps)."""
+        return _bracket_root(lambda t: 0.5 * t + self.area(t), rise, 0.0, 1.0,
+                             lambda t: 0.5 + self.slope(t))
 
 
 # a glue layer's unit nodes t, its smooth ramp in t, and the weights whose dot

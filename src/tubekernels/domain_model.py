@@ -297,30 +297,22 @@ def _at_infinity(fn: Callable, neg: float, pos: float) -> Callable:
     return limited
 
 
-def _on_abs(lo: float, core, mid: Callable, hi: float | None = None, tail=None,
-            odd: bool = False) -> Callable:
+def _on_abs(lo: float, core, mid: Callable, hi: float, tail, odd: bool = False) -> Callable:
     """The accessor x -> core(x) on |x| <= lo, mid(|x|) on lo < |x| < hi and
-    tail(|x|) on |x| >= hi; NaN goes to mid, and without ``hi`` mid takes
-    all of |x| > lo.  ``core`` and ``tail`` may be constants, written with
-    no gather of |x|.  Where ``odd`` is set, sign(x) multiplies mid and the
-    tail after their read, but a zero tail stays +0.0 on both sides."""
+    tail(|x|) on |x| >= hi; NaN goes to mid.  ``core`` and ``tail`` may be
+    constants, written with no gather of |x|.  Where ``odd`` is set, sign(x)
+    multiplies mid and the tail after their read, but a zero tail stays +0.0
+    on both sides."""
 
     def fn(x):
         s = np.abs(x)
         out = np.empty_like(s)
         a = s <= lo
         out[a] = core(x[a]) if callable(core) else core
-        if hi is None:
-            b = ~a
-        else:
-            c = s >= hi
-            b = ~(a | c)
-            if callable(tail):
-                out[c] = tail(s[c]) * np.sign(x[c]) if odd else tail(s[c])
-            elif odd and tail != 0.0:
-                out[c] = tail * np.sign(x[c])
-            else:
-                out[c] = tail
+        c = s >= hi
+        b = ~(a | c)
+        t = tail(s[c]) if callable(tail) else tail
+        out[c] = t * np.sign(x[c]) if odd and (callable(tail) or tail != 0.0) else t
         out[b] = mid(s[b]) * np.sign(x[b]) if odd else mid(s[b])
         return out
 

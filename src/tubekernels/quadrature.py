@@ -12,11 +12,11 @@ which is what makes the double and triple integrals tractable.  D, the
 kernel pair's E, L and P are one tilted-Laplace integral int exp(-(L(v) -
 t v)) dv of a convex L, taken one way: the peak L'(v) = t is a root of
 the package's one root search, ``_bracket_root``, by safeguarded Newton
-steps on the local power law of L' where L'' is exact (``_tilted_peak``,
+steps on the local power law of L' with the exact L'' (``_tilted_peak``
 for f of a domain and log phi's spline, from a start on the phase's own
-power law) and by bisection where it is not (``_log_P``), ``_tilted``
-(in ``_log_P``, its W-grid rows' own copy) moves the phase's minimum to 0,
-and ``ProfileGrid.log_G`` sums it.  A
+power law; ``_log_P`` on each W-grid row's own L' and L''), ``_tilted``
+(in ``_log_P``, read by row) moves the phase's minimum to 0, and
+``ProfileGrid.log_G`` sums it.  A
 ``ProfileGrid`` build serves k phases c_fn(xi, i), k = 1 included, as
 rows (k, nodes), each step one call of the phase on all rows, so a caller
 with many phases builds their grids together: ``direct_pair`` per chunk
@@ -536,7 +536,7 @@ class ProfileGrid:
 # every search reaches what 100 widenings from [-1, 1] reach, 2^101 - 1
 _PEAK_REACH = 2.0**100
 
-# the Newton step's stop, a step of at most this much of the point
+# the Newton step's stop: a step of at most this times (1 + |x|)
 _NEWTON_TOL = 1e-14
 
 
@@ -553,9 +553,10 @@ def _bracket_root(g: Callable, target, a, b, dg: Callable | None = None):
     ed., 9.4), taken only inside [lo, hi] and within +-``_PEAK_REACH``; a
     point where g = target is its own step.  Otherwise the point bisects a
     closed bracket, or widens an open one past its read end by a step that
-    doubles, b - a at first (1 where a = b).  An element is done at a step
-    of at most ``_NEWTON_TOL`` of the point, or at a bracket at most 1e-14
-    (1 + |lo| + |hi|) wide, which gives its midpoint.  The first read is a,
+    doubles, b - a at first (1 where a = b).  An element is done at a
+    Newton step of at most ``_NEWTON_TOL`` (1 + |x|), or at a bracket at
+    most 1e-14 (1 + |lo| + |hi|) wide, which gives its midpoint: one floor,
+    so a slope's rounding near x = 0 ends a search.  The first read is a,
     then b where a < b and g(a) <= target; a or b past the reach, or NaN,
     starts from [-1, 1].  QuadratureError after 100 widenings of an element
     or 300 rounds.  ``g`` and ``dg`` map points to values and see the open
@@ -591,7 +592,7 @@ def _bracket_root(g: Callable, target, a, b, dg: Callable | None = None):
                 p = xi * dg(xi) / gi
                 q = ti / gi
                 new = xi * np.sign(q) * np.abs(q) ** (1.0 / p)
-                small = np.abs(new - xi) <= _NEWTON_TOL * np.abs(new)
+                small = np.abs(new - xi) <= _NEWTON_TOL * (1.0 + np.abs(new))
             ok = (p > 0) & (new >= a) & (new <= b) & (np.abs(new) < _PEAK_REACH)
             hit = gi == ti
             done = hit | (ok & small)
@@ -729,12 +730,11 @@ def compute_D(
 # zetas per chunk of direct_pair's inner layer, sized by speed: a chunk's
 # fixed cost (one grid build, one table pass, one inner engine call) sets
 # the pace, while log_G bounds its own terms.  Median fixed_tau_paths pass,
-# scaled, on a 2-core x86-64 VM (seeds 11-20): 0.363 s at 16, 0.323 s at
-# 24, 0.304 s at 32, 0.277 s at 40, 0.286 s at 48 and 0.282 s at 64.  The
-# traced peak of the larger of test_direct_pair_memory_stays_bounded's two
-# calls is 1.32 MB at 6, 1.79 MB at 32, 2.49 MB at 48, 2.83 MB at 56 and
-# 3.03 MB at 64 (bound 3 MB)
-_ZETA_CHUNK = 48
+# scaled, on a 2-core x86-64 VM (seeds 11-20): 0.363 s at 16, 0.304 s at
+# 32, 0.277 s at 40, 0.286 s at 48 and 0.282 s at 64.  The traced peak of
+# the larger of test_direct_pair_memory_stays_bounded's calls: 1.79 MB at
+# 32, 2.18 MB at 40, 2.49 MB at 48 and 3.03 MB at 64 (bound 3 MB)
+_ZETA_CHUNK = 40
 
 
 # the smallest rel_tol at which direct_pair's inner grids take _GAUSS_RULE:
@@ -1047,7 +1047,8 @@ class _WGrid:
     A build evaluates ghat in blocks of rows of at most ``_W_BLOCK``
     points, and ``log_phi`` sums in blocks of at most ``_W_BLOCK`` tilts x
     panels, so a grid of k rows holds its (k, n_pan, 15) E and blocks of
-    bounded size.  ``X`` and ``v_max`` are arrays (k,) or floats (k = 1);
+    bounded size; ``slope`` reads a row's exact L' and L'' off the same
+    nodes, A and E.  ``X`` and ``v_max`` are arrays (k,) or floats (k = 1);
     ``n`` is the number of real nodes over all rows.
     """
 
@@ -1117,6 +1118,18 @@ class _WGrid:
         tilt = np.exp(vh[..., None] * XGK - reach[..., None])
         inner = np.einsum("rpk,rvk->rvp", self.E[r], tilt)
         return top + reach + np.log(np.einsum("rvp,rvp->rv", np.exp(panel - top[..., None]), inner))
+
+    def slope(self, v, j) -> tuple[np.ndarray, np.ndarray]:
+        """Row j's exact L' and L'' at the tilts v (n,): the mean and variance of
+        w under its node weights E[p, k] e^(A_p + v w), scaled as in ``log_phi``."""
+        v = np.asarray(v, dtype=float)[:, None, None]
+        w, vh = self.c[j, :, None] + self.h[j] * XGK, v * self.h[j]
+        panel = self.A[j, :, None] + v * self.c[j, :, None]
+        p = np.exp(panel - panel.max(axis=1, keepdims=True) + vh * XGK - np.abs(vh) * XGK[-1])
+        p *= self.E[j]
+        p /= p.sum(axis=(1, 2), keepdims=True)
+        mean = np.einsum("npk,pk->n", p, w)
+        return mean, np.einsum("npk,npk->n", p, np.square(w - mean[:, None, None]))
 
 
 def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -1266,23 +1279,17 @@ def _log_P(ghat, u: np.ndarray, tilt: np.ndarray, m: int) -> tuple[np.ndarray, i
     """log P(x, u) = log int exp(tilt * v) / phi(v, 1/u) dv at the u and
     tilts (k,): L = log phi tilted by ``tilt``, and the number of points
     evaluated.  One stacked ``_WGrid`` holds every u's L as a row, sized
-    by its own tilt; a tilted row's peak is found on its own row's central
-    difference of L (at 0 for a zero tilt, so on the axis no search runs),
-    one ``log_phi`` call reads every row's A, and one ``ProfileGrid``
-    build and one ``log_G`` call sum all the rows' tilted phases."""
+    by its own tilt; a tilted row's peak takes Newton steps on its row's
+    ``_WGrid.slope`` (0 for a zero tilt: on the axis no search runs), one
+    ``log_phi`` call reads every row's A, and one ``ProfileGrid`` build
+    and one ``log_G`` call sum all the rows' tilted phases."""
     u, tilt = np.asarray(u, dtype=float), np.asarray(tilt, dtype=float)
     wg = _WGrid(ghat, 1.0 / u, [_tilt_reach(t, m) for t in tilt.tolist()], 2 * m)
-    rows = np.arange(u.size)
     v_star = np.zeros(u.size)
     for j in np.flatnonzero(tilt):
-
-        def slope(v):
-            # both sides in one call: log_phi's values do not see each other
-            lp = wg.log_phi(np.concatenate([v + 1e-5, v - 1e-5]), np.full(2 * v.size, j))
-            return (lp[: v.size] - lp[v.size :]) / 2e-5
-
-        v_star[j] = _bracket_root(slope, tilt[j], -1.0, 1.0)
-    A = wg.log_phi(v_star, rows) - tilt * v_star
+        v_star[j] = _bracket_root(lambda v: wg.slope(v, j)[0], tilt[j], -1.0, 1.0,
+                                  lambda v: wg.slope(v, j)[1])
+    A = wg.log_phi(v_star, np.arange(u.size)) - tilt * v_star
     pg = ProfileGrid(lambda v, i: wg.log_phi(v, i) - tilt[i] * v - A[i], v_star, 1.0, 1.0)
     return pg.log_G(np.ones((u.size, 1)))[:, 0] - A, wg.n + pg.n_evals
 
@@ -1315,15 +1322,14 @@ def bergman_normalized(
     u.  Each level's new u go to ``_log_P`` in chunks of at most
     ``_U_CHUNK``: one stacked ``_WGrid`` of a row per u, one ``ProfileGrid``
     build of the chunk's tilted phases and one ``log_G`` call, with phi
-    read at every tilt the root searches and the grid ask for through the
-    W-grid's factored sum, n_pan + 15 exps a tilt, which takes most of the
-    table's time.  A row's value depends on its own u and tilt alone, so
-    the table is the one of a ``_log_P`` call per u: bit for bit on the
-    axis, where every tilt is 0 and every row has one geometry.  The
-    chunks and ``_WGrid``'s blocks of ``_W_BLOCK`` terms bound a call's
-    memory: a ``tracemalloc`` peak near 2 MB on the mollified m = 2 model
-    at (0, 2^-10), rel_tol 1e-10 and 1e-12.  The adaptive u-integral then
-    reads the table.
+    read at every tilt the grid asks for through the W-grid's factored
+    sum, n_pan + 15 exps a tilt, which takes most of the table's time.  A
+    row's value depends on its own u and tilt alone, so the table is the
+    one of a ``_log_P`` call per u: bit for bit on the axis, where every
+    tilt is 0 and every row has one geometry.  The chunks and ``_WGrid``'s
+    blocks of ``_W_BLOCK`` terms bound a call's memory: a ``tracemalloc``
+    peak near 2 MB on the mollified m = 2 model at (0, 2^-10), rel_tol
+    1e-10 and 1e-12.  The adaptive u-integral then reads the table.
     ``err_estimate`` is the integral's relative error, plus 0.5 rel_tol for
     the truncation, plus the table's tail (an absolute error of log P is a
     relative error of Kbar); ``evaluations`` counts the W-grid and profile

@@ -1108,6 +1108,20 @@ def test_w_grid_rows_do_not_see_each_other():
         assert np.array_equal(one.log_phi(v[on_r], np.zeros(on_r.sum(), dtype=int)), rows[on_r])
 
 
+def test_w_grid_slope_is_the_derivative_of_log_phi():
+    # the exact L' and L'' of each row against central differences of its
+    # log phi, step 1e-3: a truncation error near 1.5e-8 (L') and 3.5e-8
+    # (L'') relative, with rounding of 4 eps |L| / h^2 = 8e-8 at |L| = 89
+    wg, _ = _mollified_w_grid(np.array([1.0, 0.2]), np.array([56.0, 600.0]))
+    v, h = np.linspace(-50.0, 50.0, 201), 1e-3
+    for row in (0, 1):
+        d1, d2 = wg.slope(v, row)
+        lm, l0, lp = (wg.log_phi(v + k * h, np.full(v.size, row)) for k in (-1, 0, 1))
+        assert np.all(np.abs(d1 - (lp - lm) / (2 * h)) <= 1e-6 * np.maximum(1.0, np.abs(d1)))
+        assert np.all(np.abs(d2 - (lp - 2 * l0 + lm) / h**2) <= 1e-6 * np.maximum(1.0, d2))
+        assert np.all(d2 > 0.0)
+
+
 def test_cheb_table_tail_bounds_its_error_and_no_point_repeats():
     seen = []
 
@@ -1264,6 +1278,50 @@ def test_log_P_on_an_array_of_u_equals_its_per_u_calls(x):
         assert np.array_equal(got, want)
     else:
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_log_P_finds_each_tilted_peak_in_a_few_slope_reads(monkeypatch):
+    # Newton steps on each row's exact slope: about 5 reads a tilted row,
+    # where bisecting a central difference from [-1, 1] took about 50
+    reads = []
+
+    def counted(g, *args):
+        n = [0]
+
+        def g_counted(v):
+            n[0] += 1
+            return g(v)
+
+        out = _bracket_root(g_counted, *args)
+        reads.append(n[0])
+        return out
+
+    monkeypatch.setattr(quadrature, "_bracket_root", counted)
+    _, ghat = _mollified_w_grid(1.0, 56.0)
+    g0 = float(mollify(model_domain(2), 0.1).g(0.0))
+    u = np.exp(np.linspace(-12.0, 3.5, 33))
+    for x in (0.01, 0.03, 0.1):
+        reads.clear()
+        lp, _ = _log_P(ghat, u, g0**0.25 * x * u, 2)
+        assert len(reads) == u.size and np.all(np.isfinite(lp))
+        assert np.mean(reads) <= 8.0 and max(reads) <= 20, (x, reads)
+
+
+@pytest.mark.parametrize(
+    "x, y, log_value, evaluations",
+    [
+        (0.03, 0.25, -0.4124053211445289, 131535),
+        (0.03, 0.9, -3.745046202206103, 66669),
+        (0.05, 2.0**-6, 6.600746165192275, 135435),
+    ],
+)
+def test_bergman_normalized_off_the_axis_keeps_its_values(x, y, log_value, evaluations):
+    # the values of the central-difference peak search this replaced, at
+    # the rounding of the peaks: the same points evaluated, log K to 1e-15
+    f = mollify(model_domain(2), 0.1)
+    kv = bergman_normalized(f, BoundaryRelativePoint(x, y), QuadratureConfig(1e-10))
+    assert kv.evaluations == evaluations
+    assert abs(kv.log_value - log_value) <= 1e-15 * abs(log_value)
 
 
 def test_bergman_normalized_reruns_are_identical():
