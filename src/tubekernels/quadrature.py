@@ -501,34 +501,39 @@ class ProfileGrid:
         """log G at the frequencies ``eta`` (k, n), row i on grid i: (k, n).
 
         Exponents -eta (c - min c) are <= 0, so nothing overflows, and the
-        minimum node keeps every sum positive; numpy's sum, not BLAS, so
-        reruns are bit-identical whatever the BLAS threads.  Exponents are
-        floored at -700: exp takes a slow path where its result underflows,
-        and a term e^-700 w is below 1e-300 of its weight, under the
-        round-off of any sum whose weights span less than 1e280.
+        minimum node keeps every sum positive.  Exponents are floored at
+        -700: exp takes a slow path where its result underflows, and a term
+        e^-700 w is below 1e-300 of its weight, under the round-off of any
+        sum whose weights span less than 1e280.
 
-        The terms are summed in blocks of a slice of rows and a slice of
+        The terms are taken in blocks of a slice of rows and a slice of
         frequencies, at most ``_LOG_G_BLOCK`` terms a block (one frequency
         a block where a row alone has more nodes), so memory does not grow
-        with k n; each (row, frequency) sum is the same sum over the row's
-        nodes in any block, so the result does not depend on the blocking.
+        with k n.  A call fills one buffer, block after block, with the
+        exponents and their exps in place, and weights and sums each block
+        in one ``np.einsum("rcn,rn->rc")`` over the nodes: no BLAS, so
+        reruns are bit-identical whatever the BLAS threads.  Each (row,
+        frequency) sum is the same sum over the row's nodes in any block,
+        so the result does not depend on the blocking.
         """
         eta = np.asarray(eta, dtype=float)
         k, n = eta.shape
-        nodes = max(self.dc.shape[1], 1)
+        d = self.dc.shape[1]
+        nodes = max(d, 1)
         cols = max(min(n, _LOG_G_BLOCK // nodes), 1)
         rows = max(_LOG_G_BLOCK // (cols * nodes), 1)
         out = np.empty((k, n))
+        buf = np.empty(min(rows, k) * min(cols, n) * d)
         for i in range(0, k, rows):
             r = slice(i, i + rows)
             for j in range(0, n, cols):
                 c = slice(j, j + cols)
-                terms = -eta[r, c, None] * self.dc[r, None, :]
+                e = -eta[r, c]
+                terms = buf[: e.size * d].reshape(*e.shape, d)
+                np.multiply(e[..., None], self.dc[r, None, :], out=terms)
                 np.maximum(terms, -700.0, out=terms)
                 np.exp(terms, out=terms)
-                terms *= self.w[r, None, :]
-                out[r, c] = terms.sum(axis=-1)
-                del terms  # before the next block is made
+                out[r, c] = np.einsum("rcn,rn->rc", terms, self.w[r])
         return np.log(out) - eta * self.c_low
 
 
@@ -1033,20 +1038,22 @@ class _WGrid:
     nodes and A_p its maximum over panel p, the exponential sum factors
     exactly:
 
-        phi(v) = sum_p e^(A_p + v c_p) sum_k E[p, k] e^(v h x_k),
+        phi(v) = sum_p e^(A_p + v c_p) sum_k E[k, p] e^(v h x_k),
 
-    E = e^(a - A_p) <= 1 stored once, so a tilt v takes n_pan + 15 exps
-    instead of one per node.  Exponents of E are floored at -700 (as in
-    ``ProfileGrid.log_G``), so each panel keeps a positive entry at its
-    outer node and log phi stays finite at the far rungs the profile-grid
-    ladders probe (tested to |v| = 1e60).  Within a panel the tilt moves an exponent by at
-    most 2 |v| h, so for |v| <= v_max (|v| h below 20 at the largest tilts
-    of m = 1..4) a floored entry stays over 650 e-folds below its panel's
-    largest term.
+    E = e^(a - A_p) <= 1 stored once, (k, 15, P) with the panels last, so
+    a tilt v takes n_pan + 15 exps instead of one per node, and ``_sums``
+    contracts the abscissae with ``np.einsum("rkp,rvk->rvp")``, whose
+    inner loop runs along the panels.  Exponents of E are floored at -700
+    (as in ``ProfileGrid.log_G``), so each panel keeps a positive entry at
+    its outer node and log phi stays finite at the far rungs the
+    profile-grid ladders probe (tested to |v| = 1e60).  Within a panel the
+    tilt moves an exponent by at most 2 |v| h, so for |v| <= v_max (|v| h
+    below 20 at the largest tilts of m = 1..4) a floored entry stays over
+    650 e-folds below its panel's largest term.
 
     A build evaluates ghat in blocks of rows of at most ``_W_BLOCK``
     points, and ``log_phi`` sums in blocks of at most ``_W_BLOCK`` tilts x
-    panels, so a grid of k rows holds its (k, n_pan, 15) E and blocks of
+    panels, so a grid of k rows holds its (k, 15, n_pan) E and blocks of
     bounded size; ``slope`` reads a row's exact L' and L'' off the same
     nodes, A and E.  ``X`` and ``v_max`` are arrays (k,) or floats (k = 1);
     ``n`` is the number of real nodes over all rows.
@@ -1065,20 +1072,22 @@ class _WGrid:
         for j, vm in enumerate(v_max):
             self.c[j, : n_pan[j]] = rows[vm][0]
         self.A = np.empty((k, P))
-        self.E = np.empty((k, P, 15))
+        self.E = np.empty((k, 15, P))
         step = max(_W_BLOCK // (15 * P), 1)
         for i in range(0, k, step):
             r = slice(i, i + step)
-            nodes = self.c[r, :, None] + self.h[r, None, None] * XGK
+            nodes = self.c[r, None, :] + self.h[r, None, None] * XGK[:, None]
             q = _int_pow(nodes, m2)
             q *= ghat((X[r, None, None] * nodes).ravel()).reshape(nodes.shape)
-            a = np.log(self.h[r, None, None] * WGK) - q
-            A = a.max(axis=2)
-            self.E[r] = np.exp(np.maximum(a - A[..., None], -700.0))
+            a = np.log(self.h[r, None, None] * WGK[:, None]) - q
+            A = a.max(axis=1)
+            a -= A[:, None, :]
+            np.maximum(a, -700.0, out=a)
+            np.exp(a, out=self.E[r])
             self.A[r] = A
         pad = np.arange(P) >= n_pan[:, None]
         self.A[pad] = -np.inf
-        self.E[pad] = 0.0
+        self.E.transpose(0, 2, 1)[pad] = 0.0
         self.n = int(15 * n_pan.sum())
 
     def log_phi(self, v, i) -> np.ndarray:
@@ -1116,17 +1125,19 @@ class _WGrid:
         vh = v * self.h[r, None]
         reach = np.abs(vh) * XGK[-1]
         tilt = np.exp(vh[..., None] * XGK - reach[..., None])
-        inner = np.einsum("rpk,rvk->rvp", self.E[r], tilt)
-        return top + reach + np.log(np.einsum("rvp,rvp->rv", np.exp(panel - top[..., None]), inner))
+        inner = np.einsum("rkp,rvk->rvp", self.E[r], tilt)
+        panel -= top[..., None]
+        np.exp(panel, out=panel)
+        return top + reach + np.log(np.einsum("rvp,rvp->rv", panel, inner))
 
     def slope(self, v, j) -> tuple[np.ndarray, np.ndarray]:
         """Row j's exact L' and L'' at the tilts v (n,): the mean and variance of
-        w under its node weights E[p, k] e^(A_p + v w), scaled as in ``log_phi``."""
+        w under its node weights E[k, p] e^(A_p + v w), scaled as in ``log_phi``."""
         v = np.asarray(v, dtype=float)[:, None, None]
         w, vh = self.c[j, :, None] + self.h[j] * XGK, v * self.h[j]
         panel = self.A[j, :, None] + v * self.c[j, :, None]
         p = np.exp(panel - panel.max(axis=1, keepdims=True) + vh * XGK - np.abs(vh) * XGK[-1])
-        p *= self.E[j]
+        p *= self.E[j].T
         p /= p.sum(axis=(1, 2), keepdims=True)
         mean = np.einsum("npk,pk->n", p, w)
         return mean, np.einsum("npk,npk->n", p, np.square(w - mean[:, None, None]))
@@ -1275,14 +1286,22 @@ def _tilt_reach(tilt: float, m: int) -> float:
     return v_max + 10.0
 
 
-def _log_P(ghat, u: np.ndarray, tilt: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+def _log_P(
+    ghat, u: np.ndarray, tilt: np.ndarray, m: int, even: bool = False
+) -> tuple[np.ndarray, int]:
     """log P(x, u) = log int exp(tilt * v) / phi(v, 1/u) dv at the u and
     tilts (k,): L = log phi tilted by ``tilt``, and the number of points
     evaluated.  One stacked ``_WGrid`` holds every u's L as a row, sized
     by its own tilt; a tilted row's peak takes Newton steps on its row's
     ``_WGrid.slope`` (0 for a zero tilt: on the axis no search runs), one
     ``log_phi`` call reads every row's A, and one ``ProfileGrid`` build
-    and one ``log_G`` call sum all the rows' tilted phases."""
+    and one ``log_G`` call sum all the rows' tilted phases.
+
+    With ``even`` (ghat is even) and every tilt 0, phi(v) = phi(-v): the
+    phase is read at |v|, each distinct (row, |v|) of a call once, by one
+    sort, so the two sides of a P-grid row are exact mirrors (the W-grid's
+    sums at v and -v differ in the last bits at about a fifth of the
+    tilts).  The count still counts every P-grid point."""
     u, tilt = np.asarray(u, dtype=float), np.asarray(tilt, dtype=float)
     wg = _WGrid(ghat, 1.0 / u, [_tilt_reach(t, m) for t in tilt.tolist()], 2 * m)
     v_star = np.zeros(u.size)
@@ -1290,7 +1309,22 @@ def _log_P(ghat, u: np.ndarray, tilt: np.ndarray, m: int) -> tuple[np.ndarray, i
         v_star[j] = _bracket_root(lambda v: wg.slope(v, j)[0], tilt[j], -1.0, 1.0,
                                   lambda v: wg.slope(v, j)[1])
     A = wg.log_phi(v_star, np.arange(u.size)) - tilt * v_star
-    pg = ProfileGrid(lambda v, i: wg.log_phi(v, i) - tilt[i] * v - A[i], v_star, 1.0, 1.0)
+
+    def phase(v, i):
+        return wg.log_phi(v, i) - tilt[i] * v - A[i]
+
+    def folded(v, i):
+        # each distinct (row, |v|) once, in one sort of the points
+        a = np.abs(v)
+        order = np.lexsort((a, i))
+        a, i = a[order], i[order]
+        new = np.ones(a.size, dtype=bool)
+        new[1:] = (a[1:] != a[:-1]) | (i[1:] != i[:-1])
+        out = np.empty(a.size)
+        out[order] = (wg.log_phi(a[new], i[new]) - A[i[new]])[np.cumsum(new) - 1]
+        return out
+
+    pg = ProfileGrid(folded if even and not tilt.any() else phase, v_star, 1.0, 1.0)
     return pg.log_G(np.ones((u.size, 1)))[:, 0] - A, wg.n + pg.n_evals
 
 
@@ -1313,8 +1347,10 @@ def bergman_normalized(
     recovers the direct kernel, which is how the chain is validated).
 
     The integral runs in t = log u over [log u_floor, log u_hi] (from t = -12
-    when u_floor is 0), u_hi where e^{-y u^(2m)} falls below the truncation
-    depth.  P does not depend on y, and log P is smooth in t, so each call
+    when u_floor is 0).  P grows like e^{f(x) u^(2m)}, so the integrand
+    decays like e^{-d u^(2m)} with d = y - f(x), the point's height over
+    the boundary, and u_hi is where that falls below the truncation depth.
+    P does not depend on y, and log P is smooth in t, so each call
     tabulates it once: a one-row Chebyshev table in t (``_cheb_table``)
     sized until its coefficient tail is at most rel_tol / 10, or until the
     coefficients level off at log P's own round-off (near 2e-13 on the
@@ -1326,15 +1362,17 @@ def bergman_normalized(
     sum, n_pan + 15 exps a tilt, which takes most of the table's time.  A
     row's value depends on its own u and tilt alone, so the table is the
     one of a ``_log_P`` call per u: bit for bit on the axis, where every
-    tilt is 0 and every row has one geometry.  The chunks and ``_WGrid``'s
-    blocks of ``_W_BLOCK`` terms bound a call's memory: a ``tracemalloc``
-    peak near 2 MB on the mollified m = 2 model at (0, 2^-10), rel_tol
-    1e-10 and 1e-12.  The adaptive u-integral then reads the table.
+    tilt is 0 and every row has one geometry; there, on an even domain,
+    the W-grid sums each (row, |v|) once, about half the P-grid's points.
+    The chunks and ``_WGrid``'s blocks of ``_W_BLOCK`` terms bound a
+    call's memory: a ``tracemalloc`` peak near 2 MB on the mollified m = 2
+    model at (0, 2^-10), rel_tol 1e-10 and 1e-12.  The adaptive
+    u-integral then reads the table.
     ``err_estimate`` is the integral's relative error, plus 0.5 rel_tol for
     the truncation, plus the table's tail (an absolute error of log P is a
     relative error of Kbar); ``evaluations`` counts the W-grid and profile
-    grid points of the tabulated ``_log_P`` calls and the integral's rule
-    points.
+    grid points of the tabulated ``_log_P`` calls, folded or not, and the
+    integral's rule points.
     """
     cfg = cfg or QuadratureConfig()
     if not f.is_mollified:
@@ -1351,7 +1389,7 @@ def bergman_normalized(
     if not (math.isfinite(u_floor) and u_floor >= 0):
         raise DomainError(f"u_floor must be finite and >= 0, got {u_floor!r}")
     x, y = float(p.x), float(p.y)
-    u_hi = ((_TRUNCATION_DEPTH + 13.0) / y) ** (1.0 / m2)
+    u_hi = ((_TRUNCATION_DEPTH + 13.0) / (y - f.f(x))) ** (1.0 / m2)
     if u_floor > 0 and u_floor >= u_hi:
         raise DomainError("u_floor is beyond the truncation range for this y")
     t_lo = math.log(u_floor) if u_floor > 0 else -12.0
@@ -1365,7 +1403,7 @@ def bergman_normalized(
         out = np.empty(ts.size)
         for j in range(0, ts.size, _U_CHUNK):
             c = slice(j, j + _U_CHUNK)
-            out[c], ne = _log_P(ghat, u[c], g0 ** (1.0 / m2) * x * u[c], m)
+            out[c], ne = _log_P(ghat, u[c], g0 ** (1.0 / m2) * x * u[c], m, f.is_even)
             nev[0] += ne
         return out
 

@@ -225,6 +225,29 @@ def test_every_raise_is_a_domain_or_quadrature_error():
     assert other == []
 
 
+# numpy functions that hand a product to BLAS
+_BLAS_CALLS = {"dot", "matmul", "tensordot", "inner"}
+
+
+def test_quadrature_makes_no_blas_call():
+    # ProfileGrid.log_G, _WGrid.log_phi and _cheb_read promise reruns that
+    # are bit-identical whatever the BLAS threads: their contractions are
+    # np.einsum without `optimize`, which never calls BLAS
+    path = ROOT / "src" / "tubekernels" / "quadrature.py"
+    blas = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            blas.append(f"{node.lineno} @")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            # np.dot and an array's .dot alike; a bare name is a local function
+            name = node.func.attr
+            if name in _BLAS_CALLS or (
+                name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords)
+            ):
+                blas.append(f"{node.lineno} {name}")
+    assert blas == []
+
+
 def _module_bindings() -> dict:
     return {
         (name, key): val

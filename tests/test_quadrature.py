@@ -1307,17 +1307,69 @@ def test_log_P_finds_each_tilted_peak_in_a_few_slope_reads(monkeypatch):
         assert np.mean(reads) <= 8.0 and max(reads) <= 20, (x, reads)
 
 
+def test_log_P_reads_each_abs_v_once_on_the_axis(monkeypatch):
+    # with every tilt 0 on an even ghat, phi(v) = phi(-v), so the two sides
+    # of a P-grid row ask for mirrored points: the folded phase reads each
+    # (row, |v|) once, about half the P-grid's points, and its values are
+    # the two-sided read's to rounding (log_phi(v) and log_phi(-v) differ
+    # in the last bits at about a fifth of the tilts); off the axis every
+    # P-grid point is read
+    reads, grids = [0], []
+    log_phi, build = _WGrid.log_phi, ProfileGrid.__init__
+
+    def counted_phi(self, v, i):
+        reads[0] += np.size(v)
+        return log_phi(self, v, i)
+
+    def counted_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        grids.append(self.n_evals)
+
+    monkeypatch.setattr(_WGrid, "log_phi", counted_phi)
+    monkeypatch.setattr(ProfileGrid, "__init__", counted_build)
+    _, ghat = _mollified_w_grid(1.0, 56.0)
+    g0 = float(mollify(model_domain(2), 0.1).g(0.0))
+    u = np.exp(np.linspace(-12.0, 3.5, 33))
+    zero = np.zeros(u.size)
+    folded, n_folded = _log_P(ghat, u, zero, 2, even=True)
+    # u.size reads of the peaks, then one a distinct (row, |v|)
+    assert 0.45 * grids[0] <= reads[0] - u.size <= 0.5 * grids[0]
+    two_sided, n = _log_P(ghat, u, zero, 2)
+    assert n_folded == n
+    assert np.all(np.abs(folded - two_sided) <= 1e-15 * np.abs(two_sided))
+    reads[0] = 0
+    grids.clear()
+    _log_P(ghat, u, g0**0.25 * 0.03 * u, 2, even=True)
+    assert reads[0] - u.size == grids[0]
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.1])
+def test_bergman_normalized_off_the_axis_meets_direct_pair(tau):
+    # P(x, u) grows like e^(f(x) u^(2m)), so the u-integrand decays like
+    # e^(-(y - f(x)) u^(2m)) and u_hi is sized by y - f(x): sized by y the
+    # oracle lost 1.1e-5 at tau = 0.3 and 9.4e-2 at tau = 0.1 (f(x)/y = 0.7
+    # and 0.9) under claims near 1e-10.  About 3 s for both points
+    f = mollify(model_domain(2), 0.1)
+    p = from_polar(f, BlowupChart(2), PolarPoint(tau=tau, rho=2.0**-6))
+    cfg = QuadratureConfig(rel_tol=1e-10)
+    full = bergman_normalized(f, p, cfg, u_floor=0.0)
+    K, _ = direct_pair(f, p, cfg)
+    assert abs(full.value / K.value - 1.0) <= full.err_estimate + K.err_estimate
+
+
 @pytest.mark.parametrize(
     "x, y, log_value, evaluations",
     [
-        (0.03, 0.25, -0.4124053211445289, 131535),
+        (0.03, 0.25, -0.4124053211445293, 131535),
         (0.03, 0.9, -3.745046202206103, 66669),
         (0.05, 2.0**-6, 6.600746165192275, 135435),
     ],
 )
 def test_bergman_normalized_off_the_axis_keeps_its_values(x, y, log_value, evaluations):
     # the values of the central-difference peak search this replaced, at
-    # the rounding of the peaks: the same points evaluated, log K to 1e-15
+    # the rounding of the peaks: the same points evaluated, log K to 1e-15;
+    # the first recorded again when u_hi was sized by y - f(x), whose t_hi
+    # moves the table's Chebyshev nodes (-0.4124053211445289 before)
     f = mollify(model_domain(2), 0.1)
     kv = bergman_normalized(f, BoundaryRelativePoint(x, y), QuadratureConfig(1e-10))
     assert kv.evaluations == evaluations
@@ -1463,28 +1515,30 @@ def test_direct_pair_work_shrinks_with_the_tolerance():
 # err_estimate) pairs and evaluations at (0, 2^-10) on the full outer line,
 # as the Kronrod rule at every tolerance gave them; recorded again when the
 # peak search took its Newton path, which moved log K by 3.6e-15 at most,
-# err_estimate by 1.1e-5 relative at most and evaluations not at all, and
-# again when integer powers became products of squares (``_int_pow``),
-# which moved err_estimate by 6.4e-6 relative at most and nothing else
+# err_estimate by 1.1e-5 relative at most and evaluations not at all, again
+# when integer powers became products of squares (``_int_pow``), which
+# moved err_estimate by 6.4e-6 relative at most and nothing else, and again
+# when ``log_G`` took its sums as one einsum contraction, which moved
+# err_estimate by 5.0e-6 relative at most and nothing else
 _TIGHT_PAIRS = {
     (1e-8, "model-m2"): (
-        (13.500617212407922, 5.936964643584837e-09),
-        (6.163680297974352, 4.569888378973113e-09),
+        (13.500617212407922, 5.9369647091248585e-09),
+        (6.163680297974352, 4.569888592858822e-09),
         198120,
     ),
     (1e-10, "model-m2"): (
-        (13.500617212407958, 4.9438874085226256e-11),
-        (6.163680298688833, 4.280833522353542e-11),
+        (13.500617212407958, 4.943889034825884e-11),
+        (6.163680298688833, 4.2808279299779185e-11),
         348690,
     ),
     (1e-8, "mollified-m2"): (
-        (13.494524824179704, 5.9307041276975045e-09),
-        (6.153159396173704, 4.767639627718843e-09),
+        (13.494524824179704, 5.9307036145184765e-09),
+        (6.153159396173704, 4.767639751525802e-09),
         198210,
     ),
     (1e-10, "mollified-m2"): (
-        (13.494524824056926, 9.476250517821787e-11),
-        (6.153159396742131, 1.1575866287235354e-10),
+        (13.494524824056926, 9.476250348176176e-11),
+        (6.153159396742131, 1.1575808859062083e-10),
         491010,
     ),
 }
