@@ -1,10 +1,13 @@
 """Boundary-approach experiments: exponent fits, coefficient limits,
 localization comparisons, and the strictly-pseudoconvex distance limit.
 
-Each experiment returns a plain dict report embedding the chart id, a hash
-of the quadrature configuration, and per-point error estimates, so a run
-is reproducible from its report alone.  Failing points are recorded with
-their error text and excluded from fits rather than aborting the sweep.
+``evaluate_path`` and ``hormander_series`` return plain dict rows, one a
+point, with the kernel values and their error estimates but neither the
+chart id nor the configuration hash.  ``localization_experiment``'s
+report embeds both beside its per-point errors, so that run is
+reproducible from its report alone.  ``evaluate_path`` records a failing
+point with its error text, and the localization report excludes it from
+its fits, rather than aborting the sweep; ``hormander_series`` raises.
 """
 
 from __future__ import annotations

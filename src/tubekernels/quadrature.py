@@ -25,7 +25,7 @@ u.
 A grid's two edges come from one search: one x4 ladder brackets where each
 side of a phase reaches the inner level and the outer one, and finer rungs
 inside each bracket place the edge, in four calls of the phase a build.
-``log_G`` sums its terms in blocks of at most ``_LOG_G_BLOCK``, so its
+``log_G`` sums its terms in ``_blocks`` of at most ``_LOG_G_BLOCK``, so its
 memory does not grow with the rows and frequencies of a call, and callers
 hand it all of theirs at once.
 Smooth 1-D profiles are tabulated once per use, as Chebyshev tables sized
@@ -45,9 +45,9 @@ behind ``bergman_normalized``'s log P has uniform panels, so its
 exponential sum factors by panel: each tilt costs one exp per panel and
 one per Kronrod abscissa instead of one per node, with the same nodes and
 weights, so the factored sum is the dense one up to rounding.  It holds
-one row per u of a chunk, each with its own panels, and does its work in
-blocks of at most ``_W_BLOCK`` terms, so a call's memory is bounded by the
-chunk and the block, not by the table.
+one row per u of a chunk, each with its own panels, and does its work
+in ``_blocks`` of at most ``_W_BLOCK`` terms, so a call's memory is
+bounded by the chunk and the block, not by the table.
 """
 
 from __future__ import annotations
@@ -366,6 +366,18 @@ def _inner_edge(
 _LOG_G_BLOCK = 2**17
 
 
+def _blocks(k: int, n: int, per: int, budget: int) -> list[tuple[slice, slice]]:
+    """The (rows, columns) slices that tile a (k, n) array of items of
+    ``per`` terms each in blocks of at most ``budget`` terms: as many
+    columns as fit, then as many rows, one item a block where one alone
+    is over budget.  The first block is the largest."""
+    per = max(per, 1)
+    cols = max(min(n, budget // per), 1)
+    rows = max(budget // (cols * per), 1)
+    return [(slice(i, i + rows), slice(j, j + cols))
+            for i in range(0, k, rows) for j in range(0, n, cols)]
+
+
 class _PanelRule(NamedTuple):
     """A ``ProfileGrid``'s panel rule: nodes and weights on [-1, 1], and
     RATIO, the factor by which each panel's outer end lies past the one
@@ -506,34 +518,27 @@ class ProfileGrid:
         e^-700 w is below 1e-300 of its weight, under the round-off of any
         sum whose weights span less than 1e280.
 
-        The terms are taken in blocks of a slice of rows and a slice of
-        frequencies, at most ``_LOG_G_BLOCK`` terms a block (one frequency
-        a block where a row alone has more nodes), so memory does not grow
-        with k n.  A call fills one buffer, block after block, with the
-        exponents and their exps in place, and weights and sums each block
-        in one ``np.einsum("rcn,rn->rc")`` over the nodes: no BLAS, so
-        reruns are bit-identical whatever the BLAS threads.  Each (row,
-        frequency) sum is the same sum over the row's nodes in any block,
-        so the result does not depend on the blocking.
+        The terms are taken in the blocks of ``_blocks``, at most
+        ``_LOG_G_BLOCK`` terms of rows x frequencies x nodes a block, so
+        memory does not grow with k n.  A call fills one buffer, block after
+        block, with the exponents and their exps in place, and weights and
+        sums each block in one ``np.einsum("rcn,rn->rc")`` over the nodes:
+        no BLAS, so reruns are bit-identical whatever the BLAS threads.
+        Each (row, frequency) sum is the same sum over the row's nodes in
+        any block, so the result does not depend on the blocking.
         """
         eta = np.asarray(eta, dtype=float)
-        k, n = eta.shape
         d = self.dc.shape[1]
-        nodes = max(d, 1)
-        cols = max(min(n, _LOG_G_BLOCK // nodes), 1)
-        rows = max(_LOG_G_BLOCK // (cols * nodes), 1)
-        out = np.empty((k, n))
-        buf = np.empty(min(rows, k) * min(cols, n) * d)
-        for i in range(0, k, rows):
-            r = slice(i, i + rows)
-            for j in range(0, n, cols):
-                c = slice(j, j + cols)
-                e = -eta[r, c]
-                terms = buf[: e.size * d].reshape(*e.shape, d)
-                np.multiply(e[..., None], self.dc[r, None, :], out=terms)
-                np.maximum(terms, -700.0, out=terms)
-                np.exp(terms, out=terms)
-                out[r, c] = np.einsum("rcn,rn->rc", terms, self.w[r])
+        out, buf = np.empty(eta.shape), None
+        for r, c in _blocks(*eta.shape, d, _LOG_G_BLOCK):
+            e = -eta[r, c]
+            if buf is None:  # the first block is the largest
+                buf = np.empty(e.size * d)
+            terms = buf[: e.size * d].reshape(*e.shape, d)
+            np.multiply(e[..., None], self.dc[r, None, :], out=terms)
+            np.maximum(terms, -700.0, out=terms)
+            np.exp(terms, out=terms)
+            out[r, c] = np.einsum("rcn,rn->rc", terms, self.w[r])
         return np.log(out) - eta * self.c_low
 
 
@@ -1029,9 +1034,9 @@ class _WGrid:
     Because the mollified ghat stays within [0.9, 1] of its center value,
     the phase is pinned between two pure powers and one grid of uniform
     panels resolves every tilted peak with |v| <= v_max.  Each row has its
-    own panels and half-width, set by its v_max alone (``_w_panels``);
-    rows with fewer panels than the widest are padded with empty ones
-    (A_p = -inf, E = 0), so no row's value depends on the other rows.
+    own panels and half-width, set by its v_max alone (``_w_panels``), and
+    its count of them, ``n_pan``; past them a row is padded to the widest
+    with empty panels (A_p = -inf, E = 0), so no row sees the others.
 
     Every node of row j is w = c_p + h x_k: panel center c_p, the row's one
     half-width h and Kronrod abscissa x_k.  With a = log(h w_k) - Q at the
@@ -1051,12 +1056,12 @@ class _WGrid:
     below 20 at the largest tilts of m = 1..4) a floored entry stays over
     650 e-folds below its panel's largest term.
 
-    A build evaluates ghat in blocks of rows of at most ``_W_BLOCK``
-    points, and ``log_phi`` sums in blocks of at most ``_W_BLOCK`` tilts x
-    panels, so a grid of k rows holds its (k, 15, n_pan) E and blocks of
-    bounded size; ``slope`` reads a row's exact L' and L'' off the same
-    nodes, A and E.  ``X`` and ``v_max`` are arrays (k,) or floats (k = 1);
-    ``n`` is the number of real nodes over all rows.
+    A build evaluates ghat on rows x 15 x panels, and ``log_phi`` sums on
+    rows x tilts x panels, in the blocks of ``_blocks``, at most
+    ``_W_BLOCK`` terms each, so a grid holds its (k, 15, P) E and blocks
+    of bounded size; ``slope`` reads row j's exact L' and L'' off its
+    ``n_pan[j]`` real panels.  ``X`` and ``v_max`` are arrays (k,) or
+    floats (k = 1); ``n`` is the number of real nodes over all rows.
     """
 
     GLO = 0.85
@@ -1065,7 +1070,7 @@ class _WGrid:
         X = np.array(X, dtype=float, ndmin=1)
         v_max = np.broadcast_to(np.asarray(v_max, dtype=float), X.shape).tolist()
         rows = {vm: _w_panels(vm, m2) for vm in dict.fromkeys(v_max)}
-        n_pan = np.array([rows[vm][0].size for vm in v_max])
+        self.n_pan = n_pan = np.array([rows[vm][0].size for vm in v_max])
         k, P = X.size, int(n_pan.max())
         self.c = np.zeros((k, P))
         self.h = np.array([rows[vm][1] for vm in v_max])
@@ -1073,9 +1078,7 @@ class _WGrid:
             self.c[j, : n_pan[j]] = rows[vm][0]
         self.A = np.empty((k, P))
         self.E = np.empty((k, 15, P))
-        step = max(_W_BLOCK // (15 * P), 1)
-        for i in range(0, k, step):
-            r = slice(i, i + step)
+        for r, _ in _blocks(k, 1, 15 * P, _W_BLOCK):
             nodes = self.c[r, None, :] + self.h[r, None, None] * XGK[:, None]
             q = _int_pow(nodes, m2)
             q *= ghat((X[r, None, None] * nodes).ravel()).reshape(nodes.shape)
@@ -1106,14 +1109,8 @@ class _WGrid:
         tilts = np.zeros((rows.size, count.max()))
         tilts[run, slot] = v[order]
         vals = np.empty(tilts.shape)
-        n_pan = self.c.shape[1]
-        cols = max(min(tilts.shape[1], _W_BLOCK // n_pan), 1)
-        step = max(_W_BLOCK // (cols * n_pan), 1)
-        for a in range(0, rows.size, step):
-            r = rows[a : a + step]
-            for b in range(0, tilts.shape[1], cols):
-                c = slice(b, b + cols)
-                vals[a : a + step, c] = self._sums(tilts[a : a + step, c], r)
+        for r, c in _blocks(*tilts.shape, self.c.shape[1], _W_BLOCK):
+            vals[r, c] = self._sums(tilts[r, c], rows[r])
         out = np.empty(v.size)
         out[order] = vals[run, slot]
         return out
@@ -1133,11 +1130,13 @@ class _WGrid:
     def slope(self, v, j) -> tuple[np.ndarray, np.ndarray]:
         """Row j's exact L' and L'' at the tilts v (n,): the mean and variance of
         w under its node weights E[k, p] e^(A_p + v w), scaled as in ``log_phi``."""
+        real = slice(self.n_pan[j])  # the row's panels, not its padding
         v = np.asarray(v, dtype=float)[:, None, None]
-        w, vh = self.c[j, :, None] + self.h[j] * XGK, v * self.h[j]
-        panel = self.A[j, :, None] + v * self.c[j, :, None]
+        c, h = self.c[j, real, None], self.h[j]
+        w, vh = c + h * XGK, v * h
+        panel = self.A[j, real, None] + v * c
         p = np.exp(panel - panel.max(axis=1, keepdims=True) + vh * XGK - np.abs(vh) * XGK[-1])
-        p *= self.E[j].T
+        p *= self.E[j, :, real].T
         p /= p.sum(axis=(1, 2), keepdims=True)
         mean = np.einsum("npk,pk->n", p, w)
         return mean, np.einsum("npk,npk->n", p, np.square(w - mean[:, None, None]))
@@ -1262,28 +1261,20 @@ def _cheb_read(table: np.ndarray, a: float, b: float, t: np.ndarray) -> np.ndarr
     return vals
 
 
-def _growth_rate_floor(m: int) -> float:
-    """Conservative lower bound for the v-growth rate of log phi."""
+def _tilt_reach(tilt, m: int) -> np.ndarray:
+    """The v_max of ``_log_P``'s W-grid rows at the tilts (k,): 10 past the v
+    where 0.75 a v^(2m/(2m-1)) = D + |tilt| v, a = ``growth_constant_a(m)``,
+    D = ``_TRUNCATION_DEPTH`` + 16.  In sigma = (v / v0)^(1/(2m-1)), v0 the
+    zero tilt's v, one ``_bracket_root`` call solves sigma - sigma^(1-2m) =
+    |tilt| v0 / D for all rows; a zero tilt reads sigma = 1 and gets v0 + 10."""
     m2 = 2 * m
-    alpha = m2 ** (-1.0 / (m2 - 1))
-    a = alpha - m2 ** (-m2 / (m2 - 1.0))
-    return 0.75 * a
-
-
-def _tilt_reach(tilt: float, m: int) -> float:
-    """The v_max of ``_log_P``'s W-grid row for one tilt."""
-    rate_lo = _growth_rate_floor(m)
-    ex = (2 * m - 1.0) / (2 * m)
-    # fixed point of v = ((drop + |tilt| v)/rate)^ex bounds the explored
-    # v-range; superlinear growth guarantees it exists, monotone iteration
-    # from below reaches it
-    v_max = ((_TRUNCATION_DEPTH + 16.0) / rate_lo) ** ex
-    for _ in range(200):
-        nxt = ((_TRUNCATION_DEPTH + 16.0 + abs(tilt) * v_max) / rate_lo) ** ex
-        if nxt <= v_max * (1.0 + 1e-9):
-            break
-        v_max = nxt
-    return v_max + 10.0
+    rate = 0.75 * (m2 ** (-1.0 / (m2 - 1)) - m2 ** (-m2 / (m2 - 1.0)))
+    depth = _TRUNCATION_DEPTH + 16.0
+    v0 = (depth / rate) ** ((m2 - 1.0) / m2)
+    c = np.abs(tilt) * v0 / depth
+    sigma = _bracket_root(lambda s: s - s ** (1 - m2), c, 1.0, 1.0 + c,
+                          lambda s: 1.0 + (m2 - 1) * s**-m2)
+    return v0 * sigma ** (m2 - 1) + 10.0
 
 
 def _log_P(
@@ -1292,10 +1283,10 @@ def _log_P(
     """log P(x, u) = log int exp(tilt * v) / phi(v, 1/u) dv at the u and
     tilts (k,): L = log phi tilted by ``tilt``, and the number of points
     evaluated.  One stacked ``_WGrid`` holds every u's L as a row, sized
-    by its own tilt; a tilted row's peak takes Newton steps on its row's
-    ``_WGrid.slope`` (0 for a zero tilt: on the axis no search runs), one
-    ``log_phi`` call reads every row's A, and one ``ProfileGrid`` build
-    and one ``log_G`` call sum all the rows' tilted phases.
+    by its tilt (one ``_tilt_reach`` call); a tilted row's peak takes
+    Newton steps on its row's ``_WGrid.slope`` (0 for a zero tilt: on the
+    axis no search runs), one ``log_phi`` call reads every row's A, and one
+    ``ProfileGrid`` build and one ``log_G`` call sum all the rows' phases.
 
     With ``even`` (ghat is even) and every tilt 0, phi(v) = phi(-v): the
     phase is read at |v|, each distinct (row, |v|) of a call once, by one
@@ -1303,7 +1294,7 @@ def _log_P(
     sums at v and -v differ in the last bits at about a fifth of the
     tilts).  The count still counts every P-grid point."""
     u, tilt = np.asarray(u, dtype=float), np.asarray(tilt, dtype=float)
-    wg = _WGrid(ghat, 1.0 / u, [_tilt_reach(t, m) for t in tilt.tolist()], 2 * m)
+    wg = _WGrid(ghat, 1.0 / u, _tilt_reach(tilt, m), 2 * m)
     v_star = np.zeros(u.size)
     for j in np.flatnonzero(tilt):
         v_star[j] = _bracket_root(lambda v: wg.slope(v, j)[0], tilt[j], -1.0, 1.0,

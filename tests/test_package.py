@@ -248,6 +248,32 @@ def test_quadrature_makes_no_blas_call():
     assert blas == []
 
 
+def test_one_capped_loop_in_the_package():
+    # north star 2's one root search: the only `for _ in range(<int>)` in
+    # src/tubekernels is _bracket_root's, so no search keeps its own cap
+    loops = {}
+    for path in sorted((ROOT / "src" / "tubekernels").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # breadth first, so a loop in a nested function ends named by it
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.For)
+                    and isinstance(node.target, ast.Name) and node.target.id == "_"
+                    and isinstance(node.iter, ast.Call)
+                    and getattr(node.iter.func, "id", None) == "range"
+                    and len(node.iter.args) == 1
+                    and isinstance(node.iter.args[0], ast.Constant)
+                    and isinstance(node.iter.args[0].value, int)
+                ):
+                    loops[path.name, node.lineno] = fn.name
+    assert sorted({(name, fn) for (name, _), fn in loops.items()}) == [
+        ("quadrature.py", "_bracket_root")
+    ]
+
+
 def _module_bindings() -> dict:
     return {
         (name, key): val

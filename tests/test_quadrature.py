@@ -32,6 +32,7 @@ from tubekernels import (
     damp_tails,
     direct_pair,
     from_polar,
+    growth_constant_a,
     log_L,
     model_domain,
     mollify,
@@ -58,6 +59,7 @@ from tubekernels.quadrature import (
     _inner_edge,
     _log_P,
     _logsumexp,
+    _tilt_reach,
     log_adaptive_multi,
 )
 
@@ -1120,6 +1122,12 @@ def test_w_grid_slope_is_the_derivative_of_log_phi():
         assert np.all(np.abs(d1 - (lp - lm) / (2 * h)) <= 1e-6 * np.maximum(1.0, np.abs(d1)))
         assert np.all(np.abs(d2 - (lp - 2 * l0 + lm) / h**2) <= 1e-6 * np.maximum(1.0, d2))
         assert np.all(d2 > 0.0)
+    # a row reads its real panels only: row 0, padded in the stacked grid,
+    # gives its one-row grid's L' and L'' bit for bit (the padding's zero
+    # terms moved 75 of the 201 L' in the last bits)
+    one, _ = _mollified_w_grid(1.0, 56.0)
+    for got, want in zip(wg.slope(v, 0), one.slope(v, 0)):
+        assert np.array_equal(got, want)
 
 
 def test_cheb_table_tail_bounds_its_error_and_no_point_repeats():
@@ -1281,30 +1289,43 @@ def test_log_P_on_an_array_of_u_equals_its_per_u_calls(x):
 
 
 def test_log_P_finds_each_tilted_peak_in_a_few_slope_reads(monkeypatch):
-    # Newton steps on each row's exact slope: about 5 reads a tilted row,
-    # where bisecting a central difference from [-1, 1] took about 50
-    reads = []
+    # Newton steps on each row's exact slope: about 5 points read a tilted
+    # row, where bisecting a central difference from [-1, 1] took about 50;
+    # a point's L' and L'' are two slope calls at one v, counted once
+    reads, slope = {}, _WGrid.slope
 
-    def counted(g, *args):
-        n = [0]
+    def counted(self, v, j):
+        seen = reads.setdefault(j, [])
+        if not any(v is w for w in seen):
+            seen.append(v)
+        return slope(self, v, j)
 
-        def g_counted(v):
-            n[0] += 1
-            return g(v)
-
-        out = _bracket_root(g_counted, *args)
-        reads.append(n[0])
-        return out
-
-    monkeypatch.setattr(quadrature, "_bracket_root", counted)
+    monkeypatch.setattr(_WGrid, "slope", counted)
     _, ghat = _mollified_w_grid(1.0, 56.0)
     g0 = float(mollify(model_domain(2), 0.1).g(0.0))
     u = np.exp(np.linspace(-12.0, 3.5, 33))
     for x in (0.01, 0.03, 0.1):
         reads.clear()
         lp, _ = _log_P(ghat, u, g0**0.25 * x * u, 2)
-        assert len(reads) == u.size and np.all(np.isfinite(lp))
-        assert np.mean(reads) <= 8.0 and max(reads) <= 20, (x, reads)
+        n = [len(seen) for seen in reads.values()]
+        assert len(n) == u.size and np.all(np.isfinite(lp))
+        assert np.mean(n) <= 8.0 and max(n) <= 20, (x, n)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_tilt_reach_solves_its_growth_balance(m):
+    # v = reach - 10 solves 0.75 a v^(2m/(2m-1)) = D + |tilt| v, D the
+    # truncation depth + 16, to rounding: the fixed-point loop this
+    # replaced stopped about 1e-9 short in v, and at tilt 100 1.5e-6 short
+    # at m = 6 and 1.8e-4 at m = 8.  A zero tilt gets v0 + 10 exactly
+    rate, depth = 0.75 * growth_constant_a(m), _TRUNCATION_DEPTH + 16.0
+    v0 = (depth / rate) ** ((2 * m - 1.0) / (2 * m))
+    tilt = np.array([0.0, 1.0, -1.0, 100.0, -100.0])
+    reach = _tilt_reach(tilt, m)
+    v = reach - 10.0
+    balance = depth + np.abs(tilt) * v
+    assert np.all(np.abs(rate * v ** (2 * m / (2 * m - 1.0)) - balance) <= 1e-12 * balance)
+    assert reach[0] == v0 + 10.0 and reach[1] == reach[2] and reach[3] == reach[4]
 
 
 def test_log_P_reads_each_abs_v_once_on_the_axis(monkeypatch):
