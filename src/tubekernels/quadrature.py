@@ -379,22 +379,29 @@ def _blocks(k: int, n: int, per: int, budget: int) -> list[tuple[slice, slice]]:
 
 
 class _PanelRule(NamedTuple):
-    """A ``ProfileGrid``'s panel rule: nodes and weights on [-1, 1], and
-    RATIO, the factor by which each panel's outer end lies past the one
-    before it."""
+    """A ``ProfileGrid``'s panel rule: nodes and weights on [-1, 1], RATIO,
+    the factor by which each panel's outer end lies past the one before
+    it, and c_small, the level of the phase at the first panel's outer end
+    at the stiffest frequency, in e-folds of the integrand."""
 
     nodes: np.ndarray
     weights: np.ndarray
     ratio: float
+    c_small: float
 
 
-# the rule of every grid but direct_pair's at loose tolerances
-_KRONROD_RULE = _PanelRule(XGK, WGK, 1.45)
+# the rule of every grid but direct_pair's at loose tolerances; its first
+# panel stays flat, 0.03 e-folds, at the stiffest frequency
+_KRONROD_RULE = _PanelRule(XGK, WGK, 1.45, 0.03)
 # the density-halved grid behind compute_D's error estimate
 _COARSE_RULE = _KRONROD_RULE._replace(ratio=_KRONROD_RULE.ratio**2)
 # Gauss-Legendre 15, exact to degree 29 where the Kronrod rule is exact to
 # 23, so it holds the same accuracy on wider panels: direct_pair's inner
-# grids from rel_tol _GAUSS_FROM up.  The values of
+# grids from rel_tol _GAUSS_FROM up.  Its first panel reaches 5 e-folds at
+# the stiffest frequency, which carries about e^-65 of direct_pair's inner
+# integrand: of 1, 2, 3, 5 and 10 the largest that kept the mollified
+# model's Bergman values at rel_tol 1e-7 within 0.06 rel_tol of 1e-11
+# references (direct_pair's docstring).  The values of
 # np.polynomial.legendre.leggauss(15), written out: importing
 # numpy.polynomial added 10 ms and 0.6 MB to every start
 _GAUSS_RULE = _PanelRule(
@@ -415,6 +422,7 @@ _GAUSS_RULE = _PanelRule(
         0.030753241996117203,
     ]),
     2.5,
+    5.0,
 )
 
 
@@ -424,14 +432,15 @@ class ProfileGrid:
     in [eta_lo[i], eta_hi[i]].
 
     On each side of a phase one panel runs from xi_star to the inner edge,
-    the first 4^(1/16) rung with c >= c_small/eta_hi (flat at the stiffest
-    frequency); panels then grow by RATIO out to the first rung with
-    c >= _TRUNCATION_DEPTH/eta_lo (truncated at the softest).  ``rule``,
-    a ``_PanelRule``, gives every panel its nodes and weights and the grid
-    its RATIO: by default Kronrod's 15 nodes at RATIO 1.45
-    (``_KRONROD_RULE``); ``compute_D``'s error estimate builds the same
-    nodes at 1.45^2 and ``direct_pair`` from rel_tol 1e-7 up 15
-    Gauss-Legendre nodes at 2.5.  The two sides of every phase are rows of
+    the first 4^(1/16) rung with c >= c_small/eta_hi; panels then grow by
+    RATIO out to the first rung with c >= _TRUNCATION_DEPTH/eta_lo
+    (truncated at the softest frequency).  ``rule``, a ``_PanelRule``,
+    gives every panel its nodes and weights and the grid its RATIO and
+    inner edge level c_small: by default Kronrod's 15 nodes at RATIO 1.45
+    and c_small 0.03, flat at the stiffest frequency (``_KRONROD_RULE``);
+    ``compute_D``'s error estimate builds the same nodes and edge at
+    1.45^2, and ``direct_pair`` from rel_tol 1e-7 up 15 Gauss-Legendre
+    nodes at 2.5 with c_small 5.  The two sides of every phase are rows of
     one build, and each step takes all rows in one ``c_fn`` call: the x4
     blocks and fine rungs of ``_inner_edge``, whose x4 search also
     brackets each row's outer edge, the ceil(log_RATIO(4 RATIO)) RATIO
@@ -450,8 +459,6 @@ class ProfileGrid:
     number of points evaluated.
     """
 
-    C_SMALL = 0.03
-
     def __init__(self, c_fn, xi_star, eta_lo, eta_hi, rule: _PanelRule = _KRONROD_RULE):
         xi_star = np.array(xi_star, dtype=float, ndmin=1)
         k = xi_star.size
@@ -461,7 +468,7 @@ class ProfileGrid:
         side[0::2], side[1::2] = -1.0, 1.0
         x0 = xi_star.repeat(2)
         lims = np.empty((2, k))
-        lims[0], lims[1] = self.C_SMALL / eta_hi, _TRUNCATION_DEPTH / eta_lo
+        lims[0], lims[1] = rule.c_small / eta_hi, _TRUNCATION_DEPTH / eta_lo
         c_min, c_max = lims.repeat(2, axis=1)
 
         def c_rungs(r, u):
@@ -696,10 +703,11 @@ def compute_D(
 
     QuadratureError too for a zeta2 past the peak's resolution: once
     zeta2 times the tilted phase's dip below 0, the rounding of the peak
-    xi_s and of its offset A, exceeds ``ProfileGrid.C_SMALL`` (on x^2 and
-    x^4 at zeta1/zeta2 = 0.3 already at zeta2 = 1e20) the first panel is
-    not flat.  On the axis zeta1 = 0 the peak search (``_power_law_peak``)
-    starts on the exact peak 0 with A = 0, so no dip arises there.
+    xi_s and of its offset A, exceeds the inner edge level of its grids'
+    rule, ``_KRONROD_RULE.c_small`` (on x^2 and x^4 at zeta1/zeta2 = 0.3
+    already at zeta2 = 1e20), the first panel is not flat.  On the axis
+    zeta1 = 0 the peak search (``_power_law_peak``) starts on the exact
+    peak 0 with A = 0, so no dip arises there.
     """
     cfg = cfg or QuadratureConfig()
     if not (zeta2 > 0):
@@ -714,7 +722,7 @@ def compute_D(
     c = _tilted(f.f, -zeta, A)
     grid, eta = ProfileGrid(c, xi_s, zeta2, zeta2), np.array([[zeta2]])
     dip = -zeta2 * float(grid.c_low[0, 0])
-    if dip > ProfileGrid.C_SMALL:
+    if dip > _KRONROD_RULE.c_small:
         raise QuadratureError(
             f"D({zeta1!r}, {zeta2!r}): zeta2 is past the resolution of the peak at "
             f"xi = {xi_s!r}: the tilted phase undercuts it by {dip:.3e} e-folds"
@@ -817,16 +825,21 @@ def direct_pair(
     samples), and one ``log_adaptive_multi`` call on the chunk's 2k eta rows
     (Bergman and Szego for each zeta) on shared t panels; a row that ends
     above its 0.25 rel_tol budget raises QuadratureError naming its zeta.
-    The grids' rule follows the tolerance: from rel_tol ``_GAUSS_FROM``
-    (1e-7) up, 15 Gauss-Legendre nodes a panel at RATIO 2.5
-    (``_GAUSS_RULE``), below it the Kronrod rule at 1.45 of every other
-    grid.  The Gauss grids' error is measured, not estimated: on the
+    The inner layer follows the tolerance, chosen by one comparison with
+    ``_GAUSS_FROM`` (1e-7): from it up the grids take 15 Gauss-Legendre
+    nodes a panel at RATIO 2.5 with their inner edge at c_small 5
+    (``_GAUSS_RULE``), and the inner call starts on t panels 1.2 wide (11
+    at 1e-7); below it they take the Kronrod rule at 1.45 and c_small 0.03
+    of every other grid, and the call starts on panels 0.8 wide (17 at
+    1e-8).  The Gauss grids' error is measured, not estimated: on the
     mollified m = 2 model, whose spline knots the panels fall on, the
-    Bergman values at rel_tol 1e-7 lie within 6.0e-10 of rel_tol 1e-12
-    references (the Kronrod grids' within 1.7e-10), and within 3.8e-9 at
-    RATIO 1.8-2.5 (the worst of 21 points), 4% of 1e-7, inside the 0.35
-    rel_tol budget below; on x^2, x^4 and the rational m = 2 domain the
-    two rules' values differ by less than 1e-13.
+    error moves with where the panel edges fall.  At rel_tol 1e-7 on 24
+    points there (x in {0, 0.01, 0.03, 0.1, 0.2, 0.35}, y - f(x) in
+    {2^-10, 2^-6, 1/8, 0.9}) the Bergman values lie within 5.5e-9 of
+    rel_tol 1e-11 references, 6% of 1e-7, inside the 0.35 rel_tol budget
+    below (3.1e-9 with c_small 0.03, 5.2e-9 with 3, 1.1e-8 with 1 and
+    1.3e-8 with 10); on x^2, x^4 and the rational m = 2 domain the two
+    rules' values differ by less than 1e-13.
     The outer integral runs in s on a double-exponential map (Takahasi &
     Mori, 1974), zeta = psi(z* + w sinh((pi/2) sinh s)), |s| <= _DE_REACH,
     psi from ``_cone_map`` and z* = psi^-1(zeta*) at the outer peak zeta* =
@@ -853,13 +866,17 @@ def direct_pair(
     QuadratureError where y + x zeta - A is not positive: y below the
     rounding of a tilted peak's offset A.
     ``err_estimate`` is the outer integral's relative error, plus 0.35
-    rel_tol for the inner integrals, grids and truncation, plus the
-    largest table tail over the outer rule's zetas (an absolute error of
-    log G is relative in the integrand).  ``evaluations`` sums, over the
-    outer rule's zetas, its grid's phase points, its table's samples and
-    its inner call's rule points, counted once per zeta where a chunk
-    shares them; a folded call counts only the zetas of its half line,
-    about half the full line's, and the width search counts nothing.
+    rel_tol for the inner integrals, grids, tables and truncation, plus
+    the largest table tail over the outer rule's zetas (an absolute error
+    of log G is relative in the integrand).  A tail is the table's
+    stopping figure, not its error, which can be larger (``_cheb_table``);
+    the error stays within the tables' tolerance rel_tol / 10, which the
+    0.35 rel_tol covers beside the inner rows' 0.25 rel_tol.
+    ``evaluations`` sums, over the outer rule's zetas, its grid's phase
+    points, its table's samples and its inner call's rule points, counted
+    once per zeta where a chunk shares them; a folded call counts only the
+    zetas of its half line, about half the full line's, and the width
+    search counts nothing.
     """
     cfg = cfg or QuadratureConfig()
     f.require_interior(p)
@@ -871,10 +888,10 @@ def direct_pair(
     h_lo = max(1e-6, (0.03 * cfg.rel_tol) ** (1.0 / 2.5))
     h_hi = 1.55 * _TRUNCATION_DEPTH
     t_lo, t_hi = math.log(h_lo), math.log(h_hi)
-    n_init_mid = int(np.ceil((t_hi - t_lo) / 0.8))
+    # the grids' rule and the inner call's first t panels follow the tolerance
+    rule, t_panel = (_GAUSS_RULE, 1.2) if cfg.rel_tol >= _GAUSS_FROM else (_KRONROD_RULE, 0.8)
+    n_init_mid = int(np.ceil((t_hi - t_lo) / t_panel))
     nev, tail_G = [0], [0.0]
-
-    rule = _GAUSS_RULE if cfg.rel_tol >= _GAUSS_FROM else _KRONROD_RULE
 
     def inner(zetas: np.ndarray, xi_s: np.ndarray, A: np.ndarray, r: np.ndarray):
         # one profile grid build for the chunk, of the phases f tilted by -zeta
@@ -1159,11 +1176,17 @@ def _cheb_table(fn: Callable, a: float, b: float, tol: float) -> tuple[np.ndarra
     still open.
 
     Returns ``(table, tails)``: the (k, n + 1) samples at cos(pi j / n),
-    j = 0..n, read by ``_cheb_read``, and ``tails[i]``, an estimate of row
-    i's interpolant error: the stopping figure, or at a plateau the sum of
-    |c_k| over it, floored at 8 eps sum |c_k| (the samples' round-off,
-    amplified by the Lebesgue constant, below 5 at 513 points, plus the
-    round-off of the reader).
+    j = 0..n, read by ``_cheb_read``, and ``tails[i]``, the figure at
+    which row i stopped: its largest top-quarter |c_k|, or at a plateau the
+    sum of |c_k| over it, floored at 8 eps sum |c_k| (the samples'
+    round-off, amplified by the Lebesgue constant, below 5 at 513 points,
+    plus the round-off of the reader).  A tail is not a bound on the
+    interpolant's error.  Read at 399 points off the samples, a quarter of
+    the log G rows of a ``fixed_tau_paths`` pass err above their tail, by
+    up to 30 times, and the oracle's log P table on the axis of the
+    mollified m = 2 model at rel_tol 1e-10 errs by 5.1e-12 against a
+    tail of 2.3e-13; every row measured stayed within ``tol`` (at most
+    0.54 ``tol``).
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     n = 16
@@ -1284,9 +1307,10 @@ def _log_P(
     tilts (k,): L = log phi tilted by ``tilt``, and the number of points
     evaluated.  One stacked ``_WGrid`` holds every u's L as a row, sized
     by its tilt (one ``_tilt_reach`` call); a tilted row's peak takes
-    Newton steps on its row's ``_WGrid.slope`` (0 for a zero tilt: on the
-    axis no search runs), one ``log_phi`` call reads every row's A, and one
-    ``ProfileGrid`` build and one ``log_G`` call sum all the rows' phases.
+    Newton steps on its row's ``_WGrid.slope``, read once a point for both
+    L' and L'' (0 for a zero tilt: on the axis no search runs), one
+    ``log_phi`` call reads every row's A, and one ``ProfileGrid`` build
+    and one ``log_G`` call sum all the rows' phases.
 
     With ``even`` (ghat is even) and every tilt 0, phi(v) = phi(-v): the
     phase is read at |v|, each distinct (row, |v|) of a call once, by one
@@ -1295,10 +1319,19 @@ def _log_P(
     tilts).  The count still counts every P-grid point."""
     u, tilt = np.asarray(u, dtype=float), np.asarray(tilt, dtype=float)
     wg = _WGrid(ghat, 1.0 / u, _tilt_reach(tilt, m), 2 * m)
+    last = {}  # the last point read and its (L', L''): one slope read a point
+
+    def slope(v, j, d):
+        key = (j, v.tobytes())
+        if key not in last:
+            last.clear()
+            last[key] = wg.slope(v, j)
+        return last[key][d]
+
     v_star = np.zeros(u.size)
     for j in np.flatnonzero(tilt):
-        v_star[j] = _bracket_root(lambda v: wg.slope(v, j)[0], tilt[j], -1.0, 1.0,
-                                  lambda v: wg.slope(v, j)[1])
+        v_star[j] = _bracket_root(lambda v: slope(v, j, 0), tilt[j], -1.0, 1.0,
+                                  lambda v: slope(v, j, 1))
     A = wg.log_phi(v_star, np.arange(u.size)) - tilt * v_star
 
     def phase(v, i):
@@ -1360,10 +1393,14 @@ def bergman_normalized(
     model at (0, 2^-10), rel_tol 1e-10 and 1e-12.  The adaptive
     u-integral then reads the table.
     ``err_estimate`` is the integral's relative error, plus 0.5 rel_tol for
-    the truncation, plus the table's tail (an absolute error of log P is a
-    relative error of Kbar); ``evaluations`` counts the W-grid and profile
-    grid points of the tabulated ``_log_P`` calls, folded or not, and the
-    integral's rule points.
+    the truncation and the table, plus the table's tail (an absolute error
+    of log P is a relative error of Kbar).  The tail is the table's
+    stopping figure, not its error (``_cheb_table``): on the axis at
+    rel_tol 1e-10 the table errs by 5.1e-12 against a tail of 2.3e-13,
+    within its tolerance rel_tol / 10, which the 0.5 rel_tol covers.
+    ``evaluations`` counts the W-grid and profile grid points of the
+    tabulated ``_log_P`` calls, folded or not, and the integral's rule
+    points.
     """
     cfg = cfg or QuadratureConfig()
     if not f.is_mollified:

@@ -274,6 +274,20 @@ def test_one_capped_loop_in_the_package():
     ]
 
 
+def test_gauss_from_is_compared_in_one_place():
+    # direct_pair chooses its grids' rule and its inner start in one
+    # comparison with _GAUSS_FROM, so the two cannot drift apart
+    hits = []
+    for path in sorted((ROOT / "src" / "tubekernels").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                getattr(side, "id", getattr(side, "attr", None)) == "_GAUSS_FROM"
+                for side in (node.left, *node.comparators)
+            ):
+                hits.append((path.name, node.lineno))
+    assert len(hits) == 1, hits
+
+
 def _module_bindings() -> dict:
     return {
         (name, key): val
