@@ -32,11 +32,12 @@ Smooth 1-D profiles are tabulated once per use, as Chebyshev tables sized
 by the tolerance, one size for all the rows of a table: log G in log
 frequency once per zeta in ``direct_pair``, and log P in log u once per
 ``bergman_normalized`` call, each level of new samples in chunks of at most
-``_U_CHUNK`` u: one stacked W-grid, one ``ProfileGrid`` build and one
-``log_G`` call a chunk.  ``direct_pair`` works on the zetas of an
-outer integrand call in chunks of ``_ZETA_CHUNK``, sized by speed: one
-grid build, one table pass that samples the log G of the whole chunk, and
-one engine call that integrates the chunk's inner rows on shared panels.
+``_U_CHUNK`` u: one W-grid per distinct reach of the chunk's tilts, one
+``ProfileGrid`` build and one ``log_G`` call a chunk.  ``direct_pair``
+works on the zetas of an outer integrand call in chunks of
+``_ZETA_CHUNK``, sized by speed: one grid build, one table pass that
+samples the log G of the whole chunk, and one engine call that integrates
+the chunk's inner rows on shared panels.
 Its outer integral runs on a double-exponential map of the dual cone,
 centred on the outer peak at zeta* = -f'(x) and scaled to its width, so
 the tails decay double-exponentially and need no truncation; on the axis
@@ -44,10 +45,11 @@ of an even domain it takes the half line and doubles it.  The W-grid
 behind ``bergman_normalized``'s log P has uniform panels, so its
 exponential sum factors by panel: each tilt costs one exp per panel and
 one per Kronrod abscissa instead of one per node, with the same nodes and
-weights, so the factored sum is the dense one up to rounding.  It holds
-one row per u of a chunk, each with its own panels, and does its work
-in ``_blocks`` of at most ``_W_BLOCK`` terms, so a call's memory is
-bounded by the chunk and the block, not by the table.
+weights, so the factored sum is the dense one up to rounding.  A grid
+has one set of panels, sized by its reach, and a row for each u of that
+reach: on the axis one grid holds a chunk, off it each u has its own.
+It does its work in ``_blocks`` of at most ``_W_BLOCK`` terms, so a
+call's memory is bounded by the chunk and the block, not by the table.
 """
 
 from __future__ import annotations
@@ -1009,9 +1011,9 @@ def direct_pair(
 # _WGrid ends where the lower phase bound GLO w^(2m) - v_max w first reaches this
 _W_DROP = 45.0
 
-# terms per block of a stacked _WGrid's work: ghat's points (rows x panels x
-# 15) at a build, and the tilts x panels of log_phi's panel sums, so that
-# neither grows with the rows of a chunk or the points of a call.  With
+# terms per block of a _WGrid's work: ghat's points (rows x 15 x panels) at
+# a build, and the tilts x panels of log_phi's panel sums, so that
+# neither grows with the rows of a grid or the points of a call.  With
 # chunks of 32 u, bergman_normalized on the mollified m = 2 model at
 # (0, 2^-10), rel_tol 1e-10 took 62 ms at 2^13, 57 ms at 2^14, 56 ms at
 # 2^15 and 59 ms at 2^16 (medians over 8 rounds of the median of 7 calls
@@ -1019,51 +1021,35 @@ _W_DROP = 45.0
 # 4.7 MB at rel_tol 1e-12
 _W_BLOCK = 2**14
 
-# u per chunk of bergman_normalized's log P table fill: one stacked _WGrid,
-# one ProfileGrid build and one log_G call a chunk.  At the point above
-# (blocks of 2^14), 16 u took 60 ms, 24 58 ms, 32 57 ms and 64 57 ms, with
+# u per chunk of bergman_normalized's log P table fill: one _WGrid per
+# distinct reach (one on the axis), one ProfileGrid build and one log_G
+# call a chunk.  At the point above (blocks of 2^14), 16 u took 60 ms,
+# 24 58 ms, 32 57 ms and 64 57 ms, with
 # peaks at rel_tol 1e-12 of 1.6, 1.8, 1.9 and 3.0 MB: from 32 up a chunk
 # holds all of a 1e-10 table's first three levels (17, 16 and 32 u)
 _U_CHUNK = 32
 
 
-def _w_panels(v_max: float, m2: int) -> tuple[np.ndarray, float]:
-    """The panel centres and half-width h of ``_WGrid``'s row for v_max."""
-    glo = _WGrid.GLO
-    wstar = (v_max / (m2 * glo)) ** (1.0 / (m2 - 1))
-    w = wstar
-    while glo * w**m2 - v_max * w < _W_DROP:
-        if w > 1e30:
-            raise QuadratureError(f"W-grid extent unbounded for v_max = {v_max!r}")
-        w *= 1.12
-    # tilts of either sign occur, so both sides carry the full extent w
-    width = (m2 * (m2 - 1) * 1.05 * max(wstar, 1.0) ** (m2 - 2)) ** -0.5
-    dw = min(0.8 * width, 0.25)
-    n_pan = int(np.ceil(2.0 * w / dw))
-    edges = np.linspace(-w, w, n_pan + 1)
-    return 0.5 * (edges[:-1] + edges[1:]), w / n_pan
-
-
 class _WGrid:
     """Fixed grids for phi(v, X_j) = int exp(-ghat(X_j w) w^(2m) + v w) dw,
-    one row j for each X_j, tilts |v| <= v_max[j].
+    one row j for each X_j, tilts |v| <= v_max.
 
     Because the mollified ghat stays within [0.9, 1] of its center value,
     the phase is pinned between two pure powers and one grid of uniform
-    panels resolves every tilted peak with |v| <= v_max.  Each row has its
-    own panels and half-width, set by its v_max alone (``_w_panels``), and
-    its count of them, ``n_pan``; past them a row is padded to the widest
-    with empty panels (A_p = -inf, E = 0), so no row sees the others.
+    panels resolves every tilted peak with |v| <= v_max.  The panels, P of
+    them, with centers c_p and one half-width h, are set by v_max alone
+    and shared by every row: they cover |w| <= w_end on both sides, w_end
+    where the lower phase bound GLO w^(2m) - v_max w first reaches
+    ``_W_DROP`` on a x1.12 scan from its minimum.
 
-    Every node of row j is w = c_p + h x_k: panel center c_p, the row's one
-    half-width h and Kronrod abscissa x_k.  With a = log(h w_k) - Q at the
-    nodes and A_p its maximum over panel p, the exponential sum factors
-    exactly:
+    Every node is w = c_p + h x_k, Kronrod abscissa x_k.  With a = log(h
+    w_k) - Q at a row's nodes and A_p its maximum over panel p, the
+    exponential sum factors exactly:
 
         phi(v) = sum_p e^(A_p + v c_p) sum_k E[k, p] e^(v h x_k),
 
     E = e^(a - A_p) <= 1 stored once, (k, 15, P) with the panels last, so
-    a tilt v takes n_pan + 15 exps instead of one per node, and ``_sums``
+    a tilt v takes P + 15 exps instead of one per node, and ``_sums``
     contracts the abscissae with ``np.einsum("rkp,rvk->rvp")``, whose
     inner loop runs along the panels.  Exponents of E are floored at -700
     (as in ``ProfileGrid.log_G``), so each panel keeps a positive entry at
@@ -1073,42 +1059,42 @@ class _WGrid:
     below 20 at the largest tilts of m = 1..4) a floored entry stays over
     650 e-folds below its panel's largest term.
 
-    A build evaluates ghat on rows x 15 x panels, and ``log_phi`` sums on
-    rows x tilts x panels, in the blocks of ``_blocks``, at most
-    ``_W_BLOCK`` terms each, so a grid holds its (k, 15, P) E and blocks
-    of bounded size; ``slope`` reads row j's exact L' and L'' off its
-    ``n_pan[j]`` real panels.  ``X`` and ``v_max`` are arrays (k,) or
-    floats (k = 1); ``n`` is the number of real nodes over all rows.
+    A build evaluates ghat on rows x 15 x P, and ``log_phi`` sums on rows
+    x tilts x P, in the blocks of ``_blocks``, at most ``_W_BLOCK`` terms
+    each, so a grid holds its (k, 15, P) E and blocks of bounded size.
+    ``X`` is an array (k,) or a float (k = 1), ``v_max`` a float; ``n``
+    is the number of nodes over all rows.
     """
 
     GLO = 0.85
 
     def __init__(self, ghat, X, v_max, m2):
         X = np.array(X, dtype=float, ndmin=1)
-        v_max = np.broadcast_to(np.asarray(v_max, dtype=float), X.shape).tolist()
-        rows = {vm: _w_panels(vm, m2) for vm in dict.fromkeys(v_max)}
-        self.n_pan = n_pan = np.array([rows[vm][0].size for vm in v_max])
-        k, P = X.size, int(n_pan.max())
-        self.c = np.zeros((k, P))
-        self.h = np.array([rows[vm][1] for vm in v_max])
-        for j, vm in enumerate(v_max):
-            self.c[j, : n_pan[j]] = rows[vm][0]
+        glo = self.GLO
+        wstar = (v_max / (m2 * glo)) ** (1.0 / (m2 - 1))
+        w = wstar
+        while glo * w**m2 - v_max * w < _W_DROP:
+            if w > 1e30:
+                raise QuadratureError(f"W-grid extent unbounded for v_max = {v_max!r}")
+            w *= 1.12
+        # tilts of either sign occur, so both sides carry the full extent w
+        width = (m2 * (m2 - 1) * 1.05 * max(wstar, 1.0) ** (m2 - 2)) ** -0.5
+        P = int(np.ceil(2.0 * w / min(0.8 * width, 0.25)))
+        edges = np.linspace(-w, w, P + 1)
+        self.c, self.h = 0.5 * (edges[:-1] + edges[1:]), w / P
+        nodes = self.c + self.h * XGK[:, None]
+        power, log_hw = _int_pow(nodes, m2), np.log(self.h * WGK[:, None])
+        k = X.size
         self.A = np.empty((k, P))
         self.E = np.empty((k, 15, P))
         for r, _ in _blocks(k, 1, 15 * P, _W_BLOCK):
-            nodes = self.c[r, None, :] + self.h[r, None, None] * XGK[:, None]
-            q = _int_pow(nodes, m2)
-            q *= ghat((X[r, None, None] * nodes).ravel()).reshape(nodes.shape)
-            a = np.log(self.h[r, None, None] * WGK[:, None]) - q
+            a = log_hw - power * ghat((X[r, None, None] * nodes).ravel()).reshape(-1, 15, P)
             A = a.max(axis=1)
             a -= A[:, None, :]
             np.maximum(a, -700.0, out=a)
             np.exp(a, out=self.E[r])
             self.A[r] = A
-        pad = np.arange(P) >= n_pan[:, None]
-        self.A[pad] = -np.inf
-        self.E.transpose(0, 2, 1)[pad] = 0.0
-        self.n = int(15 * n_pan.sum())
+        self.n = 15 * P * k
 
     def log_phi(self, v, i) -> np.ndarray:
         """log phi of row i[j] at the tilt v[j], for flat arrays (n,): (n,).
@@ -1126,7 +1112,7 @@ class _WGrid:
         tilts = np.zeros((rows.size, count.max()))
         tilts[run, slot] = v[order]
         vals = np.empty(tilts.shape)
-        for r, c in _blocks(*tilts.shape, self.c.shape[1], _W_BLOCK):
+        for r, c in _blocks(*tilts.shape, self.c.size, _W_BLOCK):
             vals[r, c] = self._sums(tilts[r, c], rows[r])
         out = np.empty(v.size)
         out[order] = vals[run, slot]
@@ -1134,9 +1120,9 @@ class _WGrid:
 
     def _sums(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
         """log phi at the tilts v (b, n), row r[j] of v on grid row r[j]."""
-        panel = self.A[r, None, :] + v[..., None] * self.c[r, None, :]
+        panel = self.A[r, None, :] + v[..., None] * self.c
         top = panel.max(axis=2)
-        vh = v * self.h[r, None]
+        vh = v * self.h
         reach = np.abs(vh) * XGK[-1]
         tilt = np.exp(vh[..., None] * XGK - reach[..., None])
         inner = np.einsum("rkp,rvk->rvp", self.E[r], tilt)
@@ -1147,13 +1133,12 @@ class _WGrid:
     def slope(self, v, j) -> tuple[np.ndarray, np.ndarray]:
         """Row j's exact L' and L'' at the tilts v (n,): the mean and variance of
         w under its node weights E[k, p] e^(A_p + v w), scaled as in ``log_phi``."""
-        real = slice(self.n_pan[j])  # the row's panels, not its padding
         v = np.asarray(v, dtype=float)[:, None, None]
-        c, h = self.c[j, real, None], self.h[j]
+        c, h = self.c[:, None], self.h
         w, vh = c + h * XGK, v * h
-        panel = self.A[j, real, None] + v * c
+        panel = self.A[j, :, None] + v * c
         p = np.exp(panel - panel.max(axis=1, keepdims=True) + vh * XGK - np.abs(vh) * XGK[-1])
-        p *= self.E[j, :, real].T
+        p *= self.E[j].T
         p /= p.sum(axis=(1, 2), keepdims=True)
         mean = np.einsum("npk,pk->n", p, w)
         return mean, np.einsum("npk,npk->n", p, np.square(w - mean[:, None, None]))
@@ -1285,11 +1270,13 @@ def _cheb_read(table: np.ndarray, a: float, b: float, t: np.ndarray) -> np.ndarr
 
 
 def _tilt_reach(tilt, m: int) -> np.ndarray:
-    """The v_max of ``_log_P``'s W-grid rows at the tilts (k,): 10 past the v
-    where 0.75 a v^(2m/(2m-1)) = D + |tilt| v, a = ``growth_constant_a(m)``,
-    D = ``_TRUNCATION_DEPTH`` + 16.  In sigma = (v / v0)^(1/(2m-1)), v0 the
-    zero tilt's v, one ``_bracket_root`` call solves sigma - sigma^(1-2m) =
-    |tilt| v0 / D for all rows; a zero tilt reads sigma = 1 and gets v0 + 10."""
+    """The v_max of ``_log_P``'s W-grids at the tilts (k,), one grid per
+    distinct value: 10 past the v where 0.75 a v^(2m/(2m-1)) = D + |tilt| v,
+    a = ``growth_constant_a(m)``, D = ``_TRUNCATION_DEPTH`` + 16.  In
+    sigma = (v / v0)^(1/(2m-1)), v0 the zero tilt's v, one ``_bracket_root``
+    call solves sigma - sigma^(1-2m) = |tilt| v0 / D for all tilts; a zero
+    tilt reads sigma = 1 and gets v0 + 10, so on the axis every u shares
+    one grid."""
     m2 = 2 * m
     rate = 0.75 * (m2 ** (-1.0 / (m2 - 1)) - m2 ** (-m2 / (m2 - 1.0)))
     depth = _TRUNCATION_DEPTH + 16.0
@@ -1305,12 +1292,13 @@ def _log_P(
 ) -> tuple[np.ndarray, int]:
     """log P(x, u) = log int exp(tilt * v) / phi(v, 1/u) dv at the u and
     tilts (k,): L = log phi tilted by ``tilt``, and the number of points
-    evaluated.  One stacked ``_WGrid`` holds every u's L as a row, sized
-    by its tilt (one ``_tilt_reach`` call); a tilted row's peak takes
+    evaluated.  Each u's L is a row of a ``_WGrid``, one grid per distinct
+    reach of the tilts (one ``_tilt_reach`` call; one grid on the axis,
+    where every reach is the zero tilt's); a tilted row's peak takes
     Newton steps on its row's ``_WGrid.slope``, read once a point for both
-    L' and L'' (0 for a zero tilt: on the axis no search runs), one
-    ``log_phi`` call reads every row's A, and one ``ProfileGrid`` build
-    and one ``log_G`` call sum all the rows' phases.
+    L' and L'' (0 for a zero tilt: on the axis no search runs), each grid's
+    ``log_phi`` reads its rows' A, and one ``ProfileGrid`` build and one
+    ``log_G`` call sum all the rows' phases, each read on its row's grid.
 
     With ``even`` (ghat is even) and every tilt 0, phi(v) = phi(-v): the
     phase is read at |v|, each distinct (row, |v|) of a call once, by one
@@ -1318,24 +1306,37 @@ def _log_P(
     sums at v and -v differ in the last bits at about a fifth of the
     tilts).  The count still counts every P-grid point."""
     u, tilt = np.asarray(u, dtype=float), np.asarray(tilt, dtype=float)
-    wg = _WGrid(ghat, 1.0 / u, _tilt_reach(tilt, m), 2 * m)
+    reach, grid = np.unique(_tilt_reach(tilt, m), return_inverse=True)
+    rows = [np.flatnonzero(grid == g) for g in range(reach.size)]
+    wgs = [_WGrid(ghat, 1.0 / u[j], vm, 2 * m) for j, vm in zip(rows, reach.tolist())]
+    slot = np.empty(u.size, dtype=int)  # each u's row on its grid
+    for j in rows:
+        slot[j] = np.arange(j.size)
+
+    def log_phi(v, i):
+        out, gi = np.empty(v.size), grid[i]
+        for g, wg in enumerate(wgs):
+            on = gi == g
+            out[on] = wg.log_phi(v[on], slot[i[on]])
+        return out
+
     last = {}  # the last point read and its (L', L''): one slope read a point
 
     def slope(v, j, d):
         key = (j, v.tobytes())
         if key not in last:
             last.clear()
-            last[key] = wg.slope(v, j)
+            last[key] = wgs[grid[j]].slope(v, slot[j])
         return last[key][d]
 
     v_star = np.zeros(u.size)
     for j in np.flatnonzero(tilt):
         v_star[j] = _bracket_root(lambda v: slope(v, j, 0), tilt[j], -1.0, 1.0,
                                   lambda v: slope(v, j, 1))
-    A = wg.log_phi(v_star, np.arange(u.size)) - tilt * v_star
+    A = log_phi(v_star, np.arange(u.size)) - tilt * v_star
 
     def phase(v, i):
-        return wg.log_phi(v, i) - tilt[i] * v - A[i]
+        return log_phi(v, i) - tilt[i] * v - A[i]
 
     def folded(v, i):
         # each distinct (row, |v|) once, in one sort of the points
@@ -1345,11 +1346,12 @@ def _log_P(
         new = np.ones(a.size, dtype=bool)
         new[1:] = (a[1:] != a[:-1]) | (i[1:] != i[:-1])
         out = np.empty(a.size)
-        out[order] = (wg.log_phi(a[new], i[new]) - A[i[new]])[np.cumsum(new) - 1]
+        out[order] = (log_phi(a[new], i[new]) - A[i[new]])[np.cumsum(new) - 1]
         return out
 
     pg = ProfileGrid(folded if even and not tilt.any() else phase, v_star, 1.0, 1.0)
-    return pg.log_G(np.ones((u.size, 1)))[:, 0] - A, wg.n + pg.n_evals
+    n = sum(wg.n for wg in wgs)
+    return pg.log_G(np.ones((u.size, 1)))[:, 0] - A, n + pg.n_evals
 
 
 def bergman_normalized(
@@ -1380,14 +1382,16 @@ def bergman_normalized(
     coefficients level off at log P's own round-off (near 2e-13 on the
     mollified m = 2 model, so from rel_tol 1e-12 down), usually 65 or 129
     u.  Each level's new u go to ``_log_P`` in chunks of at most
-    ``_U_CHUNK``: one stacked ``_WGrid`` of a row per u, one ``ProfileGrid``
-    build of the chunk's tilted phases and one ``log_G`` call, with phi
-    read at every tilt the grid asks for through the W-grid's factored
-    sum, n_pan + 15 exps a tilt, which takes most of the table's time.  A
-    row's value depends on its own u and tilt alone, so the table is the
-    one of a ``_log_P`` call per u: bit for bit on the axis, where every
-    tilt is 0 and every row has one geometry; there, on an even domain,
-    the W-grid sums each (row, |v|) once, about half the P-grid's points.
+    ``_U_CHUNK``: one ``_WGrid`` per distinct reach of the chunk's tilts,
+    with a row per u (one grid on the axis, one a u off it), one
+    ``ProfileGrid`` build of the chunk's tilted phases and one ``log_G``
+    call, with phi read at every tilt the grid asks for through its row's
+    factored sum, P + 15 exps a tilt on P panels, which takes most of the
+    table's time.  A row's value depends on its own u and tilt alone, so
+    the table is the one of a ``_log_P`` call per u: bit for bit on the
+    axis, where every tilt is 0 and every row is on one grid; there, on
+    an even domain, the W-grid sums each (row, |v|) once, about half the
+    P-grid's points.
     The chunks and ``_WGrid``'s blocks of ``_W_BLOCK`` terms bound a
     call's memory: a ``tracemalloc`` peak near 2 MB on the mollified m = 2
     model at (0, 2^-10), rel_tol 1e-10 and 1e-12.  The adaptive

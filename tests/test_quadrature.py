@@ -1043,7 +1043,7 @@ def test_bergman_normalized_recovers_direct_kernel_on_the_axis(y):
 
 def _mollified_w_grid(X, v_max):
     """The W-grid of _log_P on the mollified m = 2 model, with its ghat: one
-    row for a float X and v_max, a row each for arrays."""
+    row for a float X, a row each for an array, all on v_max's panels."""
     f = mollify(model_domain(2), 0.1)
     g0 = float(f.g(0.0))
 
@@ -1055,34 +1055,33 @@ def _mollified_w_grid(X, v_max):
 
 @pytest.mark.parametrize("X, v_max", [(1.0, 56.0), (0.2, 600.0)])
 def test_w_grid_log_phi_matches_the_dense_sum(X, v_max):
-    # both rows in one stacked grid, the first padded with empty panels
-    wg, ghat = _mollified_w_grid(np.array([1.0, 0.2]), np.array([56.0, 600.0]))
+    # both X as rows of one grid, on the panels of this v_max
+    wg, ghat = _mollified_w_grid(np.array([1.0, 0.2]), v_max)
     row = [1.0, 0.2].index(X)
-    # the dense sum over the row's nodes c_p + h x_k with weights h w_k
-    n_pan = np.count_nonzero(wg.A[row] > -np.inf)
-    c, h = wg.c[row, :n_pan], wg.h[row]
+    # the dense sum over the nodes c_p + h x_k with weights h w_k
+    c, h = wg.c, wg.h
     nodes = (c[:, None] + h * XGK).ravel()
     a = np.log(h * np.tile(WGK, c.size)) - ghat(X * nodes) * nodes**4
     v = np.linspace(-v_max, v_max, 401)
     want = _logsumexp(a[None, :] + v[:, None] * nodes[None, :])
     got = wg.log_phi(v, np.full(v.size, row))
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
-    # the row is the one-row grid's, and n counts real nodes, not padding
+    # a one-row grid has the same panels, and n counts every row's nodes
     one, _ = _mollified_w_grid(X, v_max)
-    assert one.n == nodes.size and np.array_equal(one.c[0], c) and one.h[0] == h
-    n_pans = np.count_nonzero(wg.A > -np.inf, axis=1)
-    assert wg.n == 15 * n_pans.sum() and n_pans[0] < n_pans[1] == wg.c.shape[1]
+    assert one.n == nodes.size and np.array_equal(one.c, c) and one.h == h
+    assert wg.n == 2 * one.n and wg.A.shape == (2, c.size)
 
 
 def test_w_grid_log_phi_is_finite_and_monotone_at_extreme_tilts():
     # the profile grids of _log_P probe tilts up to ~1e12 on their ladders;
-    # row 0 is padded with empty panels to row 1's
-    wg, _ = _mollified_w_grid(np.array([1.0, 0.2]), np.array([56.0, 600.0]))
+    # both rows of a grid at v_max = 600, and a one-row grid at 56
+    two, _ = _mollified_w_grid(np.array([1.0, 0.2]), 600.0)
+    one, _ = _mollified_w_grid(1.0, 56.0)
     ladder = 10.0 ** np.arange(0, 61)
     assert 1e12 in ladder and 1e60 in ladder
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for row in (0, 1):
+        for wg, row in ((two, 0), (two, 1), (one, 0)):
             for side in (1.0, -1.0):
                 lp = wg.log_phi(side * ladder, np.full(ladder.size, row))
                 assert np.all(np.isfinite(lp))
@@ -1090,10 +1089,9 @@ def test_w_grid_log_phi_is_finite_and_monotone_at_extreme_tilts():
 
 
 def test_w_grid_rows_do_not_see_each_other():
-    # a stacked grid of two rows, the first padded: a tilt's value is the
-    # same read alone, among other tilts in any order, and on a grid of
-    # its row alone
-    X, v_max = np.array([1.0, 0.2]), np.array([56.0, 600.0])
+    # a grid of two rows: a tilt's value is the same read alone, among
+    # other tilts in any order, and on a grid of its row alone
+    X, v_max = np.array([1.0, 0.2]), 600.0
     wg, _ = _mollified_w_grid(X, v_max)
     rng = np.random.default_rng(5)
     v = rng.uniform(-60.0, 60.0, 37)
@@ -1104,7 +1102,7 @@ def test_w_grid_rows_do_not_see_each_other():
     assert np.array_equal(wg.log_phi(v[:2], i[:2]), rows[:2])
     assert np.array_equal(wg.log_phi(v[::-1], i[::-1]), rows[::-1])
     for r in (0, 1):
-        one, _ = _mollified_w_grid(X[r], v_max[r])
+        one, _ = _mollified_w_grid(X[r], v_max)
         on_r = i == r
         assert np.array_equal(one.log_phi(v[on_r], np.zeros(on_r.sum(), dtype=int)), rows[on_r])
 
@@ -1112,20 +1110,21 @@ def test_w_grid_rows_do_not_see_each_other():
 def test_w_grid_slope_is_the_derivative_of_log_phi():
     # the exact L' and L'' of each row against central differences of its
     # log phi, step 1e-3: a truncation error near 1.5e-8 (L') and 3.5e-8
-    # (L'') relative, with rounding of 4 eps |L| / h^2 = 8e-8 at |L| = 89
-    wg, _ = _mollified_w_grid(np.array([1.0, 0.2]), np.array([56.0, 600.0]))
+    # (L'') relative, with rounding of 4 eps |L| / h^2 = 8e-8 at |L| = 89;
+    # both rows of a grid at v_max = 600, and a one-row grid at 56
+    two, _ = _mollified_w_grid(np.array([1.0, 0.2]), 600.0)
+    one, _ = _mollified_w_grid(1.0, 56.0)
     v, h = np.linspace(-50.0, 50.0, 201), 1e-3
-    for row in (0, 1):
+    for wg, row in ((two, 0), (two, 1), (one, 0)):
         d1, d2 = wg.slope(v, row)
         lm, l0, lp = (wg.log_phi(v + k * h, np.full(v.size, row)) for k in (-1, 0, 1))
         assert np.all(np.abs(d1 - (lp - lm) / (2 * h)) <= 1e-6 * np.maximum(1.0, np.abs(d1)))
         assert np.all(np.abs(d2 - (lp - 2 * l0 + lm) / h**2) <= 1e-6 * np.maximum(1.0, d2))
         assert np.all(d2 > 0.0)
-    # a row reads its real panels only: row 0, padded in the stacked grid,
-    # gives its one-row grid's L' and L'' bit for bit (the padding's zero
-    # terms moved 75 of the 201 L' in the last bits)
-    one, _ = _mollified_w_grid(1.0, 56.0)
-    for got, want in zip(wg.slope(v, 0), one.slope(v, 0)):
+    # a row reads its own weights only: row 0 gives its one-row grid's L'
+    # and L'' bit for bit
+    alone, _ = _mollified_w_grid(1.0, 600.0)
+    for got, want in zip(two.slope(v, 0), alone.slope(v, 0)):
         assert np.array_equal(got, want)
 
 
@@ -1323,11 +1322,11 @@ def test_log_P_finds_each_tilted_peak_in_a_few_slope_reads(monkeypatch):
     # row, where bisecting a central difference from [-1, 1] took about 50;
     # a point's L' and L'' come from one slope call (two when g and dg each
     # read the slope: 307 calls for 170 points at x = 0.1)
-    reads, calls, slope = {}, [0], _WGrid.slope
+    reads, calls, slope = {}, [0], _WGrid.slope  # reads keyed by (grid, row)
 
     def counted(self, v, j):
         calls[0] += 1
-        reads.setdefault(j, set()).add(np.asarray(v).tobytes())
+        reads.setdefault((id(self), j), set()).add(np.asarray(v).tobytes())
         return slope(self, v, j)
 
     monkeypatch.setattr(_WGrid, "slope", counted)
@@ -1396,18 +1395,53 @@ def test_log_P_reads_each_abs_v_once_on_the_axis(monkeypatch):
     assert reads[0] - u.size == grids[0]
 
 
-@pytest.mark.parametrize("tau", [0.3, 0.1])
+@pytest.mark.parametrize("tau", [0.3, 0.1, 0.05])
 def test_bergman_normalized_off_the_axis_meets_direct_pair(tau):
     # P(x, u) grows like e^(f(x) u^(2m)), so the u-integrand decays like
     # e^(-(y - f(x)) u^(2m)) and u_hi is sized by y - f(x): sized by y the
-    # oracle lost 1.1e-5 at tau = 0.3 and 9.4e-2 at tau = 0.1 (f(x)/y = 0.7
-    # and 0.9) under claims near 1e-10.  About 3 s for both points
+    # oracle lost 1.1e-5 at tau = 0.3, 9.4e-2 at tau = 0.1 and 0.66 at
+    # tau = 0.05 (f(x)/y = 0.7, 0.9 and 0.95) under claims near 1e-10.
+    # About 3 s for the three points
     f = mollify(model_domain(2), 0.1)
     p = from_polar(f, BlowupChart(2), PolarPoint(tau=tau, rho=2.0**-6))
     cfg = QuadratureConfig(rel_tol=1e-10)
     full = bergman_normalized(f, p, cfg, u_floor=0.0)
     K, _ = direct_pair(f, p, cfg)
     assert abs(full.value / K.value - 1.0) <= full.err_estimate + K.err_estimate
+
+
+def test_log_P_off_the_axis_sums_each_row_on_its_own_panels(monkeypatch):
+    # one W-grid per distinct reach and one ProfileGrid build a call: on
+    # the axis one grid holds every u, off it each u's tilt has its own
+    # reach and grid.  One grid of rows padded to the widest row's panels
+    # peaked at 33.0 MB at x = 0.3 (6.6% of its panels real); 9.3 MB now
+    builds = {"w": 0, "p": 0}
+    w_build, p_build = _WGrid.__init__, ProfileGrid.__init__
+
+    def counted_w(self, *args):
+        builds["w"] += 1
+        w_build(self, *args)
+
+    def counted_p(self, *args, **kwargs):
+        builds["p"] += 1
+        p_build(self, *args, **kwargs)
+
+    _, ghat = _mollified_w_grid(1.0, 56.0)
+    g0 = float(mollify(model_domain(2), 0.1).g(0.0))
+    u = np.exp(np.linspace(-12.0, 3.5, 33))
+    monkeypatch.setattr(_WGrid, "__init__", counted_w)
+    monkeypatch.setattr(ProfileGrid, "__init__", counted_p)
+    _log_P(ghat, u, np.zeros(u.size), 2, even=True)
+    assert builds == {"w": 1, "p": 1}
+    builds.update(w=0, p=0)
+    tracemalloc.start()
+    try:
+        lp, _ = _log_P(ghat, u, g0**0.25 * 0.3 * u, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(lp)) and peak <= 15e6
+    assert builds == {"w": u.size, "p": 1}
 
 
 @pytest.mark.parametrize(
@@ -2031,6 +2065,42 @@ def test_direct_pair_raises_on_a_missed_inner_row(monkeypatch):
     monkeypatch.setattr(quadrature, "log_adaptive_multi", engine)
     with pytest.raises(QuadratureError, match=r"inner eta integral at zeta = .* 1\.000e-03"):
         direct_pair(model_domain(1), BoundaryRelativePoint(0.0, 0.25), QuadratureConfig(1e-7))
+
+
+def test_direct_pair_raises_when_its_outer_integral_misses(monkeypatch):
+    # a budget of 4 panels stops the outer engine on its first panels, at
+    # 1.6e-7 on this point: the gate names the point and both errors
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
+    with pytest.raises(QuadratureError) as info:
+        direct_pair(model_domain(2), BoundaryRelativePoint(0.0, 0.25), QuadratureConfig(1e-10))
+    got = re.fullmatch(
+        r"kernel quadrature did not converge at \(x=0\.0, y=0\.25\): "
+        r"achieved rel err (\S+) \(requested 1\.0e-10\)",
+        str(info.value),
+    )
+    assert got and float(got.group(1)) > 20 * 1e-10
+
+
+def test_oracle_and_model_profile_raise_when_their_integrals_miss(monkeypatch):
+    # both converge on their first panels even at a budget of one panel, so
+    # the engine reports 1e-3 for every row; each gate raises with it
+    real = quadrature.log_adaptive_multi
+
+    def engine(*args, **kwargs):
+        lv, err, n = real(*args, **kwargs)
+        return lv, np.full_like(err, 1e-3), n
+
+    monkeypatch.setattr(quadrature, "log_adaptive_multi", engine)
+    monkeypatch.setattr(asymptotics, "log_adaptive_multi", engine)
+    f = mollify(model_domain(2), 0.1)
+    with pytest.raises(
+        QuadratureError, match=r"^normalized representation did not converge: achieved 1\.000e-03$"
+    ):
+        bergman_normalized(f, BoundaryRelativePoint(0.0, 0.25), QuadratureConfig(1e-10))
+    with pytest.raises(
+        QuadratureError, match=r"^model profile did not converge at tau=0\.5: achieved 1\.000e-03$"
+    ):
+        asymptotics.model_profile_pair(2, 1.0, 0.5)
 
 
 @pytest.mark.parametrize(
